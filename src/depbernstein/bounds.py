@@ -2,8 +2,8 @@
 self-adjoint random matrices, plus a certified optimized Chernoff tail bound.
 
 All functions are pure and deterministic.  The certified tail bound needs
-no unspecified universal constant: it minimizes the explicit log-Laplace
-majorant exp(-t x + gamma_n(t)) over its validity interval.
+no unspecified universal constant: it is the exact minimum of the explicit
+log-Laplace majorant exp(-t x + gamma_n(t)) over its validity interval.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .cantor import decomposition_depth
 
 LOG2 = math.log(2.0)
-_RATE_CEILING = 1e6  # cap for "infinitely fast" mixing, see mixing.fit_geometric_rate
 
 
 class BoundDomainError(ValueError):
@@ -172,9 +171,18 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
     total = combine_sigma_kappa(pairs)
     sigma_ceiling = 15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c)
     kappa_ceiling = M * gamma_cn(c, n)
-    assert total.sigma <= sigma_ceiling, (total.sigma, sigma_ceiling)
-    assert total.kappa <= kappa_ceiling, (total.kappa, kappa_ceiling)
+    if not total.sigma <= sigma_ceiling:
+        raise BoundDomainError(f"sum sigma {total.sigma!r} exceeds its ceiling {sigma_ceiling!r}")
+    if not total.kappa <= kappa_ceiling:
+        raise BoundDomainError(f"sum kappa {total.kappa!r} exceeds its ceiling {kappa_ceiling!r}")
     return pairs
+
+
+def _majorant_coefficients(inputs: BernsteinInputs):
+    """(a, b) with gamma_n(t) = log d + a t^2 / (1 - b t):
+    a = n (15v + 2M/sqrt(cn))^2 and b = M gamma(c, n)."""
+    sigma = 15.0 * inputs.v + 2.0 * inputs.M / math.sqrt(inputs.c * inputs.n)
+    return inputs.n * sigma * sigma, inputs.M * gamma_cn(inputs.c, inputs.n)
 
 
 def master_log_laplace(t: float, inputs: BernsteinInputs) -> float:
@@ -182,55 +190,40 @@ def master_log_laplace(t: float, inputs: BernsteinInputs) -> float:
     valid for t M < 1/gamma(c, n)."""
     if t < 0:
         raise BoundDomainError(f"need t >= 0, got {t}")
-    gam = gamma_cn(inputs.c, inputs.n)
-    if t * inputs.M >= 1.0 / gam:
+    a, b = _majorant_coefficients(inputs)
+    if t * b >= 1.0:
         raise BoundDomainError(
-            f"t*M = {t * inputs.M:.6g} not below 1/gamma(c,n) = {1.0 / gam:.6g}"
+            f"t*M = {t * inputs.M:.6g} not below 1/gamma(c,n) = {inputs.M / b:.6g}"
         )
-    sigma = 15.0 * inputs.v + 2.0 * inputs.M / math.sqrt(inputs.c * inputs.n)
-    return math.log(inputs.d) + (t * t * inputs.n * sigma * sigma) / (1.0 - t * inputs.M * gam)
+    return math.log(inputs.d) + a * t * t / (1.0 - b * t)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def log_tail_bound_certified(x: float, inputs: BernsteinInputs):
+    """log of inf_t exp(-t x + gamma_n(t)) over t in (0, 1/(M gamma(c,n))),
+    in closed form (classical Bernstein; Tropp 2012).
 
-
-def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10):
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+    The minimizer is t* = (1 - sqrt(a/(a+bx)))/b and the minimum is
+    log d - (sqrt(a+bx) - sqrt(a))^2 / b^2; both are evaluated in the
+    equivalent forms below, which have no cancellation.  The log bound
+    stays finite where its exponential underflows to 0.
+    Returns (log_bound, t_star).
+    """
+    if x <= 0:
+        raise BoundDomainError(f"need x > 0, got {x}")
+    a, b = _majorant_coefficients(inputs)
+    root_sum = math.sqrt(a + b * x) + math.sqrt(a)
+    t_star = x / (math.sqrt(a + b * x) * root_sum)
+    return math.log(inputs.d) - (x / root_sum) ** 2, t_star
 
 
 def tail_bound_certified(x: float, inputs: BernsteinInputs):
     """Optimized Chernoff bound inf_t exp(-t x + gamma_n(t)) over the
     validity interval t in (0, 1/(M gamma(c,n))), capped at d.
 
-    Returns (bound, t_star); t_star = 0 means no interior t improves on
-    the trivial bound d.
+    Returns (bound, t_star); see log_tail_bound_certified.
     """
-    if x <= 0:
-        raise BoundDomainError(f"need x > 0, got {x}")
-    t_max = (1.0 - 1e-12) / (inputs.M * gamma_cn(inputs.c, inputs.n))
-
-    def phi(t):
-        return -t * x + master_log_laplace(t, inputs)
-
-    t_star, phi_star = _golden_min(phi, 1e-300, t_max)
-    log_d = math.log(inputs.d)
-    if phi_star >= log_d:
-        return float(inputs.d), 0.0
-    return math.exp(phi_star), t_star
+    log_bound, t_star = log_tail_bound_certified(x, inputs)
+    return min(float(inputs.d), math.exp(log_bound)), t_star
 
 
 def theorem1_form(x: float, inputs: BernsteinInputs, C: float) -> float:

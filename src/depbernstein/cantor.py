@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class CantorError(ValueError):
@@ -117,28 +116,34 @@ def full_decomposition(n: int) -> FullDecomposition:
     """Iterate the construction on the surviving positions until at most 2
     remain.  Survivors are relabeled 1..A_i order-preservingly at each step
     and the extracted set is mapped back to original coordinates."""
-    if not isinstance(n, int) or n < 2:
-        raise CantorError(f"n must be an integer >= 2, got {n!r}")
+    cards = _survivor_counts(n)
     surviving = list(range(1, n + 1))
     levels = []
-    cards = [n]
-    while len(surviving) > 2:
-        part = cantor_set(len(surviving))
-        kept_rel = set(part.K)
-        extracted = tuple(surviving[r - 1] for r in sorted(kept_rel))
-        surviving = [surviving[r - 1] for r in range(1, len(surviving) + 1)
-                     if r not in kept_rel]
-        levels.append(extracted)
-        cards.append(len(surviving))
+    for A in cards[:-1]:
+        kept_rel = set(cantor_set(A).K)
+        levels.append(tuple(surviving[r - 1] for r in sorted(kept_rel)))
+        surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
     return FullDecomposition(
-        n=n, levels=tuple(levels), remainder=tuple(surviving), cards=tuple(cards)
+        n=n, levels=tuple(levels), remainder=tuple(surviving), cards=cards
     )
 
 
-@lru_cache(maxsize=None)
 def decomposition_depth(n: int) -> int:
-    """Number of extraction levels L for {1..n} (remainder excluded)."""
-    return full_decomposition(n).L
+    """Number of extraction levels L for {1..n} (remainder excluded),
+    from cardinalities alone."""
+    return len(_survivor_counts(n)) - 1
+
+
+def _survivor_counts(n: int) -> tuple:
+    """A_0 = n, A_{i+1} = A_i - 2^ell n_ell (the kept set of {1..A_i} is
+    2^ell runs of n_ell), until at most 2 positions survive."""
+    if not isinstance(n, int) or n < 2:
+        raise CantorError(f"n must be an integer >= 2, got {n!r}")
+    cards = [n]
+    while cards[-1] > 2:
+        p = cantor_params(cards[-1])
+        cards.append(cards[-1] - 2 ** p.ell * p.n_seq[-1])
+    return tuple(cards)
 
 
 def sub_block_partition(K, p: int):

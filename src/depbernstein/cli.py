@@ -65,7 +65,8 @@ def _bound_row(kind, n, d, M, v, c, x, t, C):
     inputs = bounds.BernsteinInputs(n=n, d=d, M=M, v=v, c=c)
     if kind == "tail":
         b, t_star = bounds.tail_bound_certified(x, inputs)
-        return {"bound": b, "t_star": t_star}
+        return {"bound": b, "log_bound": bounds.log_tail_bound_certified(x, inputs)[0],
+                "t_star": t_star}
     if kind == "laplace":
         return {"log_laplace": bounds.master_log_laplace(t, inputs)}
     if kind == "expectation":
@@ -255,7 +256,7 @@ def _suite_bounds(budget, failures):
                     try:
                         bounds.sigma_kappa_schedule(
                             bounds.BernsteinInputs(n=n, d=2, M=M, v=v, c=c))
-                    except AssertionError:
+                    except bounds.BoundDomainError:
                         failures.append({"invariant": "schedule_ceiling",
                                          "n": n, "c": c, "v": v, "M": M})
 
@@ -282,7 +283,8 @@ def _suite_dominance(budget, failures):
         spec = cfg["spec"]
         inputs = models.bernstein_inputs_for(spec, cfg["n"])
         report = models.run_tail_experiment(
-            spec, n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11)
+            spec, n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11,
+            inputs=inputs)
         for (x, p_hat, lo, hi), (_, b) in zip(report.tail_grid, report.bound_curve):
             if b < 1.0 and lo > b:
                 failures.append({"invariant": "tail_dominance",

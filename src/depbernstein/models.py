@@ -403,8 +403,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
         k = int(np.sum(samples >= x))
         lo, hi = clopper_pearson(k, trials, conf)
         tail.append((x, k / trials, lo, hi))
-        b = min(float(inputs.d), _bounds.tail_bound_certified(x, inputs)[0]) \
-            if x > 0 else float(inputs.d)
+        b = _bounds.tail_bound_certified(x, inputs)[0] if x > 0 else float(inputs.d)
         curve.append((x, b))
     return TrialReport(
         model=spec.digest(), n=n, trials=trials, seed=seed,

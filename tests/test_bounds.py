@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from depbernstein import bounds
 from depbernstein.bounds import (
     BernsteinInputs,
     BoundDomainError,
@@ -11,11 +12,13 @@ from depbernstein.bounds import (
     combine_sigma_kappa,
     corollary1_bound,
     covariance_mixing_bound,
+    decomposition_depth,
     expectation_bound,
     g,
     gamma_cn,
     gamma_majorant,
     h,
+    log_tail_bound_certified,
     master_log_laplace,
     prop1_log_laplace,
     sigma_kappa_schedule,
@@ -175,6 +178,15 @@ class TestSchedule:
                     sigma_kappa_schedule(BernsteinInputs(n=n, d=1, M=1.0, v=1.0, c=c)))
                 assert total.kappa <= 1.0 * gamma_cn(c, n)
 
+    def test_huge_n_depth_plus_one_pairs(self):
+        pairs = sigma_kappa_schedule(BernsteinInputs(n=10 ** 8, d=2, M=1.0, v=1.0, c=2.0))
+        assert len(pairs) == decomposition_depth(10 ** 8) + 1
+
+    def test_kappa_ceiling_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "gamma_cn", lambda c, n: 1e-3)
+        with pytest.raises(BoundDomainError, match="sum kappa"):
+            sigma_kappa_schedule(BernsteinInputs(n=256, d=2, M=1.0, v=1.0, c=2.0))
+
 
 class TestMaster:
     def test_t_zero(self):
@@ -208,14 +220,18 @@ class TestTailBound:
         vals = [tail_bound_certified(x, self.INP)[0] for x in xs]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_matches_dense_grid(self):
+    @pytest.mark.parametrize("inp, x", [
+        (INP, 40.0),
+        (BernsteinInputs(n=2 ** 20, d=8, M=1.0, v=0.5, c=2.0), 60_000.0),
+        (INP, 200.0),
+    ], ids=["n4_x40", "d8_n2e20", "n4_near_decay"])
+    def test_matches_dense_grid(self, inp, x):
         # independent oracle: dense grid minimization of the same objective
-        x = 40.0
-        t_max = 1.0 / gamma_cn(100.0, 4)
+        t_max = 1.0 / (inp.M * gamma_cn(inp.c, inp.n))
         ts = np.linspace(1e-9, t_max * (1 - 1e-9), 200_001)
-        phis = np.array([-t * x + master_log_laplace(t, self.INP) for t in ts])
+        phis = np.array([-t * x + master_log_laplace(t, inp) for t in ts])
         grid_best = math.exp(phis.min())
-        bound, _ = tail_bound_certified(x, self.INP)
+        bound, _ = tail_bound_certified(x, inp)
         assert bound == pytest.approx(grid_best, abs=1e-8)
 
     def test_interior_optimum_is_local_min(self):
@@ -236,6 +252,12 @@ class TestTailBound:
     def test_never_exceeds_d(self):
         for x in np.linspace(0.01, 50.0, 40):
             assert tail_bound_certified(x, self.INP)[0] <= self.INP.d
+
+    def test_log_bound_past_underflow(self):
+        inp = BernsteinInputs(n=1024, d=4, M=1.0, v=0.5, c=0.69)
+        log_bound, t_star = log_tail_bound_certified(3.5e6, inp)
+        assert log_bound == pytest.approx(-750.43, abs=0.01)
+        assert tail_bound_certified(3.5e6, inp) == (0.0, t_star)
 
 
 class TestClosedForms:

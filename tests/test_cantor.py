@@ -6,6 +6,7 @@ from depbernstein.cantor import (
     CantorError,
     cantor_params,
     cantor_set,
+    decomposition_depth,
     full_decomposition,
     level_blocks,
     sub_block_partition,
@@ -126,6 +127,10 @@ class TestFullDecomposition:
             for i, a in enumerate(fd.cards):
                 assert a <= n / 2 ** i + 1e-9
             assert fd.L <= math.floor(math.log2(n / 2)) + 1
+
+    def test_depth_from_cardinalities(self):
+        for n in range(2, 5001):
+            assert decomposition_depth(n) == full_decomposition(n).L, n
 
     def test_card_recursion(self):
         fd = full_decomposition(1000)

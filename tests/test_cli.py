@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,7 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["bound"] == pytest.approx(0.6677, abs=1e-3)
+        assert payload["log_bound"] == pytest.approx(math.log(payload["bound"]), rel=1e-12)
         assert payload["config"]["kind"] == "tail"
 
     def test_laplace(self, capsys):
@@ -102,15 +104,19 @@ class TestBoundCommand:
 
     def test_batch_csv(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
-        batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,1,100,40\n")
+        batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,1,100,40\n"
+                         "1024,4,1,0.5,0.69,3.5e6\n")
         out_path = tmp_path / "bounds.csv"
         code, _ = run_cli(capsys, "bound", "--kind", "tail",
                           "--batch", str(batch), "--out", str(out_path))
         assert code == 0
         rows = list(csv.DictReader(out_path.read_text().splitlines()))
-        assert len(rows) == 2
+        assert len(rows) == 3
         assert float(rows[0]["bound"]) == pytest.approx(0.6677, abs=1e-3)
-        assert {"bound", "t_star"} <= set(rows[0])
+        assert {"bound", "log_bound", "t_star"} <= set(rows[0])
+        # the bound underflows to 0 there; its log stays finite
+        assert float(rows[2]["bound"]) == 0.0
+        assert float(rows[2]["log_bound"]) == pytest.approx(-750.43, abs=0.01)
 
 
 class TestMixingCommand:
