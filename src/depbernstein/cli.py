@@ -280,11 +280,9 @@ def _suite_coupling(budget, failures):
 
 def _suite_dominance(budget, failures):
     for cfg in shipped_model_configs():
-        spec = cfg["spec"]
-        inputs = models.bernstein_inputs_for(spec, cfg["n"])
         report = models.run_tail_experiment(
-            spec, n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11,
-            inputs=inputs)
+            cfg["spec"], n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11,
+            inputs=cfg["inputs"])
         for (x, p_hat, lo, hi), (_, b) in zip(report.tail_grid, report.bound_curve):
             if b < 1.0 and lo > b:
                 failures.append({"invariant": "tail_dominance",
@@ -311,7 +309,7 @@ def shipped_model_configs():
     for name, spec, n in specs:
         inputs = models.bernstein_inputs_for(spec, n)
         top = inputs.n * inputs.M
-        out.append({"name": name, "spec": spec, "n": n,
+        out.append({"name": name, "spec": spec, "n": n, "inputs": inputs,
                     "x_grid": np.linspace(0.05 * top, 0.9 * top, 8).tolist()})
     return out
 

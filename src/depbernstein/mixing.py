@@ -38,7 +38,8 @@ class MarkovChain:
             raise MixingError(f"P must be square with >= 2 states, got {P.shape}")
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise MixingError("P rows must be nonnegative and sum to 1")
-        if np.any(np.linalg.matrix_power(P, P.shape[0]) <= 1e-15):
+        # primitive iff P^k > 0 at Wielandt's exponent k = (s-1)^2 + 1
+        if not np.all(np.linalg.matrix_power(P > 0, (P.shape[0] - 1) ** 2 + 1)):
             raise MixingError("chain must be irreducible and aperiodic")
         pi = np.asarray(self.pi, dtype=float)
         if pi.shape != (P.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
@@ -95,15 +96,22 @@ class MarkovChain:
 
     def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n states drawn from the stationary chain."""
+        return self.sample_paths(rng.random((1, n)))[0]
+
+    def sample_paths(self, u: np.ndarray) -> np.ndarray:
+        """One stationary path per row of the uniforms u, shape (paths, steps).
+
+        Every row is stepped at once by inverting the cumulative rows of P
+        (searchsorted with side="right").  The index is clipped to the last
+        state because a cumulative row can sum to just below 1.
+        """
+        u = np.asarray(u, dtype=float)
         cum = np.cumsum(self.P, axis=1)
-        u = rng.random(n)
-        path = np.empty(n, dtype=np.int64)
-        s = int(np.searchsorted(np.cumsum(self.pi), u[0], side="right"))
-        path[0] = s
-        cum_rows = [row for row in cum]
-        for i in range(1, n):
-            s = int(np.searchsorted(cum_rows[s], u[i], side="right"))
-            path[i] = s
+        last = self.states - 1
+        path = np.empty(u.shape, dtype=np.int64)
+        path[:, 0] = np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), last)
+        for i in range(1, u.shape[1]):
+            path[:, i] = np.minimum((cum[path[:, i - 1]] <= u[:, i, None]).sum(1), last)
         return path
 
 

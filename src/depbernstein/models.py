@@ -9,7 +9,8 @@ Two dependent models are shipped, plus an iid baseline:
   iid_baseline      X_i = eps_i * D with iid fair signs.
 
 Every trial draws its own RNG stream from (seed, trial index), so results
-are reproducible independently of execution order or worker count.
+are reproducible independently of execution order, worker count or the
+size of the trial chunks that are sampled together.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .mixing import MarkovChain, fit_geometric_rate
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
+_CHUNK = 64  # trials sampled together; no result depends on it
 
 
 class ModelError(ValueError):
@@ -109,10 +111,6 @@ class ModelSpec:
         return out
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
-
-
 def block_covariance_mean(spec: ModelSpec) -> np.ndarray:
     """Exact E(C C^T): entry (a, b) is the stationary autocovariance of the
     centered scalar at lag |a - b|, computed from (pi, P)."""
@@ -129,60 +127,38 @@ def block_covariance_mean(spec: ModelSpec) -> np.ndarray:
     return cov
 
 
-def _simulate_sum(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The partial-sum matrix of one trial (sum of the n summands)."""
+def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The random part of trials lo..hi-1, each from its own stream (seed, t).
+
+    A trial draws its path uniforms first, then its signs.  Returns the
+    (trials, n) coefficients c of the summands c * D for the contraction/iid
+    models, or the (trials, n, d) centered rows C_i for the block model.
+    """
+    rngs = [np.random.default_rng([seed, t]) for t in range(lo, hi)]
     if spec.kind == "iid_baseline":
-        eps = rng.integers(0, 2, n) * 2 - 1
-        return float(eps.sum()) * spec.D
-    if spec.kind == "contraction":
-        path = spec.chain.sample_path(n, rng)
-        eps = rng.integers(0, 2, n) * 2 - 1
-        coeff = float(np.sum(spec.tau_map[path] * eps))
-        return coeff * spec.D
-    path = spec.chain.sample_path(n * spec.d, rng)
-    rows = spec.centered_values[path].reshape(n, spec.d)
-    return rows.T @ rows - n * block_covariance_mean(spec)
-
-
-def _simulate_matrices(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One trial's n summands, stacked as an (n, d, d) array."""
+        return np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs], dtype=float)
+    steps = n if spec.kind == "contraction" else n * spec.d
+    path = spec.chain.sample_paths(np.array([r.random(steps) for r in rngs]))
     if spec.kind == "block_covariance":
-        path = spec.chain.sample_path(n * spec.d, rng)
-        rows = spec.centered_values[path].reshape(n, spec.d)
-        mean = block_covariance_mean(spec)
-        return np.einsum("ia,ib->iab", rows, rows) - mean
-    if spec.kind == "iid_baseline":
-        coeffs = (rng.integers(0, 2, n) * 2 - 1).astype(float)
-    else:
-        path = spec.chain.sample_path(n, rng)
-        eps = rng.integers(0, 2, n) * 2 - 1
-        coeffs = spec.tau_map[path] * eps
-    return coeffs[:, None, None] * spec.D
+        return spec.centered_values[path].reshape(hi - lo, n, spec.d)
+    eps = np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs])
+    return spec.tau_map[path] * eps
 
 
-def simulate_contraction(spec: ModelSpec, n: int, seed: int):
-    """One stationary path of n summands tau_i * eps_i * D as SymMatrix."""
-    if spec.kind not in ("contraction", "iid_baseline"):
-        raise ModelError(f"expected a contraction/iid spec, got {spec.kind}")
-    rng = _trial_rng(seed, 0)
-    if spec.kind == "iid_baseline":
-        coeffs = (rng.integers(0, 2, n) * 2 - 1).astype(float)
-    else:
-        path = spec.chain.sample_path(n, rng)
-        eps = rng.integers(0, 2, n) * 2 - 1
-        coeffs = spec.tau_map[path] * eps
-    return [SymMatrix(c * spec.D) for c in coeffs]
+def _summands(spec: ModelSpec, draws: np.ndarray) -> np.ndarray:
+    """The summands X_i of each drawn trial, shape (trials, n, d, d)."""
+    if spec.kind == "block_covariance":
+        return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
+    return draws[:, :, None, None] * spec.D
 
 
-def simulate_block_covariance(spec: ModelSpec, n: int, seed: int):
-    """One stationary path of n centered outer-product summands."""
-    if spec.kind != "block_covariance":
-        raise ModelError(f"expected a block_covariance spec, got {spec.kind}")
-    rng = _trial_rng(seed, 0)
-    path = spec.chain.sample_path(n * spec.d, rng)
-    rows = spec.centered_values[path].reshape(n, spec.d)
-    mean = block_covariance_mean(spec)
-    return [SymMatrix(np.outer(r, r) - mean) for r in rows]
+def _chunks(trials: int):
+    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+
+
+def simulate_summands(spec: ModelSpec, n: int, seed: int):
+    """One stationary path of n summands X_i as SymMatrix."""
+    return [SymMatrix(x) for x in _summands(spec, _draw(spec, n, seed, 0, 1))[0]]
 
 
 def v2_exact_contraction(spec: ModelSpec) -> float:
@@ -229,12 +205,13 @@ def _pairwise_moments_mc(spec: ModelSpec, n: int, trials: int, seed: int):
     """MC estimate of G[i, j] = E(X_i X_j + X_j X_i)/2 with per-entry stderr."""
     acc = np.zeros((n, n, spec.d, spec.d))
     acc2 = np.zeros((n, n, spec.d, spec.d))
-    for t in range(trials):
-        mats = _simulate_matrices(spec, n, _trial_rng(seed, t))
-        prod = np.einsum("iab,jbc->ijac", mats, mats)
-        sym = (prod + prod.transpose(1, 0, 2, 3)) / 2.0
-        acc += sym
-        acc2 += sym * sym
+    for lo, hi in _chunks(trials):
+        mats = _summands(spec, _draw(spec, n, seed, lo, hi))
+        prod = np.einsum("tiab,tjbc->tijac", mats, mats)
+        sym = (prod + prod.transpose(0, 2, 1, 3, 4)) / 2.0
+        # trial after trial, so that the sums do not depend on the chunking
+        acc = sum(sym, acc)
+        acc2 = sum(sym * sym, acc2)
     mean = acc / trials
     var = np.maximum(acc2 / trials - mean * mean, 0.0)
     return mean, np.sqrt(var / trials)
@@ -282,10 +259,7 @@ def v2_interval_estimate(spec: ModelSpec, n: int, trials: int, seed: int) -> V2E
     """
     if trials < 2:
         raise ModelError("need at least 2 trials")
-    sums = np.zeros((trials, n, spec.d, spec.d))
-    for t in range(trials):
-        mats = _simulate_matrices(spec, n, _trial_rng(seed, t))
-        sums[t] = np.cumsum(mats, axis=0)
+    sums = np.cumsum(_summands(spec, _draw(spec, n, seed, 0, trials)), axis=1)
     best, best_err = -math.inf, 0.0
     zero = np.zeros((spec.d, spec.d))
     for a in range(n):
@@ -325,30 +299,31 @@ def bernstein_inputs_for(spec: ModelSpec, n: int, k_max: int = 50,
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
 
-def _lambda_max_batch(args) -> np.ndarray:
+def _chunk_eigs(args) -> np.ndarray:
+    """Ascending eigenvalues of the partial sum of each trial in one chunk."""
     spec, n, seed, lo, hi = args
-    out = np.empty(hi - lo)
-    for t in range(lo, hi):
-        S = _simulate_sum(spec, n, _trial_rng(seed, t))
-        out[t - lo] = float(np.max(np.linalg.eigvalsh((S + S.T) / 2.0)))
-    return out
+    draws = _draw(spec, n, seed, lo, hi)
+    if spec.kind == "block_covariance":
+        S = draws.transpose(0, 2, 1) @ draws - n * block_covariance_mean(spec)
+    else:
+        S = draws.sum(axis=1)[:, None, None] * spec.D
+    return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
 
 
-def _lambda_max_samples(spec: ModelSpec, n: int, trials: int, seed: int,
-                        workers: int = 1) -> np.ndarray:
-    """lambda_max of the partial sum, one value per trial.  Trial t always
-    uses the RNG stream (seed, t), so the result is independent of the
-    worker count."""
+def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
+                      workers: int = 1) -> np.ndarray:
+    """Ascending eigenvalues of the partial sum, one row per trial.  Trials
+    run in fixed chunks, mapped through a process pool when workers > 1;
+    trial t always uses the RNG stream (seed, t)."""
+    if n < 1 or trials < 2:
+        raise ModelError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
+    chunks = [(spec, n, seed, lo, hi) for lo, hi in _chunks(trials)]
     if workers <= 1:
-        return _lambda_max_batch((spec, n, seed, 0, trials))
+        return np.concatenate(list(map(_chunk_eigs, chunks)))
     from concurrent.futures import ProcessPoolExecutor
 
-    step = -(-trials // workers)
-    chunks = [(spec, n, seed, lo, min(lo + step, trials))
-              for lo in range(0, trials, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_lambda_max_batch, chunks))
-    return np.concatenate(parts)
+        return np.concatenate(list(pool.map(_chunk_eigs, chunks)))
 
 
 @dataclass(frozen=True)
@@ -395,7 +370,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     x_grid = [float(x) for x in x_grid]
     if not x_grid or any(not math.isfinite(x) for x in x_grid):
         raise ModelError("invalid x grid")
-    samples = _lambda_max_samples(spec, n, trials, seed, workers=workers)
+    samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
     tail, curve = [], []
@@ -426,10 +401,7 @@ def empirical_laplace(spec: ModelSpec, n: int, t_grid, trials: int, seed: int):
     M = spec.M
     if any(t * n * M > 50.0 for t in t_grid):
         raise ModelError("t*n*M exceeds the overflow guard (50)")
-    eigs = np.empty((trials, spec.d))
-    for tr in range(trials):
-        S = _simulate_sum(spec, n, _trial_rng(seed, tr))
-        eigs[tr] = np.linalg.eigvalsh((S + S.T) / 2.0)
+    eigs = _partial_sum_eigs(spec, n, trials, seed)
     out = []
     for t in t_grid:
         vals = np.exp(t * eigs).sum(axis=1)
@@ -444,7 +416,7 @@ def run_expectation_experiment(spec: ModelSpec, n: int, trials: int, seed: int,
     expectation ceiling.  Returns (mean, stderr, bound)."""
     if spec.d < 2:
         raise ModelError("expectation experiment needs d >= 2")
-    samples = _lambda_max_samples(spec, n, trials, seed)
+    samples = _partial_sum_eigs(spec, n, trials, seed)[:, -1]
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
     bound = _bounds.expectation_bound(inputs)

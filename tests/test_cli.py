@@ -198,7 +198,7 @@ class TestSimulateCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["cantor", "bounds", "coupling"])
+    @pytest.mark.parametrize("suite", ["cantor", "bounds", "coupling", "dominance"])
     def test_suites_pass(self, capsys, suite):
         code, out = run_cli(capsys, "verify", suite, "--budget", "20")
         payload = json.loads(out)

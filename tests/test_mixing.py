@@ -42,6 +42,12 @@ class TestMarkovChain:
         with pytest.raises(MixingError):
             MarkovChain.from_transition([[0.0, 1.0], [1.0, 0.0]])
 
+    def test_accepts_primitive_chain_with_zero_in_P_cubed(self):
+        # P^3 has a zero but P^5 > 0, at Wielandt's exponent (s-1)^2 + 1
+        chain = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                             [0.5, 0.5, 0.0]])
+        assert chain.pi @ chain.P == pytest.approx(chain.pi, abs=1e-12)
+
     def test_iid_chain(self):
         chain = MarkovChain.iid([0.3, 0.7])
         assert np.allclose(chain.P, [[0.3, 0.7], [0.3, 0.7]])
@@ -71,6 +77,29 @@ class TestMarkovChain:
         path = chain.sample_path(50_000, np.random.default_rng(3))
         stay = np.mean(path[1:][path[:-1] == 0] == 0)
         assert abs(stay - 0.75) < 0.02
+
+    def test_sample_paths_match_per_step_searchsorted(self):
+        chain = random_chain(np.random.default_rng(11), 4)
+        u = np.random.default_rng(12).random((5, 300))
+        cum = np.cumsum(chain.P, axis=1)
+        for row, path in zip(u, chain.sample_paths(u)):
+            s = int(np.searchsorted(np.cumsum(chain.pi), row[0], side="right"))
+            ref = [s]
+            for x in row[1:]:
+                s = int(np.searchsorted(cum[s], x, side="right"))
+                ref.append(s)
+            assert np.array_equal(path, ref)
+
+    def test_sample_path_clips_cumulative_roundoff(self):
+        # the cumulative rows of ten 0.1s end at 1 - 2^-53 < 1, and a
+        # uniform draw can take that largest value below 1
+        chain = MarkovChain.iid([0.1] * 10)
+
+        class TopRng:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        assert np.all(chain.sample_path(5, TopRng()) == 9)
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from depbernstein.bounds import BernsteinInputs
+from depbernstein import models
 from depbernstein.mixing import MarkovChain
 from depbernstein.models import (
     ModelError,
@@ -14,8 +16,7 @@ from depbernstein.models import (
     empirical_laplace,
     run_expectation_experiment,
     run_tail_experiment,
-    simulate_block_covariance,
-    simulate_contraction,
+    simulate_summands,
     v2_bruteforce,
     v2_exact_contraction,
     v2_interval_estimate,
@@ -23,6 +24,7 @@ from depbernstein.models import (
 
 CHAIN = MarkovChain.two_state(0.25, 0.25)
 D2 = np.array([[1.0, 0.25], [0.25, 0.5]])
+MULTI_CHUNK_TRIALS = 700  # spans several sampling chunks
 
 
 def contraction_spec(tau=(1.0, 0.5), D=D2):
@@ -58,13 +60,13 @@ class TestModelSpec:
 class TestSimulators:
     def test_tau_zero_gives_zero_matrices(self):
         spec = contraction_spec(tau=(0.0, 0.0))
-        for m in simulate_contraction(spec, 16, seed=0):
+        for m in simulate_summands(spec, 16, seed=0):
             assert np.all(m.entries == 0.0)
 
     def test_contraction_summands_bounded(self):
         spec = contraction_spec()
         M = spec.M
-        for m in simulate_contraction(spec, 64, seed=1):
+        for m in simulate_summands(spec, 64, seed=1):
             lam = np.max(np.abs(np.linalg.eigvalsh(m.entries)))
             assert lam <= M + 1e-12
 
@@ -73,7 +75,7 @@ class TestSimulators:
         rng_trials = 4000
         acc = np.zeros((2, 2))
         for t in range(rng_trials):
-            mats = simulate_contraction(spec, 4, seed=100 + t)
+            mats = simulate_summands(spec, 4, seed=100 + t)
             acc += mats[0].entries
         mean = acc / rng_trials
         # entries are +-tau*D with fair signs: mean 0, sd <= |D| per draw
@@ -85,7 +87,7 @@ class TestSimulators:
         trials = 4000
         acc = np.zeros((2, 2))
         for t in range(trials):
-            mats = simulate_block_covariance(spec, 3, seed=500 + t)
+            mats = simulate_summands(spec, 3, seed=500 + t)
             acc += mats[0].entries
         stderr = 2.0 / math.sqrt(trials)  # entries bounded by ~2
         assert np.max(np.abs(acc / trials)) < 5 * stderr
@@ -105,11 +107,14 @@ class TestSimulators:
         assert block_covariance_mean(spec) == pytest.approx(
             0.25 * np.eye(3), abs=1e-12)
 
-    def test_simulator_rejects_wrong_kind(self):
-        spec = ModelSpec(kind="block_covariance", d=2, chain=CHAIN,
-                         value_map=np.array([-1.0, 1.0]))
-        with pytest.raises(ModelError):
-            simulate_contraction(spec, 4, seed=0)
+    def test_block_summands_pinned(self):
+        # +-1 values and flip probability 1/4 make every entry an exact
+        # dyadic, so these bytes hold on any platform
+        spec = ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
+                         value_map=np.array([1.0, -1.0]))
+        mats = np.stack([m.entries for m in simulate_summands(spec, 50, seed=0)])
+        assert hashlib.sha256(mats.tobytes()).hexdigest() == (
+            "5a25e93684e995de9c89b61a8c7413bec400136ec2ce26368e02361bda691815")
 
 
 class TestVarianceProxy:
@@ -190,6 +195,11 @@ class TestLaplace:
         exact = 0.5 * (np.exp(t * w).sum() + np.exp(-t * w).sum())
         assert est == pytest.approx(exact, abs=3 * err + 1e-12)
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_rejects_too_few_trials(self, trials):
+        with pytest.raises(ModelError):
+            empirical_laplace(contraction_spec(), 8, [0.1], trials=trials, seed=0)
+
     def test_overflow_guard(self):
         spec = contraction_spec()
         with pytest.raises(ModelError):
@@ -222,15 +232,38 @@ class TestTailExperiment:
         b = run_tail_experiment(self.SPEC, **kw).to_json()
         assert a == b
 
-    def test_worker_count_invariance(self):
-        kw = dict(n=8, trials=130, x_grid=[1.0], seed=6)
+    @pytest.mark.parametrize("trials", [130, MULTI_CHUNK_TRIALS])
+    def test_worker_count_invariance(self, trials):
+        assert MULTI_CHUNK_TRIALS > 2 * models._CHUNK
+        kw = dict(n=8, trials=trials, x_grid=[1.0], seed=6)
         a = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
         b = run_tail_experiment(self.SPEC, workers=2, **kw).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("contraction",
+         "c44ebd15a39b9b80da4745e7feb191c6bf726cd78e15de5c55b9bee5756e59fc"),
+        ("iid_baseline",
+         "63a03924e8db71aa64458d3bf36072eac591aeee5ecf601caaac01c83a41d98f"),
+    ])
+    def test_samples_pinned(self, kind, digest):
+        # D = diag(1, -0.5) and tau = +-1 make every lambda_max an exact
+        # multiple of 1/2, so these bytes hold on any platform
+        tau = np.array([1.0, -1.0]) if kind == "contraction" else None
+        spec = ModelSpec(kind=kind, d=2, chain=CHAIN, D=np.diag([1.0, -0.5]),
+                         tau_map=tau)
+        report = run_tail_experiment(spec, 32, trials=MULTI_CHUNK_TRIALS,
+                                     x_grid=[1.0], seed=6)
+        samples = np.asarray(report.lambda_max_samples)
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
     def test_rejects_few_trials(self):
         with pytest.raises(ModelError):
             run_tail_experiment(self.SPEC, 8, trials=10, x_grid=[1.0], seed=0)
+
+    def test_rejects_empty_path(self):
+        with pytest.raises(ModelError):
+            run_tail_experiment(self.SPEC, 0, trials=200, x_grid=[1.0], seed=0)
 
 
 class TestExpectationExperiment:
