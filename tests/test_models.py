@@ -232,10 +232,15 @@ class TestTailExperiment:
         b = run_tail_experiment(self.SPEC, **kw).to_json()
         assert a == b
 
-    @pytest.mark.parametrize("trials", [130, MULTI_CHUNK_TRIALS])
-    def test_worker_count_invariance(self, trials):
+    def test_worker_count_invariance(self):
+        kw = dict(n=8, trials=130, x_grid=[1.0], seed=6)
+        a = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
+        b = run_tail_experiment(self.SPEC, workers=2, **kw).to_json()
+        assert a == b
+
+    def test_worker_count_invariance_multi_chunk(self):
         assert MULTI_CHUNK_TRIALS > 2 * models._CHUNK
-        kw = dict(n=8, trials=trials, x_grid=[1.0], seed=6)
+        kw = dict(n=8, trials=MULTI_CHUNK_TRIALS, x_grid=[1.0], seed=6)
         a = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
         b = run_tail_experiment(self.SPEC, workers=2, **kw).to_json()
         assert a == b
