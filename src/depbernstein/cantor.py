@@ -5,12 +5,16 @@ level; after ell levels the kept set K_A is a union of 2^ell runs of
 consecutive integers, each of length n_ell, and satisfies
 A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 "first n observations" bookkeeping.
+
+Leaves and gaps are stored as `range` runs, never as lists of integers;
+the sorted kept tuple K is built from the leaves only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 
 class CantorError(ValueError):
@@ -29,13 +33,17 @@ class CantorParams:
 @dataclass(frozen=True)
 class CantorPartition:
     params: CantorParams
-    K: tuple                 # sorted kept indices, subset of {1..A}
-    leaves: tuple            # the 2^ell runs of consecutive integers
-    remainders: tuple        # per level j = 0..ell-1, tuple of 2^j gap runs
+    leaves: tuple            # the 2^ell runs of consecutive integers, as ranges
+    remainders: tuple        # per level j = 0..ell-1, tuple of 2^j gap ranges
+
+    @property
+    def K(self) -> tuple:
+        """Sorted kept indices, a subset of {1..A}; built on each access."""
+        return tuple(chain.from_iterable(self.leaves))
 
     @property
     def card(self) -> int:
-        return len(self.K)
+        return sum(len(leaf) for leaf in self.leaves)
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,21 @@ def cantor_set(A: int) -> CantorPartition:
         blocks = next_blocks
         remainders.append(tuple(_run(s, m) for s, m in level_gaps))
     leaves = tuple(_run(s, m) for s, m in blocks)
-    kept = tuple(i for leaf in leaves for i in leaf)
-    return CantorPartition(params=p, K=kept, leaves=leaves, remainders=tuple(remainders))
+    return CantorPartition(params=p, leaves=leaves, remainders=tuple(remainders))
+
+
+def tiles_exactly(partition: CantorPartition) -> bool:
+    """Whether the leaves and gaps tile {1..A}: sorted by start, every
+    non-empty run begins where the previous one stopped, from 1 to A + 1.
+    This checks cover and disjointness together."""
+    runs = sorted((r for r in chain(partition.leaves, *partition.remainders) if r),
+                  key=lambda r: r.start)
+    stop = 1
+    for r in runs:
+        if r.start != stop or r.step != 1:
+            return False
+        stop = r.stop
+    return stop == partition.params.A + 1
 
 
 def level_blocks(partition: CantorPartition, k: int):
@@ -106,23 +127,23 @@ def level_blocks(partition: CantorPartition, k: int):
         raise CantorError(f"level k must be in [0, {ell}], got {k}")
     width = 2 ** (ell - k)
     leaves = partition.leaves
-    return [
-        tuple(i for leaf in leaves[j * width:(j + 1) * width] for i in leaf)
-        for j in range(2 ** k)
-    ]
+    return [tuple(chain.from_iterable(leaves[j * width:(j + 1) * width]))
+            for j in range(2 ** k)]
 
 
 def full_decomposition(n: int) -> FullDecomposition:
     """Iterate the construction on the surviving positions until at most 2
     remain.  Survivors are relabeled 1..A_i order-preservingly at each step
-    and the extracted set is mapped back to original coordinates."""
+    and the extracted set is mapped back to original coordinates: the leaves
+    of {1..A_i} give the kept positions, its gaps in order the survivors."""
     cards = _survivor_counts(n)
     surviving = list(range(1, n + 1))
     levels = []
     for A in cards[:-1]:
-        kept_rel = set(cantor_set(A).K)
-        levels.append(tuple(surviving[r - 1] for r in sorted(kept_rel)))
-        surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
+        part = cantor_set(A)
+        gaps = sorted(chain.from_iterable(part.remainders), key=lambda r: r.start)
+        levels.append(tuple(_take(surviving, part.leaves)))
+        surviving = _take(surviving, gaps)
     return FullDecomposition(
         n=n, levels=tuple(levels), remainder=tuple(surviving), cards=cards
     )
@@ -167,5 +188,10 @@ def sub_block_partition(K, p: int):
     return odd, even
 
 
-def _run(start: int, length: int) -> tuple:
-    return tuple(range(start, start + length))
+def _run(start: int, length: int) -> range:
+    return range(start, start + length)
+
+
+def _take(seq: list, runs) -> list:
+    """The entries of seq at the 1-based positions of the runs, in run order."""
+    return list(chain.from_iterable(seq[r.start - 1:r.stop - 1] for r in runs))

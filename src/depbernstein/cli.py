@@ -14,8 +14,10 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
+from scipy.special import chdtrc
 
 from . import bounds, cantor, mixing, models
 from .spectral import SymMatrix
@@ -42,18 +44,19 @@ def _csv_text(header, rows) -> str:
 def cmd_cantor(args) -> int:
     part = cantor.cantor_set(args.A)
     p = part.params
+    K = part.K
     payload = {
         "schema": SCHEMA,
         "config": {"command": "cantor", "A": args.A, "level": args.level},
         "A": p.A, "delta": p.delta, "ell": p.ell,
-        "n": list(p.n_seq), "d": list(p.d_seq), "K": list(part.K),
+        "n": list(p.n_seq), "d": list(p.d_seq), "K": list(K),
     }
     if args.level is not None:
         payload["blocks"] = [list(b) for b in cantor.level_blocks(part, args.level)]
     if args.format == "json":
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        rows = [("K", i) for i in part.K]
+        rows = [("K", i) for i in K]
         if args.level is not None:
             for j, b in enumerate(cantor.level_blocks(part, args.level)):
                 rows += [(f"block_{j}", i) for i in b]
@@ -172,7 +175,7 @@ def cmd_simulate(args) -> int:
 # verify suites
 
 
-def _suite_inequalities(budget, failures):
+def _suite_inequalities(budget, failures, checked):
     from . import spectral
     rng = np.random.default_rng(20240901)
     deadline = time.monotonic() + budget
@@ -183,15 +186,18 @@ def _suite_inequalities(budget, failures):
         a = SymMatrix(_rand_sym(rng, d))
         b = SymMatrix(_rand_sym(rng, d))
         lhs, rhs, ok = spectral.check_golden_thompson(a, b)
+        checked["golden_thompson"] += 1
         if not ok:
             failures.append({"invariant": "golden_thompson", "case": case,
                              "lhs": lhs, "rhs": rhs})
         for p in (1.5, 2.0, 3.0, 10.0):
             lhs, rhs, ok = spectral.check_trace_holder(a, b, p)
+            checked["trace_holder"] += 1
             if not ok:
                 failures.append({"invariant": "trace_holder", "p": p,
                                  "case": case, "lhs": lhs, "rhs": rhs})
         lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
+        checked.update(("weyl", "gerschgorin", "trace_exp_convexity"))
         if lam_sum > sum_lam + 1e-9 * (1.0 + abs(sum_lam)):
             failures.append({"invariant": "weyl", "case": case})
         if spectral.gerschgorin_bound(a) < spectral.schatten_norm(a, np.inf) - 1e-9:
@@ -210,31 +216,30 @@ def _rand_sym(rng, d):
     return (m + m.T) / 2.0
 
 
-def _suite_cantor(budget, failures):
+def _suite_cantor(budget, failures, checked):
     deadline = time.monotonic() + budget
     for A in range(2, 5001):
         if time.monotonic() > deadline:
             break
         part = cantor.cantor_set(A)
         p = part.params
+        checked.update(("kept_cardinality", "kept_card_formula", "disjoint_cover",
+                        "level_ceiling"))
         if not (A >= part.card >= A / 2):
             failures.append({"invariant": "kept_cardinality", "A": A})
         if part.card != 2 ** p.ell * p.n_seq[p.ell]:
             failures.append({"invariant": "kept_card_formula", "A": A})
-        covered = set(part.K)
-        for level in part.remainders:
-            for gap in level:
-                covered.update(gap)
-        if covered != set(range(1, A + 1)):
+        if not cantor.tiles_exactly(part):
             failures.append({"invariant": "disjoint_cover", "A": A})
         for j, dj in enumerate(p.d_seq[:-1] if p.ell else []):
+            checked["gap_floor"] += 1
             if dj < A * p.delta * (1 - p.delta) ** j / 2 ** (j + 1):
                 failures.append({"invariant": "gap_floor", "A": A, "j": j})
         if p.ell > math.log(A) / math.log(2) + 1e-12:
             failures.append({"invariant": "level_ceiling", "A": A})
 
 
-def _suite_bounds(budget, failures):
+def _suite_bounds(budget, failures, checked):
     rng = np.random.default_rng(7)
     for _ in range(1000):
         s0, s1 = rng.uniform(0.1, 3.0, 2)
@@ -247,12 +252,14 @@ def _suite_bounds(budget, failures):
         lhs = (u * bounds.gamma_majorant(p0, t / u)
                + (1 - u) * bounds.gamma_majorant(p1, t / (1 - u)))
         rhs = bounds.gamma_majorant(comb, t)
+        checked["split_identity"] += 1
         if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
             failures.append({"invariant": "split_identity", "lhs": lhs, "rhs": rhs})
     for n in (4, 16, 256, 4096):
         for c in (0.5, 2.0, 10.0):
             for v in (0.1, 1.0, 10.0):
                 for M in (0.1, 1.0, 10.0):
+                    checked["schedule_ceiling"] += 1
                     try:
                         bounds.sigma_kappa_schedule(
                             bounds.BernsteinInputs(n=n, d=2, M=M, v=v, c=c))
@@ -261,30 +268,34 @@ def _suite_bounds(budget, failures):
                                          "n": n, "c": c, "v": v, "M": M})
 
 
-def _suite_coupling(budget, failures):
+def _suite_coupling(budget, failures, checked):
     joint = mixing.JointLaw(pmf=np.array([[0.5, 0.0], [0.0, 0.5]]))
     coupler = mixing.berbee_coupling(joint, seed=123)
     x, y, ystar = coupler.sample(100_000)
     freq = float(np.mean(y != ystar))
     beta = mixing.beta_from_joint(joint)
+    checked.update(("coupling_mismatch_rate", "coupling_marginal"))
     if abs(freq - beta) > 0.013:
         failures.append({"invariant": "coupling_mismatch_rate",
                          "freq": freq, "beta": beta})
     counts = np.bincount(ystar, minlength=2)
     expected = joint.y_marginal * ystar.size
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    from scipy.stats import chi2 as chi2_dist
-    if chi2_dist.sf(chi2, df=1) < 1e-3:
+    if chdtrc(1, chi2) < 1e-3:  # chi-square survival function, 1 degree of freedom
         failures.append({"invariant": "coupling_marginal", "chi2": chi2})
 
 
-def _suite_dominance(budget, failures):
+def _suite_dominance(budget, failures, checked):
     for cfg in shipped_model_configs():
         report = models.run_tail_experiment(
             cfg["spec"], n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11,
             inputs=cfg["inputs"])
-        for (x, p_hat, lo, hi), (_, b) in zip(report.tail_grid, report.bound_curve):
-            if b < 1.0 and lo > b:
+        # a bound >= 1 says nothing, so only the points below 1 are compared
+        compared = [(row, b) for row, (_, b) in zip(report.tail_grid, report.bound_curve)
+                    if b < 1.0]
+        checked[f"tail_dominance.{cfg['name']}"] = len(compared)
+        for (x, p_hat, lo, hi), b in compared:
+            if lo > b:
                 failures.append({"invariant": "tail_dominance",
                                  "model": cfg["name"], "x": x,
                                  "ci_low": lo, "bound": b})
@@ -324,12 +335,12 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    failures = []
-    _SUITES[args.suite](args.budget, failures)
+    failures, checked = [], Counter()
+    _SUITES[args.suite](args.budget, failures, checked)
     report = {"schema": SCHEMA, "suite": args.suite,
               "config": {"command": "verify", "suite": args.suite,
                          "budget": args.budget},
-              "failures": failures, "ok": not failures}
+              "checked": dict(checked), "failures": failures, "ok": not failures}
     _emit(json.dumps(report, sort_keys=True), args.out)
     return 0 if not failures else 2
 

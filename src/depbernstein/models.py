@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from . import bounds as _bounds
 from .mixing import MarkovChain, fit_geometric_rate
@@ -275,10 +275,12 @@ def v2_interval_estimate(spec: ModelSpec, n: int, trials: int, seed: int) -> V2E
 
 
 def clopper_pearson(k: int, n: int, conf: float = 0.99):
-    """Exact (conservative) binomial confidence interval for k successes in n."""
+    """Exact (conservative) binomial confidence interval for k successes in n.
+    The endpoints are beta quantiles, computed as inverse regularized
+    incomplete beta functions."""
     alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 

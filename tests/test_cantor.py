@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from itertools import chain
 
 import pytest
 
@@ -10,7 +12,23 @@ from depbernstein.cantor import (
     full_decomposition,
     level_blocks,
     sub_block_partition,
+    tiles_exactly,
 )
+
+
+def _full_decomposition_by_sets(n):
+    """The set-based decomposition that the run-based one replaced, kept
+    as the reference: it scans every relabeled position of every level."""
+    cards = [n]
+    surviving = list(range(1, n + 1))
+    levels = []
+    while cards[-1] > 2:
+        A = cards[-1]
+        kept_rel = set(cantor_set(A).K)
+        levels.append(tuple(surviving[r - 1] for r in sorted(kept_rel)))
+        surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
+        cards.append(len(surviving))
+    return tuple(levels), tuple(surviving), tuple(cards)
 
 
 class TestParams:
@@ -66,6 +84,33 @@ class TestCantorSet:
                 for gap in level:
                     seen.extend(gap)
             assert sorted(seen) == list(range(1, A + 1))
+            assert tiles_exactly(part)
+
+    def _with_first_gap(self, part, gap):
+        first, *rest = part.remainders
+        return dataclasses.replace(part, remainders=((gap,) + first[1:], *rest))
+
+    def test_shifted_gap_is_not_a_tiling(self):
+        part = cantor_set(1000)
+        g = part.remainders[0][0]
+        assert not tiles_exactly(self._with_first_gap(part, range(g.start + 1, g.stop + 1)))
+
+    def test_overlap_is_not_a_tiling(self):
+        # the widened gap overlaps the next leaf but still covers {1..A}, so a
+        # check by set union alone would accept it
+        part = cantor_set(1000)
+        g = part.remainders[0][0]
+        bad = self._with_first_gap(part, range(g.start, g.stop + 1))
+        covered = set(bad.K).union(*chain.from_iterable(bad.remainders))
+        assert covered == set(range(1, 1001))
+        assert not tiles_exactly(bad)
+
+    def test_runs_are_ranges(self):
+        for A in (2, 44, 100, 1000, 4999):
+            part = cantor_set(A)
+            for run in chain(part.leaves, *part.remainders):
+                assert isinstance(run, range) and run.step == 1
+            assert part.K == tuple(chain(*part.leaves))
 
     def test_deterministic(self):
         assert cantor_set(777) == cantor_set(777)
@@ -127,6 +172,11 @@ class TestFullDecomposition:
             for i, a in enumerate(fd.cards):
                 assert a <= n / 2 ** i + 1e-9
             assert fd.L <= math.floor(math.log2(n / 2)) + 1
+
+    def test_matches_set_based_reference(self):
+        for n in range(2, 3001):
+            fd = full_decomposition(n)
+            assert (fd.levels, fd.remainder, fd.cards) == _full_decomposition_by_sets(n), n
 
     def test_depth_from_cardinalities(self):
         for n in range(2, 5001):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,31 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["ok"] is True and payload["failures"] == []
+        assert payload["checked"]
+        assert all(isinstance(v, int) for v in payload["checked"].values())
+
+    def test_cantor_counts_every_A(self, capsys):
+        code, out = run_cli(capsys, "verify", "cantor", "--budget", "120")
+        assert code == 0 and json.loads(out)["checked"]["disjoint_cover"] == 4999
+
+    def test_dominance_counts_each_model(self, capsys):
+        code, out = run_cli(capsys, "verify", "dominance")
+        assert code == 0
+        assert set(json.loads(out)["checked"]) == {
+            "tail_dominance.iid", "tail_dominance.contraction", "tail_dominance.blockcov"}
+
+    def test_scipy_stats_not_imported(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        code = ("import sys\n"
+                "from depbernstein.cli import main\n"
+                f"assert main(['verify', 'coupling', '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+                "print('scipy.stats' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")
