@@ -164,10 +164,10 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
-        rows = [(x, p, lo, hi, b) for (x, p, lo, hi), (_, b)
-                in zip(report.tail_grid, report.bound_curve)]
-        _emit(_csv_text(("x", "p_hat", "ci_low", "ci_high", "certified_bound"),
-                        rows), args.out)
+        rows = [(x, p, lo, hi, b, log_b) for (x, p, lo, hi), (_, b), (_, log_b)
+                in zip(report.tail_grid, report.bound_curve, report.log_bound_curve)]
+        _emit(_csv_text(("x", "p_hat", "ci_low", "ci_high", "certified_bound",
+                         "log_bound"), rows), args.out)
     return 0
 
 

@@ -341,6 +341,7 @@ class TrialReport:
     lambda_max_samples: list
     tail_grid: list = field(default_factory=list)   # (x, p_hat, lo, hi)
     bound_curve: list = field(default_factory=list)  # (x, certified_bound)
+    log_bound_curve: list = field(default_factory=list)  # (x, log bound), no underflow
     mean_lambda_max: float = 0.0
     mean_stderr: float = 0.0
 
@@ -356,6 +357,7 @@ class TrialReport:
             "mean_stderr": self.mean_stderr,
             "tail_grid": self.tail_grid,
             "bound_curve": self.bound_curve,
+            "log_bound_curve": self.log_bound_curve,
             "lambda_max_samples": self.lambda_max_samples,
         }
         return json.dumps(payload, sort_keys=True)
@@ -375,19 +377,24 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
-    tail, curve = [], []
+    tail, curve, log_curve = [], [], []
     for x in x_grid:
         k = int(np.sum(samples >= x))
         lo, hi = clopper_pearson(k, trials, conf)
         tail.append((x, k / trials, lo, hi))
-        b = _bounds.tail_bound_certified(x, inputs)[0] if x > 0 else float(inputs.d)
+        if x > 0:
+            b = _bounds.tail_bound_certified(x, inputs)[0]
+            log_b = _bounds.log_tail_bound_certified(x, inputs)[0]
+        else:
+            b, log_b = float(inputs.d), math.log(inputs.d)
         curve.append((x, b))
+        log_curve.append((x, log_b))
     return TrialReport(
         model=spec.digest(), n=n, trials=trials, seed=seed,
         inputs={"n": inputs.n, "d": inputs.d, "M": inputs.M,
                 "v": inputs.v, "c": inputs.c},
         lambda_max_samples=samples.tolist(),
-        tail_grid=tail, bound_curve=curve,
+        tail_grid=tail, bound_curve=curve, log_bound_curve=log_curve,
         mean_lambda_max=float(samples.mean()),
         mean_stderr=float(samples.std(ddof=1) / math.sqrt(trials)),
     )

@@ -2,7 +2,9 @@
 
 Everything here is a pure function of immutable inputs. Matrices are small
 (desk scale, d up to a few hundred), so the eigendecomposition route is
-used throughout rather than specialized algorithms.
+used throughout rather than specialized algorithms.  Each SymMatrix
+computes its spectrum at most once and keeps it; its entries and the
+spectrum's arrays are read-only, so the kept spectrum cannot go stale.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ class SpectralError(ValueError):
 class SymMatrix:
     """A real symmetric d x d matrix, symmetry enforced at construction.
 
-    Inputs with asymmetry at most 1e-12 (entrywise) are symmetrized as
-    (A + A^T)/2; anything worse is rejected as a likely upstream bug.
+    Inputs with asymmetry at most 1e-12 (entrywise) are symmetrized: an
+    entry that differs bitwise from its transpose becomes (a_ij + a_ji)/2,
+    the others are kept as given.  Anything worse is rejected as a likely
+    upstream bug.  The matrix owns a read-only copy of its entries.
     """
 
     entries: np.ndarray
+    _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -36,10 +42,14 @@ class SymMatrix:
             raise SpectralError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise SpectralError("matrix entries must be finite")
-        drift = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if drift > _SYM_DRIFT_TOL:
-            raise SpectralError(f"matrix is not symmetric (max asymmetry {drift:.3e})")
-        a = (a + a.T) / 2.0
+        bits = a.view(np.uint64)  # compared as bits: by value, 0.0 == -0.0
+        mixed = bits != bits.T
+        a = a.copy()
+        if mixed.any():
+            drift = np.max(np.abs(a - a.T))
+            if drift > _SYM_DRIFT_TOL:
+                raise SpectralError(f"matrix is not symmetric (max asymmetry {drift:.3e})")
+            a[mixed] = (a[mixed] + a.T[mixed]) / 2.0
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -108,10 +118,19 @@ class Spectrum:
 
 
 def eig_sym(a: SymMatrix) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues sorted descending."""
-    w, v = np.linalg.eigh(a.entries)
-    order = np.argsort(w)[::-1]
-    return Spectrum(eigenvalues=w[order], basis=v[:, order])
+    """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
+
+    Computed on the first call and kept on `a`; every later call returns
+    the same read-only Spectrum.
+    """
+    if a._spectrum is None:
+        w, v = np.linalg.eigh(a.entries)
+        order = np.argsort(w)[::-1]
+        w, v = w[order], v[:, order]
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(a, "_spectrum", Spectrum(eigenvalues=w, basis=v))
+    return a._spectrum
 
 
 def lambda_max(a: SymMatrix) -> float:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -176,7 +177,8 @@ class TestSimulateCommand:
                             "--format", "csv")
         rows = list(csv.reader(out.splitlines()))
         assert code == 0
-        assert rows[0] == ["x", "p_hat", "ci_low", "ci_high", "certified_bound"]
+        assert rows[0] == ["x", "p_hat", "ci_low", "ci_high", "certified_bound",
+                           "log_bound"]
         assert len(rows) == 5
 
     def test_byte_identical_reruns(self, capsys, model_file):
@@ -237,3 +239,10 @@ class TestVerifyCommand:
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_inequality_suite_output_is_pinned(self, capsys):
+        # every case runs at the default budget, so the bytes are fixed
+        code, out = run_cli(capsys, "verify", "inequalities")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a4bbe69cb1dc81525ac750f3b08f5f977f1a3c498fd517a0f62d42accb52d8ee")

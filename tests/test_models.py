@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -225,6 +226,23 @@ class TestTailExperiment:
         # beyond the almost-sure ceiling nothing can be observed
         x, p_hat, _, _ = report.tail_grid[-1]
         assert x > n * self.SPEC.M and p_hat == 0.0
+
+    def test_log_bound_past_underflow(self):
+        inputs = BernsteinInputs(n=1024, d=4, M=1.0, v=0.5, c=0.69)
+        report = run_tail_experiment(self.SPEC, 8, trials=100, x_grid=[3.5e6],
+                                     seed=1, inputs=inputs)
+        assert report.bound_curve == [(3.5e6, 0.0)]
+        (x, log_bound), = report.log_bound_curve
+        assert x == 3.5e6 and log_bound == pytest.approx(-750.43, abs=0.01)
+
+    def test_log_bound_curve_matches_bound_curve(self):
+        report = run_tail_experiment(self.SPEC, 8, trials=100,
+                                     x_grid=[-1.0, 0.0, 0.5, 4.0], seed=2)
+        assert [x for x, _ in report.log_bound_curve] == [-1.0, 0.0, 0.5, 4.0]
+        assert report.log_bound_curve[0][1] == math.log(self.SPEC.d)
+        for (_, b), (_, log_b) in zip(report.bound_curve, report.log_bound_curve):
+            assert b == pytest.approx(min(self.SPEC.d, math.exp(log_b)), rel=1e-12)
+        assert "log_bound_curve" in json.loads(report.to_json())
 
     def test_deterministic_json(self):
         kw = dict(n=8, trials=120, x_grid=[1.0, 2.0], seed=4)

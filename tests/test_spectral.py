@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from depbernstein.spectral import (
     eig_sym,
     expm_sym,
     gerschgorin_bound,
+    lambda_max,
     log_trace_exp,
     schatten_norm,
     trace_exp,
@@ -35,6 +38,37 @@ class TestSymMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(SpectralError, match="finite"):
             SymMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    def test_huge_symmetric_entries_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = SymMatrix(np.array([[1e308, 0.0], [0.0, 1.0]]))
+            assert np.all(np.isfinite(a.entries))
+            assert lambda_max(a) == 1e308
+
+    def test_drift_next_to_huge_entries(self):
+        raw = np.array([[1e308, 1.0], [1.0 + 2 ** -52, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = SymMatrix(raw)
+        assert a.entries[0, 0] == 1e308
+        assert a.entries[0, 1] == a.entries[1, 0] == (raw[0, 1] + raw[1, 0]) / 2.0
+
+    def test_signed_zeros_symmetrized_as_before(self):
+        raw = np.array([[0.0, -0.0], [0.0, 0.0]])
+        a = SymMatrix(raw)
+        assert a.entries.tobytes() == a.entries.T.tobytes()
+        assert a.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+
+    def test_entries_are_an_owned_copy(self):
+        raw = np.array([[1.0, 2.0], [2.0, -3.0]])
+        a = SymMatrix(raw)
+        spectrum = eig_sym(a)
+        values = spectrum.eigenvalues.copy()
+        raw[0, 0] = 100.0
+        np.testing.assert_array_equal(a.entries, [[1.0, 2.0], [2.0, -3.0]])
+        assert eig_sym(a) is spectrum
+        np.testing.assert_array_equal(spectrum.eigenvalues, values)
 
     def test_json_roundtrip(self):
         a = SymMatrix(np.array([[1.0, 2.0], [2.0, -3.0]]))
@@ -64,6 +98,59 @@ class TestEig:
             rec = (s.basis * s.eigenvalues) @ s.basis.T
             err = np.linalg.norm(rec - a.entries, "fro")
             assert err <= 1e-10 * (1.0 + a.frobenius())
+
+
+class TestSpectrumCache:
+    def test_same_spectrum_object(self):
+        a = rand_sym(np.random.default_rng(3), 4)
+        assert eig_sym(a) is eig_sym(a)
+
+    def test_cached_values_match_a_fresh_decomposition(self):
+        a = rand_sym(np.random.default_rng(4), 5)
+        w, v = np.linalg.eigh(a.entries)
+        order = np.argsort(w)[::-1]
+        eig_sym(a)
+        s = eig_sym(a)
+        assert s.eigenvalues.tobytes() == w[order].tobytes()
+        assert s.basis.tobytes() == v[:, order].tobytes()
+
+    @pytest.mark.parametrize("array", ["eigenvalues", "basis", "entries"])
+    def test_arrays_are_read_only(self, array):
+        a = SymMatrix.diag([2.0, -1.0])
+        s = eig_sym(a)
+        target = a.entries if array == "entries" else getattr(s, array)
+        with pytest.raises(ValueError):
+            target[0, ...] = 7.0
+
+    def test_cache_leaves_equality_and_repr_alone(self):
+        a = SymMatrix.diag([2.0, -1.0])
+        before = repr(a)
+        eig_sym(a)
+        assert repr(a) == before
+        assert "_spectrum" not in before
+        compared = [f.name for f in dataclasses.fields(SymMatrix) if f.compare]
+        assert compared == ["entries"]
+
+    def test_inequality_case_decomposes_four_matrices(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(20240901)
+        a, b = rand_sym(rng, 5), rand_sym(rng, 5)
+        # one case of `verify inequalities`: a, b, and each of the two a + b
+        check_golden_thompson(a, b)
+        for p in (1.5, 2.0, 3.0, 10.0):
+            check_trace_holder(a, b, p)
+        weyl_lambda_max_bound([a, b])
+        assert gerschgorin_bound(a) >= schatten_norm(a, np.inf)
+        for t in (0.7 + 1e-3, 0.7, 0.7 - 1e-3):
+            trace_exp(t, a)
+        assert len(calls) == 4
 
 
 class TestExpm:
