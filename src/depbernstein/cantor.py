@@ -119,16 +119,19 @@ def tiles_exactly(partition: CantorPartition) -> bool:
     return stop == partition.params.A + 1
 
 
-def level_blocks(partition: CantorPartition, k: int):
-    """The 2^k disjoint blocks K_{k,j} covering K: block j is the union of
-    leaves (j-1)*2^(ell-k)+1 .. j*2^(ell-k)."""
+def level_runs(partition: CantorPartition, k: int) -> list:
+    """The 2^k disjoint blocks K_{k,j} covering K, each as its tuple of leaf
+    runs: block j is leaves (j-1)*2^(ell-k)+1 .. j*2^(ell-k)."""
     ell = partition.params.ell
     if not 0 <= k <= ell:
         raise CantorError(f"level k must be in [0, {ell}], got {k}")
     width = 2 ** (ell - k)
-    leaves = partition.leaves
-    return [tuple(chain.from_iterable(leaves[j * width:(j + 1) * width]))
-            for j in range(2 ** k)]
+    return [partition.leaves[j * width:(j + 1) * width] for j in range(2 ** k)]
+
+
+def level_blocks(partition: CantorPartition, k: int):
+    """The blocks of level_runs, each as the sorted tuple of its indices."""
+    return [tuple(chain.from_iterable(runs)) for runs in level_runs(partition, k)]
 
 
 def full_decomposition(n: int) -> FullDecomposition:

@@ -153,6 +153,18 @@ def beta_k_exact(chain: MarkovChain, k: int) -> float:
     return float(chain.pi @ (0.5 * np.abs(Pk - chain.pi[None, :]).sum(axis=1)))
 
 
+def dbar(Pk: np.ndarray) -> float:
+    """d̄(k) = max_{x,y} TV(P^k(x, .), P^k(y, .)), given the k-step matrix P^k.
+
+    It bounds TV(P^k(x, .), pi) for every x and is submultiplicative,
+    d̄(j + k) <= d̄(j) d̄(k) (Levin, Peres & Wilmer, Markov Chains and Mixing
+    Times, section 4.4); a primitive chain has d̄(k) < 1 from Wielandt's
+    exponent (s-1)^2 + 1 on.
+    """
+    Pk = np.asarray(Pk, dtype=float)
+    return float(0.5 * np.abs(Pk[:, None, :] - Pk[None, :, :]).sum(axis=2).max())
+
+
 def fit_geometric_rate(chain: MarkovChain, k_max: int) -> float:
     """Largest c with beta_k <= e^{-c(k-1)} on k = 2..k_max:
     c = min_k -log(beta_k) / (k-1).  Lags with beta_k below 1e-300 are

@@ -8,6 +8,13 @@ Two dependent models are shipped, plus an iid baseline:
                     consecutive chain-driven bounded scalars;
   iid_baseline      X_i = eps_i * D with iid fair signs.
 
+The variance proxy v^2 that enters the bound is computed without Monte
+Carlo: exactly for the contraction/iid models (v2_exact_contraction) and as
+a certified ceiling for the block model (v2_block_ceiling), from the exact
+lag moments E(X_0 X_k) that block_lag_moments derives from (pi, P).  The
+same moments make v2_bruteforce(mode="exact") an oracle for every kind;
+v2_interval_estimate remains a Monte-Carlo estimator for comparison.
+
 Every trial draws its own RNG stream from (seed, trial index), so results
 are reproducible independently of execution order, worker count or the
 size of the trial chunks that are sampled together.
@@ -24,11 +31,12 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import bounds as _bounds
-from .mixing import MarkovChain, fit_geometric_rate
+from .mixing import MarkovChain, dbar, fit_geometric_rate
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
 _CHUNK = 64  # trials sampled together; no result depends on it
+_CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
 
 
 class ModelError(ValueError):
@@ -127,6 +135,100 @@ def block_covariance_mean(spec: ModelSpec) -> np.ndarray:
     return cov
 
 
+def _block_paths(P: np.ndarray, vals: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """diag(v^e_0) P diag(v^e_1) P ... P diag(v^e_{d-1}) for every exponent
+    row e of `powers` (shape (..., d)), stacked as (..., s, s).  Entry (x, y)
+    is E(prod_t v(S_t)^e_t; S_{d-1} = y | S_0 = x) along one block."""
+    W = np.eye(P.shape[0]) * (vals ** powers[..., 0, None])[..., None, :]
+    for t in range(1, powers.shape[-1]):
+        W = (W @ P) * (vals ** powers[..., t, None])[..., None, :]
+    return W
+
+
+def _block_transfer(spec: ModelSpec):
+    """The first block X_0 = C C^T - E(C C^T) of the block model, seen
+    through its first and last states S_0 and S_{d-1}.  Returns
+
+      square     E(X_0^2), shape (d, d);
+      A[a, b, x] E(X_0[a, b]; S_{d-1} = x);
+      m[a, b, x] E(X_0[a, b] | S_0 = x).
+
+    Each is a product of s x s matrices along the block (_block_paths), so
+    no block path is enumerated.
+    """
+    P, pi, d = spec.chain.P, spec.chain.pi, spec.d
+    vals = spec.centered_values
+    eye = np.eye(d, dtype=int)
+    cov = block_covariance_mean(spec)
+    T = (_block_paths(P, vals, eye[:, None] + eye[None, :])
+         - cov[:, :, None, None] * np.linalg.matrix_power(P, d - 1))
+    # E(X_0^2) = E(|C|^2 C C^T) - cov^2, and |C|^2 = sum_b C_b^2
+    quad = _block_paths(P, vals, eye[:, None, None] + 2 * eye[None, :, None]
+                        + eye[None, None, :])
+    square = np.einsum("x,abcxy->ac", pi, quad) - cov @ cov
+    return square, np.einsum("x,abxy->aby", pi, T), T.sum(axis=-1)
+
+
+def _lag_powers(P: np.ndarray, d: int, count: int) -> np.ndarray:
+    """P^((k-1)d+1) for k = 1..count: the step from the last state of block
+    0 to the first state of block k."""
+    step, Pd = P, np.linalg.matrix_power(P, d)
+    R = np.empty((count,) + P.shape)
+    for k in range(count):
+        R[k] = step
+        step = step @ Pd
+    return R
+
+
+def _lag_moments(square, A, m, R) -> np.ndarray:
+    """E(X_0^2) followed by E(X_0 X_k) = sum_{x,y} A(x) R_k(x, y) m(y) for each
+    lag power R_k: given block 0, block k's mean depends on S_{d-1} only."""
+    return np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R, m)])
+
+
+def block_lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
+    """Exact E(X_0 X_k) of the stationary block model for k = 0..lags, shape
+    (lags + 1, d, d), from (pi, P).  E(X_i X_j) = E(X_0 X_{j-i}) for i <= j;
+    the matrices are not symmetric for k >= 1."""
+    if spec.kind != "block_covariance":
+        raise ModelError("block_lag_moments applies to the block model only")
+    return _lag_moments(*_block_transfer(spec), _lag_powers(spec.chain.P, spec.d, lags))
+
+
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(mats, 2, axis=(-2, -1))
+
+
+def v2_block_ceiling(spec: ModelSpec) -> float:
+    """Certified ceiling on the block model's variance proxy, valid for every n.
+
+    By stationarity, for every index set K,
+    lambda_max(E(sum_K X_i)^2) / |K| <= ||E X_0^2|| + 2 sum_{k>=1} ||E X_0 X_k||
+    (operator norms).  Lags k <= L are exact (block_lag_moments), with
+    L = _CEILING_LAGS, raised so that the lag (L-1)d+1 reaches Wielandt's exponent
+    (s-1)^2 + 1, where d̄ < 1.  Beyond L, with j_k = (k-1)d+1 and E X_0 = 0,
+    E X_0 X_k = sum_{x,y} A(x) (P^{j_k}(x, y) - pi(y)) m(y), so
+    ||E X_0 X_k|| <= 2 a b d̄(j_k) with a = sum_x ||A(x)||, b = max_y ||m(y)||.
+    Submultiplicativity of d̄ gives, for any k0 <= L with d̄(j_k0) < 1,
+    sum_{k>L} d̄(j_k) <= d̄(j_{L+1}) k0 / (1 - d̄(j_k0)); the best such k0 is
+    used.  Raises ModelError if no k0 qualifies.
+    """
+    s, d = spec.chain.states, spec.d
+    L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / d) + 1)
+    square, A, m = _block_transfer(spec)
+    R = _lag_powers(spec.chain.P, d, L + 1)
+    norms = _spectral_norms(_lag_moments(square, A, m, R[:L]))
+    dbars = np.array([dbar(r) for r in R])  # d̄(j_k), k = 1..L+1
+    k0 = np.flatnonzero(dbars[:L] < 1.0)
+    if k0.size == 0:
+        raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * d + 1}: "
+                         "the tail of the v^2 ceiling cannot be certified")
+    a = _spectral_norms(A.transpose(2, 0, 1)).sum()
+    b = _spectral_norms(m.transpose(2, 0, 1)).max()
+    tail = 2.0 * a * b * dbars[L] * np.min((k0 + 1) / (1.0 - dbars[k0]))
+    return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
+
+
 def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """The random part of trials lo..hi-1, each from its own stream (seed, t).
 
@@ -185,11 +287,17 @@ class V2Estimate:
 
 
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
-    """G[i, j] = E(X_i X_j) for the contraction/iid models, exactly.
+    """G[i, j] = E(X_i X_j), exactly.
 
-    E(X_i X_j) = E(tau_i tau_j) E(eps_i eps_j) D^2; the sign factor is
-    delta_{ij}, the tau factor comes from pi and P^{|i-j|}.
+    Contraction/iid: E(X_i X_j) = E(tau_i tau_j) E(eps_i eps_j) D^2, and
+    the sign factor is delta_{ij}.  Block model: E(X_0 X_{j-i}) from
+    block_lag_moments for i <= j, its transpose for i > j.
     """
+    if spec.kind == "block_covariance":
+        i, j = np.indices((n, n))
+        G = block_lag_moments(spec, n - 1)[np.abs(j - i)]
+        G[i > j] = np.swapaxes(G[i > j], -1, -2)
+        return G
     D2 = spec.D @ spec.D
     G = np.zeros((n, n, spec.d, spec.d))
     if spec.kind == "iid_baseline":
@@ -231,8 +339,9 @@ def v2_bruteforce(spec: ModelSpec, n: int, mode: str = "exact",
                   trials: int = 2000, seed: int = 0) -> V2Estimate:
     """The variance proxy by exhaustive enumeration of all 2^n - 1 subsets.
 
-    mode="exact" uses exact pairwise second moments (contraction/iid);
-    mode="mc" estimates them by Monte Carlo and reports a standard error.
+    mode="exact" uses exact pairwise second moments (for the block model
+    from block_lag_moments); mode="mc" estimates them by Monte Carlo and
+    reports a standard error.
     """
     if n > 20:
         raise ModelError(f"subset enumeration is capped at n = 20, got {n}")
@@ -286,17 +395,17 @@ def clopper_pearson(k: int, n: int, conf: float = 0.99):
 
 def bernstein_inputs_for(spec: ModelSpec, n: int, k_max: int = 50,
                          v2: Optional[V2Estimate] = None) -> _bounds.BernsteinInputs:
-    """Assemble (n, d, M, v, c) for a model: v from the exact proxy when
-    available (MC estimates are inflated by 3 standard errors), c fitted
-    from the chain's exact beta profile."""
-    if v2 is None:
-        v = math.sqrt(v2_exact_contraction(spec)) if spec.kind != "block_covariance" \
-            else None
-        if v is None:
-            est = v2_interval_estimate(spec, min(n, 12), trials=2000, seed=1)
-            v = math.sqrt(est.value + 3.0 * est.stderr)
-    else:
+    """Assemble (n, d, M, v, c) for a model.  v needs no Monte Carlo: it is
+    exact for the contraction/iid models and the certified ceiling
+    v2_block_ceiling for the block model, valid for every n.  An explicit
+    estimate v2 is inflated by 3 standard errors instead.  c is fitted from
+    the chain's exact beta profile."""
+    if v2 is not None:
         v = math.sqrt(v2.value + 3.0 * v2.stderr)
+    elif spec.kind == "block_covariance":
+        v = math.sqrt(v2_block_ceiling(spec))
+    else:
+        v = math.sqrt(v2_exact_contraction(spec))
     c = fit_geometric_rate(spec.chain, k_max)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 

@@ -22,7 +22,7 @@ class SpectralError(ValueError):
     """Invalid input to a spectral operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """A real symmetric d x d matrix, symmetry enforced at construction.
 
@@ -30,6 +30,8 @@ class SymMatrix:
     entry that differs bitwise from its transpose becomes (a_ij + a_ji)/2,
     the others are kept as given.  Anything worse is rejected as a likely
     upstream bug.  The matrix owns a read-only copy of its entries.
+    Equality is identity, so a SymMatrix is hashable; compare `entries`
+    to compare values.
     """
 
     entries: np.ndarray

@@ -43,8 +43,8 @@ def test_criterion_01_cantor_exhaustive():
         if len(part.leaves) != 2 ** p.ell:
             failures.append(("leaf_count", A))
         for k in range(p.ell + 1):
-            blocks = cantor.level_blocks(part, k)
-            if any(len(b) != 2 ** (p.ell - k) * n_ell for b in blocks):
+            blocks = cantor.level_runs(part, k)
+            if any(sum(map(len, b)) != 2 ** (p.ell - k) * n_ell for b in blocks):
                 failures.append(("block_size", A, k))
         for j in range(p.ell):
             if any(len(gap) != p.d_seq[j] for gap in part.remainders[j]):

@@ -11,6 +11,7 @@ from depbernstein.cantor import (
     decomposition_depth,
     full_decomposition,
     level_blocks,
+    level_runs,
     sub_block_partition,
     tiles_exactly,
 )
@@ -147,6 +148,16 @@ class TestLevelBlocks:
         part = cantor_set(100)
         with pytest.raises(CantorError):
             level_blocks(part, 5)
+        with pytest.raises(CantorError):
+            level_runs(part, -1)
+
+    def test_runs_join_to_blocks(self):
+        for A in (2, 100, 1000, 4999):
+            part = cantor_set(A)
+            for k in range(part.params.ell + 1):
+                runs = level_runs(part, k)
+                assert all(isinstance(r, range) for block in runs for r in block)
+                assert [tuple(chain(*block)) for block in runs] == level_blocks(part, k)
 
 
 class TestFullDecomposition:

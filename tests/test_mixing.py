@@ -14,6 +14,7 @@ from depbernstein.mixing import (
     berbee_coupling,
     beta_from_joint,
     beta_k_exact,
+    dbar,
     fit_geometric_rate,
 )
 
@@ -153,6 +154,34 @@ class TestBetaKExact:
     def test_rejects_bad_lag(self):
         with pytest.raises(MixingError):
             beta_k_exact(MarkovChain.two_state(0.25, 0.25), 0)
+
+
+class TestDbar:
+    def test_two_state_closed_form(self):
+        # the two rows of P^k differ by |1 - a - b|^k in each entry
+        chain = MarkovChain.two_state(0.2, 0.5)
+        for k in range(1, 8):
+            Pk = np.linalg.matrix_power(chain.P, k)
+            assert dbar(Pk) == pytest.approx(0.3 ** k, rel=1e-10)
+
+    def test_iid_is_exactly_zero(self):
+        assert dbar(MarkovChain.iid([0.2, 0.3, 0.5]).P) == 0.0
+
+    def test_one_until_rows_overlap(self):
+        # every row of P is a point mass or misses another row's support
+        P = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                         [0.5, 0.5, 0.0]]).P
+        assert dbar(P) == 1.0
+        assert dbar(np.linalg.matrix_power(P, 5)) < 1.0  # Wielandt: (3-1)^2 + 1
+
+    def test_submultiplicative_and_bounds_beta(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            chain = random_chain(rng, int(rng.integers(2, 5)))
+            for j, k in [(1, 1), (1, 3), (2, 5)]:
+                Pj, Pk = (np.linalg.matrix_power(chain.P, i) for i in (j, k))
+                assert dbar(Pj @ Pk) <= dbar(Pj) * dbar(Pk) + 1e-15
+                assert beta_k_exact(chain, j) <= dbar(Pj) + 1e-15
 
 
 class TestFitGeometricRate:

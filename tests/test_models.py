@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -7,17 +8,19 @@ import pytest
 
 from depbernstein.bounds import BernsteinInputs
 from depbernstein import models
-from depbernstein.mixing import MarkovChain
+from depbernstein.mixing import MarkovChain, dbar
 from depbernstein.models import (
     ModelError,
     ModelSpec,
     bernstein_inputs_for,
     block_covariance_mean,
+    block_lag_moments,
     clopper_pearson,
     empirical_laplace,
     run_expectation_experiment,
     run_tail_experiment,
     simulate_summands,
+    v2_block_ceiling,
     v2_bruteforce,
     v2_exact_contraction,
     v2_interval_estimate,
@@ -146,6 +149,134 @@ class TestVarianceProxy:
         spec = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
         lam2 = float(np.max(np.linalg.eigvalsh(D2 @ D2)))
         assert v2_exact_contraction(spec) == pytest.approx(lam2)
+
+
+def block_spec(chain, d, values):
+    return ModelSpec(kind="block_covariance", d=d, chain=chain,
+                     value_map=np.asarray(values, dtype=float))
+
+
+def random_block_spec(rng):
+    s = int(rng.choice([2, 3]))
+    P = rng.uniform(0.05, 1.0, (s, s))
+    P /= P.sum(axis=1, keepdims=True)
+    return block_spec(MarkovChain.from_transition(P), int(rng.integers(1, 4)),
+                      rng.uniform(-1.0, 1.0, s))
+
+
+def lag_moments_by_paths(spec, lags):
+    """E(X_0 X_k), k = 0..lags, summed over every pair of block paths."""
+    P, pi, vals, d = spec.chain.P, spec.chain.pi, spec.centered_values, spec.d
+    cov = block_covariance_mean(spec)
+    paths = []
+    for path in itertools.product(range(spec.chain.states), repeat=d):
+        weight = math.prod(P[a, b] for a, b in zip(path, path[1:]))
+        paths.append((path, weight, np.outer(vals[list(path)], vals[list(path)]) - cov))
+    out = np.zeros((lags + 1, d, d))
+    for p0, w0, X0 in paths:
+        out[0] += pi[p0[0]] * w0 * X0 @ X0
+        for k in range(1, lags + 1):
+            gap = np.linalg.matrix_power(P, (k - 1) * d + 1)
+            for pk, wk, Xk in paths:
+                out[k] += pi[p0[0]] * w0 * gap[p0[-1], pk[0]] * wk * X0 @ Xk
+    return out
+
+
+SHIPPED_BLOCK = block_spec(CHAIN, 2, [1.0, -1.0])
+PRIMITIVE = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                         [0.5, 0.5, 0.0]])
+
+
+class TestBlockCeiling:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lag_moments_match_path_enumeration(self, seed):
+        spec = random_block_spec(np.random.default_rng(seed))
+        assert block_lag_moments(spec, 4) == pytest.approx(
+            lag_moments_by_paths(spec, 4), abs=1e-14)
+
+    def test_lag_moments_agree_with_monte_carlo(self):
+        spec = block_spec(MarkovChain.from_transition(
+            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2, [1.0, -0.5, 0.2])
+        n = 4
+        G = models._pairwise_moments_exact(spec, n)
+        mc, err = models._pairwise_moments_mc(spec, n, trials=4000, seed=3)
+        sym = (G + np.swapaxes(G, -1, -2)) / 2.0
+        assert np.all(np.abs(mc - sym) <= 4.0 * err + 1e-12)
+        assert np.max(np.abs(G[0, 1] - G[1, 0].T)) == 0.0
+
+    def test_ceiling_dominates_exact_bruteforce(self):
+        rng = np.random.default_rng(606)
+        for case in range(20):
+            spec = random_block_spec(rng)
+            n = int(rng.integers(2, 9))
+            brute = v2_bruteforce(spec, n, mode="exact").value
+            assert v2_block_ceiling(spec) >= brute - 1e-12, (case, spec.d, n)
+
+    def test_shipped_config_is_exact(self):
+        # within-block sign flips are iid, so the lag moments vanish
+        assert v2_block_ceiling(SHIPPED_BLOCK) == pytest.approx(0.75, abs=1e-12)
+        assert v2_bruteforce(SHIPPED_BLOCK, 10).value == pytest.approx(0.75, abs=1e-12)
+        inp = bernstein_inputs_for(SHIPPED_BLOCK, 64)
+        assert inp.v == pytest.approx(math.sqrt(0.75), abs=1e-12)
+
+    def test_iid_chain_has_no_tail(self):
+        # d̄ = 0 at every lag: the blocks are independent and the ceiling is
+        # ||E X_0^2||, which every index set attains
+        spec = block_spec(MarkovChain.iid([0.3, 0.7]), 3, [1.0, -0.2])
+        square = block_lag_moments(spec, 0)[0]
+        assert v2_block_ceiling(spec) == pytest.approx(
+            float(np.max(np.linalg.eigvalsh(square))), abs=1e-15)
+        assert v2_block_ceiling(spec) == pytest.approx(
+            v2_bruteforce(spec, 8).value, abs=1e-12)
+
+    @pytest.mark.parametrize("chain, d", [
+        (PRIMITIVE, 1), (PRIMITIVE, 2), (MarkovChain.two_state(1e-3, 1e-3), 1),
+        (MarkovChain.two_state(1e-3, 2e-3), 2), (CHAIN, 1)],
+        ids=["primitive-d1", "primitive-d2", "flip1e-3-d1", "near-reducible-d2", "d1"])
+    def test_hard_chains_stay_certified(self, chain, d):
+        values = [0.3, -1.0, 0.5][:chain.states]
+        spec = block_spec(chain, d, values)
+        ceiling = v2_block_ceiling(spec)
+        assert math.isfinite(ceiling)
+        assert ceiling >= v2_bruteforce(spec, 10).value - 1e-12
+
+    @pytest.mark.parametrize("chain", [MarkovChain.two_state(1e-2, 2e-2), PRIMITIVE],
+                             ids=["near-reducible", "primitive"])
+    def test_tail_covers_the_lags_beyond_the_window(self, chain, monkeypatch):
+        spec = block_spec(chain, 2, [0.3, -1.0, 0.5][:chain.states])
+        norms = np.linalg.norm(block_lag_moments(spec, 3000), 2, axis=(1, 2))
+        long_sum = norms[0] + 2.0 * norms[1:].sum()
+        for lags in (1, 8, 64):
+            monkeypatch.setattr(models, "_CEILING_LAGS", lags)
+            assert v2_block_ceiling(spec) >= long_sum - 1e-12
+
+    def test_primitive_chain_needs_a_longer_step(self, monkeypatch):
+        assert dbar(PRIMITIVE.P) == 1.0
+        spec = block_spec(PRIMITIVE, 1, [0.3, -1.0, 0.5])
+        # a one-lag window offers only k0 = 1, where d̄ = 1; the window must
+        # grow to Wielandt's exponent 5 to find a contracting step
+        monkeypatch.setattr(models, "_CEILING_LAGS", 1)
+        ceiling = v2_block_ceiling(spec)
+        assert math.isfinite(ceiling)
+        assert ceiling >= v2_bruteforce(spec, 10).value - 1e-12
+
+    def test_no_contracting_step_raises(self, monkeypatch):
+        monkeypatch.setattr(models, "dbar", lambda Pk: 1.0)
+        with pytest.raises(ModelError):
+            v2_block_ceiling(SHIPPED_BLOCK)
+
+    def test_rejects_other_kinds(self):
+        with pytest.raises(ModelError):
+            block_lag_moments(contraction_spec(), 3)
+
+    def test_inputs_draw_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo on the inputs path")
+
+        monkeypatch.setattr(models, "v2_interval_estimate", forbidden)
+        monkeypatch.setattr(models, "_draw", forbidden)
+        a = bernstein_inputs_for(SHIPPED_BLOCK, 64)
+        assert a == bernstein_inputs_for(SHIPPED_BLOCK, 64)
 
 
 class TestClopperPearson:

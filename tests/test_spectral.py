@@ -60,6 +60,13 @@ class TestSymMatrix:
         assert a.entries.tobytes() == a.entries.T.tobytes()
         assert a.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
+    def test_equality_is_identity_and_hashable(self):
+        a, b = SymMatrix.identity(2), SymMatrix.identity(2)
+        assert a == a and a != b
+        assert np.array_equal(a.entries, b.entries)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_entries_are_an_owned_copy(self):
         raw = np.array([[1.0, 2.0], [2.0, -3.0]])
         a = SymMatrix(raw)
