@@ -36,13 +36,15 @@ class MarkovChain:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
             raise MixingError(f"P must be square with >= 2 states, got {P.shape}")
-        if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-            raise MixingError("P rows must be nonnegative and sum to 1")
+        if (not np.all(np.isfinite(P)) or np.any(P < 0)
+                or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12):
+            raise MixingError("P rows must be finite, nonnegative and sum to 1")
         # primitive iff P^k > 0 at Wielandt's exponent k = (s-1)^2 + 1
         if not np.all(np.linalg.matrix_power(P > 0, (P.shape[0] - 1) ** 2 + 1)):
             raise MixingError("chain must be irreducible and aperiodic")
         pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (P.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
+        if (pi.shape != (P.shape[0],) or not np.all(np.isfinite(pi)) or np.any(pi < 0)
+                or abs(pi.sum() - 1.0) > 1e-12):
             raise MixingError("pi must be a probability vector over the states")
         if np.max(np.abs(pi @ P - pi)) > 1e-10:
             raise MixingError("pi is not stationary for P")
@@ -59,6 +61,8 @@ class MarkovChain:
     def from_transition(cls, P) -> "MarkovChain":
         """Build a chain from P alone, solving for the stationary law."""
         P = np.asarray(P, dtype=float)
+        if not np.all(np.isfinite(P)):
+            raise MixingError("P rows must be finite, nonnegative and sum to 1")
         w, v = np.linalg.eig(P.T)
         idx = int(np.argmin(np.abs(w - 1.0)))
         pi = np.real(v[:, idx])
@@ -101,18 +105,26 @@ class MarkovChain:
     def sample_paths(self, u: np.ndarray) -> np.ndarray:
         """One stationary path per row of the uniforms u, shape (paths, steps).
 
-        Every row is stepped at once by inverting the cumulative rows of P
-        (searchsorted with side="right").  The index is clipped to the last
-        state because a cumulative row can sum to just below 1.
+        The state after x is #{k <= s-2 : cumsum(P[x])[k] <= u}: the inverse
+        CDF without its last column, so a row summing to just below 1 still
+        ends at the last state (the first state inverts cumsum(pi) alike).
+        That count depends on u only through its rank among the cut points,
+        the distinct values of those columns, so each uniform is ranked once
+        and every step is one lookup jump[x * W + rank] = W * (next state).
         """
         u = np.asarray(u, dtype=float)
-        cum = np.cumsum(self.P, axis=1)
-        last = self.states - 1
-        path = np.empty(u.shape, dtype=np.int64)
-        path[:, 0] = np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), last)
-        for i in range(1, u.shape[1]):
-            path[:, i] = np.minimum((cum[path[:, i - 1]] <= u[:, i, None]).sum(1), last)
-        return path
+        s = self.states
+        cuts, at = np.unique(np.cumsum(self.P, axis=1)[:, :-1], return_inverse=True)
+        W = cuts.size + 1
+        # entry k of row x is <= u from rank at[x, k] + 1 on: count those per rank
+        rises = np.repeat(np.arange(s) * W, s - 1) + at.ravel() + 1
+        jump = W * np.bincount(rises, minlength=s * W).reshape(s, W).cumsum(1).ravel()
+        path = np.searchsorted(cuts, u.T, side="right")
+        path[0] = W * np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), s - 1)
+        for i in range(1, path.shape[0]):
+            path[i] = jump[path[i - 1] + path[i]]
+        path //= W
+        return path.T.copy()
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ class ModelSpec:
             tau = np.asarray(self.tau_map, dtype=float)
             if tau.shape != (self.chain.states,):
                 raise ModelError("tau_map must have one value per chain state")
-            if np.max(np.abs(tau)) > 1.0 + 1e-12:
-                raise ModelError("need |tau| <= 1")
+            if not np.all(np.abs(tau) <= 1.0 + 1e-12):
+                raise ModelError("need finite |tau| <= 1")
             tau.flags.writeable = False
             object.__setattr__(self, "tau_map", tau)
         if self.kind == "block_covariance":
@@ -89,6 +89,8 @@ class ModelSpec:
             vals = np.asarray(self.value_map, dtype=float)
             if vals.shape != (self.chain.states,):
                 raise ModelError("value_map must have one value per chain state")
+            if not np.all(np.isfinite(vals)):
+                raise ModelError("value_map must be finite")
             vals.flags.writeable = False
             object.__setattr__(self, "value_map", vals)
 

@@ -202,6 +202,21 @@ class TestSimulateCommand:
                           "--config", str(path), *self.BASE)
         assert code == 3
 
+    @pytest.mark.parametrize("model, key, value, named", [
+        ("contraction", "P", [[math.nan, 1.0], [0.25, 0.75]], "P rows must be finite"),
+        ("contraction", "D", [[1.0, 0.0], [0.0, math.nan]], "entries must be finite"),
+        ("contraction", "tau_map", [math.nan, -1.0], "finite |tau|"),
+        ("blockcov", "value_map", [1.0, math.nan], "value_map must be finite"),
+    ])
+    def test_nan_in_config_is_exit_3(self, capsys, tmp_path, model, key, value, named):
+        config = {"P": [[0.75, 0.25], [0.25, 0.75]], "D": [[1.0, 0.0], [0.0, -0.5]],
+                  "tau_map": [1.0, -1.0], "d": 2, "value_map": [1.0, -1.0], key: value}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))  # writes the NaN literal
+        code = main(["simulate", "--model", model, "--config", str(path), *self.BASE])
+        assert code == 3
+        assert named in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["cantor", "bounds", "coupling", "dominance"])

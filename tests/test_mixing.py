@@ -26,6 +26,41 @@ def random_chain(rng, s):
     return MarkovChain.from_transition(P)
 
 
+def per_step_paths(chain, u):
+    """Reference sampler: invert the cumulative row of the previous state one
+    step at a time (compare, sum, clip to the last state)."""
+    cum = np.cumsum(chain.P, axis=1)
+    last = chain.states - 1
+    path = np.empty(u.shape, dtype=np.int64)
+    path[:, 0] = np.minimum((np.cumsum(chain.pi) <= u[:, :1]).sum(1), last)
+    for i in range(1, u.shape[1]):
+        path[:, i] = np.minimum((cum[path[:, i - 1]] <= u[:, i, None]).sum(1), last)
+    return path
+
+
+def dirichlet_chain(s, seed):
+    return MarkovChain.from_transition(np.random.default_rng(seed).dirichlet(np.ones(s), s))
+
+
+SAMPLER_CHAINS = {
+    "dirichlet-2": lambda: dirichlet_chain(2, 1),
+    "dirichlet-3": lambda: dirichlet_chain(3, 2),
+    "dirichlet-5": lambda: dirichlet_chain(5, 3),
+    "dirichlet-12": lambda: dirichlet_chain(12, 4),
+    "near-reducible": lambda: MarkovChain.two_state(1e-3, 1e-3),
+    # cumulative rows end at 1 - 2^-53
+    "iid-tenths": lambda: MarkovChain.iid([0.1] * 10),
+    "primitive-with-zeros": lambda: MarkovChain.from_transition(
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
+}
+
+
+def edge_uniforms(chain):
+    """Every cumulative entry of P and pi, plus the ends of [0, 1)."""
+    return np.concatenate([np.cumsum(chain.P, axis=1).ravel(), np.cumsum(chain.pi),
+                           [0.0, np.nextafter(1.0, 0.0)]])
+
+
 class TestMarkovChain:
     def test_two_state_stationary(self):
         chain = MarkovChain.two_state(0.2, 0.6)
@@ -102,11 +137,49 @@ class TestMarkovChain:
 
         assert np.all(chain.sample_path(5, TopRng()) == 9)
 
+    @pytest.mark.parametrize("P, pi", [
+        ([[math.nan, 1.0], [0.5, 0.5]], [1 / 3, 2 / 3]),
+        ([[math.inf, 0.0], [0.5, 0.5]], [0.5, 0.5]),
+        ([[0.5, 0.5], [0.5, 0.5]], [math.nan, math.nan]),
+        ([[0.5, 0.5], [0.5, 0.5]], [math.inf, 0.5]),
+    ])
+    def test_rejects_non_finite(self, P, pi):
+        with pytest.raises(MixingError):
+            MarkovChain(P=np.array(P), pi=np.array(pi))
+
+    def test_from_transition_rejects_non_finite(self):
+        with pytest.raises(MixingError):
+            MarkovChain.from_transition([[math.nan, 1.0], [0.5, 0.5]])
+
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
         a = chain.sample_path(100, np.random.default_rng(5))
         b = chain.sample_path(100, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+class TestSamplePathsBitwise:
+    """sample_paths against the per-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
+    def test_every_state_meets_every_edge(self, name):
+        # column 0 starts one row in each state, column 1 is every edge value
+        chain = SAMPLER_CHAINS[name]()
+        starts = np.concatenate([[0.0], np.cumsum(chain.pi)[:-1]])
+        edges = edge_uniforms(chain)
+        u = np.array([(a, b) for a in starts for b in edges])
+        assert set(per_step_paths(chain, u)[:, 0]) == set(range(chain.states))
+        assert np.array_equal(chain.sample_paths(u), per_step_paths(chain, u))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (64, 2), (200, 1024)])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
+    def test_matches_per_step_reference(self, name, shape):
+        chain = SAMPLER_CHAINS[name]()
+        rng = np.random.default_rng(list(shape))
+        for u in (rng.random(shape), rng.choice(edge_uniforms(chain), shape)):
+            path = chain.sample_paths(u)
+            assert path.shape == shape and path.dtype == np.int64
+            assert np.array_equal(path, per_step_paths(chain, u))
 
 
 class TestBetaFromJoint:

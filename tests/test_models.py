@@ -45,6 +45,17 @@ class TestModelSpec:
         with pytest.raises(ModelError):
             contraction_spec(tau=(1.0, 1.5))
 
+    @pytest.mark.parametrize("tau", [(math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ModelError):
+            contraction_spec(tau=tau)
+
+    @pytest.mark.parametrize("values", [(math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ModelError):
+            ModelSpec(kind="block_covariance", d=2, chain=CHAIN,
+                      value_map=np.array(values))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ModelError):
             ModelSpec(kind="contraction", d=3, chain=CHAIN, D=D2,
