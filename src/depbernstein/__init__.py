@@ -6,6 +6,7 @@ Subpackages:
   bounds    closed-form bound formulas and the certified tail bound
   mixing    exact beta-mixing machinery for finite Markov chains
   models    simulators and the Monte-Carlo experiment harness
+  checks    the invariants checked by `verify` and the acceptance tests
   cli       command-line interface
 """
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 
 class CantorError(ValueError):
@@ -43,7 +44,7 @@ class CantorPartition:
 
     @property
     def card(self) -> int:
-        return sum(len(leaf) for leaf in self.leaves)
+        return sum(map(len, self.leaves))
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,13 @@ def cantor_set(A: int) -> CantorPartition:
     integers splits into a left block of n_j, a gap of d_{j-1} and a right
     block of n_j."""
     p = cantor_params(A)
-    # blocks are (start, length) runs; start is the first 1-based index
-    blocks = [(1, p.n_seq[0])]
+    leaves = [range(1, A + 1)]
     remainders = []
-    for j in range(1, p.ell + 1):
-        nj = p.n_seq[j]
-        gap = p.d_seq[j - 1]
-        next_blocks = []
-        level_gaps = []
-        for start, _ in blocks:
-            next_blocks.append((start, nj))
-            level_gaps.append((start + nj, gap))
-            next_blocks.append((start + nj + gap, nj))
-        blocks = next_blocks
-        remainders.append(tuple(_run(s, m) for s, m in level_gaps))
-    leaves = tuple(_run(s, m) for s, m in blocks)
-    return CantorPartition(params=p, leaves=leaves, remainders=tuple(remainders))
+    for nj in p.n_seq[1:]:
+        remainders.append(tuple(range(b.start + nj, b.stop - nj) for b in leaves))
+        leaves = [half for b in leaves
+                  for half in (range(b.start, b.start + nj), range(b.stop - nj, b.stop))]
+    return CantorPartition(params=p, leaves=tuple(leaves), remainders=tuple(remainders))
 
 
 def tiles_exactly(partition: CantorPartition) -> bool:
@@ -110,7 +102,7 @@ def tiles_exactly(partition: CantorPartition) -> bool:
     non-empty run begins where the previous one stopped, from 1 to A + 1.
     This checks cover and disjointness together."""
     runs = sorted((r for r in chain(partition.leaves, *partition.remainders) if r),
-                  key=lambda r: r.start)
+                  key=attrgetter("start"))
     stop = 1
     for r in runs:
         if r.start != stop or r.step != 1:
@@ -144,7 +136,7 @@ def full_decomposition(n: int) -> FullDecomposition:
     levels = []
     for A in cards[:-1]:
         part = cantor_set(A)
-        gaps = sorted(chain.from_iterable(part.remainders), key=lambda r: r.start)
+        gaps = sorted(chain.from_iterable(part.remainders), key=attrgetter("start"))
         levels.append(tuple(_take(surviving, part.leaves)))
         surviving = _take(surviving, gaps)
     return FullDecomposition(
@@ -189,10 +181,6 @@ def sub_block_partition(K, p: int):
     odd = [intervals[i] for i in range(0, 2 * m, 2)] + [intervals[-1]]
     even = [intervals[i] for i in range(1, 2 * m, 2)]
     return odd, even
-
-
-def _run(start: int, length: int) -> range:
-    return range(start, start + length)
 
 
 def _take(seq: list, runs) -> list:

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-import time
-from collections import Counter
 
 import numpy as np
-from scipy.special import chdtrc
 
-from . import bounds, cantor, mixing, models
+from . import bounds, cantor, checks, mixing, models
 from .spectral import SymMatrix
 
 SCHEMA = models.SCHEMA
@@ -171,176 +169,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_inequalities(budget, failures, checked):
-    from . import spectral
-    rng = np.random.default_rng(20240901)
-    deadline = time.monotonic() + budget
-    for case in range(1000):
-        if time.monotonic() > deadline:
-            break
-        d = int(rng.integers(2, 9))
-        a = SymMatrix(_rand_sym(rng, d))
-        b = SymMatrix(_rand_sym(rng, d))
-        lhs, rhs, ok = spectral.check_golden_thompson(a, b)
-        checked["golden_thompson"] += 1
-        if not ok:
-            failures.append({"invariant": "golden_thompson", "case": case,
-                             "lhs": lhs, "rhs": rhs})
-        for p in (1.5, 2.0, 3.0, 10.0):
-            lhs, rhs, ok = spectral.check_trace_holder(a, b, p)
-            checked["trace_holder"] += 1
-            if not ok:
-                failures.append({"invariant": "trace_holder", "p": p,
-                                 "case": case, "lhs": lhs, "rhs": rhs})
-        lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
-        checked.update(("weyl", "gerschgorin", "trace_exp_convexity"))
-        if lam_sum > sum_lam + 1e-9 * (1.0 + abs(sum_lam)):
-            failures.append({"invariant": "weyl", "case": case})
-        if spectral.gerschgorin_bound(a) < spectral.schatten_norm(a, np.inf) - 1e-9:
-            failures.append({"invariant": "gerschgorin", "case": case})
-        # second difference of t -> Tr exp(tA) must be >= -1e-8
-        ts = 0.7
-        dt = 1e-3
-        second = (spectral.trace_exp(ts + dt, a) - 2 * spectral.trace_exp(ts, a)
-                  + spectral.trace_exp(ts - dt, a)) / dt ** 2
-        if second < -1e-8:
-            failures.append({"invariant": "trace_exp_convexity", "case": case})
-
-
-def _rand_sym(rng, d):
-    m = rng.uniform(-2.0, 2.0, (d, d))
-    return (m + m.T) / 2.0
-
-
-def _suite_cantor(budget, failures, checked):
-    deadline = time.monotonic() + budget
-    for A in range(2, 5001):
-        if time.monotonic() > deadline:
-            break
-        part = cantor.cantor_set(A)
-        p = part.params
-        checked.update(("kept_cardinality", "kept_card_formula", "disjoint_cover",
-                        "level_ceiling"))
-        if not (A >= part.card >= A / 2):
-            failures.append({"invariant": "kept_cardinality", "A": A})
-        if part.card != 2 ** p.ell * p.n_seq[p.ell]:
-            failures.append({"invariant": "kept_card_formula", "A": A})
-        if not cantor.tiles_exactly(part):
-            failures.append({"invariant": "disjoint_cover", "A": A})
-        for j, dj in enumerate(p.d_seq[:-1] if p.ell else []):
-            checked["gap_floor"] += 1
-            if dj < A * p.delta * (1 - p.delta) ** j / 2 ** (j + 1):
-                failures.append({"invariant": "gap_floor", "A": A, "j": j})
-        if p.ell > math.log(A) / math.log(2) + 1e-12:
-            failures.append({"invariant": "level_ceiling", "A": A})
-
-
-def _suite_bounds(budget, failures, checked):
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        s0, s1 = rng.uniform(0.1, 3.0, 2)
-        k0, k1 = rng.uniform(0.1, 3.0, 2)
-        p0 = bounds.SigmaKappaPair(s0, k0)
-        p1 = bounds.SigmaKappaPair(s1, k1)
-        comb = bounds.combine_sigma_kappa([p0, p1])
-        t = rng.uniform(0.0, 0.999) / comb.kappa
-        u = bounds.split_weight(p0, p1, t)
-        lhs = (u * bounds.gamma_majorant(p0, t / u)
-               + (1 - u) * bounds.gamma_majorant(p1, t / (1 - u)))
-        rhs = bounds.gamma_majorant(comb, t)
-        checked["split_identity"] += 1
-        if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
-            failures.append({"invariant": "split_identity", "lhs": lhs, "rhs": rhs})
-    for n in (4, 16, 256, 4096):
-        for c in (0.5, 2.0, 10.0):
-            for v in (0.1, 1.0, 10.0):
-                for M in (0.1, 1.0, 10.0):
-                    checked["schedule_ceiling"] += 1
-                    try:
-                        bounds.sigma_kappa_schedule(
-                            bounds.BernsteinInputs(n=n, d=2, M=M, v=v, c=c))
-                    except bounds.BoundDomainError:
-                        failures.append({"invariant": "schedule_ceiling",
-                                         "n": n, "c": c, "v": v, "M": M})
-
-
-def _suite_coupling(budget, failures, checked):
-    joint = mixing.JointLaw(pmf=np.array([[0.5, 0.0], [0.0, 0.5]]))
-    coupler = mixing.berbee_coupling(joint, seed=123)
-    x, y, ystar = coupler.sample(100_000)
-    freq = float(np.mean(y != ystar))
-    beta = mixing.beta_from_joint(joint)
-    checked.update(("coupling_mismatch_rate", "coupling_marginal"))
-    if abs(freq - beta) > 0.013:
-        failures.append({"invariant": "coupling_mismatch_rate",
-                         "freq": freq, "beta": beta})
-    counts = np.bincount(ystar, minlength=2)
-    expected = joint.y_marginal * ystar.size
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    if chdtrc(1, chi2) < 1e-3:  # chi-square survival function, 1 degree of freedom
-        failures.append({"invariant": "coupling_marginal", "chi2": chi2})
-
-
-def _suite_dominance(budget, failures, checked):
-    for cfg in shipped_model_configs():
-        report = models.run_tail_experiment(
-            cfg["spec"], n=cfg["n"], trials=2000, x_grid=cfg["x_grid"], seed=11,
-            inputs=cfg["inputs"])
-        # a bound >= 1 says nothing, so only the points below 1 are compared
-        compared = [(row, b) for row, (_, b) in zip(report.tail_grid, report.bound_curve)
-                    if b < 1.0]
-        checked[f"tail_dominance.{cfg['name']}"] = len(compared)
-        for (x, p_hat, lo, hi), b in compared:
-            if lo > b:
-                failures.append({"invariant": "tail_dominance",
-                                 "model": cfg["name"], "x": x,
-                                 "ci_low": lo, "bound": b})
-
-
-def shipped_model_configs():
-    """The three model configurations exercised by `verify dominance`."""
-    chain = mixing.MarkovChain.two_state(0.25, 0.25)
-    D2 = np.diag([1.0, -0.5])
-    D4 = np.diag([1.0, -1.0, 0.5, -0.25])
-    tau = np.array([1.0, -1.0])
-    specs = [
-        ("iid", models.ModelSpec(kind="iid_baseline", d=2, chain=chain, D=D2), 64),
-        ("contraction",
-         models.ModelSpec(kind="contraction", d=4, chain=chain, D=D4, tau_map=tau),
-         256),
-        ("blockcov",
-         models.ModelSpec(kind="block_covariance", d=2, chain=chain,
-                          value_map=np.array([1.0, -1.0])), 64),
-    ]
-    out = []
-    for name, spec, n in specs:
-        inputs = models.bernstein_inputs_for(spec, n)
-        top = inputs.n * inputs.M
-        out.append({"name": name, "spec": spec, "n": n, "inputs": inputs,
-                    "x_grid": np.linspace(0.05 * top, 0.9 * top, 8).tolist()})
-    return out
-
-
-_SUITES = {
-    "inequalities": _suite_inequalities,
-    "cantor": _suite_cantor,
-    "bounds": _suite_bounds,
-    "coupling": _suite_coupling,
-    "dominance": _suite_dominance,
-}
+# suite name -> runner(budget); perfbench's tracer wraps these entries
+_SUITES = {name: functools.partial(checks.run, suite)
+           for name, suite in checks.SUITES.items()}
 
 
 def cmd_verify(args) -> int:
-    failures, checked = [], Counter()
-    _SUITES[args.suite](args.budget, failures, checked)
+    checked, failures = _SUITES[args.suite](args.budget)
     report = {"schema": SCHEMA, "suite": args.suite,
               "config": {"command": "verify", "suite": args.suite,
                          "budget": args.budget},
-              "checked": dict(checked), "failures": failures, "ok": not failures}
+              "checked": checked, "failures": failures, "ok": not failures}
     _emit(json.dumps(report, sort_keys=True), args.out)
     return 0 if not failures else 2
 

@@ -137,8 +137,8 @@ class JointLaw:
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.ndim != 2:
             raise MixingError(f"pmf must be 2-D, got shape {pmf.shape}")
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-12:
-            raise MixingError("pmf must be nonnegative with total mass 1")
+        if not np.all(np.isfinite(pmf) & (pmf >= 0)) or abs(pmf.sum() - 1.0) > 1e-12:
+            raise MixingError("pmf must be finite, nonnegative, with total mass 1")
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 

@@ -9,10 +9,9 @@ import math
 import time
 
 import numpy as np
-from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
-from depbernstein import bounds, cantor, mixing, models, spectral
+from depbernstein import bounds, cantor, checks, mixing, models
 from depbernstein.cli import main as cli_main
 
 
@@ -27,16 +26,19 @@ def record(num, name, failures, elapsed=None, budget=None):
     assert ok, (line, failures[:10])
 
 
+def run_checks(suite, full, **kwargs):
+    """checks.run(suite)'s failures, plus one if `checked` is not `full`."""
+    checked, failures = checks.run(suite, **kwargs)
+    return failures + ([("checked", checked, full)] if checked != full else [])
+
+
 def test_criterion_01_cantor_exhaustive():
     t0 = time.monotonic()
-    failures = []
+    failures, levels = [], 0
     for A in range(2, 5001):
         part = cantor.cantor_set(A)
         p = part.params
-        if not (A >= part.card >= A / 2):
-            failures.append(("cardinality", A))
-        if p.ell > math.log2(A):
-            failures.append(("level_ceiling", A))
+        levels += p.ell
         n_ell = p.n_seq[p.ell]
         if any(len(leaf) != n_ell for leaf in part.leaves):
             failures.append(("leaf_size", A))
@@ -49,11 +51,11 @@ def test_criterion_01_cantor_exhaustive():
         for j in range(p.ell):
             if any(len(gap) != p.d_seq[j] for gap in part.remainders[j]):
                 failures.append(("gap_size", A, j))
-            floor = A * p.delta * (1.0 - p.delta) ** j / 2.0 ** (j + 1)
-            if p.d_seq[j] < floor:
-                failures.append(("gap_floor", A, j))
         if failures:
             break
+    failures += run_checks(checks.cantor, {
+        "kept_cardinality": 4999, "kept_card_formula": 4999, "disjoint_cover": 4999,
+        "level_ceiling": 4999, "gap_floor": levels})
     record(1, "cantor-invariants-exhaustive", failures,
            time.monotonic() - t0, budget=30.0)
 
@@ -83,75 +85,23 @@ def test_criterion_03_g_of_4():
 
 def test_criterion_04_schedule_ceilings():
     t0 = time.monotonic()
-    failures = []
-    for n in (4, 16, 256, 4096):
-        for c in (0.5, 2.0, 10.0):
-            for v in (0.1, 1.0, 10.0):
-                for M in (0.1, 1.0, 10.0):
-                    inp = bounds.BernsteinInputs(n=n, d=2, M=M, v=v, c=c)
-                    try:
-                        pairs = bounds.sigma_kappa_schedule(inp)
-                    except bounds.BoundDomainError:
-                        failures.append((n, c, v, M))
-                        continue
-                    tot = bounds.combine_sigma_kappa(pairs)
-                    if tot.sigma > 15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c):
-                        failures.append(("sigma", n, c, v, M))
-                    if tot.kappa > M * bounds.gamma_cn(c, n):
-                        failures.append(("kappa", n, c, v, M))
+    failures = run_checks(checks.schedule_ceilings, {
+        "schedule_ceiling": 108, "sigma_ceiling": 108, "kappa_ceiling": 108})
     record(4, "schedule-ceilings", failures, time.monotonic() - t0, budget=5.0)
 
 
 def test_criterion_05_split_identity():
     t0 = time.monotonic()
-    failures = []
-    rng = np.random.default_rng(12345)
-    for case in range(1000):
-        s0, s1, k0, k1 = rng.uniform(0.05, 5.0, 4)
-        p0 = bounds.SigmaKappaPair(s0, k0)
-        p1 = bounds.SigmaKappaPair(s1, k1)
-        comb = bounds.combine_sigma_kappa([p0, p1])
-        t = rng.uniform(0.0, 0.999) / comb.kappa
-        u = bounds.split_weight(p0, p1, t)
-        lhs = (u * bounds.gamma_majorant(p0, t / u)
-               + (1.0 - u) * bounds.gamma_majorant(p1, t / (1.0 - u)))
-        rhs = (comb.sigma * t) ** 2 / (1.0 - comb.kappa * t)
-        if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
-            failures.append((case, lhs, rhs))
+    failures = run_checks(checks.split_identity, {"split_identity": 1000}, seed=12345)
     record(5, "split-identity", failures, time.monotonic() - t0, budget=1.0)
 
 
 def test_criterion_06_inequality_fuzz():
     t0 = time.monotonic()
-    failures = []
-    rng = np.random.default_rng(99)
-    for case in range(1000):
-        d = int(rng.integers(2, 9))
-        a = spectral.SymMatrix(_rand_sym(rng, d))
-        b = spectral.SymMatrix(_rand_sym(rng, d))
-        if not spectral.check_golden_thompson(a, b)[2]:
-            failures.append(("golden_thompson", case))
-        for p in (1.5, 2.0, 3.0, 10.0):
-            if not spectral.check_trace_holder(a, b, p)[2]:
-                failures.append(("trace_holder", p, case))
-        lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
-        if lam_sum > sum_lam + 1e-9 * (1.0 + abs(sum_lam)):
-            failures.append(("weyl", case))
-        spec_norm = spectral.schatten_norm(a, np.inf)
-        if spectral.gerschgorin_bound(a) < spec_norm - 1e-9 * (1.0 + spec_norm):
-            failures.append(("gerschgorin", case))
-        dt, ts = 1e-3, float(rng.uniform(0.1, 1.0))
-        second = (spectral.trace_exp(ts + dt, a)
-                  - 2.0 * spectral.trace_exp(ts, a)
-                  + spectral.trace_exp(ts - dt, a)) / dt ** 2
-        if second < -1e-8 * (1.0 + abs(spectral.trace_exp(ts, a))):
-            failures.append(("trace_exp_convexity", case))
+    failures = run_checks(checks.inequalities, {
+        "golden_thompson": 1000, "trace_holder": 4000, "weyl": 1000,
+        "gerschgorin": 1000, "trace_exp_convexity": 1000}, seed=99)
     record(6, "inequality-fuzz", failures, time.monotonic() - t0, budget=60.0)
-
-
-def _rand_sym(rng, d):
-    m = rng.uniform(-2.0, 2.0, (d, d))
-    return (m + m.T) / 2.0
 
 
 def test_criterion_07_exact_beta():
@@ -175,21 +125,9 @@ def test_criterion_07_exact_beta():
 
 
 def test_criterion_08_berbee_coupling():
-    failures = []
-    joint = mixing.JointLaw(np.array([[0.5, 0.0], [0.0, 0.5]]))  # beta = 1/2
-    x, y, ystar = mixing.berbee_coupling(joint, seed=31337).sample(100_000)
-    freq = float(np.mean(y != ystar))
-    if abs(freq - 0.5) > 0.013:
-        failures.append(("mismatch_rate", freq))
-    counts = np.bincount(ystar, minlength=2)
-    expected = joint.y_marginal * ystar.size
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    if stats.chi2.sf(chi2, df=1) < 1e-3:
-        failures.append(("ystar_marginal", chi2))
-    table = np.zeros((2, 2))
-    np.add.at(table, (x, ystar), 1.0)
-    if stats.chi2_contingency(table)[1] < 1e-3:
-        failures.append(("independence", table.tolist()))
+    failures = run_checks(checks.coupling, {
+        "coupling_mismatch_rate": 1, "coupling_marginal": 1, "coupling_independence": 1},
+        seed=31337)
     record(8, "berbee-coupling", failures)
 
 
@@ -217,17 +155,16 @@ def test_criterion_09_laplace_dominance():
 
 def test_criterion_10_tail_dominance():
     t0 = time.monotonic()
-    failures = []
     spec = _contraction_spec(4)
     n, trials = 1024, 10_000
     inputs = models.bernstein_inputs_for(spec, n)  # exact v^2, fitted c
     top = n * inputs.M
     x_grid = np.linspace(0.02 * top, 1.2 * top, 12)
-    report = models.run_tail_experiment(spec, n, trials=trials, x_grid=x_grid,
-                                        seed=88, inputs=inputs)
-    for (x, p_hat, lo, hi), (_, b) in zip(report.tail_grid, report.bound_curve):
-        if b < 1.0 and p_hat > b:
-            failures.append(("tail", x, p_hat, b))
+    config = {"name": "contraction", "spec": spec, "n": n, "inputs": inputs,
+              "x_grid": x_grid}
+    below_one = sum(bounds.tail_bound_certified(x, inputs)[0] < 1.0 for x in x_grid)
+    failures = run_checks(checks.dominance, {"tail_dominance.contraction": below_one},
+                          configs=[config], trials=trials, seed=88)
     mean, stderr, bound = models.run_expectation_experiment(
         spec, n, trials=trials, seed=89, inputs=inputs)
     if mean > bound + 3.0 * stderr:
@@ -251,7 +188,7 @@ def test_criterion_11_v2_oracles():
         P /= P.sum(axis=1, keepdims=True)
         chain = mixing.MarkovChain.from_transition(P)
         d = int(rng.integers(1, 4))
-        D = _rand_sym(rng, d)
+        D = checks.rand_sym(rng, d)
         tau = rng.uniform(-1.0, 1.0, s)
         spec = models.ModelSpec(kind="contraction", d=d, chain=chain,
                                 D=D, tau_map=tau)

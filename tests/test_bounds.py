@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from depbernstein import bounds
+from depbernstein import bounds, checks
 from depbernstein.bounds import (
     BernsteinInputs,
     BoundDomainError,
@@ -92,17 +92,8 @@ class TestCombiner:
         assert lhs == pytest.approx(gamma_majorant(comb, t), abs=1e-12)
 
     def test_split_identity_fuzz(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            s0, s1, k0, k1 = rng.uniform(0.05, 5.0, 4)
-            p0, p1 = SigmaKappaPair(s0, k0), SigmaKappaPair(s1, k1)
-            comb = combine_sigma_kappa([p0, p1])
-            t = rng.uniform(0.0, 0.999) / comb.kappa
-            u = split_weight(p0, p1, t)
-            lhs = (u * gamma_majorant(p0, t / u)
-                   + (1 - u) * gamma_majorant(p1, t / (1 - u)))
-            rhs = gamma_majorant(comb, t)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
+        checked, failures = checks.run(checks.split_identity, seed=42)
+        assert checked == {"split_identity": 1000} and failures == []
 
 
 class TestGammaCn:

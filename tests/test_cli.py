@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depbernstein import checks
 from depbernstein.cli import main
 from depbernstein.mixing import MarkovChain
 
@@ -230,7 +232,23 @@ class TestVerifyCommand:
 
     def test_cantor_counts_every_A(self, capsys):
         code, out = run_cli(capsys, "verify", "cantor", "--budget", "120")
-        assert code == 0 and json.loads(out)["checked"]["disjoint_cover"] == 4999
+        checked = json.loads(out)["checked"]
+        assert code == 0 and checked["disjoint_cover"] == 4999
+        assert checked["gap_floor"] == 23_401  # every gap level of every A
+
+    @pytest.mark.parametrize("suite", sorted(checks.SUITES))
+    def test_spent_budget_stops_every_suite(self, capsys, monkeypatch, suite):
+        # a clock that moves on each read: a zero budget is spent by the first case
+        monkeypatch.setattr(checks, "monotonic", itertools.count().__next__)
+        code, out = run_cli(capsys, "verify", suite, "--budget", "0")
+        assert code == 0 and json.loads(out)["checked"] == {}
+
+    @pytest.mark.parametrize("table", [[[30, 10], [12, 28]], [[5, 7], [9, 2]],
+                                       [[500, 480], [515, 505]], [[1, 0], [0, 1]]])
+    def test_independence_pvalue_matches_scipy(self, table):
+        from scipy import stats
+        expected = stats.chi2_contingency(np.array(table))[1]
+        assert checks.independence_pvalue(table) == pytest.approx(expected, rel=1e-13)
 
     def test_dominance_counts_each_model(self, capsys):
         code, out = run_cli(capsys, "verify", "dominance")

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
+from depbernstein import checks
 from depbernstein.mixing import (
     RATE_CEILING,
     BerbeeCoupler,
@@ -198,6 +198,11 @@ class TestBetaFromJoint:
             pmf /= pmf.sum()
             assert 0.0 <= beta_from_joint(JointLaw(pmf)) <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_pmf(self, bad):
+        with pytest.raises(MixingError, match="finite"):
+            JointLaw(np.array([[bad, 0.5], [0.25, 0.25]]))
+
 
 class TestBetaKExact:
     def test_two_state_closed_form(self):
@@ -293,10 +298,9 @@ class TestBerbeeCoupler:
         assert np.array_equal(y, ystar)
 
     def test_mismatch_rate_matches_beta(self):
-        joint = JointLaw(np.diag([0.5, 0.5]))  # beta = 1/2
-        _, y, ystar = berbee_coupling(joint, seed=2).sample(100_000)
-        rate = np.mean(y != ystar)
-        assert abs(rate - 0.5) < 0.013  # > 8 sigma of a fair binomial
+        # Y = X, a fair bit: beta = 1/2, and 0.013 is > 8 sigma of the rate
+        checked, failures = checks.run(checks.coupling, seed=2)
+        assert checked["coupling_mismatch_rate"] == 1 and failures == []
 
     def test_xy_joint_preserved(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -314,10 +318,8 @@ class TestBerbeeCoupler:
         freq = np.mean(ystar == 0)
         assert abs(freq - joint.y_marginal[0]) < 0.005
         # independence from X: chi-square on the contingency table
-        table = np.zeros((2, 2))
-        np.add.at(table, (x, ystar), 1.0)
-        _, pvalue, _, _ = stats.chi2_contingency(table)
-        assert pvalue > 1e-3
+        table = np.bincount(2 * x + ystar, minlength=4).reshape(2, 2)
+        assert checks.independence_pvalue(table) > 1e-3
 
     def test_deterministic_by_seed(self):
         joint = MarkovChain.two_state(0.3, 0.2).joint_law(2)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from depbernstein import checks
 from depbernstein.spectral import (
     SpectralError,
     SymMatrix,
@@ -21,9 +22,8 @@ from depbernstein.spectral import (
 )
 
 
-def rand_sym(rng, d, scale=2.0):
-    m = rng.uniform(-scale, scale, (d, d))
-    return SymMatrix((m + m.T) / 2.0)
+def rand_sym(rng, d):
+    return SymMatrix(checks.rand_sym(rng, d))
 
 
 class TestSymMatrix:
@@ -150,13 +150,9 @@ class TestSpectrumCache:
         rng = np.random.default_rng(20240901)
         a, b = rand_sym(rng, 5), rand_sym(rng, 5)
         # one case of `verify inequalities`: a, b, and each of the two a + b
-        check_golden_thompson(a, b)
-        for p in (1.5, 2.0, 3.0, 10.0):
-            check_trace_holder(a, b, p)
-        weyl_lambda_max_bound([a, b])
-        assert gerschgorin_bound(a) >= schatten_norm(a, np.inf)
-        for t in (0.7 + 1e-3, 0.7, 0.7 - 1e-3):
-            trace_exp(t, a)
+        entries = list(checks.inequality_case(a, b, 0.7))
+        assert sum(compared for _, compared, _ in entries) == 8
+        assert not any(failed for _, _, failed in entries)
         assert len(calls) == 4
 
 
