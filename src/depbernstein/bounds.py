@@ -157,8 +157,7 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
         kappa_i = M / h(c, n/2^i)          for i = 0 .. L-1,
 
     plus the terminal pair (v sqrt(2), M).  The sums are checked against
-    their ceilings sum(sigma) <= 15 sqrt(n) v + 2 M/sqrt(c) and
-    sum(kappa) <= M gamma(c, n).
+    their ceilings, `schedule_ceiling(inputs)`.
     """
     n, M, v, c = inputs.n, inputs.M, inputs.v, inputs.c
     L = decomposition_depth(n)
@@ -168,14 +167,20 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
         sigma_i = 2.0 * math.sqrt(x) * (2.0 * v + math.sqrt(3.0) * (2.0 ** i) * M / (n * math.sqrt(c)))
         pairs.append(SigmaKappaPair(sigma=sigma_i, kappa=M / h(c, x)))
     pairs.append(SigmaKappaPair(sigma=v * math.sqrt(2.0), kappa=M))
-    total = combine_sigma_kappa(pairs)
-    sigma_ceiling = 15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c)
-    kappa_ceiling = M * gamma_cn(c, n)
-    if not total.sigma <= sigma_ceiling:
-        raise BoundDomainError(f"sum sigma {total.sigma!r} exceeds its ceiling {sigma_ceiling!r}")
-    if not total.kappa <= kappa_ceiling:
-        raise BoundDomainError(f"sum kappa {total.kappa!r} exceeds its ceiling {kappa_ceiling!r}")
+    total, ceiling = combine_sigma_kappa(pairs), schedule_ceiling(inputs)
+    if not total.sigma <= ceiling.sigma:
+        raise BoundDomainError(f"sum sigma {total.sigma!r} exceeds its ceiling {ceiling.sigma!r}")
+    if not total.kappa <= ceiling.kappa:
+        raise BoundDomainError(f"sum kappa {total.kappa!r} exceeds its ceiling {ceiling.kappa!r}")
     return pairs
+
+
+def schedule_ceiling(inputs: BernsteinInputs) -> SigmaKappaPair:
+    """The ceilings of the schedule's sums: sum(sigma) <= 15 sqrt(n) v + 2 M/sqrt(c)
+    and sum(kappa) <= M gamma(c, n)."""
+    n, M, v, c = inputs.n, inputs.M, inputs.v, inputs.c
+    return SigmaKappaPair(sigma=15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c),
+                          kappa=M * gamma_cn(c, n))
 
 
 def _majorant_coefficients(inputs: BernsteinInputs):

@@ -25,11 +25,14 @@ def run(suite, budget: float = math.inf, **kwargs):
 
     Returns (checked, failures): the comparisons made per invariant, and one
     dict per failed comparison with its invariant, case index and details.
+    A suite cut short by the budget fails too, with the invariant "budget"
+    at the first case it did not run.
     """
     deadline = monotonic() + budget
     checked, failures = Counter(), []
     for i, case in enumerate(suite(**kwargs)):
         if monotonic() > deadline:
+            failures.append({"invariant": "budget", "case": i})
             break
         for invariant, compared, failed in case:
             checked[invariant] += compared
@@ -137,13 +140,10 @@ def schedule_ceilings():
         except _bounds.BoundDomainError:
             yield [("schedule_ceiling", 1, [point])]
             continue
-        tot = _bounds.combine_sigma_kappa(pairs)
+        tot, ceiling = _bounds.combine_sigma_kappa(pairs), _bounds.schedule_ceiling(inputs)
         yield [("schedule_ceiling", 1, []),
-               _one("sigma_ceiling",
-                    tot.sigma <= 15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c),
-                    sigma=tot.sigma, **point),
-               _one("kappa_ceiling", tot.kappa <= M * _bounds.gamma_cn(c, n),
-                    kappa=tot.kappa, **point)]
+               _one("sigma_ceiling", tot.sigma <= ceiling.sigma, sigma=tot.sigma, **point),
+               _one("kappa_ceiling", tot.kappa <= ceiling.kappa, kappa=tot.kappa, **point)]
 
 
 def coupling(seed: int = 123):

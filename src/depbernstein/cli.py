@@ -1,6 +1,9 @@
 """Command-line entry point wiring the library into reproducible runs.
 
 Exit codes: 0 success, 2 invariant violation (verify), 3 invalid input.
+A verify suite that --budget stops before its end also exits 2: its
+failures end with {"invariant": "budget", "case": i} at the first case
+not run, and "ok" is false.
 Every randomized command requires an explicit --seed and every output
 embeds the resolved configuration, so runs are replayable byte for byte.
 """

@@ -33,16 +33,8 @@ class MarkovChain:
     pi: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
-            raise MixingError(f"P must be square with >= 2 states, got {P.shape}")
-        if (not np.all(np.isfinite(P)) or np.any(P < 0)
-                or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12):
-            raise MixingError("P rows must be finite, nonnegative and sum to 1")
-        # primitive iff P^k > 0 at Wielandt's exponent k = (s-1)^2 + 1
-        if not np.all(np.linalg.matrix_power(P > 0, (P.shape[0] - 1) ** 2 + 1)):
-            raise MixingError("chain must be irreducible and aperiodic")
-        pi = np.asarray(self.pi, dtype=float)
+        P = _transition_matrix(self.P)
+        pi = np.array(self.pi, dtype=float)  # a copy: the caller's array stays writeable
         if (pi.shape != (P.shape[0],) or not np.all(np.isfinite(pi)) or np.any(pi < 0)
                 or abs(pi.sum() - 1.0) > 1e-12):
             raise MixingError("pi must be a probability vector over the states")
@@ -59,18 +51,25 @@ class MarkovChain:
 
     @classmethod
     def from_transition(cls, P) -> "MarkovChain":
-        """Build a chain from P alone, solving for the stationary law."""
-        P = np.asarray(P, dtype=float)
-        if not np.all(np.isfinite(P)):
-            raise MixingError("P rows must be finite, nonnegative and sum to 1")
-        w, v = np.linalg.eig(P.T)
-        idx = int(np.argmin(np.abs(w - 1.0)))
-        pi = np.real(v[:, idx])
-        pi = np.abs(pi) / np.abs(pi).sum()
-        # polish with one power iteration sweep for tight stationarity
-        for _ in range(10):
-            pi = pi @ P
-            pi = pi / pi.sum()
+        """Build a chain from P alone, with pi by Grassmann-Taksar-Heyman
+        elimination (Operations Research 33, 1985): censor the chain to
+        states 0..k-1 for k = s-1 down to 1, routing the exits of state k to
+        the lower states; then add the states back, each by the flow balance
+        pi(k) W(k, :k).sum() = pi(:k) @ W(:k, k) of the censored chain.
+        Only nonnegative numbers are added, multiplied and divided, and no
+        ratio exceeds 1, so pi >= 0 and is exact to working precision even
+        on near-reducible chains, with subnormal rates included.
+        """
+        W = _transition_matrix(P)
+        s = W.shape[0]
+        for k in range(s - 1, 0, -1):
+            W[:k, :k] += np.outer(W[:k, k], W[k, :k] / W[k, :k].sum())
+        pi = np.zeros(s)
+        pi[0] = 1.0
+        for k in range(1, s):
+            pi[k] = pi[:k] @ W[:k, k]
+            pi[:k] *= W[k, :k].sum()
+            pi /= pi.sum()
         return cls(P=P, pi=pi)
 
     @classmethod
@@ -134,7 +133,7 @@ class JointLaw:
     pmf: np.ndarray
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
+        pmf = np.array(self.pmf, dtype=float)  # a copy: the caller's array stays writeable
         if pmf.ndim != 2:
             raise MixingError(f"pmf must be 2-D, got shape {pmf.shape}")
         if not np.all(np.isfinite(pmf) & (pmf >= 0)) or abs(pmf.sum() - 1.0) > 1e-12:
@@ -202,64 +201,46 @@ class BerbeeCoupler:
     (X, Y) has the given joint law; Ystar has the Y marginal, is
     independent of X, and P(Y != Ystar) equals the beta coefficient of
     the joint law.  Construction: for every x, the conditional law of Y
-    given X = x is maximally coupled with the Y marginal (shared mass
-    first, residuals paired in state order).
+    given X = x is maximally coupled with the Y marginal q (Levin, Peres &
+    Wilmer, Markov Chains and Mixing Times, Prop. 4.7): Y = Ystar = y with
+    mass min(p(x, y), p(x) q(y)), and otherwise Y and Ystar are drawn
+    independently from the two residual laws, whose supports are disjoint.
+    That is one law on the cells (x, y, ystar), sampled by one draw each.
     """
 
     def __init__(self, joint: JointLaw, seed: int):
-        if joint.pmf.sum() <= 0 or np.any(joint.x_marginal <= 0):
-            raise MixingError("joint law must give positive mass to every x")
         self.joint = joint
         self.rng = np.random.default_rng(seed)
-        px = joint.x_marginal
-        q = joint.y_marginal
-        cond = joint.pmf / px[:, None]          # conditional law of Y given X = x
-        shared = np.minimum(cond, q[None, :])
-        self._px_cum = np.cumsum(px)
-        self._omega = shared.sum(axis=1)        # P(Y == Ystar | X = x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._shared_cum = np.cumsum(
-                np.where(self._omega[:, None] > 0, shared / np.where(
-                    self._omega[:, None] > 0, self._omega[:, None], 1.0), 0.0),
-                axis=1,
-            )
-            res_mass = 1.0 - self._omega
-            res_y = np.where(res_mass[:, None] > 0,
-                             (cond - shared) / np.where(res_mass[:, None] > 0,
-                                                        res_mass[:, None], 1.0), 0.0)
-            res_ystar = np.where(res_mass[:, None] > 0,
-                                 (q[None, :] - shared) / np.where(
-                                     res_mass[:, None] > 0, res_mass[:, None], 1.0), 0.0)
-        self._res_y_cum = np.cumsum(res_y, axis=1)
-        self._res_ystar_cum = np.cumsum(res_ystar, axis=1)
+        prod = np.outer(joint.x_marginal, joint.y_marginal)
+        shared = np.minimum(joint.pmf, prod)
+        over, under = joint.pmf - shared, prod - shared
+        mass = over.sum(axis=1, keepdims=True)  # P(X = x, Y != Ystar); where 0, over is 0 too
+        law = (shared[:, :, None] * np.eye(shared.shape[1])
+               + over[:, :, None] * (under / np.where(mass > 0, mass, 1.0))[:, None, :])
+        self._shape = law.shape
+        cum = np.cumsum(law)
+        # ends at 1 exactly, so every draw u < 1 lands on a cell of positive mass
+        self._cum = cum / cum[-1]
 
     def sample(self, size: int):
         """Draw `size` triples; returns arrays (X, Y, Ystar)."""
-        rng = self.rng
-        x = np.searchsorted(self._px_cum, rng.random(size), side="right")
-        u = rng.random(size)
-        agree = u < self._omega[x]
-        uy = rng.random(size)
-        y = np.empty(size, dtype=np.int64)
-        ystar = np.empty(size, dtype=np.int64)
-        # shared-mass draws: Y == Ystar
-        idx = np.flatnonzero(agree)
-        y[idx] = _row_searchsorted(self._shared_cum, x[idx], uy[idx])
-        ystar[idx] = y[idx]
-        # residual draws: Y and Ystar from the paired residual laws
-        idx = np.flatnonzero(~agree)
-        y[idx] = _row_searchsorted(self._res_y_cum, x[idx], uy[idx])
-        ystar[idx] = _row_searchsorted(self._res_ystar_cum, x[idx], rng.random(idx.size))
-        return x, y, ystar
+        cell = np.searchsorted(self._cum, self.rng.random(size), side="right")
+        return np.unravel_index(cell, self._shape)
 
 
 def berbee_coupling(joint: JointLaw, seed: int) -> BerbeeCoupler:
     return BerbeeCoupler(joint, seed)
 
 
-def _row_searchsorted(cum_rows: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.size, dtype=np.int64)
-    for r in np.unique(rows):
-        mask = rows == r
-        out[mask] = np.searchsorted(cum_rows[r], u[mask], side="right")
-    return np.minimum(out, cum_rows.shape[1] - 1)
+def _transition_matrix(P) -> np.ndarray:
+    """A float copy of P, checked to be square, row-stochastic and primitive."""
+    P = np.array(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
+        raise MixingError(f"P must be square with >= 2 states, got {P.shape}")
+    if (not np.all(np.isfinite(P)) or np.any(P < 0)
+            or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12):
+        raise MixingError("P rows must be finite, nonnegative and sum to 1")
+    # primitive iff P^k > 0 at Wielandt's exponent k = (s-1)^2 + 1
+    if not np.all(np.linalg.matrix_power(P > 0, (P.shape[0] - 1) ** 2 + 1)):
+        raise MixingError("chain must be irreducible and aperiodic")
+    return P

@@ -241,7 +241,9 @@ class TestVerifyCommand:
         # a clock that moves on each read: a zero budget is spent by the first case
         monkeypatch.setattr(checks, "monotonic", itertools.count().__next__)
         code, out = run_cli(capsys, "verify", suite, "--budget", "0")
-        assert code == 0 and json.loads(out)["checked"] == {}
+        payload = json.loads(out)
+        assert code == 2 and payload["ok"] is False and payload["checked"] == {}
+        assert payload["failures"] == [{"invariant": "budget", "case": 0}]
 
     @pytest.mark.parametrize("table", [[[30, 10], [12, 28]], [[5, 7], [9, 2]],
                                        [[500, 480], [515, 505]], [[1, 0], [0, 1]]])

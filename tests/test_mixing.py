@@ -1,5 +1,7 @@
 import json
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +152,43 @@ class TestMarkovChain:
     def test_from_transition_rejects_non_finite(self):
         with pytest.raises(MixingError):
             MarkovChain.from_transition([[math.nan, 1.0], [0.5, 0.5]])
+
+    def test_inputs_stay_writeable(self):
+        P, pi, pmf = np.full((2, 2), 0.5), np.full(2, 0.5), np.full((2, 2), 0.25)
+        MarkovChain.from_transition(P)
+        MarkovChain(P=P, pi=pi)
+        MarkovChain.iid(pi)
+        JointLaw(pmf)
+        assert P.flags.writeable and pi.flags.writeable and pmf.flags.writeable
+
+    @pytest.mark.parametrize("a, b", [(1e-3, 2e-3), (1e-9, 3e-9), (1e-12, 5e-13),
+                                      (0.25, 1e-15), (0.5, 1e-300),
+                                      (0.5, 1e-310), (1.0, 1e-320)])
+    def test_from_transition_two_state_closed_form(self, a, b):
+        # near-reducible chains, down to subnormal rates: pi = (b, a) / (a + b)
+        pi = MarkovChain.from_transition(MarkovChain.two_state(a, b).P).pi
+        np.testing.assert_allclose(pi, np.array([b, a]) / (a + b), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [5, 13, 92])
+    def test_from_transition_sparse_dirichlet(self, seed):
+        # stationary laws spanning 20+ orders of magnitude
+        P = np.random.default_rng(seed).dirichlet(np.full(3, 0.05), 3)
+        pi = MarkovChain.from_transition(P).pi
+        assert np.all(pi >= 0)
+        assert np.max(np.abs(pi @ P - pi) / pi) <= 1e-14
+
+    @pytest.mark.parametrize("P", [[0.5, 0.5], [[0.5, 0.5]], [[[1.0]]]])
+    def test_from_transition_rejects_bad_shape(self, P):
+        with pytest.raises(MixingError, match="P must be square"):
+            MarkovChain.from_transition(P)
+
+    @pytest.mark.parametrize("P", [np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                                   [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+    def test_from_transition_rejects_without_warning(self, P):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MixingError, match="irreducible and aperiodic"):
+                MarkovChain.from_transition(P)
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -338,3 +377,35 @@ class TestBerbeeCoupler:
         rate = np.mean(y != ystar)
         sigma = math.sqrt(beta * (1 - beta) / 200_000)
         assert abs(rate - beta) < 6 * sigma + 1e-9
+
+    def test_zero_mass_states_never_drawn(self):
+        # x = 1 and y = 2 carry no mass; the uniforms reach the top of [0, 1)
+        joint = JointLaw(np.array([[0.3, 0.2, 0.0], [0.0, 0.0, 0.0], [0.1, 0.4, 0.0]]))
+        coupler = BerbeeCoupler(joint, seed=0)
+        u = np.concatenate([np.linspace(0.0, 1.0, 10_001)[:-1], [np.nextafter(1.0, 0.0)]])
+        coupler.rng = types.SimpleNamespace(random=lambda size: u)
+        x, y, ystar = coupler.sample(u.size)
+        assert not np.any(x == 1)
+        assert not np.any(y == 2) and not np.any(ystar == 2)
+
+    def test_one_row_law_never_mismatches(self):
+        joint = JointLaw(np.array([[0.2, 0.5, 0.3]]))
+        x, y, ystar = berbee_coupling(joint, seed=9).sample(5000)
+        assert np.all(x == 0) and np.array_equal(y, ystar)
+
+    def test_stratified_draws_match_the_coupling_law(self):
+        # evenly spaced uniforms put within 1 of N * mass draws in each cell
+        rng = np.random.default_rng(13)
+        pmf = rng.uniform(0.05, 1.0, (3, 4))
+        joint = JointLaw(pmf / pmf.sum())
+        coupler = BerbeeCoupler(joint, seed=0)
+        N = 100_000
+        coupler.rng = types.SimpleNamespace(random=lambda size: (np.arange(size) + 0.5) / size)
+        x, y, ystar = coupler.sample(N)
+        tol = 50 / N
+        xy = np.bincount(4 * x + y, minlength=12).reshape(3, 4) / N
+        xystar = np.bincount(4 * x + ystar, minlength=12).reshape(3, 4) / N
+        np.testing.assert_allclose(xy, joint.pmf, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(xystar, np.outer(joint.x_marginal, joint.y_marginal),
+                                   rtol=0.0, atol=tol)
+        assert abs(np.mean(y != ystar) - beta_from_joint(joint)) <= tol
