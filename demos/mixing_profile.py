@@ -24,7 +24,7 @@ for k in (2, 10, 50):
 print("\nmaximal coupling of (S_0, S_1):")
 joint = chain.joint_law(1)
 beta = mixing.beta_from_joint(joint)
-x, y, ystar = mixing.berbee_coupling(joint, seed=7).sample(200_000)
+x, y, ystar = mixing.BerbeeCoupler(joint, seed=7).sample(200_000)
 print(f"  beta coefficient          = {beta:.4f}")
 print(f"  empirical P(Y != Ystar)   = {np.mean(y != ystar):.4f}")
 print(f"  Ystar marginal of state 0 = {np.mean(ystar == 0):.4f} "

@@ -155,7 +155,7 @@ def coupling(seed: int = 123):
 
 def _coupling_case(seed: int):
     joint = mixing.JointLaw(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    x, y, ystar = mixing.berbee_coupling(joint, seed=seed).sample(100_000)
+    x, y, ystar = mixing.BerbeeCoupler(joint, seed).sample(100_000)
     freq = float(np.mean(y != ystar))
     beta = mixing.beta_from_joint(joint)
     yield _one("coupling_mismatch_rate", abs(freq - beta) <= 0.013, freq=freq, beta=beta)

@@ -65,7 +65,17 @@ def cmd_cantor(args) -> int:
     return 0
 
 
+# bound kind -> the arguments it reads besides n, d, M, v and c
+_BOUND_ARGS = {"tail": ("x",), "laplace": ("t",), "expectation": (),
+               "theorem1": ("x", "C")}
+
+
 def _bound_row(kind, n, d, M, v, c, x, t, C):
+    given = {"n": n, "d": d, "M": M, "v": v, "c": c, "x": x, "t": t, "C": C}
+    missing = [f"--{k}" for k in ("n", "d", "M", "v", "c") + _BOUND_ARGS[kind]
+               if given[k] is None]
+    if missing:
+        raise ValueError(f"bound --kind {kind} is missing {', '.join(missing)}")
     inputs = bounds.BernsteinInputs(n=n, d=d, M=M, v=v, c=c)
     if kind == "tail":
         b, t_star = bounds.tail_bound_certified(x, inputs)
@@ -75,22 +85,22 @@ def _bound_row(kind, n, d, M, v, c, x, t, C):
         return {"log_laplace": bounds.master_log_laplace(t, inputs)}
     if kind == "expectation":
         return {"bound": bounds.expectation_bound(inputs)}
-    if kind == "theorem1":
-        return {"bound": bounds.theorem1_form(x, inputs, C)}
-    raise ValueError(f"unknown bound kind {kind!r}")
+    return {"bound": bounds.theorem1_form(x, inputs, C)}
 
 
 def cmd_bound(args) -> int:
     if args.batch:
         with open(args.batch) as fh:
             rows = list(csv.DictReader(fh))
+        if not rows:
+            raise ValueError(f"empty batch: {args.batch} has no rows")
         out_rows, extra_cols = [], []
         for row in rows:
             res = _bound_row(
                 args.kind, int(row["n"]), int(row["d"]), float(row["M"]),
                 float(row["v"]), float(row["c"]),
-                float(row.get("x", args.x or 0.0)),
-                float(row.get("t", args.t or 0.0)), args.C,
+                float(row["x"]) if "x" in row else args.x,
+                float(row["t"]) if "t" in row else args.t, args.C,
             )
             extra_cols = sorted(res)
             out_rows.append(list(row.values()) + [res[k] for k in extra_cols])
@@ -199,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cantor)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
-    p.add_argument("--kind", choices=("tail", "laplace", "expectation", "theorem1"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(_BOUND_ARGS), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--M", type=float)

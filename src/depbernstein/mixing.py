@@ -228,10 +228,6 @@ class BerbeeCoupler:
         return np.unravel_index(cell, self._shape)
 
 
-def berbee_coupling(joint: JointLaw, seed: int) -> BerbeeCoupler:
-    return BerbeeCoupler(joint, seed)
-
-
 def _transition_matrix(P) -> np.ndarray:
     """A float copy of P, checked to be square, row-stochastic and primitive."""
     P = np.array(P, dtype=float)

@@ -8,12 +8,11 @@ Two dependent models are shipped, plus an iid baseline:
                     consecutive chain-driven bounded scalars;
   iid_baseline      X_i = eps_i * D with iid fair signs.
 
-The variance proxy v^2 that enters the bound is computed without Monte
-Carlo: exactly for the contraction/iid models (v2_exact_contraction) and as
-a certified ceiling for the block model (v2_block_ceiling), from the exact
-lag moments E(X_0 X_k) that block_lag_moments derives from (pi, P).  The
-same moments make v2_bruteforce(mode="exact") an oracle for every kind;
-v2_interval_estimate remains a Monte-Carlo estimator for comparison.
+The variance proxy v^2 that enters the bound has one path and no Monte
+Carlo: it is exact for the contraction/iid models (v2_exact_contraction)
+and a certified ceiling for the block model (v2_block_ceiling), from the
+exact lag moments E(X_0 X_k) that block_lag_moments derives from (pi, P).
+The same exact moments make v2_bruteforce an oracle for every kind.
 
 Every trial draws its own RNG stream from (seed, trial index), so results
 are reproducible independently of execution order, worker count or the
@@ -37,6 +36,8 @@ from .spectral import SymMatrix
 SCHEMA = "depbernstein/1"
 _CHUNK = 64  # trials sampled together; no result depends on it
 _CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
+_RATE_LAGS = 50  # c fits the beta profile on lags 2.._RATE_LAGS
+_CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
 
 
 class ModelError(ValueError):
@@ -249,20 +250,24 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return spec.tau_map[path] * eps
 
 
-def _summands(spec: ModelSpec, draws: np.ndarray) -> np.ndarray:
-    """The summands X_i of each drawn trial, shape (trials, n, d, d)."""
-    if spec.kind == "block_covariance":
-        return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
-    return draws[:, :, None, None] * spec.D
-
-
-def _chunks(trials: int):
-    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
-
-
 def simulate_summands(spec: ModelSpec, n: int, seed: int):
     """One stationary path of n summands X_i as SymMatrix."""
-    return [SymMatrix(x) for x in _summands(spec, _draw(spec, n, seed, 0, 1))[0]]
+    draws = _draw(spec, n, seed, 0, 1)[0]
+    if spec.kind == "block_covariance":
+        mats = np.einsum("ia,ib->iab", draws, draws) - block_covariance_mean(spec)
+    else:
+        mats = draws[:, None, None] * spec.D
+    return [SymMatrix(x) for x in mats]
+
+
+def _etau2(spec: ModelSpec) -> float:
+    """E(tau^2) under pi; tau = 1 in the iid model."""
+    if spec.kind == "iid_baseline":
+        return 1.0
+    if spec.kind == "contraction":
+        return float(spec.chain.pi @ (spec.tau_map ** 2))
+    raise ModelError("exact variance proxy is only available for the "
+                     "contraction/iid models")
 
 
 def v2_exact_contraction(spec: ModelSpec) -> float:
@@ -272,20 +277,7 @@ def v2_exact_contraction(spec: ModelSpec) -> float:
     E(sum_K X_i)^2 = |K| E(tau^2) D^2 and the subset sup is trivial:
     v^2 = E(tau^2) lambda_max(D^2).
     """
-    if spec.kind == "iid_baseline":
-        etau2 = 1.0
-    elif spec.kind == "contraction":
-        etau2 = float(spec.chain.pi @ (spec.tau_map ** 2))
-    else:
-        raise ModelError("exact variance proxy is only available for the "
-                         "contraction/iid models")
-    return etau2 * float(np.max(np.linalg.eigvalsh(spec.D @ spec.D)))
-
-
-@dataclass(frozen=True)
-class V2Estimate:
-    value: float
-    stderr: float = 0.0
+    return _etau2(spec) * float(np.max(np.linalg.eigvalsh(spec.D @ spec.D)))
 
 
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
@@ -300,89 +292,25 @@ def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
         G = block_lag_moments(spec, n - 1)[np.abs(j - i)]
         G[i > j] = np.swapaxes(G[i > j], -1, -2)
         return G
-    D2 = spec.D @ spec.D
     G = np.zeros((n, n, spec.d, spec.d))
-    if spec.kind == "iid_baseline":
-        etau2 = 1.0
-    else:
-        etau2 = float(spec.chain.pi @ (spec.tau_map ** 2))
-    for i in range(n):
-        G[i, i] = etau2 * D2
+    G[np.arange(n), np.arange(n)] = _etau2(spec) * (spec.D @ spec.D)
     return G
 
 
-def _pairwise_moments_mc(spec: ModelSpec, n: int, trials: int, seed: int):
-    """MC estimate of G[i, j] = E(X_i X_j + X_j X_i)/2 with per-entry stderr."""
-    acc = np.zeros((n, n, spec.d, spec.d))
-    acc2 = np.zeros((n, n, spec.d, spec.d))
-    for lo, hi in _chunks(trials):
-        mats = _summands(spec, _draw(spec, n, seed, lo, hi))
-        prod = np.einsum("tiab,tjbc->tijac", mats, mats)
-        sym = (prod + prod.transpose(0, 2, 1, 3, 4)) / 2.0
-        # trial after trial, so that the sums do not depend on the chunking
-        acc = sum(sym, acc)
-        acc2 = sum(sym * sym, acc2)
-    mean = acc / trials
-    var = np.maximum(acc2 / trials - mean * mean, 0.0)
-    return mean, np.sqrt(var / trials)
-
-
-def _subset_sup(G: np.ndarray, subsets) -> float:
-    best = -math.inf
-    for K in subsets:
-        K = list(K)
-        S = G[np.ix_(K, K)].sum(axis=(0, 1))
-        S = (S + S.T) / 2.0
-        best = max(best, float(np.max(np.linalg.eigvalsh(S))) / len(K))
-    return best
-
-
-def v2_bruteforce(spec: ModelSpec, n: int, mode: str = "exact",
-                  trials: int = 2000, seed: int = 0) -> V2Estimate:
-    """The variance proxy by exhaustive enumeration of all 2^n - 1 subsets.
-
-    mode="exact" uses exact pairwise second moments (for the block model
-    from block_lag_moments); mode="mc" estimates them by Monte Carlo and
-    reports a standard error.
-    """
+def v2_bruteforce(spec: ModelSpec, n: int) -> float:
+    """The variance proxy by exhaustive enumeration of all 2^n - 1 subsets,
+    from the exact pairwise second moments (_pairwise_moments_exact)."""
     if n > 20:
         raise ModelError(f"subset enumeration is capped at n = 20, got {n}")
     if n < 1:
         raise ModelError(f"need n >= 1, got {n}")
-    subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n)]
-    if mode == "exact":
-        G = _pairwise_moments_exact(spec, n)
-        return V2Estimate(value=_subset_sup(G, subsets))
-    if mode != "mc":
-        raise ModelError(f"unknown mode {mode!r}")
-    G, G_err = _pairwise_moments_mc(spec, n, trials, seed)
-    # stderr of the sup via the entrywise error of the argmax subset sum
-    value = _subset_sup(G, subsets)
-    stderr = float(np.max(G_err)) * n  # crude but conservative for small n
-    return V2Estimate(value=value, stderr=stderr)
-
-
-def v2_interval_estimate(spec: ModelSpec, n: int, trials: int, seed: int) -> V2Estimate:
-    """The subset sup restricted to contiguous intervals, by Monte Carlo.
-
-    A lower bound of the unrestricted sup; value and standard error refer
-    to the interval attaining the max.
-    """
-    if trials < 2:
-        raise ModelError("need at least 2 trials")
-    sums = np.cumsum(_summands(spec, _draw(spec, n, seed, 0, trials)), axis=1)
-    best, best_err = -math.inf, 0.0
-    zero = np.zeros((spec.d, spec.d))
-    for a in range(n):
-        for b in range(a, n):
-            seg = sums[:, b] - (sums[:, a - 1] if a > 0 else zero)
-            sq = np.einsum("tab,tbc->tac", seg, seg)
-            m = sq.mean(axis=0)
-            lam = float(np.max(np.linalg.eigvalsh((m + m.T) / 2.0))) / (b - a + 1)
-            if lam > best:
-                se = float(np.max(sq.std(axis=0, ddof=1))) / math.sqrt(trials) / (b - a + 1)
-                best, best_err = lam, se * spec.d
-    return V2Estimate(value=best, stderr=best_err)
+    G = _pairwise_moments_exact(spec, n)
+    best = -math.inf
+    for mask in range(1, 1 << n):
+        K = [i for i in range(n) if mask >> i & 1]
+        S = G[np.ix_(K, K)].sum(axis=(0, 1))
+        best = max(best, float(np.max(np.linalg.eigvalsh((S + S.T) / 2.0))) / len(K))
+    return best
 
 
 def clopper_pearson(k: int, n: int, conf: float = 0.99):
@@ -395,20 +323,16 @@ def clopper_pearson(k: int, n: int, conf: float = 0.99):
     return lo, hi
 
 
-def bernstein_inputs_for(spec: ModelSpec, n: int, k_max: int = 50,
-                         v2: Optional[V2Estimate] = None) -> _bounds.BernsteinInputs:
+def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
     """Assemble (n, d, M, v, c) for a model.  v needs no Monte Carlo: it is
     exact for the contraction/iid models and the certified ceiling
-    v2_block_ceiling for the block model, valid for every n.  An explicit
-    estimate v2 is inflated by 3 standard errors instead.  c is fitted from
-    the chain's exact beta profile."""
-    if v2 is not None:
-        v = math.sqrt(v2.value + 3.0 * v2.stderr)
-    elif spec.kind == "block_covariance":
+    v2_block_ceiling for the block model, valid for every n.  c is fitted
+    from the chain's exact beta profile."""
+    if spec.kind == "block_covariance":
         v = math.sqrt(v2_block_ceiling(spec))
     else:
         v = math.sqrt(v2_exact_contraction(spec))
-    c = fit_geometric_rate(spec.chain, k_max)
+    c = fit_geometric_rate(spec.chain, _RATE_LAGS)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
 
@@ -430,7 +354,8 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     trial t always uses the RNG stream (seed, t)."""
     if n < 1 or trials < 2:
         raise ModelError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
-    chunks = [(spec, n, seed, lo, hi) for lo, hi in _chunks(trials)]
+    chunks = [(spec, n, seed, lo, min(lo + _CHUNK, trials))
+              for lo in range(0, trials, _CHUNK)]
     if workers <= 1:
         return np.concatenate(list(map(_chunk_eigs, chunks)))
     from concurrent.futures import ProcessPoolExecutor
@@ -475,8 +400,7 @@ class TrialReport:
 
 
 def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
-                        seed: int, conf: float = 0.99,
-                        inputs: Optional[_bounds.BernsteinInputs] = None,
+                        seed: int, inputs: Optional[_bounds.BernsteinInputs] = None,
                         workers: int = 1) -> TrialReport:
     """Empirical tail of lambda_max of the partial sum on a grid, with
     exact binomial intervals, against the certified optimized bound."""
@@ -491,7 +415,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     tail, curve, log_curve = [], [], []
     for x in x_grid:
         k = int(np.sum(samples >= x))
-        lo, hi = clopper_pearson(k, trials, conf)
+        lo, hi = clopper_pearson(k, trials, _CONF)
         tail.append((x, k / trials, lo, hi))
         if x > 0:
             b = _bounds.tail_bound_certified(x, inputs)[0]

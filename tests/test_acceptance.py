@@ -177,7 +177,7 @@ def test_criterion_11_v2_oracles():
     homogeneous = models.ModelSpec(
         kind="contraction", d=2, chain=mixing.MarkovChain.two_state(0.25, 0.25),
         D=np.array([[1.0, 0.25], [0.25, 0.5]]), tau_map=np.array([0.8, 0.8]))
-    brute = models.v2_bruteforce(homogeneous, 8, mode="exact").value
+    brute = models.v2_bruteforce(homogeneous, 8)
     exact = models.v2_exact_contraction(homogeneous)
     if abs(brute - exact) > 1e-10:
         failures.append(("bruteforce_vs_exact", brute, exact))
@@ -193,10 +193,23 @@ def test_criterion_11_v2_oracles():
         spec = models.ModelSpec(kind="contraction", d=d, chain=chain,
                                 D=D, tau_map=tau)
         n = int(rng.integers(2, 9))
-        brute = models.v2_bruteforce(spec, n, mode="exact").value
-        est = models.v2_interval_estimate(spec, n, trials=400, seed=1000 + case)
-        if est.value > brute + 3.0 * est.stderr:
-            failures.append(("interval_vs_brute", case, est.value, brute, est.stderr))
+        brute = models.v2_bruteforce(spec, n)
+        exact = models.v2_exact_contraction(spec)
+        if abs(brute - exact) > 1e-10:
+            failures.append(("bruteforce_vs_exact", case, brute, exact))
+    rng = np.random.default_rng(556)
+    for case in range(10):
+        s = int(rng.integers(2, 4))
+        P = rng.uniform(0.1, 1.0, (s, s))
+        P /= P.sum(axis=1, keepdims=True)
+        spec = models.ModelSpec(kind="block_covariance", d=int(rng.integers(1, 4)),
+                                chain=mixing.MarkovChain.from_transition(P),
+                                value_map=rng.uniform(-1.0, 1.0, s))
+        n = int(rng.integers(2, 9))
+        brute = models.v2_bruteforce(spec, n)
+        ceiling = models.v2_block_ceiling(spec)
+        if ceiling < brute - 1e-12:
+            failures.append(("ceiling_vs_bruteforce", case, ceiling, brute))
     record(11, "v2-oracles", failures)
 
 

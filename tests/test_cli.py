@@ -109,6 +109,35 @@ class TestBoundCommand:
                           "--t", "10.0")
         assert code == 3
 
+    @pytest.mark.parametrize("kind, dropped", [
+        ("tail", "--x"), ("laplace", "--t"), ("theorem1", "--C"), ("theorem1", "--x"),
+        ("tail", "--n"), ("laplace", "--n"), ("expectation", "--n"),
+        ("theorem1", "--n"), ("expectation", "--c"),
+    ])
+    def test_missing_argument_is_exit_3(self, capsys, kind, dropped):
+        given = dict(zip(self.ARGS[::2], self.ARGS[1::2]),
+                     **{"--x": "40", "--t": "0.05", "--C": "1.0"})
+        argv = [a for flag, value in given.items() if flag != dropped
+                for a in (flag, value)]
+        code = main(["bound", "--kind", kind, *argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and dropped in err
+
+    def test_batch_without_t_is_exit_3(self, capsys, tmp_path):
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c\n4,1,1,1,100\n")
+        code = main(["bound", "--kind", "laplace", "--batch", str(batch)])
+        assert code == 3
+        assert "--t" in capsys.readouterr().err
+
+    def test_empty_batch_is_exit_3(self, capsys, tmp_path):
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        assert code == 3
+        assert "empty batch" in capsys.readouterr().err
+
     def test_batch_csv(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
         batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,1,100,40\n"

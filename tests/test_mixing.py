@@ -13,7 +13,6 @@ from depbernstein.mixing import (
     JointLaw,
     MarkovChain,
     MixingError,
-    berbee_coupling,
     beta_from_joint,
     beta_k_exact,
     dbar,
@@ -333,7 +332,7 @@ class TestFitGeometricRate:
 class TestBerbeeCoupler:
     def test_product_law_never_mismatches(self):
         joint = JointLaw(np.outer([0.3, 0.7], [0.2, 0.8]))
-        _, y, ystar = berbee_coupling(joint, seed=1).sample(5000)
+        _, y, ystar = BerbeeCoupler(joint, seed=1).sample(5000)
         assert np.array_equal(y, ystar)
 
     def test_mismatch_rate_matches_beta(self):
@@ -344,7 +343,7 @@ class TestBerbeeCoupler:
     def test_xy_joint_preserved(self):
         chain = MarkovChain.two_state(0.25, 0.25)
         joint = chain.joint_law(1)
-        x, y, _ = berbee_coupling(joint, seed=3).sample(200_000)
+        x, y, _ = BerbeeCoupler(joint, seed=3).sample(200_000)
         counts = np.zeros((2, 2))
         np.add.at(counts, (x, y), 1.0)
         assert counts / counts.sum() == pytest.approx(joint.pmf, abs=0.005)
@@ -352,7 +351,7 @@ class TestBerbeeCoupler:
     def test_ystar_marginal_and_independence(self):
         chain = MarkovChain.two_state(0.25, 0.25)
         joint = chain.joint_law(1)
-        x, _, ystar = berbee_coupling(joint, seed=4).sample(200_000)
+        x, _, ystar = BerbeeCoupler(joint, seed=4).sample(200_000)
         # marginal of Ystar
         freq = np.mean(ystar == 0)
         assert abs(freq - joint.y_marginal[0]) < 0.005
@@ -373,7 +372,7 @@ class TestBerbeeCoupler:
         pmf /= pmf.sum()
         joint = JointLaw(pmf)
         beta = beta_from_joint(joint)
-        _, y, ystar = berbee_coupling(joint, seed=8).sample(200_000)
+        _, y, ystar = BerbeeCoupler(joint, seed=8).sample(200_000)
         rate = np.mean(y != ystar)
         sigma = math.sqrt(beta * (1 - beta) / 200_000)
         assert abs(rate - beta) < 6 * sigma + 1e-9
@@ -390,7 +389,7 @@ class TestBerbeeCoupler:
 
     def test_one_row_law_never_mismatches(self):
         joint = JointLaw(np.array([[0.2, 0.5, 0.3]]))
-        x, y, ystar = berbee_coupling(joint, seed=9).sample(5000)
+        x, y, ystar = BerbeeCoupler(joint, seed=9).sample(5000)
         assert np.all(x == 0) and np.array_equal(y, ystar)
 
     def test_stratified_draws_match_the_coupling_law(self):

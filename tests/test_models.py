@@ -23,7 +23,6 @@ from depbernstein.models import (
     v2_block_ceiling,
     v2_bruteforce,
     v2_exact_contraction,
-    v2_interval_estimate,
 )
 
 CHAIN = MarkovChain.two_state(0.25, 0.25)
@@ -141,20 +140,8 @@ class TestVarianceProxy:
 
     def test_exact_matches_bruteforce(self):
         spec = contraction_spec()
-        brute = v2_bruteforce(spec, 8, mode="exact")
-        assert brute.value == pytest.approx(v2_exact_contraction(spec), abs=1e-10)
-
-    def test_mc_bruteforce_close(self):
-        spec = contraction_spec(D=np.eye(2))
-        est = v2_bruteforce(spec, 4, mode="mc", trials=3000, seed=5)
-        assert est.value == pytest.approx(v2_exact_contraction(spec),
-                                          abs=3 * est.stderr + 0.05)
-
-    def test_interval_estimate_below_bruteforce(self):
-        spec = contraction_spec()
-        brute = v2_bruteforce(spec, 8, mode="exact").value
-        est = v2_interval_estimate(spec, 8, trials=2000, seed=2)
-        assert est.value <= brute + 3 * est.stderr
+        assert v2_bruteforce(spec, 8) == pytest.approx(v2_exact_contraction(spec),
+                                                       abs=1e-10)
 
     def test_iid_variance_is_spectral(self):
         spec = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
@@ -210,7 +197,12 @@ class TestBlockCeiling:
             [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2, [1.0, -0.5, 0.2])
         n = 4
         G = models._pairwise_moments_exact(spec, n)
-        mc, err = models._pairwise_moments_mc(spec, n, trials=4000, seed=3)
+        # X_i X_j symmetrized, from 4000 sampled paths
+        mats = np.stack([[x.entries for x in simulate_summands(spec, n, seed)]
+                         for seed in range(4000)])
+        prod = np.einsum("tiab,tjbc->tijac", mats, mats)
+        prod = (prod + prod.transpose(0, 2, 1, 3, 4)) / 2.0
+        mc, err = prod.mean(axis=0), prod.std(axis=0) / math.sqrt(len(prod))
         sym = (G + np.swapaxes(G, -1, -2)) / 2.0
         assert np.all(np.abs(mc - sym) <= 4.0 * err + 1e-12)
         assert np.max(np.abs(G[0, 1] - G[1, 0].T)) == 0.0
@@ -220,13 +212,13 @@ class TestBlockCeiling:
         for case in range(20):
             spec = random_block_spec(rng)
             n = int(rng.integers(2, 9))
-            brute = v2_bruteforce(spec, n, mode="exact").value
+            brute = v2_bruteforce(spec, n)
             assert v2_block_ceiling(spec) >= brute - 1e-12, (case, spec.d, n)
 
     def test_shipped_config_is_exact(self):
         # within-block sign flips are iid, so the lag moments vanish
         assert v2_block_ceiling(SHIPPED_BLOCK) == pytest.approx(0.75, abs=1e-12)
-        assert v2_bruteforce(SHIPPED_BLOCK, 10).value == pytest.approx(0.75, abs=1e-12)
+        assert v2_bruteforce(SHIPPED_BLOCK, 10) == pytest.approx(0.75, abs=1e-12)
         inp = bernstein_inputs_for(SHIPPED_BLOCK, 64)
         assert inp.v == pytest.approx(math.sqrt(0.75), abs=1e-12)
 
@@ -238,7 +230,7 @@ class TestBlockCeiling:
         assert v2_block_ceiling(spec) == pytest.approx(
             float(np.max(np.linalg.eigvalsh(square))), abs=1e-15)
         assert v2_block_ceiling(spec) == pytest.approx(
-            v2_bruteforce(spec, 8).value, abs=1e-12)
+            v2_bruteforce(spec, 8), abs=1e-12)
 
     @pytest.mark.parametrize("chain, d", [
         (PRIMITIVE, 1), (PRIMITIVE, 2), (MarkovChain.two_state(1e-3, 1e-3), 1),
@@ -249,7 +241,7 @@ class TestBlockCeiling:
         spec = block_spec(chain, d, values)
         ceiling = v2_block_ceiling(spec)
         assert math.isfinite(ceiling)
-        assert ceiling >= v2_bruteforce(spec, 10).value - 1e-12
+        assert ceiling >= v2_bruteforce(spec, 10) - 1e-12
 
     @pytest.mark.parametrize("chain", [MarkovChain.two_state(1e-2, 2e-2), PRIMITIVE],
                              ids=["near-reducible", "primitive"])
@@ -269,7 +261,7 @@ class TestBlockCeiling:
         monkeypatch.setattr(models, "_CEILING_LAGS", 1)
         ceiling = v2_block_ceiling(spec)
         assert math.isfinite(ceiling)
-        assert ceiling >= v2_bruteforce(spec, 10).value - 1e-12
+        assert ceiling >= v2_bruteforce(spec, 10) - 1e-12
 
     def test_no_contracting_step_raises(self, monkeypatch):
         monkeypatch.setattr(models, "dbar", lambda Pk: 1.0)
@@ -284,7 +276,6 @@ class TestBlockCeiling:
         def forbidden(*args, **kwargs):
             raise AssertionError("Monte Carlo on the inputs path")
 
-        monkeypatch.setattr(models, "v2_interval_estimate", forbidden)
         monkeypatch.setattr(models, "_draw", forbidden)
         a = bernstein_inputs_for(SHIPPED_BLOCK, 64)
         assert a == bernstein_inputs_for(SHIPPED_BLOCK, 64)
@@ -316,12 +307,6 @@ class TestInputsAssembly:
         assert inp.M == pytest.approx(spec.M)
         assert inp.v == pytest.approx(math.sqrt(v2_exact_contraction(spec)))
         assert inp.c == pytest.approx(51.0 / 49.0 * math.log(2.0), rel=1e-12)
-
-    def test_explicit_v2_inflated(self):
-        from depbernstein.models import V2Estimate
-        spec = contraction_spec()
-        inp = bernstein_inputs_for(spec, 64, v2=V2Estimate(value=1.0, stderr=0.1))
-        assert inp.v == pytest.approx(math.sqrt(1.3))
 
 
 class TestLaplace:
