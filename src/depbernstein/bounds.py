@@ -272,12 +272,3 @@ def corollary1_bound(x: float, n: int, d: int, M: float, Etau2: float, C: float)
     denom = n * M * M * Etau2 + M * M + x * M * math.log(n) ** 2
     return d * math.exp(-C * x * x / denom)
 
-
-def covariance_mixing_bound(beta: float, minf_1: float, minf_2: float) -> float:
-    """Conservative covariance bound for bounded variables under beta-mixing:
-    |Cov(f, g)| <= 4 beta ||f||_inf ||g||_inf (valid since alpha <= beta)."""
-    if not 0.0 <= beta <= 1.0:
-        raise BoundDomainError(f"beta must be in [0,1], got {beta}")
-    if minf_1 < 0 or minf_2 < 0:
-        raise BoundDomainError("sup-norm bounds must be >= 0")
-    return 4.0 * beta * minf_1 * minf_2

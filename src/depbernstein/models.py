@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import bounds as _bounds
 from .mixing import MarkovChain, dbar, fit_geometric_rate
@@ -316,7 +315,10 @@ def v2_bruteforce(spec: ModelSpec, n: int) -> float:
 def clopper_pearson(k: int, n: int, conf: float = 0.99):
     """Exact (conservative) binomial confidence interval for k successes in n.
     The endpoints are beta quantiles, computed as inverse regularized
-    incomplete beta functions."""
+    incomplete beta functions.  scipy is imported here, not at module
+    level, so that only the commands that build intervals pay for it."""
+    from scipy.special import betaincinv
+
     alpha = 1.0 - conf
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))

@@ -66,9 +66,6 @@ class SymMatrix:
     def __neg__(self) -> "SymMatrix":
         return SymMatrix(-self.entries)
 
-    def scaled(self, s: float) -> "SymMatrix":
-        return SymMatrix(s * self.entries)
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries, "fro"))
 

@@ -11,7 +11,6 @@ from depbernstein.bounds import (
     SigmaKappaPair,
     combine_sigma_kappa,
     corollary1_bound,
-    covariance_mixing_bound,
     decomposition_depth,
     expectation_bound,
     g,
@@ -282,9 +281,3 @@ class TestClosedForms:
         assert corollary1_bound(0.0, 10, 3, 1.0, 0.5, 1.0) == 3.0
         got = corollary1_bound(2.0, 10, 1, 1.0, 0.0, 1.0)
         assert got == pytest.approx(math.exp(-4.0 / (1.0 + 2.0 * math.log(10) ** 2)))
-
-    def test_covariance_bound(self):
-        assert covariance_mixing_bound(0.0, 5.0, 5.0) == 0.0
-        assert covariance_mixing_bound(1.0, 1.0, 1.0) == 4.0
-        with pytest.raises(BoundDomainError):
-            covariance_mixing_bound(1.5, 1.0, 1.0)

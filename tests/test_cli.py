@@ -281,24 +281,51 @@ class TestVerifyCommand:
         expected = stats.chi2_contingency(np.array(table))[1]
         assert checks.independence_pvalue(table) == pytest.approx(expected, rel=1e-13)
 
+    def test_chi2_1_sf_matches_scipy(self):
+        from scipy.special import chdtrc
+        for x in np.logspace(-8, math.log10(700.0), 400):
+            assert checks.chi2_1_sf(x) == pytest.approx(chdtrc(1, x), rel=1e-13), x
+
     def test_dominance_counts_each_model(self, capsys):
         code, out = run_cli(capsys, "verify", "dominance")
         assert code == 0
         assert set(json.loads(out)["checked"]) == {
             "tail_dominance.iid", "tail_dominance.contraction", "tail_dominance.blockcov"}
 
-    def test_scipy_stats_not_imported(self, tmp_path):
+    def test_scipy_stats_not_imported(self, tmp_path, chain_file):
+        # one fresh process: the closed-form commands load neither scipy.stats
+        # nor scipy.special; the first Clopper-Pearson interval loads the latter
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        code = ("import sys\n"
+        out = str(tmp_path / "out")
+        steps = {
+            "bound": ["bound", "--kind", "tail", "--n", "64", "--d", "2", "--M", "1",
+                      "--v", "1", "--c", "1", "--x", "30"],
+            "cantor": ["cantor", "--A", "1000"],
+            "mixing": ["mixing", "--chain", chain_file, "--fit-c"],
+            **{f"verify {s}": ["verify", s]
+               for s in ("inequalities", "cantor", "bounds", "coupling")},
+        }
+        code = ("import json, sys\n"
+                "def scipy_loaded():\n"
+                "    return [m for m in ('scipy.special', 'scipy.stats') if m in sys.modules]\n"
                 "from depbernstein.cli import main\n"
-                f"assert main(['verify', 'coupling', '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
-                "print('scipy.stats' in sys.modules)\n")
+                "loaded = {'import': scipy_loaded()}\n"
+                f"for name, argv in {steps!r}.items():\n"
+                f"    assert main(argv + ['--out', {out!r}]) == 0, name\n"
+                "    loaded[name] = scipy_loaded()\n"
+                "from depbernstein.models import clopper_pearson\n"
+                "interval = clopper_pearson(3, 10)\n"
+                "loaded['clopper_pearson'] = scipy_loaded()\n"
+                "print(json.dumps({'loaded': loaded, 'interval': interval}))\n")
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        got = json.loads(res.stdout)
+        assert got["loaded"] == {"import": [], **{name: [] for name in steps},
+                                 "clopper_pearson": ["scipy.special"]}
+        assert got["interval"] == [0.03700722109623209, 0.7351139852871307]
 
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")

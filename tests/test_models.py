@@ -193,8 +193,10 @@ class TestBlockCeiling:
             lag_moments_by_paths(spec, 4), abs=1e-14)
 
     def test_lag_moments_agree_with_monte_carlo(self):
+        # a sticky chain, so that every lag moment is tens of standard errors
+        # away from 0 and a G without them fails
         spec = block_spec(MarkovChain.from_transition(
-            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 2, [1.0, -0.5, 0.2])
+            [[0.9, 0.08, 0.02], [0.05, 0.9, 0.05], [0.02, 0.08, 0.9]]), 2, [1.0, -0.5, 0.2])
         n = 4
         G = models._pairwise_moments_exact(spec, n)
         # X_i X_j symmetrized, from 4000 sampled paths
@@ -203,8 +205,13 @@ class TestBlockCeiling:
         prod = np.einsum("tiab,tjbc->tijac", mats, mats)
         prod = (prod + prod.transpose(0, 2, 1, 3, 4)) / 2.0
         mc, err = prod.mean(axis=0), prod.std(axis=0) / math.sqrt(len(prod))
-        sym = (G + np.swapaxes(G, -1, -2)) / 2.0
-        assert np.all(np.abs(mc - sym) <= 4.0 * err + 1e-12)
+
+        def agrees(G):
+            sym = (G + np.swapaxes(G, -1, -2)) / 2.0
+            return np.all(np.abs(mc - sym) <= 4.0 * err + 1e-12)
+
+        assert agrees(G)
+        assert not agrees(G * np.eye(n)[:, :, None, None])  # every lag moment zeroed
         assert np.max(np.abs(G[0, 1] - G[1, 0].T)) == 0.0
 
     def test_ceiling_dominates_exact_bruteforce(self):
@@ -297,6 +304,17 @@ class TestClopperPearson:
         lo99, hi99 = clopper_pearson(10, 100, conf=0.99)
         lo90, hi90 = clopper_pearson(10, 100, conf=0.90)
         assert lo99 <= lo90 and hi90 <= hi99
+
+    @pytest.mark.parametrize("k, n, expected", [
+        (0, 1, (0.0, 0.995)),
+        (1, 1, (0.0050000000000000044, 1.0)),
+        (3, 10, (0.03700722109623209, 0.7351139852871307)),
+        (37, 200, (0.12003614826512815, 0.26546828326787136)),
+        (5000, 10000, (0.48707333515582113, 0.5129266648441788)),
+    ])
+    def test_endpoints_pinned(self, k, n, expected):
+        # the simulate tail_grid prints these; they must not move by a bit
+        assert clopper_pearson(k, n) == expected
 
 
 class TestInputsAssembly:
