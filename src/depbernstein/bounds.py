@@ -260,15 +260,3 @@ def expectation_bound(inputs: BernsteinInputs) -> float:
         + inputs.M * gamma_cn(inputs.c, inputs.n) * ld
     )
 
-
-def corollary1_bound(x: float, n: int, d: int, M: float, Etau2: float, C: float) -> float:
-    """Contraction-model tail shape
-    d exp(-C x^2 / (n M^2 E(tau^2) + M^2 + x M (log n)^2)), using the
-    variance-proxy ceiling v^2 <= M^2 E(tau^2)."""
-    if not 0.0 <= Etau2 <= 1.0:
-        raise BoundDomainError(f"E(tau^2) must be in [0,1], got {Etau2}")
-    if C <= 0 or M <= 0 or n < 2 or d < 1 or x < 0:
-        raise BoundDomainError("invalid corollary parameters")
-    denom = n * M * M * Etau2 + M * M + x * M * math.log(n) ** 2
-    return d * math.exp(-C * x * x / denom)
-

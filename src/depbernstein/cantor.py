@@ -86,15 +86,18 @@ def cantor_params(A: int) -> CantorParams:
 def cantor_set(A: int) -> CantorPartition:
     """Recursive trisection of {1..A}: each block of n_{j-1} consecutive
     integers splits into a left block of n_j, a gap of d_{j-1} and a right
-    block of n_j."""
+    block of n_j.  Only the block starts are carried from level to level:
+    the right block starts n_{j-1} - n_j after the left one."""
     p = cantor_params(A)
-    leaves = [range(1, A + 1)]
+    starts = [1]
     remainders = []
-    for nj in p.n_seq[1:]:
-        remainders.append(tuple(range(b.start + nj, b.stop - nj) for b in leaves))
-        leaves = [half for b in leaves
-                  for half in (range(b.start, b.start + nj), range(b.stop - nj, b.stop))]
-    return CantorPartition(params=p, leaves=tuple(leaves), remainders=tuple(remainders))
+    for size, nj in zip(p.n_seq, p.n_seq[1:]):
+        remainders.append(tuple(range(s + nj, s + size - nj) for s in starts))
+        shift = size - nj
+        starts = [x for s in starts for x in (s, s + shift)]
+    last = p.n_seq[-1]
+    leaves = tuple(range(s, s + last) for s in starts)
+    return CantorPartition(params=p, leaves=leaves, remainders=tuple(remainders))
 
 
 def tiles_exactly(partition: CantorPartition) -> bool:

@@ -51,35 +51,73 @@ def rand_sym(rng, d: int) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+_HOLDER_P = (1.5, 2.0, 3.0, 10.0)
+
+
 def inequalities(seed: int = 20240901):
     """Random pairs of symmetric matrices, d in 2..8, each with a point t in
-    [0.1, 1) for the convexity check."""
+    [0.1, 1) for the convexity check; the comparisons are those of
+    `inequality_sides`, yielded one case per pair in draw order."""
     rng = np.random.default_rng(seed)
+    pairs = []
     for _ in range(1000):
         d = int(rng.integers(2, 9))
-        a = spectral.SymMatrix(rand_sym(rng, d))
-        b = spectral.SymMatrix(rand_sym(rng, d))
-        yield inequality_case(a, b, float(rng.uniform(0.1, 1.0)))
+        pairs.append((rand_sym(rng, d), rand_sym(rng, d), float(rng.uniform(0.1, 1.0))))
+    sides = {name: [col.tolist() for col in cols]
+             for name, cols in inequality_sides(pairs).items()}
+    gt, th, weyl, gersh = (sides[name] for name in
+                           ("golden_thompson", "trace_holder", "weyl", "gerschgorin"))
+    second, convex = sides["trace_exp_convexity"]
+    for i, (_, _, t) in enumerate(pairs):
+        yield [_one("golden_thompson", gt[2][i], lhs=gt[0][i], rhs=gt[1][i]),
+               *(_one("trace_holder", th[2][i][j], p=p, lhs=th[0][i][j], rhs=th[1][i][j])
+                 for j, p in enumerate(_HOLDER_P)),
+               _one("weyl", weyl[2][i], lhs=weyl[0][i], rhs=weyl[1][i]),
+               _one("gerschgorin", gersh[2][i], bound=gersh[0][i], norm=gersh[1][i]),
+               _one("trace_exp_convexity", convex[i], t=t, second=second[i])]
 
 
-def inequality_case(a, b, t: float):
+def inequality_sides(pairs) -> dict:
     """Golden-Thompson, trace-Hölder at p = 1.5, 2, 3, 10, Weyl for a + b,
-    Gerschgorin for a, and convexity of s -> Tr exp(sa) at t (a second
-    difference >= -1e-8).  Decomposes four matrices: a, b and each a + b."""
-    lhs, rhs, ok = spectral.check_golden_thompson(a, b)
-    yield _one("golden_thompson", ok, lhs=lhs, rhs=rhs)
-    for p in (1.5, 2.0, 3.0, 10.0):
-        lhs, rhs, ok = spectral.check_trace_holder(a, b, p)
-        yield _one("trace_holder", ok, p=p, lhs=lhs, rhs=rhs)
+    Gerschgorin for a (absolute slack 1e-9), and convexity of
+    s -> Tr exp(sa) at t (a second difference >= -1e-8) for pairs (a, b, t)
+    of symmetric arrays, the dimension free to vary from pair to pair.
+
+    Returns {invariant: columns}, one row per pair in the order given:
+    (lhs, rhs, holds) for golden_thompson, weyl and trace_holder (one column
+    per p), (bound, norm, holds) for gerschgorin and (second, holds) for
+    trace_exp_convexity.  The pairs of one dimension are checked as one
+    stack, so each dimension decomposes three stacks: a, b and a + b.
+    """
+    by_dim = {}
+    for i, (a, _, _) in enumerate(pairs):
+        by_dim.setdefault(np.shape(a), []).append(i)
+    order, parts = [], []
+    for rows in by_dim.values():
+        a, b = (spectral.SymStack([pairs[i][j] for i in rows]) for j in (0, 1))
+        t = np.array([pairs[i][2] for i in rows])
+        order += rows
+        parts.append(_stack_sides(a, b, t))
+    back = np.argsort(order)
+    return {name: tuple(np.concatenate(cols)[back] for cols in zip(*(p[name] for p in parts)))
+            for name in parts[0]}
+
+
+def _stack_sides(a, b, t) -> dict:
+    """The columns of `inequality_sides` for stacks a and b of one shape."""
+    th = zip(*(spectral.check_trace_holder(a, b, p) for p in _HOLDER_P))
     lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
-    yield _one("weyl", lam_sum <= sum_lam + 1e-9 * (1.0 + abs(sum_lam)),
-               lhs=lam_sum, rhs=sum_lam)
     gersh, norm = spectral.gerschgorin_bound(a), spectral.schatten_norm(a, np.inf)
-    yield _one("gerschgorin", gersh >= norm - 1e-9, bound=gersh, norm=norm)
     dt = 1e-3
     second = (spectral.trace_exp(t + dt, a) - 2.0 * spectral.trace_exp(t, a)
               + spectral.trace_exp(t - dt, a)) / dt ** 2
-    yield _one("trace_exp_convexity", second >= -1e-8, t=t, second=second)
+    return {
+        "golden_thompson": spectral.check_golden_thompson(a, b),
+        "trace_holder": tuple(np.stack(col, axis=-1) for col in th),
+        "weyl": (lam_sum, sum_lam, lam_sum <= sum_lam + 1e-9 * (1.0 + np.abs(sum_lam))),
+        "gerschgorin": (gersh, norm, gersh >= norm - 1e-9),
+        "trace_exp_convexity": (second, second >= -1e-8),
+    }
 
 
 def cantor():

@@ -97,10 +97,6 @@ class MarkovChain:
         Pk = np.linalg.matrix_power(self.P, k)
         return JointLaw(pmf=self.pi[:, None] * Pk)
 
-    def sample_path(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n states drawn from the stationary chain."""
-        return self.sample_paths(rng.random((1, n)))[0]
-
     def sample_paths(self, u: np.ndarray) -> np.ndarray:
         """One stationary path per row of the uniforms u, shape (paths, steps).
 

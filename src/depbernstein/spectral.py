@@ -2,14 +2,20 @@
 
 Everything here is a pure function of immutable inputs. Matrices are small
 (desk scale, d up to a few hundred), so the eigendecomposition route is
-used throughout rather than specialized algorithms.  Each SymMatrix
-computes its spectrum at most once and keeps it; its entries and the
-spectrum's arrays are read-only, so the kept spectrum cannot go stale.
+used throughout rather than specialized algorithms.  Every function takes
+a SymMatrix (d x d) or a SymStack (k matrices, shape (k, d, d)) and runs
+the same code on both: a stack gives one result per matrix, as an array,
+and a single matrix gives a Python scalar.  A raw array is taken as a
+stack.  Each SymMatrix or SymStack computes its spectrum at most once and
+keeps it; its entries and the spectrum's arrays are read-only, so the kept
+spectrum cannot go stale.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +28,58 @@ class SpectralError(ValueError):
     """Invalid input to a spectral operation."""
 
 
+def _symmetrized(a, ndim: int) -> np.ndarray:
+    """The entries of a SymMatrix (ndim 2) or SymStack (ndim 3): a read-only
+    copy of `a`, every matrix held to the symmetry rule of SymMatrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.size == 0:
+        kind = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise SpectralError(f"expected {kind}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise SpectralError("matrix entries must be finite")
+    bits = a.view(np.uint64)  # compared as bits: by value, 0.0 == -0.0
+    mixed = bits != np.swapaxes(bits, -1, -2)
+    a = a.copy()
+    if mixed.any():
+        at = np.swapaxes(a, -1, -2)
+        drift = np.max(np.abs(a - at))
+        if drift > _SYM_DRIFT_TOL:
+            raise SpectralError(f"matrix is not symmetric (max asymmetry {drift:.3e})")
+        a[mixed] = (a[mixed] + at[mixed]) / 2.0
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
-class SymMatrix:
+class _Symmetric:
+    """What SymMatrix and SymStack share: checked entries, the kept
+    spectrum, identity equality and elementwise arithmetic."""
+
+    entries: np.ndarray
+    _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _symmetrized(self.entries, self._ndim))
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[-1]
+
+    def __add__(self, other):
+        self._check_dim(other)
+        return type(self)(self.entries + other.entries)
+
+    def __neg__(self):
+        return type(self)(-self.entries)
+
+    def _check_dim(self, other) -> None:
+        if self.entries.shape != other.entries.shape:
+            raise SpectralError(f"dimension mismatch: shape {self.entries.shape}"
+                                f" vs {other.entries.shape}")
+
+
+class SymMatrix(_Symmetric):
     """A real symmetric d x d matrix, symmetry enforced at construction.
 
     Inputs with asymmetry at most 1e-12 (entrywise) are symmetrized: an
@@ -34,44 +90,10 @@ class SymMatrix:
     to compare values.
     """
 
-    entries: np.ndarray
-    _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise SpectralError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise SpectralError("matrix entries must be finite")
-        bits = a.view(np.uint64)  # compared as bits: by value, 0.0 == -0.0
-        mixed = bits != bits.T
-        a = a.copy()
-        if mixed.any():
-            drift = np.max(np.abs(a - a.T))
-            if drift > _SYM_DRIFT_TOL:
-                raise SpectralError(f"matrix is not symmetric (max asymmetry {drift:.3e})")
-            a[mixed] = (a[mixed] + a.T[mixed]) / 2.0
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        self._check_dim(other)
-        return SymMatrix(self.entries + other.entries)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self.entries)
+    _ndim = 2
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries, "fro"))
-
-    def _check_dim(self, other: "SymMatrix") -> None:
-        if self.dim != other.dim:
-            raise SpectralError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     @classmethod
     def zero(cls, d: int) -> "SymMatrix":
@@ -100,103 +122,144 @@ class SymMatrix:
         return cls(flat.reshape(d, d))
 
 
+class SymStack(_Symmetric):
+    """k real symmetric d x d matrices, shape (k, d, d), each held to the
+    same rule as a SymMatrix.  The spectral functions decompose the whole
+    stack in one call and return one result per matrix."""
+
+    _ndim = 3
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (descending) plus the orthonormal eigenbasis."""
+    """Eigenvalues (descending) plus the orthonormal eigenbasis, with a
+    leading axis of length k for a stack."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray = field(repr=False)
 
     @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
+    def lambda_max(self):
+        return _out(self.eigenvalues[..., 0])
 
     @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[-1])
+    def lambda_min(self):
+        return _out(self.eigenvalues[..., -1])
 
 
-def eig_sym(a: SymMatrix) -> Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
+def _sym(a) -> _Symmetric:
+    """a itself if it is a SymMatrix or SymStack; a raw array as a SymStack."""
+    return a if isinstance(a, _Symmetric) else SymStack(a)
+
+
+def _out(x):
+    """A 0-d result (from a single matrix) as a Python scalar; arrays as is."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def eig_sym(a) -> Spectrum:
+    """Full spectrum, eigenvalues sorted descending (eigh returns them
+    ascending), one decomposition for a whole stack.
 
     Computed on the first call and kept on `a`; every later call returns
     the same read-only Spectrum.
     """
+    a = _sym(a)
     if a._spectrum is None:
         w, v = np.linalg.eigh(a.entries)
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
+        w, v = w[..., ::-1], v[..., ::-1]
         w.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(a, "_spectrum", Spectrum(eigenvalues=w, basis=v))
     return a._spectrum
 
 
-def lambda_max(a: SymMatrix) -> float:
+def lambda_max(a):
     return eig_sym(a).lambda_max
 
 
-def expm_sym(a: SymMatrix) -> SymMatrix:
-    """exp(A) through the eigendecomposition V e^L V^T; symmetric PD result."""
+def expm_sym(a):
+    """exp(A) through the eigendecomposition V e^L V^T; symmetric PD result
+    of the same kind as a."""
+    a = _sym(a)
     s = eig_sym(a)
-    e = (s.basis * np.exp(s.eigenvalues)) @ s.basis.T
-    return SymMatrix((e + e.T) / 2.0)
+    e = (s.basis * np.exp(s.eigenvalues)[..., None, :]) @ np.swapaxes(s.basis, -1, -2)
+    return type(a)((e + np.swapaxes(e, -1, -2)) / 2.0)
 
 
-def trace_exp(t: float, a: SymMatrix) -> float:
+def _exponents(t, a) -> np.ndarray:
+    """t lambda_i(a), with t a scalar or one point per matrix of a stack."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise SpectralError("t must be finite")
+    return t[..., None] * eig_sym(a).eigenvalues
+
+
+def trace_exp(t, a):
     """Tr exp(tA) = sum_i e^{t lambda_i}.  Equals dim when t = 0."""
-    if not np.isfinite(t):
-        raise SpectralError("t must be finite")
-    return float(np.sum(np.exp(t * eig_sym(a).eigenvalues)))
+    return _out(np.sum(np.exp(_exponents(t, a)), axis=-1))
 
 
-def log_trace_exp(t: float, a: SymMatrix) -> float:
+def log_trace_exp(t, a):
     """log Tr exp(tA), computed stably in the log domain (no overflow)."""
-    if not np.isfinite(t):
-        raise SpectralError("t must be finite")
-    z = t * eig_sym(a).eigenvalues
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
+    z = _exponents(t, a)
+    m = np.max(z, axis=-1, keepdims=True)
+    return _out(m[..., 0] + np.log(np.sum(np.exp(z - m), axis=-1)))
 
 
-def schatten_norm(a: SymMatrix, p: float) -> float:
+def schatten_norm(a, p: float):
     """p-Schatten norm: l^p norm of the eigenvalue vector. p = inf gives the
     spectral radius."""
     if p != np.inf and p < 1:
         raise SpectralError(f"Schatten norm needs p >= 1, got {p}")
     w = np.abs(eig_sym(a).eigenvalues)
     if p == np.inf:
-        return float(np.max(w))
-    return float(np.sum(w ** p) ** (1.0 / p))
+        return _out(np.max(w, axis=-1))
+    return _out(np.sum(w ** p, axis=-1) ** (1.0 / p))
 
 
-def _rel_tol(rhs: float) -> float:
-    return 1e-9 * (1.0 + abs(rhs))
+def _rel_tol(rhs):
+    return 1e-9 * (1.0 + np.abs(rhs))
 
 
-def check_golden_thompson(a: SymMatrix, b: SymMatrix):
+def _trace_product(a, b) -> np.ndarray:
+    """Tr(AB), per matrix of a stack."""
+    return np.einsum("...ij,...ji->...", a.entries, b.entries)
+
+
+@functools.lru_cache(maxsize=1)
+def _total(*matrices):
+    """The sum of the matrices.  The last sum is kept, so Golden-Thompson
+    and Weyl on the same operands decompose it once; operands compare by
+    identity and are immutable, so the kept sum cannot go stale."""
+    return functools.reduce(operator.add, matrices)
+
+
+def check_golden_thompson(a, b):
     """Golden-Thompson: Tr e^{A+B} <= Tr(e^A e^B).
 
     Returns (lhs, rhs, holds).
     """
+    a, b = _sym(a), _sym(b)
     a._check_dim(b)
-    lhs = trace_exp(1.0, a + b)
-    rhs = float(np.trace(expm_sym(a).entries @ expm_sym(b).entries))
-    return lhs, rhs, lhs <= rhs + _rel_tol(rhs)
+    lhs = trace_exp(1.0, _total(a, b))
+    rhs = _trace_product(expm_sym(a), expm_sym(b))
+    return lhs, _out(rhs), _out(lhs <= rhs + _rel_tol(rhs))
 
 
-def check_trace_holder(a: SymMatrix, b: SymMatrix, p: float):
+def check_trace_holder(a, b, p: float):
     """Non-commutative Hoelder: |Tr(AB)| <= ||A||_{S^p} ||B||_{S^q}, 1/p + 1/q = 1.
 
     Returns (lhs, rhs, holds).
     """
+    a, b = _sym(a), _sym(b)
     a._check_dim(b)
     if p <= 1:
         raise SpectralError(f"trace-Hoelder needs p > 1, got {p}")
     q = p / (p - 1.0)
-    lhs = abs(float(np.trace(a.entries @ b.entries)))
+    lhs = np.abs(_trace_product(a, b))
     rhs = schatten_norm(a, p) * schatten_norm(b, q)
-    return lhs, rhs, lhs <= rhs + _rel_tol(rhs)
+    return _out(lhs), rhs, _out(lhs <= rhs + _rel_tol(rhs))
 
 
 def weyl_lambda_max_bound(matrices):
@@ -205,15 +268,12 @@ def weyl_lambda_max_bound(matrices):
     Returns (lambda_max_of_sum, sum_of_lambda_max); the first never exceeds
     the second beyond roundoff.
     """
-    matrices = list(matrices)
+    matrices = [_sym(m) for m in matrices]
     if not matrices:
         raise SpectralError("need at least one matrix")
-    total = matrices[0]
-    for m in matrices[1:]:
-        total = total + m
-    return lambda_max(total), float(sum(lambda_max(m) for m in matrices))
+    return lambda_max(_total(*matrices)), _out(sum(lambda_max(m) for m in matrices))
 
 
-def gerschgorin_bound(a: SymMatrix) -> float:
+def gerschgorin_bound(a):
     """max_k sum_l |A[k,l]|; an upper bound on the spectral radius."""
-    return float(np.max(np.sum(np.abs(a.entries), axis=1)))
+    return _out(np.max(np.sum(np.abs(_sym(a).entries), axis=-1), axis=-1))

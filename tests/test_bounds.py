@@ -10,7 +10,6 @@ from depbernstein.bounds import (
     BoundDomainError,
     SigmaKappaPair,
     combine_sigma_kappa,
-    corollary1_bound,
     decomposition_depth,
     expectation_bound,
     g,
@@ -276,8 +275,3 @@ class TestClosedForms:
         double = BernsteinInputs(n=64, d=3, M=1.0, v=2.0, c=5.0)
         diff = expectation_bound(double) - expectation_bound(base)
         assert diff == pytest.approx(30 * math.sqrt(64 * math.log(3)), rel=1e-12)
-
-    def test_corollary1(self):
-        assert corollary1_bound(0.0, 10, 3, 1.0, 0.5, 1.0) == 3.0
-        got = corollary1_bound(2.0, 10, 1, 1.0, 0.0, 1.0)
-        assert got == pytest.approx(math.exp(-4.0 / (1.0 + 2.0 * math.log(10) ** 2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from itertools import chain
 
@@ -115,6 +116,19 @@ class TestCantorSet:
 
     def test_deterministic(self):
         assert cantor_set(777) == cantor_set(777)
+
+
+    def test_runs_pinned_for_every_A_up_to_5000(self):
+        # leaves and gaps as (start, stop) pairs, from the construction that
+        # built every intermediate level's blocks as ranges
+        h = hashlib.sha256()
+        for A in range(2, 5001):
+            part = cantor_set(A)
+            runs = ([(r.start, r.stop) for r in part.leaves],
+                    [[(r.start, r.stop) for r in level] for level in part.remainders])
+            h.update(repr((A, *runs)).encode())
+        assert h.hexdigest() == (
+            "540eca7eef37e63819e9f669f2c4a5f1a466710aad4d53f2cb5fa9db7028bce9")
 
 
 class TestLevelBlocks:

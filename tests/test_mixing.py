@@ -104,14 +104,14 @@ class TestMarkovChain:
     def test_sample_path_frequencies(self):
         chain = MarkovChain.two_state(0.25, 0.25)
         rng = np.random.default_rng(7)
-        path = chain.sample_path(20_000, rng)
+        path = chain.sample_paths(rng.random((1, 20_000)))[0]
         assert set(np.unique(path)) <= {0, 1}
         # stationary frequency of state 0 is 1/2; binomial-ish 5-sigma band
         assert abs(np.mean(path == 0) - 0.5) < 0.02
 
     def test_sample_path_transition_frequencies(self):
         chain = MarkovChain.two_state(0.25, 0.25)
-        path = chain.sample_path(50_000, np.random.default_rng(3))
+        path = chain.sample_paths(np.random.default_rng(3).random((1, 50_000)))[0]
         stay = np.mean(path[1:][path[:-1] == 0] == 0)
         assert abs(stay - 0.75) < 0.02
 
@@ -131,12 +131,8 @@ class TestMarkovChain:
         # the cumulative rows of ten 0.1s end at 1 - 2^-53 < 1, and a
         # uniform draw can take that largest value below 1
         chain = MarkovChain.iid([0.1] * 10)
-
-        class TopRng:
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
-
-        assert np.all(chain.sample_path(5, TopRng()) == 9)
+        top = np.full((1, 5), np.nextafter(1.0, 0.0))
+        assert np.all(chain.sample_paths(top)[0] == 9)
 
     @pytest.mark.parametrize("P, pi", [
         ([[math.nan, 1.0], [0.5, 0.5]], [1 / 3, 2 / 3]),
@@ -191,8 +187,8 @@ class TestMarkovChain:
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
-        a = chain.sample_path(100, np.random.default_rng(5))
-        b = chain.sample_path(100, np.random.default_rng(5))
+        a = chain.sample_paths(np.random.default_rng(5).random((1, 100)))[0]
+        b = chain.sample_paths(np.random.default_rng(5).random((1, 100)))[0]
         assert np.array_equal(a, b)
 
 

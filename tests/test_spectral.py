@@ -9,6 +9,7 @@ from depbernstein import checks
 from depbernstein.spectral import (
     SpectralError,
     SymMatrix,
+    SymStack,
     check_golden_thompson,
     check_trace_holder,
     eig_sym,
@@ -138,22 +139,109 @@ class TestSpectrumCache:
         compared = [f.name for f in dataclasses.fields(SymMatrix) if f.compare]
         assert compared == ["entries"]
 
-    def test_inequality_case_decomposes_four_matrices(self, monkeypatch):
+    def test_inequality_suite_decomposes_one_stack_per_dimension(self, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-        def counting_eigh(m):
-            calls.append(m.shape)
-            return eigh(m)
+            def counting(m, *args, _original=original, **kwargs):
+                calls.append(m.shape)
+                return _original(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        rng = np.random.default_rng(20240901)
-        a, b = rand_sym(rng, 5), rand_sym(rng, 5)
-        # one case of `verify inequalities`: a, b, and each of the two a + b
-        entries = list(checks.inequality_case(a, b, 0.7))
-        assert sum(compared for _, compared, _ in entries) == 8
-        assert not any(failed for _, _, failed in entries)
-        assert len(calls) == 4
+            monkeypatch.setattr(np.linalg, name, counting)
+        checked, failures = checks.run(checks.inequalities)
+        assert failures == []
+        assert checked == {"golden_thompson": 1000, "trace_holder": 4000, "weyl": 1000,
+                           "gerschgorin": 1000, "trace_exp_convexity": 1000}
+        # a, b and a + b for each of the seven dimensions d = 2..8
+        assert len(calls) <= 21
+        assert {shape[1:] for shape in calls} == {(d, d) for d in range(2, 9)}
+
+
+class TestStacks:
+    @staticmethod
+    def pairs(seed=5, k=50):
+        rng = np.random.default_rng(seed)
+        return [(checks.rand_sym(rng, d), checks.rand_sym(rng, d), float(rng.uniform(0.1, 1.0)))
+                for d in rng.integers(2, 9, size=k)]
+
+    def test_golden_thompson_against_scipy_expm(self):
+        from scipy.linalg import expm
+
+        pairs = self.pairs()
+        assert len({len(a) for a, _, _ in pairs}) == 7
+        _, rhs, holds = checks.inequality_sides(pairs)["golden_thompson"]
+        want = [np.trace(expm(a) @ expm(b)) for a, b, _ in pairs]
+        np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=0.0)
+        assert holds.all()
+
+    def test_convexity_against_eigvalsh(self):
+        pairs = self.pairs()
+        second, holds = checks.inequality_sides(pairs)["trace_exp_convexity"]
+        dt = 1e-3
+        want = []
+        for a, _, t in pairs:
+            w = np.linalg.eigvalsh(a)
+            f = [np.sum(np.exp(s * w)) for s in (t + dt, t, t - dt)]
+            want.append((f[0] - 2.0 * f[1] + f[2]) / dt ** 2)
+        # the second difference cancels about six digits, so the last-bit gap
+        # between eigvalsh and eigh eigenvalues leaves up to 6e-10 relative;
+        # a misaligned t or matrix moves it by order one
+        np.testing.assert_allclose(second, want, rtol=1e-8, atol=0.0)
+        assert holds.all()
+
+    def test_reversed_pairs_reverse_every_column(self):
+        pairs = self.pairs()
+        forward = checks.inequality_sides(pairs)
+        backward = checks.inequality_sides(pairs[::-1])
+        assert forward.keys() == backward.keys()
+        for name, cols in forward.items():
+            for col, back in zip(cols, backward[name], strict=True):
+                assert len(col) == len(pairs)
+                np.testing.assert_array_equal(col, back[::-1])
+
+    def test_single_matrices_match_a_stack(self):
+        def results(x, y):
+            return [*check_golden_thompson(x, y), *check_trace_holder(x, y, 3.0),
+                    *weyl_lambda_max_bound([x, y]), gerschgorin_bound(x), lambda_max(x),
+                    trace_exp(0.5, x), log_trace_exp(0.5, x),
+                    schatten_norm(x, 1.5), schatten_norm(x, np.inf)]
+
+        rng = np.random.default_rng(7)
+        a, b = (SymStack([checks.rand_sym(rng, 4) for _ in range(6)]) for _ in range(2))
+        stacked = results(a, b)
+        for i in range(6):
+            single = results(SymMatrix(a.entries[i]), SymMatrix(b.entries[i]))
+            for got, col in zip(single, stacked, strict=True):
+                assert type(got) in (float, bool)
+                assert got == pytest.approx(col[i], rel=1e-13)
+
+    def test_raw_stack_is_held_to_the_symmetry_rule(self):
+        raw = np.stack([checks.rand_sym(np.random.default_rng(s), 3) for s in range(4)])
+        drifted = raw.copy()
+        drifted[2, 0, 1] += 1e-9
+        with pytest.raises(SpectralError, match="not symmetric"):
+            check_golden_thompson(drifted, raw)
+        with pytest.raises(SpectralError, match="not symmetric"):
+            SymStack(drifted)
+        tiny = raw.copy()
+        tiny[2, 0, 1] += 1e-13
+        stack = SymStack(tiny)
+        np.testing.assert_array_equal(stack.entries, np.swapaxes(stack.entries, 1, 2))
+        lhs, rhs, holds = check_golden_thompson(tiny, raw)
+        assert lhs.shape == rhs.shape == holds.shape == (4,) and holds.all()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (0, 2, 2)])
+    def test_rejects_non_stacks(self, shape):
+        with pytest.raises(SpectralError, match="expected a stack"):
+            SymStack(np.zeros(shape))
+
+    def test_mismatched_operands_rejected(self):
+        a = SymStack(np.zeros((2, 3, 3)))
+        with pytest.raises(SpectralError, match="dimension mismatch"):
+            check_golden_thompson(a, SymStack(np.zeros((3, 3, 3))))
+        with pytest.raises(SpectralError, match="dimension mismatch"):
+            check_trace_holder(a, SymMatrix.zero(3), 2.0)
 
 
 class TestExpm:
