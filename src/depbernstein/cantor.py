@@ -6,16 +6,20 @@ consecutive integers, each of length n_ell, and satisfies
 A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 "first n observations" bookkeeping.
 
-Leaves and gaps are stored as `range` runs, never as lists of integers;
-the sorted kept tuple K is built from the leaves only when it is read.
+The construction computes run starts as arrays, one row per A: a single
+A gives `range` runs, never lists of integers, and the sorted kept tuple K
+is built from the leaves only when it is read; many A's that share ell
+give one `CantorStack` of start arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, groupby
+from operator import attrgetter, index
+
+import numpy as np
 
 
 class CantorError(ValueError):
@@ -47,6 +51,33 @@ class CantorPartition:
         return sum(map(len, self.leaves))
 
 
+@dataclass(frozen=True, eq=False)
+class CantorStack:
+    """The blockings of k sizes A that share ell, one row per A: the block
+    sizes n_0 .. n_ell, shape (k, ell + 1), the leaf starts, shape
+    (k, 2^ell), and per level j = 0..ell-1 the gap starts, shape (k, 2^j),
+    in the order of `cantor_set`'s leaves and remainders."""
+    params: tuple            # the k CantorParams, one per row
+    n_seq: np.ndarray
+    leaf_starts: np.ndarray
+    gap_starts: tuple
+
+    @property
+    def card(self) -> np.ndarray:
+        """|K_A| per row: the leaf count times the leaf length stop - start."""
+        return self.leaf_starts.shape[1] * self.n_seq[:, -1]
+
+    def runs(self):
+        """(starts, stops) of the leaves, then the gaps level by level, each
+        shape (k, 2^(ell+1) - 1); a gap at level j has length d_j."""
+        n = self.n_seq
+        lengths = [n[:, -1, None]] + [n[:, j, None] - 2 * n[:, j + 1, None]
+                                      for j in range(len(self.gap_starts))]
+        starts = (self.leaf_starts, *self.gap_starts)
+        stops = [s + d for s, d in zip(starts, lengths)]
+        return np.concatenate(starts, axis=1), np.concatenate(stops, axis=1)
+
+
 @dataclass(frozen=True)
 class FullDecomposition:
     n: int
@@ -66,8 +97,7 @@ def cantor_params(A: int) -> CantorParams:
     A*delta*(1-delta)^(k-1)/2^k >= 2.  When no such k exists (small A,
     e.g. A <= 43) we take ell = 0 and the kept set is all of {1..A}.
     """
-    if not isinstance(A, (int,)) or A < 2:
-        raise CantorError(f"A must be an integer >= 2, got {A!r}")
+    A = _size(A, "A")
     delta = math.log(2.0) / (2.0 * math.log(A))
     ell = 0
     k = 1
@@ -86,32 +116,69 @@ def cantor_params(A: int) -> CantorParams:
 def cantor_set(A: int) -> CantorPartition:
     """Recursive trisection of {1..A}: each block of n_{j-1} consecutive
     integers splits into a left block of n_j, a gap of d_{j-1} and a right
-    block of n_j.  Only the block starts are carried from level to level:
-    the right block starts n_{j-1} - n_j after the left one."""
+    block of n_j.  The runs are the one row of `_run_starts` for A."""
     p = cantor_params(A)
-    starts = [1]
-    remainders = []
-    for size, nj in zip(p.n_seq, p.n_seq[1:]):
-        remainders.append(tuple(range(s + nj, s + size - nj) for s in starts))
-        shift = size - nj
-        starts = [x for s in starts for x in (s, s + shift)]
+    (leaf_starts,), gap_starts = _run_starts(np.array([p.n_seq]))
     last = p.n_seq[-1]
-    leaves = tuple(range(s, s + last) for s in starts)
-    return CantorPartition(params=p, leaves=leaves, remainders=tuple(remainders))
+    return CantorPartition(
+        params=p,
+        leaves=tuple(range(s, s + last) for s in leaf_starts.tolist()),
+        remainders=tuple(tuple(range(s, s + d) for s in starts[0].tolist())
+                         for starts, d in zip(gap_starts, p.d_seq)))
 
 
-def tiles_exactly(partition: CantorPartition) -> bool:
+def cantor_stacks(sizes) -> list:
+    """One `CantorStack` per level count ell among the sizes A, in order of
+    ell; the rows of a stack keep the order in which their A's were given."""
+    ell = attrgetter("ell")
+    stacks = []
+    for _, group in groupby(sorted(map(cantor_params, sizes), key=ell), key=ell):
+        params = tuple(group)
+        n_seq = np.array([p.n_seq for p in params])
+        stacks.append(CantorStack(params, n_seq, *_run_starts(n_seq)))
+    return stacks
+
+
+def _run_starts(n_seq: np.ndarray):
+    """Leaf and gap starts for rows of block sizes n_0 .. n_ell, shape
+    (k, ell + 1).  At level j every block start s gives a gap at s + n_j
+    and two blocks at s and s + n_{j-1} - n_j.  Returns the leaf starts,
+    shape (k, 2^ell), and the tuple of gap starts, shape (k, 2^j) at level j."""
+    k = len(n_seq)
+    shifts = n_seq[:, :-1, None] - n_seq[:, 1:, None]
+    starts = np.ones((k, 1, 1), dtype=np.int64)  # block starts as (k, 2^j, 1)
+    gaps = []
+    for j in range(1, n_seq.shape[1]):
+        gaps.append(starts[:, :, 0] + n_seq[:, j, None])
+        pair = (starts, starts + shifts[:, j - 1, None])
+        starts = np.concatenate(pair, axis=2).reshape(k, -1, 1)
+    return starts[:, :, 0], tuple(gaps)
+
+
+def tiles_exactly(blocking):
     """Whether the leaves and gaps tile {1..A}: sorted by start, every
     non-empty run begins where the previous one stopped, from 1 to A + 1.
-    This checks cover and disjointness together."""
-    runs = sorted((r for r in chain(partition.leaves, *partition.remainders) if r),
-                  key=attrgetter("start"))
-    stop = 1
-    for r in runs:
-        if r.start != stop or r.step != 1:
-            return False
-        stop = r.stop
-    return stop == partition.params.A + 1
+    This checks cover and disjointness together.  A `CantorPartition`
+    gives a bool (False if a run has a step other than 1); a `CantorStack`
+    gives one bool per row."""
+    if isinstance(blocking, CantorStack):
+        return _chains(*blocking.runs(), np.array([p.A for p in blocking.params]))
+    runs = (*blocking.leaves, *chain.from_iterable(blocking.remainders))
+    if any(r.step != 1 for r in runs):
+        return False
+    starts, stops = np.array([[r.start for r in runs]]), np.array([[r.stop for r in runs]])
+    return bool(_chains(starts, stops, blocking.params.A)[0])
+
+
+def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:
+    """Per row of runs [start, stop): whether the non-empty runs, sorted by
+    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first."""
+    empty = stops <= starts
+    starts, stops = np.where(empty, 1, starts), np.where(empty, 1, stops)
+    order = np.argsort(np.where(empty, 0, starts), axis=-1)
+    starts, stops = (np.take_along_axis(x, order, axis=-1) for x in (starts, stops))
+    begins = np.concatenate((np.ones_like(stops[:, :1]), stops[:, :-1]), axis=1)
+    return (starts == begins).all(axis=-1) & (stops[:, -1] == np.asarray(A) + 1)
 
 
 def level_runs(partition: CantorPartition, k: int) -> list:
@@ -133,18 +200,20 @@ def full_decomposition(n: int) -> FullDecomposition:
     """Iterate the construction on the surviving positions until at most 2
     remain.  Survivors are relabeled 1..A_i order-preservingly at each step
     and the extracted set is mapped back to original coordinates: the leaves
-    of {1..A_i} give the kept positions, its gaps in order the survivors."""
+    of {1..A_i} give the kept positions, the rest (its gaps) in order the
+    survivors."""
     cards = _survivor_counts(n)
-    surviving = list(range(1, n + 1))
+    surviving = np.arange(1, cards[0] + 1)
     levels = []
     for A in cards[:-1]:
-        part = cantor_set(A)
-        gaps = sorted(chain.from_iterable(part.remainders), key=attrgetter("start"))
-        levels.append(tuple(_take(surviving, part.leaves)))
-        surviving = _take(surviving, gaps)
-    return FullDecomposition(
-        n=n, levels=tuple(levels), remainder=tuple(surviving), cards=cards
-    )
+        n_seq = cantor_params(A).n_seq
+        (leaf_starts,), _ = _run_starts(np.array([n_seq]))
+        kept = np.zeros(A + 1, dtype=bool)
+        kept[(leaf_starts[:, None] + np.arange(n_seq[-1])).ravel()] = True
+        levels.append(tuple(surviving[kept[1:]].tolist()))
+        surviving = surviving[~kept[1:]]
+    return FullDecomposition(n=cards[0], levels=tuple(levels),
+                             remainder=tuple(surviving.tolist()), cards=cards)
 
 
 def decomposition_depth(n: int) -> int:
@@ -156,9 +225,7 @@ def decomposition_depth(n: int) -> int:
 def _survivor_counts(n: int) -> tuple:
     """A_0 = n, A_{i+1} = A_i - 2^ell n_ell (the kept set of {1..A_i} is
     2^ell runs of n_ell), until at most 2 positions survive."""
-    if not isinstance(n, int) or n < 2:
-        raise CantorError(f"n must be an integer >= 2, got {n!r}")
-    cards = [n]
+    cards = [_size(n, "n")]
     while cards[-1] > 2:
         p = cantor_params(cards[-1])
         cards.append(cards[-1] - 2 ** p.ell * p.n_seq[-1])
@@ -186,6 +253,12 @@ def sub_block_partition(K, p: int):
     return odd, even
 
 
-def _take(seq: list, runs) -> list:
-    """The entries of seq at the 1-based positions of the runs, in run order."""
-    return list(chain.from_iterable(seq[r.start - 1:r.stop - 1] for r in runs))
+def _size(x, name: str) -> int:
+    """x as a Python int >= 2; any integral type but bool is accepted."""
+    try:
+        value = index(x)
+    except TypeError:
+        value = None
+    if value is None or isinstance(x, bool) or value < 2:
+        raise CantorError(f"{name} must be an integer >= 2, got {x!r}")
+    return value

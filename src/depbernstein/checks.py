@@ -123,17 +123,24 @@ def _stack_sides(a, b, t) -> dict:
 def cantor():
     """Every A in 2..5000: |K_A| in [A/2, A] and equal to 2^ell n_ell, the
     leaves and gaps tile {1..A}, ell <= log2 A, and every gap d_j is at
-    least A delta (1 - delta)^j / 2^(j+1)."""
-    for A in range(2, 5001):
-        yield _cantor_case(A)
+    least A delta (1 - delta)^j / 2^(j+1).  The runs are built as start
+    arrays, one `CantorStack` per ell, and each stack's tiling and |K_A|
+    (from its leaf runs) are computed before case 0; cases are yielded in
+    order of A."""
+    sizes = range(2, 5001)
+    rows = {}
+    for stack in _cantor.cantor_stacks(sizes):
+        tiles, cards = _cantor.tiles_exactly(stack).tolist(), stack.card.tolist()
+        rows.update((p.A, (p, t, c)) for p, t, c in zip(stack.params, tiles, cards))
+    for A in sizes:
+        yield _cantor_case(*rows[A])
 
 
-def _cantor_case(A: int):
-    part = _cantor.cantor_set(A)
-    p, card = part.params, part.card
+def _cantor_case(p, tiles: bool, card: int):
+    A = p.A
     yield _one("kept_cardinality", A >= card >= A / 2, A=A, card=card)
     yield _one("kept_card_formula", card == 2 ** p.ell * p.n_seq[p.ell], A=A, card=card)
-    yield _one("disjoint_cover", _cantor.tiles_exactly(part), A=A)
+    yield _one("disjoint_cover", tiles, A=A)
     yield _one("level_ceiling", p.ell <= math.log2(A), A=A, ell=p.ell)
     floors = [(j, dj, A * p.delta * (1.0 - p.delta) ** j / 2.0 ** (j + 1))
               for j, dj in enumerate(p.d_seq)]

@@ -3,12 +3,14 @@ import hashlib
 import math
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from depbernstein.cantor import (
     CantorError,
     cantor_params,
     cantor_set,
+    cantor_stacks,
     decomposition_depth,
     full_decomposition,
     level_blocks,
@@ -55,6 +57,19 @@ class TestParams:
     def test_rejects_small(self):
         with pytest.raises(CantorError):
             cantor_params(1)
+
+    def test_numpy_integers_are_sizes(self):
+        p = cantor_params(np.int64(100))
+        assert p == cantor_params(100) and type(p.A) is int
+        assert decomposition_depth(np.int32(1000)) == decomposition_depth(1000)
+        fd = full_decomposition(np.uint16(100))
+        assert fd == full_decomposition(100) and type(fd.n) is int
+
+    @pytest.mark.parametrize("bad", [100.0, True, np.float64(100.0), "100"])
+    def test_rejects_non_integral_sizes(self, bad):
+        for fn in (cantor_params, decomposition_depth, full_decomposition):
+            with pytest.raises(CantorError):
+                fn(bad)
 
     def test_level_ceiling(self):
         for A in (2, 10, 100, 1000, 4999):
@@ -107,6 +122,24 @@ class TestCantorSet:
         assert covered == set(range(1, 1001))
         assert not tiles_exactly(bad)
 
+    def test_short_last_leaf_is_not_a_tiling(self):
+        part = cantor_set(1000)
+        last = part.leaves[-1]
+        bad = dataclasses.replace(
+            part, leaves=part.leaves[:-1] + (range(last.start, last.stop - 1),))
+        assert not tiles_exactly(bad)
+
+    def test_empty_runs_are_skipped(self):
+        part = cantor_set(100)
+        extra = dataclasses.replace(
+            part, remainders=part.remainders + ((range(50, 50), range(70, 60)),))
+        assert tiles_exactly(extra)
+
+    def test_stepped_run_is_not_a_tiling(self):
+        part = cantor_set(2)
+        assert not tiles_exactly(dataclasses.replace(part, leaves=(range(1, 3, 2),
+                                                                   range(2, 3))))
+
     def test_runs_are_ranges(self):
         for A in (2, 44, 100, 1000, 4999):
             part = cantor_set(A)
@@ -129,6 +162,52 @@ class TestCantorSet:
             h.update(repr((A, *runs)).encode())
         assert h.hexdigest() == (
             "540eca7eef37e63819e9f669f2c4a5f1a466710aad4d53f2cb5fa9db7028bce9")
+
+
+class TestStacks:
+    def test_rows_match_cantor_set_in_shuffled_order(self):
+        sizes = list(range(2, 5001))
+        np.random.default_rng(5).shuffle(sizes)
+        stacks = cantor_stacks(sizes)
+        assert [s.params[0].ell for s in stacks] == sorted({s.params[0].ell for s in stacks})
+        seen = []
+        for stack in stacks:
+            ell = stack.params[0].ell
+            assert stack.leaf_starts.shape == (len(stack.params), 2 ** ell)
+            assert [g.shape[1] for g in stack.gap_starts] == [2 ** j for j in range(ell)]
+            for i, p in enumerate(stack.params):
+                part = cantor_set(p.A)
+                assert p == part.params
+                assert stack.leaf_starts[i].tolist() == [r.start for r in part.leaves]
+                assert [g[i].tolist() for g in stack.gap_starts] == [
+                    [r.start for r in level] for level in part.remainders]
+                assert stack.card[i] == part.card
+            seen += [p.A for p in stack.params]
+        # grouped by ell, each group in the order given
+        assert seen == sorted(sizes, key=lambda A: cantor_params(A).ell)
+        assert all(tiles_exactly(s).all() for s in stacks)
+
+    def test_runs_are_the_ranges_of_cantor_set(self):
+        (stack,) = cantor_stacks([1000, 999])
+        starts, stops = stack.runs()
+        for i, A in enumerate((1000, 999)):
+            part = cantor_set(A)
+            runs = [*part.leaves, *chain(*part.remainders)]
+            assert starts[i].tolist() == [r.start for r in runs]
+            assert stops[i].tolist() == [r.stop for r in runs]
+
+    def test_perturbed_rows_fail_alone(self):
+        sizes = [A for A in range(1000, 1400) if cantor_params(A).ell == 4]
+        (stack,) = cantor_stacks(sizes)
+        leaves, gaps = stack.leaf_starts.copy(), [g.copy() for g in stack.gap_starts]
+        gaps[1][3, 1] += 1                       # a gap shifted by one
+        leaves[10, 5] = leaves[10, 4] + 1        # leaf 5 overlaps leaf 4
+        leaves[17, -1] -= 1                      # last leaf stops at A
+        bad = dataclasses.replace(stack, leaf_starts=leaves, gap_starts=tuple(gaps))
+        tiles = tiles_exactly(bad)
+        assert tiles.shape == (len(sizes),)
+        assert np.flatnonzero(~tiles).tolist() == [3, 10, 17]
+        assert tiles_exactly(stack).all()
 
 
 class TestLevelBlocks:

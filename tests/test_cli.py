@@ -337,3 +337,10 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a4bbe69cb1dc81525ac750f3b08f5f977f1a3c498fd517a0f62d42accb52d8ee")
+
+    def test_cantor_suite_output_is_pinned(self, capsys):
+        # taken from the construction that built every A's blocking on its own
+        code, out = run_cli(capsys, "verify", "cantor")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1e4b3dec4e0d4d14e05428dc2f15f63db51dbddff0edacb3d4e5b80b0b595fc1")
