@@ -16,13 +16,19 @@ The same exact moments make v2_bruteforce an oracle for every kind.
 
 Every trial draws its own RNG stream from (seed, trial index), so results
 are reproducible independently of execution order, worker count or the
-size of the trial chunks that are sampled together.
+size of the trial chunks that are sampled together.  Trial t's stream is
+one PCG64 seeded from SeedSequence([seed, t]), the stream that
+np.random.default_rng([seed, t]) uses, read as raw 64-bit words: the path
+uniforms first, one word each, then the signs, two per word.  The seeds
+of a chunk's trials are hashed together (_seed_states), and no Generator
+is built, so the samples rest only on numpy's PCG64 and SeedSequence.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -231,22 +237,93 @@ def v2_block_ceiling(spec: ModelSpec) -> float:
     return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
 
 
+def _seed_states(seed: int, t: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for every t in
+    the uint32 array t at once, shape (t.size, 4).
+
+    numpy's SeedSequence in uint32 columns, one row per t: the entropy is
+    the seed's 32-bit words, least significant first, then t's one word;
+    it is hashed into a pool of 4 words (the words past the fourth are
+    mixed in after), and the pool is hashed again into 8 output words,
+    paired low word first.  Every row hashes the same number of words, so
+    the hash multipliers advance alike in all rows.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ModelError(f"seed must be a non-negative integer, got {seed}")
+    entropy = []
+    while seed or not entropy:
+        entropy.append(np.full(t.shape, seed & 0xFFFFFFFF, dtype=np.uint32))
+        seed >>= 32
+    entropy.append(t)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value = value ^ mult
+        mult = mult * 0x931E8875 & 0xFFFFFFFF
+        value = value * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * 0xCA01F9DD - y * 0x4973F715
+        return out ^ out >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & 0xFFFFFFFF
+        value = value * mult
+        out.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
 def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """The random part of trials lo..hi-1, each from its own stream (seed, t).
 
-    A trial draws its path uniforms first, then its signs.  Returns the
-    (trials, n) coefficients c of the summands c * D for the contraction/iid
-    models, or the (trials, n, d) centered rows C_i for the block model.
+    Trial t's stream is the raw 64-bit output of the PCG64 that
+    np.random.default_rng([seed, t]) builds.  No Generator is built: the
+    PCG64 states of all the trials come from _seed_states and PCG64's
+    set-seed step, and one PCG64 is loaded with each state in turn.  A
+    trial takes its path uniforms first, word w giving (w >> 11) * 2^-53
+    as Generator.random does, then its signs, two per word: bit 31, then
+    bit 63, is 1 for +1, as Generator.integers(0, 2) draws them.
+    Trial indices are uint32, so hi <= 2^32 (np.arange raises past it).
+    Returns the (trials, n) coefficients c of the summands c * D for the
+    contraction/iid models, or the (trials, n, d) centered rows C_i for
+    the block model.
     """
-    rngs = [np.random.default_rng([seed, t]) for t in range(lo, hi)]
-    if spec.kind == "iid_baseline":
-        return np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs], dtype=float)
-    steps = n if spec.kind == "contraction" else n * spec.d
-    path = spec.chain.sample_paths(np.array([r.random(steps) for r in rngs]))
+    steps = {"iid_baseline": 0, "contraction": n, "block_covariance": n * spec.d}[spec.kind]
+    signs = 0 if spec.kind == "block_covariance" else (n + 1) // 2
+    mask = (1 << 128) - 1
+    bitgen = np.random.PCG64(0)
+    raw = np.empty((hi - lo, steps + signs), dtype=np.uint64)
+    seeds = _seed_states(seed, np.arange(lo, hi, dtype=np.uint32)).tolist()
+    # PCG64's set-seed step from seed words (s, q), each high word first:
+    # inc = 2q + 1 and state = (s + inc) * multiplier + inc, mod 2^128
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(raw, seeds):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
+        state = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": state & mask, "inc": inc}}
+        row[:] = bitgen.random_raw(steps + signs)
+    u = (raw[:, :steps] >> 11) * 2.0 ** -53
     if spec.kind == "block_covariance":
-        return spec.centered_values[path].reshape(hi - lo, n, spec.d)
-    eps = np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs])
-    return spec.tau_map[path] * eps
+        return spec.centered_values[spec.chain.sample_paths(u)].reshape(hi - lo, n, spec.d)
+    bits = raw[:, steps:, None] >> np.array([31, 63], dtype=np.uint64) & 1
+    eps = bits.reshape(hi - lo, -1)[:, :n] * 2.0 - 1.0
+    if spec.kind == "iid_baseline":
+        return eps
+    return spec.tau_map[spec.chain.sample_paths(u)] * eps
 
 
 def simulate_summands(spec: ModelSpec, n: int, seed: int):

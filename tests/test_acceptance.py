@@ -35,24 +35,28 @@ def run_checks(suite, full, **kwargs):
 def test_criterion_01_cantor_exhaustive():
     t0 = time.monotonic()
     failures, levels = [], 0
-    for A in range(2, 5001):
-        part = cantor.cantor_set(A)
-        p = part.params
-        levels += p.ell
-        n_ell = p.n_seq[p.ell]
-        if any(len(leaf) != n_ell for leaf in part.leaves):
-            failures.append(("leaf_size", A))
-        if len(part.leaves) != 2 ** p.ell:
-            failures.append(("leaf_count", A))
-        for k in range(p.ell + 1):
-            blocks = cantor.level_runs(part, k)
-            if any(sum(map(len, b)) != 2 ** (p.ell - k) * n_ell for b in blocks):
-                failures.append(("block_size", A, k))
-        for j in range(p.ell):
-            if any(len(gap) != p.d_seq[j] for gap in part.remainders[j]):
-                failures.append(("gap_size", A, j))
-        if failures:
-            break
+    # one stack per ell; each row is one A, its runs are the leaves, then
+    # the gaps of levels 0..ell-1
+    for stack in cantor.cantor_stacks(range(2, 5001)):
+        A = np.array([p.A for p in stack.params])
+        ell = stack.n_seq.shape[1] - 1
+        levels += ell * A.size
+        n_ell = stack.n_seq[:, -1:]
+        starts, stops = stack.runs()
+        leaves, gaps = np.split(stops - starts, [2 ** ell], axis=1)
+        failures += [("leaf_size", a) for a in
+                     A[(leaves != n_ell).any(axis=1)].tolist()]
+        if stack.leaf_starts.shape[1] != 2 ** ell:
+            failures += [("leaf_count", a) for a in A.tolist()]
+        for k in range(ell + 1):
+            blocks = leaves.reshape(A.size, 2 ** k, -1).sum(axis=2)
+            failures += [("block_size", a, k) for a in
+                         A[(blocks != 2 ** (ell - k) * n_ell).any(axis=1)].tolist()]
+        d_seq = np.array([p.d_seq for p in stack.params]).reshape(A.size, ell)
+        for j in range(ell):
+            level = gaps[:, 2 ** j - 1:2 ** (j + 1) - 1]
+            failures += [("gap_size", a, j) for a in
+                         A[(level != d_seq[:, j:j + 1]).any(axis=1)].tolist()]
     failures += run_checks(checks.cantor, {
         "kept_cardinality": 4999, "kept_card_formula": 4999, "disjoint_cover": 4999,
         "level_ceiling": 4999, "gap_floor": levels})

@@ -226,6 +226,12 @@ class TestSimulateCommand:
                          "--config", model_file, *self.BASE, "--workers", "2")
         assert one == two
 
+    def test_negative_seed_is_exit_3(self, capsys, model_file):
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     "--n", "8", "--trials", "120", "--seed", "-1", "--x-grid", "0.5:8:4"])
+        assert code == 3
+        assert "non-negative integer" in capsys.readouterr().err
+
     def test_missing_config_key_is_exit_3(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]]}))

@@ -71,6 +71,100 @@ class TestModelSpec:
         assert spec.M == pytest.approx(3.0)
 
 
+def draw_reference(spec, n, seed, lo, hi):
+    """models._draw with one numpy Generator per trial: the path uniforms
+    from .random, then the signs from .integers(0, 2, n) * 2 - 1."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(lo, hi)]
+    if spec.kind == "iid_baseline":
+        return np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs], dtype=float)
+    steps = n if spec.kind == "contraction" else n * spec.d
+    path = spec.chain.sample_paths(np.array([r.random(steps) for r in rngs]))
+    if spec.kind == "block_covariance":
+        return spec.centered_values[path].reshape(hi - lo, n, spec.d)
+    eps = np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs])
+    return spec.tau_map[path] * eps
+
+
+DRAW_SPECS = {
+    "contraction": contraction_spec(),
+    "iid_baseline": ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2),
+    "block_covariance": ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
+                                  value_map=np.array([0.0, 1.0])),
+}
+
+
+class TestDraw:
+    # bytes of the per-trial Generator sampler; every value is a dyadic
+    # (tau in {1, 1/2}, signs, centered values +-1/2), so they hold on any
+    # platform
+    @pytest.mark.parametrize("kind, n, seed, lo, hi, digest", [
+        ("contraction", 1, 5, 0, 4,
+         "e83074cd1e363fa5bfc6032f1f0541d36e9bba78e650bd9464d6116d14dbb6d5"),
+        ("contraction", 3, 5, 0, 4,
+         "14264dd110635bd9545e83191879354157eb220b412fcba0a8443594c7f439a7"),
+        ("contraction", 65, 5, 0, 4,
+         "cc2b684c0d202297677729e124a73adf1da27f4e7180fa47a664860afdccdb3a"),
+        ("contraction", 3, 2 ** 33 + 1, 60, 70,
+         "66691de4cb8a9fdecd5be7fb92e7560ed038bf0f94830dd23fe77def4950a295"),
+        ("iid_baseline", 1, 5, 0, 4,
+         "76a449f8269ad0c33e311404ad718e74aacda5ab0cf3030ca43bee47ad8f194e"),
+        ("iid_baseline", 3, 5, 0, 4,
+         "121d7793edaf099924acd62b51a818338d39c369e2ebbe7181d34bb2de567406"),
+        ("iid_baseline", 65, 5, 0, 4,
+         "e0264bc99657cd78bffa16ae58b12ed5b3f3fbaae7be1626be00baec93c26c87"),
+        ("iid_baseline", 3, 2 ** 33 + 1, 60, 70,
+         "c4f92e1695c90a3c5d09f774685bcb963732d52801b61ebcd40d5e30f178a3e7"),
+        ("block_covariance", 1, 5, 0, 4,
+         "c48d64a72692144df96abc208c7296cc96c6b87ca1cf57e8b06a1d1a03ad6c2f"),
+        ("block_covariance", 3, 5, 0, 4,
+         "bea50aeaffd366f16a481a08258383cf25ab94ace1dc00eb57f485a7b25d478d"),
+        ("block_covariance", 65, 5, 0, 4,
+         "eeac12ef614728822c6bfe202b6bc0575e29621be2121f7a9f3a5ba25d6aeefa"),
+        ("block_covariance", 3, 2 ** 33 + 1, 60, 70,
+         "bbe4cc7c988c665136f0357d9dcf5a703adb75560de357c68cc279d40262b503"),
+    ])
+    def test_draw_pinned(self, kind, n, seed, lo, hi, digest):
+        assert lo < models._CHUNK < hi or lo == 0
+        out = models._draw(DRAW_SPECS[kind], n, seed, lo, hi)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 256])
+    @pytest.mark.parametrize("seed, lo", [(0, 0), (2 ** 64 + 5, 60), (2 ** 100, 130)])
+    def test_matches_per_trial_generators(self, kind, n, seed, lo):
+        spec = DRAW_SPECS[kind]
+        got = models._draw(spec, n, seed, lo, lo + 9)
+        want = draw_reference(spec, n, seed, lo, lo + 9)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_tau_zero_keeps_the_sign_of_zero(self):
+        spec = contraction_spec(tau=(0.0, 0.0))
+        got, want = models._draw(spec, 9, 3, 0, 5), draw_reference(spec, 9, 3, 0, 5)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    # 2^100 has 4 words, so [seed, t] has 5: the extra word is mixed into
+    # the full pool after it is built
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100])
+    def test_seed_states_match_seed_sequence(self, seed):
+        t = np.array([0, 1, models._CHUNK - 1, models._CHUNK, 2 * models._CHUNK - 1,
+                      2 * models._CHUNK, 2 ** 32 - 1], dtype=np.uint32)
+        want = np.array([np.random.SeedSequence([seed, int(x)]).generate_state(4, np.uint64)
+                         for x in t])
+        got = models._seed_states(seed, t)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            run_tail_experiment(contraction_spec(), 8, trials=100, x_grid=[1.0], seed=-1)
+
+    def test_rejects_trial_index_past_uint32(self):
+        # t = 2^32 would otherwise wrap to t = 0's stream
+        with pytest.raises(OverflowError):
+            models._draw(contraction_spec(), 4, 0, 2 ** 32 - 1, 2 ** 32 + 1)
+
+
 class TestSimulators:
     def test_tau_zero_gives_zero_matrices(self):
         spec = contraction_spec(tau=(0.0, 0.0))
