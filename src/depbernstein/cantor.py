@@ -9,7 +9,8 @@ A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 The construction computes run starts as arrays, one row per A: a single
 A gives `range` runs, never lists of integers, and the sorted kept tuple K
 is built from the leaves only when it is read; many A's that share ell
-give one `CantorStack` of start arrays.
+give one `CantorStack` of start arrays, on which the tiling of {1..A} is
+checked for every row at once.
 """
 
 from __future__ import annotations
@@ -155,19 +156,11 @@ def _run_starts(n_seq: np.ndarray):
     return starts[:, :, 0], tuple(gaps)
 
 
-def tiles_exactly(blocking):
-    """Whether the leaves and gaps tile {1..A}: sorted by start, every
-    non-empty run begins where the previous one stopped, from 1 to A + 1.
-    This checks cover and disjointness together.  A `CantorPartition`
-    gives a bool (False if a run has a step other than 1); a `CantorStack`
-    gives one bool per row."""
-    if isinstance(blocking, CantorStack):
-        return _chains(*blocking.runs(), np.array([p.A for p in blocking.params]))
-    runs = (*blocking.leaves, *chain.from_iterable(blocking.remainders))
-    if any(r.step != 1 for r in runs):
-        return False
-    starts, stops = np.array([[r.start for r in runs]]), np.array([[r.stop for r in runs]])
-    return bool(_chains(starts, stops, blocking.params.A)[0])
+def tiles_exactly(stack: CantorStack) -> np.ndarray:
+    """Per row of the stack, whether its leaves and gaps tile {1..A}: sorted
+    by start, every non-empty run begins where the previous one stopped,
+    from 1 to A + 1.  This checks cover and disjointness together."""
+    return _chains(*stack.runs(), np.array([p.A for p in stack.params]))
 
 
 def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:

@@ -4,7 +4,10 @@ A suite is a generator of cases; a case is an iterable of entries
 (invariant, compared, failed): `compared` comparisons, of which those in
 `failed` (detail dicts) did not hold.  `run` reads the clock before each
 case, so a lazy case (a generator) costs nothing once the budget is spent.
-Randomized suites take their seed as an argument; the defaults are `verify`'s.
+The inequality and Cantor suites check a whole stack per case (one
+dimension, one level count); each failed row names its `pair` (draw
+index) or its `A`.  Randomized suites take their seed as an argument; the
+defaults are `verify`'s.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ def _one(invariant: str, ok: bool, **detail):
     return invariant, 1, [] if ok else [detail]
 
 
+def _rows(invariant: str, holds, **columns):
+    """An entry for one comparison per element of the array `holds`; each
+    failed one is reported with its element of every column (arrays that
+    broadcast against `holds`)."""
+    holds = np.asarray(holds)
+    bad = ~holds
+    cols = [np.broadcast_to(col, holds.shape)[bad].tolist() for col in columns.values()]
+    return invariant, holds.size, [dict(zip(columns, row)) for row in zip(*cols)]
+
+
 def rand_sym(rng, d: int) -> np.ndarray:
     """A random symmetric d x d matrix with entries in [-2, 2]."""
     m = rng.uniform(-2.0, 2.0, (d, d))
@@ -55,97 +68,65 @@ _HOLDER_P = (1.5, 2.0, 3.0, 10.0)
 
 
 def inequalities(seed: int = 20240901):
-    """Random pairs of symmetric matrices, d in 2..8, each with a point t in
-    [0.1, 1) for the convexity check; the comparisons are those of
-    `inequality_sides`, yielded one case per pair in draw order."""
+    """1000 random pairs of symmetric matrices, d in 2..8, each with a
+    point t in [0.1, 1) for the convexity check, drawn in order and
+    checked one case per dimension: the pairs of one d form one stack."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(1000):
+    by_dim = {}
+    for i in range(1000):
         d = int(rng.integers(2, 9))
-        pairs.append((rand_sym(rng, d), rand_sym(rng, d), float(rng.uniform(0.1, 1.0))))
-    sides = {name: [col.tolist() for col in cols]
-             for name, cols in inequality_sides(pairs).items()}
-    gt, th, weyl, gersh = (sides[name] for name in
-                           ("golden_thompson", "trace_holder", "weyl", "gerschgorin"))
-    second, convex = sides["trace_exp_convexity"]
-    for i, (_, _, t) in enumerate(pairs):
-        yield [_one("golden_thompson", gt[2][i], lhs=gt[0][i], rhs=gt[1][i]),
-               *(_one("trace_holder", th[2][i][j], p=p, lhs=th[0][i][j], rhs=th[1][i][j])
-                 for j, p in enumerate(_HOLDER_P)),
-               _one("weyl", weyl[2][i], lhs=weyl[0][i], rhs=weyl[1][i]),
-               _one("gerschgorin", gersh[2][i], bound=gersh[0][i], norm=gersh[1][i]),
-               _one("trace_exp_convexity", convex[i], t=t, second=second[i])]
+        by_dim.setdefault(d, []).append(
+            (i, rand_sym(rng, d), rand_sym(rng, d), float(rng.uniform(0.1, 1.0))))
+    for rows in by_dim.values():
+        pair, a, b, t = zip(*rows)
+        yield _inequality_case(np.array(pair), spectral.SymStack(a),
+                               spectral.SymStack(b), np.array(t))
 
 
-def inequality_sides(pairs) -> dict:
+def _inequality_case(pair, a, b, t):
     """Golden-Thompson, trace-Hölder at p = 1.5, 2, 3, 10, Weyl for a + b,
     Gerschgorin for a (absolute slack 1e-9), and convexity of
-    s -> Tr exp(sa) at t (a second difference >= -1e-8) for pairs (a, b, t)
-    of symmetric arrays, the dimension free to vary from pair to pair.
-
-    Returns {invariant: columns}, one row per pair in the order given:
-    (lhs, rhs, holds) for golden_thompson, weyl and trace_holder (one column
-    per p), (bound, norm, holds) for gerschgorin and (second, holds) for
-    trace_exp_convexity.  The pairs of one dimension are checked as one
-    stack, so each dimension decomposes three stacks: a, b and a + b.
-    """
-    by_dim = {}
-    for i, (a, _, _) in enumerate(pairs):
-        by_dim.setdefault(np.shape(a), []).append(i)
-    order, parts = [], []
-    for rows in by_dim.values():
-        a, b = (spectral.SymStack([pairs[i][j] for i in rows]) for j in (0, 1))
-        t = np.array([pairs[i][2] for i in rows])
-        order += rows
-        parts.append(_stack_sides(a, b, t))
-    back = np.argsort(order)
-    return {name: tuple(np.concatenate(cols)[back] for cols in zip(*(p[name] for p in parts)))
-            for name in parts[0]}
-
-
-def _stack_sides(a, b, t) -> dict:
-    """The columns of `inequality_sides` for stacks a and b of one shape."""
-    th = zip(*(spectral.check_trace_holder(a, b, p) for p in _HOLDER_P))
+    s -> Tr exp(sa) at t (a second difference >= -1e-8) for stacks a and b
+    of one shape; a failure carries its draw index `pair`.  The stack
+    decomposes a, b and a + b."""
+    lhs, rhs, holds = spectral.check_golden_thompson(a, b)
+    yield _rows("golden_thompson", holds, pair=pair, lhs=lhs, rhs=rhs)
+    for p in _HOLDER_P:
+        lhs, rhs, holds = spectral.check_trace_holder(a, b, p)
+        yield _rows("trace_holder", holds, pair=pair, p=p, lhs=lhs, rhs=rhs)
     lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
+    yield _rows("weyl", lam_sum <= sum_lam + 1e-9 * (1.0 + np.abs(sum_lam)),
+                pair=pair, lhs=lam_sum, rhs=sum_lam)
     gersh, norm = spectral.gerschgorin_bound(a), spectral.schatten_norm(a, np.inf)
+    yield _rows("gerschgorin", gersh >= norm - 1e-9, pair=pair, bound=gersh, norm=norm)
     dt = 1e-3
     second = (spectral.trace_exp(t + dt, a) - 2.0 * spectral.trace_exp(t, a)
               + spectral.trace_exp(t - dt, a)) / dt ** 2
-    return {
-        "golden_thompson": spectral.check_golden_thompson(a, b),
-        "trace_holder": tuple(np.stack(col, axis=-1) for col in th),
-        "weyl": (lam_sum, sum_lam, lam_sum <= sum_lam + 1e-9 * (1.0 + np.abs(sum_lam))),
-        "gerschgorin": (gersh, norm, gersh >= norm - 1e-9),
-        "trace_exp_convexity": (second, second >= -1e-8),
-    }
+    yield _rows("trace_exp_convexity", second >= -1e-8, pair=pair, t=t, second=second)
 
 
 def cantor():
-    """Every A in 2..5000: |K_A| in [A/2, A] and equal to 2^ell n_ell, the
-    leaves and gaps tile {1..A}, ell <= log2 A, and every gap d_j is at
-    least A delta (1 - delta)^j / 2^(j+1).  The runs are built as start
-    arrays, one `CantorStack` per ell, and each stack's tiling and |K_A|
-    (from its leaf runs) are computed before case 0; cases are yielded in
-    order of A."""
-    sizes = range(2, 5001)
-    rows = {}
-    for stack in _cantor.cantor_stacks(sizes):
-        tiles, cards = _cantor.tiles_exactly(stack).tolist(), stack.card.tolist()
-        rows.update((p.A, (p, t, c)) for p, t, c in zip(stack.params, tiles, cards))
-    for A in sizes:
-        yield _cantor_case(*rows[A])
+    """Every A in 2..5000, one case per `CantorStack` (one per ell)."""
+    for stack in _cantor.cantor_stacks(range(2, 5001)):
+        yield _cantor_case(stack)
 
 
-def _cantor_case(p, tiles: bool, card: int):
-    A = p.A
-    yield _one("kept_cardinality", A >= card >= A / 2, A=A, card=card)
-    yield _one("kept_card_formula", card == 2 ** p.ell * p.n_seq[p.ell], A=A, card=card)
-    yield _one("disjoint_cover", tiles, A=A)
-    yield _one("level_ceiling", p.ell <= math.log2(A), A=A, ell=p.ell)
-    floors = [(j, dj, A * p.delta * (1.0 - p.delta) ** j / 2.0 ** (j + 1))
-              for j, dj in enumerate(p.d_seq)]
-    yield "gap_floor", len(floors), [
-        {"A": A, "j": j, "d": dj, "floor": floor} for j, dj, floor in floors if dj < floor]
+def _cantor_case(stack):
+    """Per row A of the stack: |K_A| in [A/2, A] and equal to 2^ell n_ell,
+    the leaves and gaps tile {1..A}, ell <= log2 A, and every gap d_j is at
+    least A delta (1 - delta)^j / 2^(j+1); a failure carries its `A`."""
+    params = stack.params
+    A, card = np.array([p.A for p in params]), stack.card
+    ell = stack.n_seq.shape[1] - 1
+    yield _rows("kept_cardinality", (card <= A) & (2 * card >= A), A=A, card=card)
+    yield _rows("kept_card_formula", card == 2 ** ell * stack.n_seq[:, -1], A=A, card=card)
+    yield _rows("disjoint_cover", _cantor.tiles_exactly(stack), A=A)
+    yield _rows("level_ceiling", A >= 2 ** ell, A=A, ell=ell)  # ell <= log2 A
+    delta = np.array([p.delta for p in params])[:, None]
+    d = np.array([p.d_seq for p in params], dtype=np.int64).reshape(len(params), ell)
+    j = np.arange(ell)
+    floor = A[:, None] * delta * (1.0 - delta) ** j / 2.0 ** (j + 1)
+    yield _rows("gap_floor", d >= floor, A=A[:, None], j=j, d=d, floor=floor)
 
 
 def bounds(seed: int = 7):

@@ -429,13 +429,16 @@ def _chunk_eigs(args) -> np.ndarray:
 def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
                       workers: int = 1) -> np.ndarray:
     """Ascending eigenvalues of the partial sum, one row per trial.  Trials
-    run in fixed chunks, mapped through a process pool when workers > 1;
-    trial t always uses the RNG stream (seed, t)."""
-    if n < 1 or trials < 2:
-        raise ModelError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
+    run in fixed chunks, mapped through a process pool of at most one
+    worker per chunk when workers > 1; trial t always uses the RNG stream
+    (seed, t)."""
+    if n < 1 or trials < 2 or workers < 1:
+        raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
+                         f"got n={n}, trials={trials}, workers={workers}")
     chunks = [(spec, n, seed, lo, min(lo + _CHUNK, trials))
               for lo in range(0, trials, _CHUNK)]
-    if workers <= 1:
+    workers = min(workers, len(chunks))
+    if workers == 1:
         return np.concatenate(list(map(_chunk_eigs, chunks)))
     from concurrent.futures import ProcessPoolExecutor
 

@@ -36,14 +36,21 @@ def test_criterion_01_cantor_exhaustive():
     t0 = time.monotonic()
     failures, levels = [], 0
     # one stack per ell; each row is one A, its runs are the leaves, then
-    # the gaps of levels 0..ell-1
+    # the gaps of levels 0..ell-1.  A run's length is read off the starts
+    # alone: the next start in sorted order (A + 1 after the last) minus its
+    # own, so the sizes below test where the construction put each run
     for stack in cantor.cantor_stacks(range(2, 5001)):
         A = np.array([p.A for p in stack.params])
         ell = stack.n_seq.shape[1] - 1
         levels += ell * A.size
         n_ell = stack.n_seq[:, -1:]
-        starts, stops = stack.runs()
-        leaves, gaps = np.split(stops - starts, [2 ** ell], axis=1)
+        starts = np.concatenate((stack.leaf_starts, *stack.gap_starts), axis=1)
+        order = np.argsort(starts, axis=1, kind="stable")
+        ordered = np.take_along_axis(starts, order, axis=1)
+        ends = np.concatenate((ordered[:, 1:], A[:, None] + 1), axis=1)
+        lengths = np.empty_like(starts)
+        np.put_along_axis(lengths, order, ends - ordered, axis=1)
+        leaves, gaps = np.split(lengths, [2 ** ell], axis=1)
         failures += [("leaf_size", a) for a in
                      A[(leaves != n_ell).any(axis=1)].tolist()]
         if stack.leaf_starts.shape[1] != 2 ** ell:
@@ -57,6 +64,10 @@ def test_criterion_01_cantor_exhaustive():
             level = gaps[:, 2 ** j - 1:2 ** (j + 1) - 1]
             failures += [("gap_size", a, j) for a in
                          A[(level != d_seq[:, j:j + 1]).any(axis=1)].tolist()]
+        # ell is the largest level count: one more level would leave a gap
+        # floor below 2
+        failures += [("ell_maximal", p.A) for p in stack.params
+                     if p.A * p.delta * (1.0 - p.delta) ** p.ell / 2.0 ** (p.ell + 1) >= 2.0]
     failures += run_checks(checks.cantor, {
         "kept_cardinality": 4999, "kept_card_formula": 4999, "disjoint_cover": 4999,
         "level_ceiling": 4999, "gap_floor": levels})

@@ -6,8 +6,10 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from depbernstein import checks
 from depbernstein.cantor import (
     CantorError,
+    _chains,
     cantor_params,
     cantor_set,
     cantor_stacks,
@@ -101,44 +103,42 @@ class TestCantorSet:
                 for gap in level:
                     seen.extend(gap)
             assert sorted(seen) == list(range(1, A + 1))
-            assert tiles_exactly(part)
+            (stack,) = cantor_stacks([A])
+            assert tiles_exactly(stack).tolist() == [True]
 
-    def _with_first_gap(self, part, gap):
-        first, *rest = part.remainders
-        return dataclasses.replace(part, remainders=((gap,) + first[1:], *rest))
+    @staticmethod
+    def _runs(A):
+        """The (starts, stops) of A's one-row stack, as writable copies,
+        and its leaf count: the first gap is run number 2^ell."""
+        (stack,) = cantor_stacks([A])
+        starts, stops = stack.runs()
+        return starts.copy(), stops.copy(), stack.leaf_starts.shape[1]
 
     def test_shifted_gap_is_not_a_tiling(self):
-        part = cantor_set(1000)
-        g = part.remainders[0][0]
-        assert not tiles_exactly(self._with_first_gap(part, range(g.start + 1, g.stop + 1)))
+        (stack,) = cantor_stacks([1000])
+        first, *rest = stack.gap_starts
+        bad = dataclasses.replace(stack, gap_starts=(first + 1, *rest))
+        assert tiles_exactly(bad).tolist() == [False]
 
     def test_overlap_is_not_a_tiling(self):
         # the widened gap overlaps the next leaf but still covers {1..A}, so a
         # check by set union alone would accept it
-        part = cantor_set(1000)
-        g = part.remainders[0][0]
-        bad = self._with_first_gap(part, range(g.start, g.stop + 1))
-        covered = set(bad.K).union(*chain.from_iterable(bad.remainders))
+        starts, stops, leaves = self._runs(1000)
+        stops[0, leaves] += 1
+        covered = set().union(*map(range, starts[0].tolist(), stops[0].tolist()))
         assert covered == set(range(1, 1001))
-        assert not tiles_exactly(bad)
+        assert _chains(starts, stops, 1000).tolist() == [False]
 
     def test_short_last_leaf_is_not_a_tiling(self):
-        part = cantor_set(1000)
-        last = part.leaves[-1]
-        bad = dataclasses.replace(
-            part, leaves=part.leaves[:-1] + (range(last.start, last.stop - 1),))
-        assert not tiles_exactly(bad)
+        starts, stops, leaves = self._runs(1000)
+        stops[0, leaves - 1] -= 1
+        assert _chains(starts, stops, 1000).tolist() == [False]
 
     def test_empty_runs_are_skipped(self):
-        part = cantor_set(100)
-        extra = dataclasses.replace(
-            part, remainders=part.remainders + ((range(50, 50), range(70, 60)),))
-        assert tiles_exactly(extra)
-
-    def test_stepped_run_is_not_a_tiling(self):
-        part = cantor_set(2)
-        assert not tiles_exactly(dataclasses.replace(part, leaves=(range(1, 3, 2),
-                                                                   range(2, 3))))
+        starts, stops, _ = self._runs(100)
+        starts = np.concatenate((starts, [[50, 70]]), axis=1)
+        stops = np.concatenate((stops, [[50, 60]]), axis=1)
+        assert _chains(starts, stops, 100).tolist() == [True]
 
     def test_runs_are_ranges(self):
         for A in (2, 44, 100, 1000, 4999):
@@ -208,6 +208,22 @@ class TestStacks:
         assert tiles.shape == (len(sizes),)
         assert np.flatnonzero(~tiles).tolist() == [3, 10, 17]
         assert tiles_exactly(stack).all()
+        # the verify case reports those rows by their A, and nothing else
+        checked, failures = checks.run(lambda: [checks._cantor_case(bad)])
+        assert failures == [{"invariant": "disjoint_cover", "case": 0, "A": sizes[i]}
+                            for i in (3, 10, 17)]
+        assert checked["disjoint_cover"] == len(sizes)
+        assert checked["gap_floor"] == 4 * len(sizes)
+
+    def test_short_gap_fails_its_floor_alone(self):
+        (stack,) = cantor_stacks([1000, 1001])
+        first, p = stack.params
+        short = dataclasses.replace(p, d_seq=(p.d_seq[0], 1, *p.d_seq[2:]))
+        bad = dataclasses.replace(stack, params=(first, short))
+        _, failures = checks.run(lambda: [checks._cantor_case(bad)])
+        floor = 1001 * p.delta * (1.0 - p.delta) / 4.0
+        assert failures == [{"invariant": "gap_floor", "case": 0, "A": 1001, "j": 1,
+                             "d": 1, "floor": pytest.approx(floor, rel=1e-15)}]
 
 
 class TestLevelBlocks:

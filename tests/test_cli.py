@@ -63,6 +63,22 @@ class TestCantorCommand:
         assert rows[0] == ["set", "index"]
         assert len(rows) == 11  # header + the 10 kept indices (fallback regime)
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "f45f122803e588e501e69e8bea1f0d777e808ff93c4b172a4602ece789175a3e"),
+        ("csv", "b11aba24f0cf85e20175a150fb13293ed4da4a4fde51d2b881dbb94fa8563d24"),
+    ])
+    def test_level_output_is_pinned_and_built_once(self, capsys, monkeypatch, fmt, digest):
+        from depbernstein import cantor
+
+        calls = []
+        original = cantor.level_blocks
+        monkeypatch.setattr(cantor, "level_blocks",
+                            lambda *a: calls.append(a) or original(*a))
+        code, out = run_cli(capsys, "cantor", "--A", "1000", "--level", "2",
+                            "--format", fmt)
+        assert code == 0 and len(calls) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_invalid_A(self, capsys):
         code, _ = run_cli(capsys, "cantor", "--A", "1")
         assert code == 3
@@ -231,6 +247,13 @@ class TestSimulateCommand:
                      "--n", "8", "--trials", "120", "--seed", "-1", "--x-grid", "0.5:8:4"])
         assert code == 3
         assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_is_exit_3(self, capsys, model_file, workers):
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     *self.BASE, "--workers", workers])
+        assert code == 3
+        assert "workers" in capsys.readouterr().err
 
     def test_missing_config_key_is_exit_3(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -527,6 +527,43 @@ class TestTailExperiment:
         with pytest.raises(ModelError):
             run_tail_experiment(self.SPEC, 0, trials=200, x_grid=[1.0], seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ModelError, match="workers"):
+            run_tail_experiment(self.SPEC, 8, trials=200, x_grid=[1.0], seed=0,
+                                workers=workers)
+
+    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process:
+        # no worker process is started, whatever the requested count
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        kw = dict(n=8, trials=200, x_grid=[1.0], seed=6)
+        want = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
+        assert sizes == []
+        assert run_tail_experiment(self.SPEC, workers=5000, **kw).to_json() == want
+        assert run_tail_experiment(self.SPEC, workers=3, **kw).to_json() == want
+        assert sizes == [-(-200 // models._CHUNK), 3]
+        # one chunk runs without a pool
+        models._partial_sum_eigs(self.SPEC, 8, models._CHUNK, 6, workers=8)
+        assert len(sizes) == 2
+
 
 class TestExpectationExperiment:
     def test_mean_below_bound(self):

@@ -160,45 +160,63 @@ class TestSpectrumCache:
 
 class TestStacks:
     @staticmethod
-    def pairs(seed=5, k=50):
+    def stacks(seed=5, k=50):
+        """k random pairs (a, b, t), d in 2..8, as one (pair, a, b, t) stack
+        per dimension; `pair` is the draw index."""
         rng = np.random.default_rng(seed)
-        return [(checks.rand_sym(rng, d), checks.rand_sym(rng, d), float(rng.uniform(0.1, 1.0)))
-                for d in rng.integers(2, 9, size=k)]
+        by_dim = {}
+        for i, d in enumerate(rng.integers(2, 9, size=k)):
+            by_dim.setdefault(int(d), []).append(
+                (i, checks.rand_sym(rng, d), checks.rand_sym(rng, d), rng.uniform(0.1, 1.0)))
+        out = []
+        for rows in by_dim.values():
+            pair, a, b, t = zip(*rows)
+            out.append((np.array(pair), SymStack(a), SymStack(b), np.array(t)))
+        return out
 
     def test_golden_thompson_against_scipy_expm(self):
         from scipy.linalg import expm
 
-        pairs = self.pairs()
-        assert len({len(a) for a, _, _ in pairs}) == 7
-        _, rhs, holds = checks.inequality_sides(pairs)["golden_thompson"]
-        want = [np.trace(expm(a) @ expm(b)) for a, b, _ in pairs]
-        np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=0.0)
-        assert holds.all()
+        stacks = self.stacks()
+        assert len(stacks) == 7
+        for _, a, b, _ in stacks:
+            _, rhs, holds = check_golden_thompson(a, b)
+            want = [np.trace(expm(x) @ expm(y)) for x, y in zip(a.entries, b.entries)]
+            np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=0.0)
+            assert holds.all()
 
     def test_convexity_against_eigvalsh(self):
-        pairs = self.pairs()
-        second, holds = checks.inequality_sides(pairs)["trace_exp_convexity"]
         dt = 1e-3
-        want = []
-        for a, _, t in pairs:
-            w = np.linalg.eigvalsh(a)
-            f = [np.sum(np.exp(s * w)) for s in (t + dt, t, t - dt)]
-            want.append((f[0] - 2.0 * f[1] + f[2]) / dt ** 2)
-        # the second difference cancels about six digits, so the last-bit gap
-        # between eigvalsh and eigh eigenvalues leaves up to 6e-10 relative;
-        # a misaligned t or matrix moves it by order one
-        np.testing.assert_allclose(second, want, rtol=1e-8, atol=0.0)
-        assert holds.all()
+        for _, a, _, t in self.stacks():
+            second = (trace_exp(t + dt, a) - 2.0 * trace_exp(t, a)
+                      + trace_exp(t - dt, a)) / dt ** 2
+            want = []
+            for x, s in zip(a.entries, t):
+                w = np.linalg.eigvalsh(x)
+                f = [np.sum(np.exp(u * w)) for u in (s + dt, s, s - dt)]
+                want.append((f[0] - 2.0 * f[1] + f[2]) / dt ** 2)
+            # the second difference cancels about six digits, so the last-bit
+            # gap between eigvalsh and eigh eigenvalues leaves up to 6e-10
+            # relative; a misaligned t or matrix moves it by order one
+            np.testing.assert_allclose(second, want, rtol=1e-8, atol=0.0)
+            assert (second >= -1e-8).all()
 
-    def test_reversed_pairs_reverse_every_column(self):
-        pairs = self.pairs()
-        forward = checks.inequality_sides(pairs)
-        backward = checks.inequality_sides(pairs[::-1])
-        assert forward.keys() == backward.keys()
-        for name, cols in forward.items():
-            for col, back in zip(cols, backward[name], strict=True):
-                assert len(col) == len(pairs)
-                np.testing.assert_array_equal(col, back[::-1])
+    def test_planted_failure_names_its_pair(self, monkeypatch):
+        # a Gerschgorin bound zeroed in row 1 of every stack fails there alone
+        def planted(a):
+            bound = gerschgorin_bound(a).copy()
+            bound[1] = 0.0
+            return bound
+
+        monkeypatch.setattr(checks.spectral, "gerschgorin_bound", planted)
+        stacks = self.stacks()
+        _, failures = checks.run(
+            lambda: (checks._inequality_case(*stack) for stack in stacks))
+        assert [(f["invariant"], f["case"], f["pair"]) for f in failures] == [
+            ("gerschgorin", i, int(pair[1])) for i, (pair, _, _, _) in enumerate(stacks)]
+        for f, (_, a, _, _) in zip(failures, stacks):
+            assert f["bound"] == 0.0 and f["norm"] == schatten_norm(a, np.inf)[1]
+            assert type(f["pair"]) is int and type(f["norm"]) is float
 
     def test_single_matrices_match_a_stack(self):
         def results(x, y):
