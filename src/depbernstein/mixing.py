@@ -104,8 +104,11 @@ class MarkovChain:
         CDF without its last column, so a row summing to just below 1 still
         ends at the last state (the first state inverts cumsum(pi) alike).
         That count depends on u only through its rank among the cut points,
-        the distinct values of those columns, so each uniform is ranked once
-        and every step is one lookup jump[x * W + rank] = W * (next state).
+        the distinct values of those columns, so each uniform is ranked once,
+        by counting the cuts at or below it (one comparison pass per cut, in
+        the narrowest unsigned type that holds the count), and every step is
+        one lookup jump[x * W + rank] = W * (next state).  All the paths step
+        together, so the step loop runs once per call.
         """
         u = np.asarray(u, dtype=float)
         s = self.states
@@ -114,12 +117,16 @@ class MarkovChain:
         # entry k of row x is <= u from rank at[x, k] + 1 on: count those per rank
         rises = np.repeat(np.arange(s) * W, s - 1) + at.ravel() + 1
         jump = W * np.bincount(rises, minlength=s * W).reshape(s, W).cumsum(1).ravel()
-        path = np.searchsorted(cuts, u.T, side="right")
+        rank = np.zeros(u.shape, np.min_scalar_type(cuts.size))
+        for cut in cuts:
+            rank += u >= cut
+        path = np.array(rank.T, dtype=np.intp, order="C")  # one row per step
         path[0] = W * np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), s - 1)
-        for i in range(1, path.shape[0]):
-            path[i] = jump[path[i - 1] + path[i]]
-        path //= W
-        return path.T.copy()
+        rows = list(path)
+        for prev, row in zip(rows, rows[1:]):
+            row += prev
+            row[...] = jump[row]
+        return np.floor_divide(path.T, W, order="C")
 
 
 @dataclass(frozen=True)

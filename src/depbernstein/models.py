@@ -22,6 +22,8 @@ np.random.default_rng([seed, t]) uses, read as raw 64-bit words: the path
 uniforms first, one word each, then the signs, two per word.  The seeds
 of a chunk's trials are hashed together (_seed_states), and no Generator
 is built, so the samples rest only on numpy's PCG64 and SeedSequence.
+A chunk holds as many trials as fit in _CHUNK_WORDS stream words, and
+its chain paths are stepped together in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +42,7 @@ from .mixing import MarkovChain, dbar, fit_geometric_rate
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
-_CHUNK = 64  # trials sampled together; no result depends on it
+_CHUNK_WORDS = 1 << 19  # stream words sampled together; no result depends on it
 _CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
 _RATE_LAGS = 50  # c fits the beta profile on lags 2.._RATE_LAGS
 _CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
@@ -287,8 +290,16 @@ def _seed_states(seed: int, t: np.ndarray) -> np.ndarray:
     return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
-def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The random part of trials lo..hi-1, each from its own stream (seed, t).
+def _word_counts(spec: ModelSpec, n: int):
+    """The words one trial reads from its stream: (path uniforms, sign words)."""
+    if spec.kind == "block_covariance":
+        return n * spec.d, 0
+    return (n if spec.kind == "contraction" else 0), (n + 1) // 2
+
+
+def _streams(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
+    """The path uniforms (trials, steps) and the negative signs (trials, n),
+    a bool array, of trials lo..hi-1, each from its own stream (seed, t).
 
     Trial t's stream is the raw 64-bit output of the PCG64 that
     np.random.default_rng([seed, t]) builds.  No Generator is built: the
@@ -296,14 +307,12 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     set-seed step, and one PCG64 is loaded with each state in turn.  A
     trial takes its path uniforms first, word w giving (w >> 11) * 2^-53
     as Generator.random does, then its signs, two per word: bit 31, then
-    bit 63, is 1 for +1, as Generator.integers(0, 2) draws them.
-    Trial indices are uint32, so hi <= 2^32 (np.arange raises past it).
-    Returns the (trials, n) coefficients c of the summands c * D for the
-    contraction/iid models, or the (trials, n, d) centered rows C_i for
-    the block model.
+    bit 63, is 1 for +1, as Generator.integers(0, 2) draws them: the sign
+    bits of the word's little-endian int32 halves.  The path words are
+    shifted in place, and the word array is freed on return.  Trial
+    indices are uint32, so hi <= 2^32 (np.arange raises past it).
     """
-    steps = {"iid_baseline": 0, "contraction": n, "block_covariance": n * spec.d}[spec.kind]
-    signs = 0 if spec.kind == "block_covariance" else (n + 1) // 2
+    steps, signs = _word_counts(spec, n)
     mask = (1 << 128) - 1
     bitgen = np.random.PCG64(0)
     raw = np.empty((hi - lo, steps + signs), dtype=np.uint64)
@@ -316,24 +325,39 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                         "state": {"state": state & mask, "inc": inc}}
         row[:] = bitgen.random_raw(steps + signs)
-    u = (raw[:, :steps] >> 11) * 2.0 ** -53
-    if spec.kind == "block_covariance":
-        return spec.centered_values[spec.chain.sample_paths(u)].reshape(hi - lo, n, spec.d)
-    bits = raw[:, steps:, None] >> np.array([31, 63], dtype=np.uint64) & 1
-    eps = bits.reshape(hi - lo, -1)[:, :n] * 2.0 - 1.0
+    words = raw[:, :steps]
+    words >>= 11
+    negative = raw[:, steps:].astype("<u8", copy=False).view("<i4")[:, :n] >= 0
+    return words * 2.0 ** -53, negative
+
+
+def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The random part of trials lo..hi-1, each from its own stream (seed, t)
+    (_streams), stepped together in one sample_paths call.
+
+    Returns the (trials, n) coefficients c of the summands c * D for the
+    contraction/iid models, one C-ordered array whose rows are the trials,
+    or the (trials, n, d) centered rows C_i for the block model.
+    """
+    u, negative = _streams(spec, n, seed, lo, hi)
     if spec.kind == "iid_baseline":
-        return eps
-    return spec.tau_map[spec.chain.sample_paths(u)] * eps
-
-
-def simulate_summands(spec: ModelSpec, n: int, seed: int):
-    """One stationary path of n summands X_i as SymMatrix."""
-    draws = _draw(spec, n, seed, 0, 1)[0]
+        return np.where(negative, -1.0, 1.0)
+    path = spec.chain.sample_paths(u)
     if spec.kind == "block_covariance":
-        mats = np.einsum("ia,ib->iab", draws, draws) - block_covariance_mean(spec)
-    else:
-        mats = draws[:, None, None] * spec.D
-    return [SymMatrix(x) for x in mats]
+        return spec.centered_values[path].reshape(hi - lo, n, spec.d)
+    # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
+    path <<= 1
+    path += negative
+    return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()[path]
+
+
+def simulate_summands(spec: ModelSpec, n: int, seed: int, trials: int) -> np.ndarray:
+    """Stationary paths of n summands X_i, one for each trial t < trials,
+    drawn from the streams (seed, t): shape (trials, n, d, d)."""
+    draws = _draw(spec, n, seed, 0, trials)
+    if spec.kind == "block_covariance":
+        return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
+    return draws[:, :, None, None] * spec.D
 
 
 def _etau2(spec: ModelSpec) -> float:
@@ -428,16 +452,22 @@ def _chunk_eigs(args) -> np.ndarray:
 
 def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
                       workers: int = 1) -> np.ndarray:
-    """Ascending eigenvalues of the partial sum, one row per trial.  Trials
-    run in fixed chunks, mapped through a process pool of at most one
-    worker per chunk when workers > 1; trial t always uses the RNG stream
-    (seed, t)."""
+    """Ascending eigenvalues of the partial sum, one row per trial.
+
+    Trials run in chunks sized by memory, not by count: a chunk holds as
+    many trials as fit in _CHUNK_WORDS stream words, and at least one, so
+    its buffers stay about the same size at every n.  When workers > 1 the
+    chunks are mapped through a process pool of at most one worker per
+    chunk and per CPU.  Trial t always uses the RNG stream (seed, t), so no
+    result depends on the chunk size or the worker count.
+    """
     if n < 1 or trials < 2 or workers < 1:
         raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
-    chunks = [(spec, n, seed, lo, min(lo + _CHUNK, trials))
-              for lo in range(0, trials, _CHUNK)]
-    workers = min(workers, len(chunks))
+    size = max(1, _CHUNK_WORDS // sum(_word_counts(spec, n)))
+    chunks = [(spec, n, seed, lo, min(lo + size, trials))
+              for lo in range(0, trials, size)]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers == 1:
         return np.concatenate(list(map(_chunk_eigs, chunks)))
     from concurrent.futures import ProcessPoolExecutor

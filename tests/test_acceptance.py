@@ -236,9 +236,14 @@ def test_criterion_12_simulate_determinism(tmp_path, capsys):
         "D": [[1.0, 0.0], [0.0, -0.5]],
         "tau_map": [1.0, -1.0],
     }))
+    # n = 4096 puts the 200 trials in three sampling chunks, so workers 2
+    # and 3 run a real pool
     argv = ["simulate", "--model", "contraction", "--config", str(config),
-            "--n", "16", "--trials", "200", "--seed", "42",
+            "--n", "4096", "--trials", "200", "--seed", "42",
             "--x-grid", "0.5:16:6"]
+    size = models._CHUNK_WORDS // (4096 + 2048)  # a trial's path uniforms and sign words
+    if -(-200 // size) < 3:
+        failures.append(("chunks", -(-200 // size)))
     outputs = []
     for workers in ("1", "1", "2", "3"):
         code = cli_main(argv + ["--workers", workers])

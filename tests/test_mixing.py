@@ -48,6 +48,8 @@ SAMPLER_CHAINS = {
     "dirichlet-3": lambda: dirichlet_chain(3, 2),
     "dirichlet-5": lambda: dirichlet_chain(5, 3),
     "dirichlet-12": lambda: dirichlet_chain(12, 4),
+    # 380 cut points: a rank no longer fits in one byte
+    "dirichlet-20": lambda: dirichlet_chain(20, 5),
     "near-reducible": lambda: MarkovChain.two_state(1e-3, 1e-3),
     # cumulative rows end at 1 - 2^-53
     "iid-tenths": lambda: MarkovChain.iid([0.1] * 10),

@@ -27,7 +27,12 @@ from depbernstein.models import (
 
 CHAIN = MarkovChain.two_state(0.25, 0.25)
 D2 = np.array([[1.0, 0.25], [0.25, 0.5]])
-MULTI_CHUNK_TRIALS = 700  # spans several sampling chunks
+MULTI_CHUNK_N, MULTI_CHUNK_TRIALS = 2048, 700  # five sampling chunks of the contraction spec
+
+
+def chunk_trials(spec, n):
+    """The trials one sampling chunk of _partial_sum_eigs holds at this n."""
+    return max(1, models._CHUNK_WORDS // sum(models._word_counts(spec, n)))
 
 
 def contraction_spec(tau=(1.0, 0.5), D=D2):
@@ -124,9 +129,20 @@ class TestDraw:
          "bbe4cc7c988c665136f0357d9dcf5a703adb75560de357c68cc279d40262b503"),
     ])
     def test_draw_pinned(self, kind, n, seed, lo, hi, digest):
-        assert lo < models._CHUNK < hi or lo == 0
         out = models._draw(DRAW_SPECS[kind], n, seed, lo, hi)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
+    def test_chunks_straddle_like_one_draw(self, kind, monkeypatch):
+        # trials 60..69 of the pinned draws straddle a chunk boundary of
+        # _partial_sum_eigs: chunks of 16 trials end at 64
+        spec, n, seed = DRAW_SPECS[kind], 65, 2 ** 33 + 1
+        words = sum(models._word_counts(spec, n))
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 17 * words - 1)
+        assert chunk_trials(spec, n) == 16
+        got = models._partial_sum_eigs(spec, n, 70, seed)
+        assert np.array_equal(got, models._chunk_eigs((spec, n, seed, 0, 70)))
+        assert np.array_equal(got[60:], models._chunk_eigs((spec, n, seed, 60, 70)))
 
     @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 256])
@@ -148,8 +164,10 @@ class TestDraw:
     # the full pool after it is built
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100])
     def test_seed_states_match_seed_sequence(self, seed):
-        t = np.array([0, 1, models._CHUNK - 1, models._CHUNK, 2 * models._CHUNK - 1,
-                      2 * models._CHUNK, 2 ** 32 - 1], dtype=np.uint32)
+        # the first chunk boundaries of the acceptance-scale contraction run
+        size = chunk_trials(DRAW_SPECS["contraction"], 1024)
+        t = np.array([0, 1, size - 1, size, 2 * size - 1, 2 * size, 3 * size,
+                      2 ** 32 - 1], dtype=np.uint32)
         want = np.array([np.random.SeedSequence([seed, int(x)]).generate_state(4, np.uint64)
                          for x in t])
         got = models._seed_states(seed, t)
@@ -168,24 +186,19 @@ class TestDraw:
 class TestSimulators:
     def test_tau_zero_gives_zero_matrices(self):
         spec = contraction_spec(tau=(0.0, 0.0))
-        for m in simulate_summands(spec, 16, seed=0):
-            assert np.all(m.entries == 0.0)
+        assert np.all(simulate_summands(spec, 16, 0, 1) == 0.0)
 
     def test_contraction_summands_bounded(self):
         spec = contraction_spec()
         M = spec.M
-        for m in simulate_summands(spec, 64, seed=1):
-            lam = np.max(np.abs(np.linalg.eigvalsh(m.entries)))
-            assert lam <= M + 1e-12
+        mats = simulate_summands(spec, 64, 1, 1)
+        assert mats.shape == (1, 64, 2, 2)
+        assert np.max(np.abs(np.linalg.eigvalsh(mats))) <= M + 1e-12
 
     def test_contraction_summands_centered(self):
         spec = contraction_spec()
         rng_trials = 4000
-        acc = np.zeros((2, 2))
-        for t in range(rng_trials):
-            mats = simulate_summands(spec, 4, seed=100 + t)
-            acc += mats[0].entries
-        mean = acc / rng_trials
+        mean = simulate_summands(spec, 4, 100, rng_trials)[:, 0].mean(axis=0)
         # entries are +-tau*D with fair signs: mean 0, sd <= |D| per draw
         assert np.max(np.abs(mean)) < 5 * 1.0 / math.sqrt(rng_trials)
 
@@ -193,12 +206,9 @@ class TestSimulators:
         spec = ModelSpec(kind="block_covariance", d=2, chain=CHAIN,
                          value_map=np.array([-1.0, 1.0]))
         trials = 4000
-        acc = np.zeros((2, 2))
-        for t in range(trials):
-            mats = simulate_summands(spec, 3, seed=500 + t)
-            acc += mats[0].entries
+        mean = simulate_summands(spec, 3, 500, trials)[:, 0].mean(axis=0)
         stderr = 2.0 / math.sqrt(trials)  # entries bounded by ~2
-        assert np.max(np.abs(acc / trials)) < 5 * stderr
+        assert np.max(np.abs(mean)) < 5 * stderr
 
     def test_block_mean_spot_value(self):
         spec = ModelSpec(kind="block_covariance", d=2, chain=CHAIN,
@@ -220,7 +230,7 @@ class TestSimulators:
         # dyadic, so these bytes hold on any platform
         spec = ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
                          value_map=np.array([1.0, -1.0]))
-        mats = np.stack([m.entries for m in simulate_summands(spec, 50, seed=0)])
+        mats = simulate_summands(spec, 50, 0, 1)[0]
         assert hashlib.sha256(mats.tobytes()).hexdigest() == (
             "5a25e93684e995de9c89b61a8c7413bec400136ec2ce26368e02361bda691815")
 
@@ -294,8 +304,7 @@ class TestBlockCeiling:
         n = 4
         G = models._pairwise_moments_exact(spec, n)
         # X_i X_j symmetrized, from 4000 sampled paths
-        mats = np.stack([[x.entries for x in simulate_summands(spec, n, seed)]
-                         for seed in range(4000)])
+        mats = simulate_summands(spec, n, 0, 4000)
         prod = np.einsum("tiab,tjbc->tijac", mats, mats)
         prod = (prod + prod.transpose(0, 2, 1, 3, 4)) / 2.0
         mc, err = prod.mean(axis=0), prod.std(axis=0) / math.sqrt(len(prod))
@@ -496,8 +505,8 @@ class TestTailExperiment:
         assert a == b
 
     def test_worker_count_invariance_multi_chunk(self):
-        assert MULTI_CHUNK_TRIALS > 2 * models._CHUNK
-        kw = dict(n=8, trials=MULTI_CHUNK_TRIALS, x_grid=[1.0], seed=6)
+        assert MULTI_CHUNK_TRIALS > 2 * chunk_trials(self.SPEC, MULTI_CHUNK_N)
+        kw = dict(n=MULTI_CHUNK_N, trials=MULTI_CHUNK_TRIALS, x_grid=[1.0], seed=6)
         a = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
         b = run_tail_experiment(self.SPEC, workers=2, **kw).to_json()
         assert a == b
@@ -514,8 +523,7 @@ class TestTailExperiment:
         tau = np.array([1.0, -1.0]) if kind == "contraction" else None
         spec = ModelSpec(kind=kind, d=2, chain=CHAIN, D=np.diag([1.0, -0.5]),
                          tau_map=tau)
-        report = run_tail_experiment(spec, 32, trials=MULTI_CHUNK_TRIALS,
-                                     x_grid=[1.0], seed=6)
+        report = run_tail_experiment(spec, 32, trials=700, x_grid=[1.0], seed=6)
         samples = np.asarray(report.lambda_max_samples)
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
@@ -533,10 +541,13 @@ class TestTailExperiment:
             run_tail_experiment(self.SPEC, 8, trials=200, x_grid=[1.0], seed=0,
                                 workers=workers)
 
-    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps in this process:
-        # no worker process is started, whatever the requested count
+    @staticmethod
+    def fake_pool(monkeypatch, cpus):
+        """Replace the process pool by a stand-in that records its size and
+        maps in this process, on a host with `cpus` CPUs: no worker process
+        is started, whatever the requested count.  Returns the sizes."""
         import concurrent.futures
+        import os
 
         sizes = []
 
@@ -554,15 +565,76 @@ class TestTailExperiment:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        kw = dict(n=8, trials=200, x_grid=[1.0], seed=6)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def test_pool_is_capped_at_the_chunk_count(self, monkeypatch):
+        sizes = self.fake_pool(monkeypatch, cpus=64)
+        n = 4096
+        chunks = -(-200 // chunk_trials(self.SPEC, n))
+        assert chunks >= 3
+        kw = dict(n=n, trials=200, x_grid=[1.0], seed=6)
         want = run_tail_experiment(self.SPEC, workers=1, **kw).to_json()
         assert sizes == []
         assert run_tail_experiment(self.SPEC, workers=5000, **kw).to_json() == want
-        assert run_tail_experiment(self.SPEC, workers=3, **kw).to_json() == want
-        assert sizes == [-(-200 // models._CHUNK), 3]
+        assert run_tail_experiment(self.SPEC, workers=2, **kw).to_json() == want
+        assert sizes == [chunks, 2]
         # one chunk runs without a pool
-        models._partial_sum_eigs(self.SPEC, 8, models._CHUNK, 6, workers=8)
+        models._partial_sum_eigs(self.SPEC, n, chunk_trials(self.SPEC, n), 6, workers=8)
         assert len(sizes) == 2
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # at large n a chunk holds a few trials, so the chunk count alone
+        # would allow one process per few trials
+        spec, n = DRAW_SPECS["iid_baseline"], 1 << 18
+        size = chunk_trials(spec, n)
+        assert size <= 4
+        for cpus, want in [(2, 2), (3, 3), (None, 1)]:
+            sizes = self.fake_pool(monkeypatch, cpus)
+            models._partial_sum_eigs(spec, n, 4 * size, 6, workers=64)
+            assert sizes == ([want] if want > 1 else [])
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
+    def test_no_result_depends_on_the_budget(self, kind, monkeypatch):
+        spec, n = DRAW_SPECS[kind], 40
+        kw = dict(n=n, trials=100, x_grid=[0.5, 2.0], seed=11)
+        want = run_tail_experiment(spec, **kw).to_json()
+        words = sum(models._word_counts(spec, n))
+        # one trial per chunk, then 7 trials per chunk (the last one short)
+        for budget in (1, 7 * words):
+            monkeypatch.setattr(models, "_CHUNK_WORDS", budget)
+            assert chunk_trials(spec, n) == max(1, budget // words)
+            assert run_tail_experiment(spec, **kw).to_json() == want
+
+
+class TestSamplerMemory:
+    """tracemalloc peaks of the sampler: numpy reports its buffers to it."""
+
+    @staticmethod
+    def peak(fn, *args):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_chunk_peak_per_trial_step(self):
+        # the sampler of 64-trial chunks peaked at 52 bytes per trial-step
+        spec, n, trials = contraction_spec(), 1024, 200
+        per_step = self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n)
+        assert per_step < 40.0
+
+    def test_large_n_peak_is_bounded(self):
+        # a chunk is sized by words, so its buffers do not grow with n; the
+        # sampler of 64-trial chunks peaked at 81 MB here.  The iid model
+        # has no step loop, which tracemalloc would slow tenfold.
+        spec, n, trials = DRAW_SPECS["iid_baseline"], 1 << 16, 64
+        assert trials > 2 * chunk_trials(spec, n)
+        assert self.peak(models._partial_sum_eigs, spec, n, trials, 3) < 32 << 20
 
 
 class TestExpectationExperiment:
