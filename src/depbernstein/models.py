@@ -22,8 +22,8 @@ np.random.default_rng([seed, t]) uses, read as raw 64-bit words: the path
 uniforms first, one word each, then the signs, two per word.  The seeds
 of a chunk's trials are hashed together (_seed_states), and no Generator
 is built, so the samples rest only on numpy's PCG64 and SeedSequence.
-A chunk holds as many trials as fit in _CHUNK_WORDS stream words, and
-its chain paths are stepped together in one pass.
+A chunk holds as many trials as fit in _CHUNK_WORDS words of its buffers
+(_trial_words), and its chain paths are stepped together in one pass.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .mixing import MarkovChain, dbar, fit_geometric_rate
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
-_CHUNK_WORDS = 1 << 19  # stream words sampled together; no result depends on it
+_CHUNK_WORDS = 1 << 19  # buffer words of a sampling chunk; no result depends on it
 _CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
 _RATE_LAGS = 50  # c fits the beta profile on lags 2.._RATE_LAGS
 _CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
@@ -297,9 +297,17 @@ def _word_counts(spec: ModelSpec, n: int):
     return (n if spec.kind == "contraction" else 0), (n + 1) // 2
 
 
-def _streams(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
-    """The path uniforms (trials, steps) and the negative signs (trials, n),
-    a bool array, of trials lo..hi-1, each from its own stream (seed, t).
+def _trial_words(spec: ModelSpec, n: int) -> int:
+    """A trial's share of a sampling chunk's buffers, in 8-byte words: its
+    stream words, 2 d^2 for its partial sum and that sum's symmetric part,
+    and 32 for its seed row and eigenvalues (by tracemalloc, a trial's
+    fixed buffers take about 280 bytes)."""
+    return sum(_word_counts(spec, n)) + 2 * spec.d ** 2 + 32
+
+
+def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The random part of trials lo..hi-1, each from its own stream (seed, t),
+    stepped together in one sample_paths call.
 
     Trial t's stream is the raw 64-bit output of the PCG64 that
     np.random.default_rng([seed, t]) builds.  No Generator is built: the
@@ -309,8 +317,13 @@ def _streams(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     as Generator.random does, then its signs, two per word: bit 31, then
     bit 63, is 1 for +1, as Generator.integers(0, 2) draws them: the sign
     bits of the word's little-endian int32 halves.  The path words are
-    shifted in place, and the word array is freed on return.  Trial
-    indices are uint32, so hi <= 2^32 (np.arange raises past it).
+    shifted in place, and the word array is freed before the chain is
+    stepped.  Trial indices are uint32, so hi <= 2^32 (np.arange raises
+    past it).
+
+    Returns the (trials, n) coefficients c of the summands c * D for the
+    contraction/iid models, one C-ordered array whose rows are the trials,
+    or the (trials, n, d) centered rows C_i for the block model.
     """
     steps, signs = _word_counts(spec, n)
     mask = (1 << 128) - 1
@@ -318,28 +331,21 @@ def _streams(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     raw = np.empty((hi - lo, steps + signs), dtype=np.uint64)
     seeds = _seed_states(seed, np.arange(lo, hi, dtype=np.uint32)).tolist()
     # PCG64's set-seed step from seed words (s, q), each high word first:
-    # inc = 2q + 1 and state = (s + inc) * multiplier + inc, mod 2^128
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(raw, seeds):
+    # inc = 2q + 1 and state = (s + inc) * multiplier + inc, mod 2^128.
+    # Rows go by index: a row view left over from the loop would keep raw
+    # alive past its del.
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
         state = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                         "state": {"state": state & mask, "inc": inc}}
-        row[:] = bitgen.random_raw(steps + signs)
+        raw[i] = bitgen.random_raw(steps + signs)
+    del seeds
     words = raw[:, :steps]
     words >>= 11
+    u = words * 2.0 ** -53
     negative = raw[:, steps:].astype("<u8", copy=False).view("<i4")[:, :n] >= 0
-    return words * 2.0 ** -53, negative
-
-
-def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The random part of trials lo..hi-1, each from its own stream (seed, t)
-    (_streams), stepped together in one sample_paths call.
-
-    Returns the (trials, n) coefficients c of the summands c * D for the
-    contraction/iid models, one C-ordered array whose rows are the trials,
-    or the (trials, n, d) centered rows C_i for the block model.
-    """
-    u, negative = _streams(spec, n, seed, lo, hi)
+    del raw, words
     if spec.kind == "iid_baseline":
         return np.where(negative, -1.0, 1.0)
     path = spec.chain.sample_paths(u)
@@ -455,16 +461,16 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     """Ascending eigenvalues of the partial sum, one row per trial.
 
     Trials run in chunks sized by memory, not by count: a chunk holds as
-    many trials as fit in _CHUNK_WORDS stream words, and at least one, so
-    its buffers stay about the same size at every n.  When workers > 1 the
-    chunks are mapped through a process pool of at most one worker per
-    chunk and per CPU.  Trial t always uses the RNG stream (seed, t), so no
-    result depends on the chunk size or the worker count.
+    many trials as fit in _CHUNK_WORDS words (_trial_words), and at least
+    one, so its buffers stay about the same size at every n and d.  When
+    workers > 1 the chunks are mapped through a process pool of at most one
+    worker per chunk and per CPU.  Trial t always uses the RNG stream
+    (seed, t), so no result depends on the chunk size or the worker count.
     """
     if n < 1 or trials < 2 or workers < 1:
         raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
-    size = max(1, _CHUNK_WORDS // sum(_word_counts(spec, n)))
+    size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
     chunks = [(spec, n, seed, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)

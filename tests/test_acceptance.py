@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from depbernstein import bounds, cantor, checks, mixing, models
-from depbernstein.cli import main as cli_main
+from depbernstein.cli import _model_from_config, main as cli_main
 
 
 def record(num, name, failures, elapsed=None, budget=None):
@@ -231,17 +231,19 @@ def test_criterion_11_v2_oracles():
 def test_criterion_12_simulate_determinism(tmp_path, capsys):
     failures = []
     config = tmp_path / "model.json"
-    config.write_text(json.dumps({
+    model = {
         "P": [[0.75, 0.25], [0.25, 0.75]],
         "D": [[1.0, 0.0], [0.0, -0.5]],
         "tau_map": [1.0, -1.0],
-    }))
+    }
+    config.write_text(json.dumps(model))
     # n = 4096 puts the 200 trials in three sampling chunks, so workers 2
     # and 3 run a real pool
     argv = ["simulate", "--model", "contraction", "--config", str(config),
             "--n", "4096", "--trials", "200", "--seed", "42",
             "--x-grid", "0.5:16:6"]
-    size = models._CHUNK_WORDS // (4096 + 2048)  # a trial's path uniforms and sign words
+    spec = _model_from_config("contraction", model)
+    size = max(1, models._CHUNK_WORDS // models._trial_words(spec, 4096))
     if -(-200 // size) < 3:
         failures.append(("chunks", -(-200 // size)))
     outputs = []

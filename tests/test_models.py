@@ -32,7 +32,7 @@ MULTI_CHUNK_N, MULTI_CHUNK_TRIALS = 2048, 700  # five sampling chunks of the con
 
 def chunk_trials(spec, n):
     """The trials one sampling chunk of _partial_sum_eigs holds at this n."""
-    return max(1, models._CHUNK_WORDS // sum(models._word_counts(spec, n)))
+    return max(1, models._CHUNK_WORDS // models._trial_words(spec, n))
 
 
 def contraction_spec(tau=(1.0, 0.5), D=D2):
@@ -137,7 +137,7 @@ class TestDraw:
         # trials 60..69 of the pinned draws straddle a chunk boundary of
         # _partial_sum_eigs: chunks of 16 trials end at 64
         spec, n, seed = DRAW_SPECS[kind], 65, 2 ** 33 + 1
-        words = sum(models._word_counts(spec, n))
+        words = models._trial_words(spec, n)
         monkeypatch.setattr(models, "_CHUNK_WORDS", 17 * words - 1)
         assert chunk_trials(spec, n) == 16
         got = models._partial_sum_eigs(spec, n, 70, seed)
@@ -599,7 +599,7 @@ class TestTailExperiment:
         spec, n = DRAW_SPECS[kind], 40
         kw = dict(n=n, trials=100, x_grid=[0.5, 2.0], seed=11)
         want = run_tail_experiment(spec, **kw).to_json()
-        words = sum(models._word_counts(spec, n))
+        words = models._trial_words(spec, n)
         # one trial per chunk, then 7 trials per chunk (the last one short)
         for budget in (1, 7 * words):
             monkeypatch.setattr(models, "_CHUNK_WORDS", budget)
@@ -635,6 +635,22 @@ class TestSamplerMemory:
         spec, n, trials = DRAW_SPECS["iid_baseline"], 1 << 16, 64
         assert trials > 2 * chunk_trials(spec, n)
         assert self.peak(models._partial_sum_eigs, spec, n, trials, 3) < 32 << 20
+
+    @pytest.mark.parametrize("case", ["wide", "one-step"])
+    def test_peak_per_budget_word_is_bounded(self, case, monkeypatch):
+        # a chunk's partial sums grow with d^2 and its seed rows with the
+        # trial count, not with n: the budget counts both.  Counting stream
+        # words alone peaked at 18.9 MB (wide) and 1.06 MB (one-step) here.
+        if case == "wide":
+            spec = ModelSpec(kind="contraction", d=64, chain=CHAIN,
+                             D=np.eye(64) / 2, tau_map=np.array([1.0, 0.5]))
+            n, trials = 16, 300
+        else:
+            spec, n, trials = DRAW_SPECS["iid_baseline"], 1, 4000
+            monkeypatch.setattr(models, "_CHUNK_WORDS", 1 << 15)
+        assert trials > 2 * chunk_trials(spec, n)
+        peak = self.peak(models._partial_sum_eigs, spec, n, trials, 3)
+        assert peak < 16 * models._CHUNK_WORDS
 
 
 class TestExpectationExperiment:
