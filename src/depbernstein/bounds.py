@@ -4,6 +4,12 @@ self-adjoint random matrices, plus a certified optimized Chernoff tail bound.
 All functions are pure and deterministic.  The certified tail bound needs
 no unspecified universal constant: it is the exact minimum of the explicit
 log-Laplace majorant exp(-t x + gamma_n(t)) over its validity interval.
+
+Every closed form (gamma_cn, the majorant, the tail and expectation bounds,
+the split weight) broadcasts: x, t and the fields of BernsteinInputs may be
+scalars or numpy arrays that broadcast together, and one code path serves
+both.  Scalar inputs give Python floats, arrays give arrays.  A domain error
+names the first failing element and, for arrays, its row.
 """
 
 from __future__ import annotations
@@ -11,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cantor import decomposition_depth
+from .spectral import _out
 
 LOG2 = math.log(2.0)
 
@@ -20,13 +29,25 @@ class BoundDomainError(ValueError):
     """A bound was evaluated outside its validity domain."""
 
 
+def _reject(bad, need: str, got) -> None:
+    """Raise BoundDomainError if any element of `bad` holds, naming what is
+    needed, the first bad element of `got` and, for arrays, where it is.
+    A scalar `bad` is tested as a bool, which keeps scalar calls cheap."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        bad = np.asarray(bad)
+        i = tuple(np.argwhere(bad)[0].tolist())
+        at = "" if not i else f" at row {i[0]}" if len(i) == 1 else f" at index {i}"
+        raise BoundDomainError(f"need {need}, got {np.broadcast_to(got, bad.shape)[i]}{at}")
+
+
 @dataclass(frozen=True)
 class BernsteinInputs:
     """Parameter bundle (n, d, M, v, c) shared by every bound formula.
 
     n: number of summands; d: matrix dimension; M: a.s. bound on
     lambda_max of each summand; v: variance proxy; c: geometric mixing
-    rate in beta_k <= e^{-c(k-1)}.
+    rate in beta_k <= e^{-c(k-1)}.  Each field is a scalar or a numpy
+    array; the fields broadcast together, one row per bound.
     """
 
     n: int
@@ -36,16 +57,11 @@ class BernsteinInputs:
     c: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise BoundDomainError(f"need n >= 2, got {self.n}")
-        if self.d < 1:
-            raise BoundDomainError(f"need d >= 1, got {self.d}")
-        if not (self.M > 0 and math.isfinite(self.M)):
-            raise BoundDomainError(f"need M > 0 finite, got {self.M}")
-        if not (self.v >= 0 and math.isfinite(self.v)):
-            raise BoundDomainError(f"need v >= 0 finite, got {self.v}")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise BoundDomainError(f"need c > 0 finite, got {self.c}")
+        _reject(self.n < 2, "n >= 2", self.n)
+        _reject(self.d < 1, "d >= 1", self.d)
+        _reject(~(np.isfinite(self.M) & (self.M > 0)), "M > 0 finite", self.M)
+        _reject(~(np.isfinite(self.v) & (self.v >= 0)), "v >= 0 finite", self.v)
+        _reject(~(np.isfinite(self.c) & (self.c > 0)), "c > 0 finite", self.c)
 
 
 @dataclass(frozen=True)
@@ -91,31 +107,36 @@ def combine_sigma_kappa(pairs) -> SigmaKappaPair:
     )
 
 
-def split_weight(pair0: SigmaKappaPair, pair1: SigmaKappaPair, t: float) -> float:
+def _pole(kappa):
+    """1/kappa, the pole of a majorant; infinite where kappa = 0."""
+    kappa = np.asarray(kappa, dtype=float)
+    return np.divide(1.0, kappa, out=np.full(kappa.shape, np.inf), where=kappa > 0)
+
+
+def split_weight(pair0: SigmaKappaPair, pair1: SigmaKappaPair, t):
     """The interpolation weight u_t = (sigma_0/sigma)(1 - kappa t) + kappa_0 t
     used when two majorants are merged via trace-Hoelder; lies in (0, 1)."""
     combined = combine_sigma_kappa([pair0, pair1])
-    t_max = 1.0 / combined.kappa if combined.kappa > 0 else math.inf
-    if not 0.0 <= t < t_max:
-        raise BoundDomainError("t outside the combined validity domain")
-    return (pair0.sigma / combined.sigma) * (1.0 - combined.kappa * t) + pair0.kappa * t
+    _reject(~((0.0 <= t) & (t < _pole(combined.kappa))),
+            "t in [0, 1/kappa) of the combined pair", t)
+    return _out((pair0.sigma / combined.sigma) * (1.0 - combined.kappa * t)
+                + pair0.kappa * t)
 
 
-def gamma_majorant(pair: SigmaKappaPair, t: float) -> float:
+def gamma_majorant(pair: SigmaKappaPair, t):
     """(sigma t)^2 / (1 - kappa t), infinite at or beyond t = 1/kappa."""
-    if t < 0:
-        raise BoundDomainError("t must be >= 0")
-    if pair.kappa > 0 and t >= 1.0 / pair.kappa:
-        return math.inf
-    return (pair.sigma * t) ** 2 / (1.0 - pair.kappa * t)
+    _reject(t < 0, "t >= 0", t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at and past the pole
+        value = np.square(pair.sigma * t) / (1.0 - pair.kappa * t)
+    return _out(np.where(t >= _pole(pair.kappa), np.inf, value))
 
 
-def gamma_cn(c: float, n: int) -> float:
+def gamma_cn(c, n):
     """gamma(c, n) = (log n / log 2) * max(2, 32 log n / (c log 2))."""
-    if c <= 0 or n < 2:
-        raise BoundDomainError("gamma_cn needs c > 0 and n >= 2")
-    ln = math.log(n)
-    return (ln / LOG2) * max(2.0, 32.0 * ln / (c * LOG2))
+    _reject(c <= 0, "c > 0", c)
+    _reject(n < 2, "n >= 2", n)
+    ln = np.log(np.asarray(n, dtype=float))  # an int n may exceed int64
+    return _out((ln / LOG2) * np.maximum(2.0, 32.0 * ln / (c * LOG2)))
 
 
 def h(c: float, x: float) -> float:
@@ -186,24 +207,20 @@ def schedule_ceiling(inputs: BernsteinInputs) -> SigmaKappaPair:
 def _majorant_coefficients(inputs: BernsteinInputs):
     """(a, b) with gamma_n(t) = log d + a t^2 / (1 - b t):
     a = n (15v + 2M/sqrt(cn))^2 and b = M gamma(c, n)."""
-    sigma = 15.0 * inputs.v + 2.0 * inputs.M / math.sqrt(inputs.c * inputs.n)
+    sigma = 15.0 * inputs.v + 2.0 * inputs.M / np.sqrt(inputs.c * inputs.n)
     return inputs.n * sigma * sigma, inputs.M * gamma_cn(inputs.c, inputs.n)
 
 
-def master_log_laplace(t: float, inputs: BernsteinInputs) -> float:
+def master_log_laplace(t, inputs: BernsteinInputs):
     """gamma_n(t) = log d + t^2 n (15v + 2M/sqrt(cn))^2 / (1 - t M gamma(c,n)),
     valid for t M < 1/gamma(c, n)."""
-    if t < 0:
-        raise BoundDomainError(f"need t >= 0, got {t}")
+    _reject(t < 0, "t >= 0", t)
     a, b = _majorant_coefficients(inputs)
-    if t * b >= 1.0:
-        raise BoundDomainError(
-            f"t*M = {t * inputs.M:.6g} not below 1/gamma(c,n) = {inputs.M / b:.6g}"
-        )
-    return math.log(inputs.d) + a * t * t / (1.0 - b * t)
+    _reject(t * b >= 1.0, "t*M below 1/gamma(c,n)", t * inputs.M)
+    return _out(np.log(inputs.d) + a * t * t / (1.0 - b * t))
 
 
-def log_tail_bound_certified(x: float, inputs: BernsteinInputs):
+def log_tail_bound_certified(x, inputs: BernsteinInputs):
     """log of inf_t exp(-t x + gamma_n(t)) over t in (0, 1/(M gamma(c,n))),
     in closed form (classical Bernstein; Tropp 2012).
 
@@ -213,50 +230,29 @@ def log_tail_bound_certified(x: float, inputs: BernsteinInputs):
     stays finite where its exponential underflows to 0.
     Returns (log_bound, t_star).
     """
-    if x <= 0:
-        raise BoundDomainError(f"need x > 0, got {x}")
+    _reject(x <= 0, "x > 0", x)
     a, b = _majorant_coefficients(inputs)
-    root_sum = math.sqrt(a + b * x) + math.sqrt(a)
-    t_star = x / (math.sqrt(a + b * x) * root_sum)
-    return math.log(inputs.d) - (x / root_sum) ** 2, t_star
+    root = np.sqrt(a + b * x)
+    root_sum = root + np.sqrt(a)
+    return (_out(np.log(inputs.d) - np.square(x / root_sum)),
+            _out(x / (root * root_sum)))
 
 
-def tail_bound_certified(x: float, inputs: BernsteinInputs):
+def tail_bound_certified(x, inputs: BernsteinInputs):
     """Optimized Chernoff bound inf_t exp(-t x + gamma_n(t)) over the
     validity interval t in (0, 1/(M gamma(c,n))), capped at d.
 
     Returns (bound, t_star); see log_tail_bound_certified.
     """
     log_bound, t_star = log_tail_bound_certified(x, inputs)
-    return min(float(inputs.d), math.exp(log_bound)), t_star
+    return _out(np.minimum(inputs.d, np.exp(log_bound))), t_star
 
 
-def theorem1_form(x: float, inputs: BernsteinInputs, C: float) -> float:
-    """The headline closed form d exp(-C x^2 / (v^2 n + M^2/c + x M gamma(c,n)))
-    for a user-supplied constant C (shape studies only; nothing is certified
-    about any particular C)."""
-    if C <= 0:
-        raise BoundDomainError(f"need C > 0, got {C}")
-    if x < 0:
-        raise BoundDomainError(f"need x >= 0, got {x}")
-    denom = (
-        inputs.v ** 2 * inputs.n
-        + inputs.M ** 2 / inputs.c
-        + x * inputs.M * gamma_cn(inputs.c, inputs.n)
-    )
-    return inputs.d * math.exp(-C * x * x / denom)
-
-
-def expectation_bound(inputs: BernsteinInputs) -> float:
+def expectation_bound(inputs: BernsteinInputs):
     """E lambda_max majorant: 30 v sqrt(n log d) + 4 M sqrt(log d / c)
-    + M gamma(c, n) log d.  Degenerates to 0 at d = 1 (log d = 0); scalar
-    users should integrate the tail bound instead."""
-    if inputs.d == 1:
-        return 0.0
-    ld = math.log(inputs.d)
-    return (
-        30.0 * inputs.v * math.sqrt(inputs.n * ld)
-        + 4.0 * inputs.M * math.sqrt(ld) / math.sqrt(inputs.c)
-        + inputs.M * gamma_cn(inputs.c, inputs.n) * ld
-    )
-
+    + M gamma(c, n) log d.  Exactly 0 at d = 1 (log d = 0); scalar users
+    should integrate the tail bound instead."""
+    ld = np.log(inputs.d)
+    return _out(30.0 * inputs.v * np.sqrt(inputs.n * ld)
+                + 4.0 * inputs.M * np.sqrt(ld) / np.sqrt(inputs.c)
+                + inputs.M * gamma_cn(inputs.c, inputs.n) * ld)

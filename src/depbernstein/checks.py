@@ -4,10 +4,10 @@ A suite is a generator of cases; a case is an iterable of entries
 (invariant, compared, failed): `compared` comparisons, of which those in
 `failed` (detail dicts) did not hold.  `run` reads the clock before each
 case, so a lazy case (a generator) costs nothing once the budget is spent.
-The inequality and Cantor suites check a whole stack per case (one
-dimension, one level count); each failed row names its `pair` (draw
-index) or its `A`.  Randomized suites take their seed as an argument; the
-defaults are `verify`'s.
+The inequality, Cantor and split-identity suites check a whole stack per
+case (one dimension, one level count, all 1000 split draws); each failed
+row names its `pair` (draw index) or its `A`.  Randomized suites take
+their seed as an argument; the defaults are `verify`'s.
 """
 
 from __future__ import annotations
@@ -136,21 +136,23 @@ def bounds(seed: int = 7):
 
 
 def split_identity(seed: int):
-    """Random pairs (sigma, kappa) in [0.05, 5]^2 and t in [0, 0.999/kappa):
-    the optimally split majorants sum to (sigma t)^2 / (1 - kappa t) of the
-    combined pair, to 1e-12 relative."""
+    """Random pairs (sigma, kappa) in [0.05, 5]^2 and t in [0, 0.999/kappa),
+    drawn in order and checked as one stack: the optimally split majorants
+    sum to (sigma t)^2 / (1 - kappa t) of the combined pair, to 1e-12
+    relative; a failure carries its draw index `pair`."""
     rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        s0, s1, k0, k1 = rng.uniform(0.05, 5.0, 4)
-        p0, p1 = _bounds.SigmaKappaPair(s0, k0), _bounds.SigmaKappaPair(s1, k1)
-        comb = _bounds.combine_sigma_kappa([p0, p1])
-        t = rng.uniform(0.0, 0.999) / comb.kappa
-        u = _bounds.split_weight(p0, p1, t)
-        lhs = (u * _bounds.gamma_majorant(p0, t / u)
-               + (1.0 - u) * _bounds.gamma_majorant(p1, t / (1.0 - u)))
-        rhs = (comb.sigma * t) ** 2 / (1.0 - comb.kappa * t)
-        yield [_one("split_identity", abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs)),
-                    lhs=lhs, rhs=rhs)]
+    draws = np.array([[*rng.uniform(0.05, 5.0, 4), rng.uniform(0.0, 0.999)]
+                      for _ in range(1000)])
+    s0, s1, k0, k1, w = draws.T
+    p0, p1 = _bounds.SigmaKappaPair(s0, k0), _bounds.SigmaKappaPair(s1, k1)
+    comb = _bounds.combine_sigma_kappa([p0, p1])
+    t = w / comb.kappa
+    u = _bounds.split_weight(p0, p1, t)
+    lhs = (u * _bounds.gamma_majorant(p0, t / u)
+           + (1.0 - u) * _bounds.gamma_majorant(p1, t / (1.0 - u)))
+    rhs = (comb.sigma * t) ** 2 / (1.0 - comb.kappa * t)
+    yield [_rows("split_identity", np.abs(lhs - rhs) <= 1e-12 * (1.0 + np.abs(rhs)),
+                 pair=np.arange(len(draws)), lhs=lhs, rhs=rhs)]
 
 
 def schedule_ceilings():

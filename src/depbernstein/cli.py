@@ -64,53 +64,52 @@ def cmd_cantor(args) -> int:
     return 0
 
 
-# bound kind -> the arguments it reads besides n, d, M, v and c
-_BOUND_ARGS = {"tail": ("x",), "laplace": ("t",), "expectation": (),
-               "theorem1": ("x", "C")}
+# the BernsteinInputs fields, in order: every bound reads them, and every
+# --batch row must give them
+_INPUTS = ("n", "d", "M", "v", "c")
+# bound kind -> the arguments it reads besides the inputs
+_BOUND_ARGS = {"tail": ("x",), "laplace": ("t",), "expectation": ()}
+_BOUND_TYPES = {"n": int, "d": int, "M": float, "v": float, "c": float,
+                "x": float, "t": float}
 
 
-def _bound_row(kind, n, d, M, v, c, x, t, C):
-    given = {"n": n, "d": d, "M": M, "v": v, "c": c, "x": x, "t": t, "C": C}
-    missing = [f"--{k}" for k in ("n", "d", "M", "v", "c") + _BOUND_ARGS[kind]
-               if given[k] is None]
+def _bound_values(kind, given):
+    """Evaluate one kind of bound on `given` (scalars, or one array per
+    batch column); returns {output name: value or array}."""
+    missing = [f"--{k}" for k in _INPUTS + _BOUND_ARGS[kind] if given[k] is None]
     if missing:
         raise ValueError(f"bound --kind {kind} is missing {', '.join(missing)}")
-    inputs = bounds.BernsteinInputs(n=n, d=d, M=M, v=v, c=c)
+    inputs = bounds.BernsteinInputs(*(given[k] for k in _INPUTS))
     if kind == "tail":
-        b, t_star = bounds.tail_bound_certified(x, inputs)
-        return {"bound": b, "log_bound": bounds.log_tail_bound_certified(x, inputs)[0],
-                "t_star": t_star}
+        log_bound, t_star = bounds.log_tail_bound_certified(given["x"], inputs)
+        return {"bound": np.minimum(given["d"], np.exp(log_bound)),
+                "log_bound": log_bound, "t_star": t_star}
     if kind == "laplace":
-        return {"log_laplace": bounds.master_log_laplace(t, inputs)}
-    if kind == "expectation":
-        return {"bound": bounds.expectation_bound(inputs)}
-    return {"bound": bounds.theorem1_form(x, inputs, C)}
+        return {"log_laplace": bounds.master_log_laplace(given["t"], inputs)}
+    return {"bound": bounds.expectation_bound(inputs)}
 
 
 def cmd_bound(args) -> int:
+    given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
         with open(args.batch) as fh:
             rows = list(csv.DictReader(fh))
         if not rows:
             raise ValueError(f"empty batch: {args.batch} has no rows")
-        out_rows, extra_cols = [], []
-        for row in rows:
-            res = _bound_row(
-                args.kind, int(row["n"]), int(row["d"]), float(row["M"]),
-                float(row["v"]), float(row["c"]),
-                float(row["x"]) if "x" in row else args.x,
-                float(row["t"]) if "t" in row else args.t, args.C,
-            )
-            extra_cols = sorted(res)
-            out_rows.append(list(row.values()) + [res[k] for k in extra_cols])
-        header = list(rows[0].keys()) + extra_cols
-        _emit(_csv_text(header, out_rows), args.out)
+        # float columns: the bounds use n and d as floats, and an n past
+        # int64 would make an object array
+        given.update({k: np.array([cast(row[k]) for row in rows], dtype=float)
+                      for k, cast in _BOUND_TYPES.items()
+                      if k in _INPUTS or k in rows[0]})
+        res = _bound_values(args.kind, given)
+        names = sorted(res)
+        columns = zip(*(res[k].tolist() for k in names))
+        _emit(_csv_text(list(rows[0]) + names,
+                        [list(row.values()) + list(values)
+                         for row, values in zip(rows, columns)]), args.out)
         return 0
-    res = _bound_row(args.kind, args.n, args.d, args.M, args.v, args.c,
-                     args.x, args.t, args.C)
-    config = {"command": "bound", "kind": args.kind, "n": args.n, "d": args.d,
-              "M": args.M, "v": args.v, "c": args.c, "x": args.x, "t": args.t,
-              "C": args.C}
+    res = {k: float(v) for k, v in _bound_values(args.kind, given).items()}
+    config = {"command": "bound", "kind": args.kind, **given}
     if args.format == "json":
         _emit(json.dumps({"schema": SCHEMA, "config": config, **res},
                          sort_keys=True), args.out)
@@ -196,8 +195,17 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (invalid input), not argparse's 2, which is a
+    failed `verify`; subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="depbernstein")
+    ap = _Parser(prog="depbernstein")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cantor", help="dump the blocking of {1..A}")
@@ -216,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--C", type=float, default=None)
     p.add_argument("--batch", default=None,
                    help="CSV of parameter rows; bound columns are appended")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -530,24 +530,23 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
-    tail, curve, log_curve = [], [], []
+    tail = []
     for x in x_grid:
         k = int(np.sum(samples >= x))
-        lo, hi = clopper_pearson(k, trials, _CONF)
-        tail.append((x, k / trials, lo, hi))
-        if x > 0:
-            b = _bounds.tail_bound_certified(x, inputs)[0]
-            log_b = _bounds.log_tail_bound_certified(x, inputs)[0]
-        else:
-            b, log_b = float(inputs.d), math.log(inputs.d)
-        curve.append((x, b))
-        log_curve.append((x, log_b))
+        tail.append((x, k / trials, *clopper_pearson(k, trials, _CONF)))
+    # one closed-form call on the positive x; the bound is d (log d) elsewhere
+    xs = np.array(x_grid)
+    positive = xs > 0
+    log_b = np.full(xs.shape, math.log(inputs.d))
+    log_b[positive] = _bounds.log_tail_bound_certified(xs[positive], inputs)[0]
+    b = np.where(positive, np.minimum(inputs.d, np.exp(log_b)), inputs.d)
     return TrialReport(
         model=spec.digest(), n=n, trials=trials, seed=seed,
         inputs={"n": inputs.n, "d": inputs.d, "M": inputs.M,
                 "v": inputs.v, "c": inputs.c},
         lambda_max_samples=samples.tolist(),
-        tail_grid=tail, bound_curve=curve, log_bound_curve=log_curve,
+        tail_grid=tail, bound_curve=list(zip(x_grid, b.tolist())),
+        log_bound_curve=list(zip(x_grid, log_b.tolist())),
         mean_lambda_max=float(samples.mean()),
         mean_stderr=float(samples.std(ddof=1) / math.sqrt(trials)),
     )

@@ -14,7 +14,6 @@ spectrum cannot go stale.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass, field
 
@@ -92,9 +91,6 @@ class SymMatrix(_Symmetric):
 
     _ndim = 2
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries, "fro"))
-
     @classmethod
     def zero(cls, d: int) -> "SymMatrix":
         return cls(np.zeros((d, d)))
@@ -106,20 +102,6 @@ class SymMatrix(_Symmetric):
     @classmethod
     def diag(cls, values) -> "SymMatrix":
         return cls(np.diag(np.asarray(values, dtype=float)))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"dim": self.dim, "entries": self.entries.ravel().tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymMatrix":
-        obj = json.loads(text)
-        d = int(obj["dim"])
-        flat = np.asarray(obj["entries"], dtype=float)
-        if flat.size != d * d:
-            raise SpectralError(f"expected {d * d} entries, got {flat.size}")
-        return cls(flat.reshape(d, d))
 
 
 class SymStack(_Symmetric):
@@ -141,10 +123,6 @@ class Spectrum:
     @property
     def lambda_max(self):
         return _out(self.eigenvalues[..., 0])
-
-    @property
-    def lambda_min(self):
-        return _out(self.eigenvalues[..., -1])
 
 
 def _sym(a) -> _Symmetric:

@@ -22,7 +22,6 @@ from depbernstein.bounds import (
     sigma_kappa_schedule,
     split_weight,
     tail_bound_certified,
-    theorem1_form,
     tropp_log_laplace,
 )
 
@@ -218,7 +217,7 @@ class TestTailBound:
         # independent oracle: dense grid minimization of the same objective
         t_max = 1.0 / (inp.M * gamma_cn(inp.c, inp.n))
         ts = np.linspace(1e-9, t_max * (1 - 1e-9), 200_001)
-        phis = np.array([-t * x + master_log_laplace(t, inp) for t in ts])
+        phis = -ts * x + master_log_laplace(ts, inp)
         grid_best = math.exp(phis.min())
         bound, _ = tail_bound_certified(x, inp)
         assert bound == pytest.approx(grid_best, abs=1e-8)
@@ -250,16 +249,6 @@ class TestTailBound:
 
 
 class TestClosedForms:
-    def test_theorem1_at_zero(self):
-        inp = BernsteinInputs(n=4, d=7, M=1.0, v=1.0, c=1.0)
-        assert theorem1_form(0.0, inp, C=1.0) == 7.0
-
-    def test_theorem1_log_linearity_in_C(self):
-        inp = BernsteinInputs(n=8, d=2, M=1.0, v=0.5, c=2.0)
-        e1 = math.log(theorem1_form(3.0, inp, 1.0) / inp.d)
-        e2 = math.log(theorem1_form(3.0, inp, 2.0) / inp.d)
-        assert e2 == pytest.approx(2 * e1, rel=1e-12)
-
     def test_expectation_d1_is_zero(self):
         assert expectation_bound(BernsteinInputs(n=10, d=1, M=1.0, v=1.0, c=1.0)) == 0.0
 
@@ -275,3 +264,66 @@ class TestClosedForms:
         double = BernsteinInputs(n=64, d=3, M=1.0, v=2.0, c=5.0)
         diff = expectation_bound(double) - expectation_bound(base)
         assert diff == pytest.approx(30 * math.sqrt(64 * math.log(3)), rel=1e-12)
+
+
+class TestArrays:
+    """The array path of every closed form equals the scalar calls, row by
+    row, exactly: one code path serves both."""
+
+    ROWS = [(2 ** 4, 1, 1.0, 1.0, 100.0, 40.0, 0.01), (2 ** 10, 4, 1.0, 0.5, 0.69, 3.5e6, 1e-6),
+            (2 ** 20, 8, 0.3, 2.0, 0.05, 6e4, 1e-9), (2 ** 40, 64, 9.5, 0.07, 18.0, 1e12, 1e-15),
+            (2 ** 33, 1, 0.1, 4.9, 3.0, 2e5, 1e-13), (3, 2, 2.0, 0.0, 1.0, 1.5, 1e-3)]
+
+    def columns(self):
+        n, d, M, v, c, x, t = (np.array(col) for col in zip(*self.ROWS))
+        return BernsteinInputs(n=n, d=d, M=M, v=v, c=c), x, t
+
+    def scalars(self):
+        for n, d, M, v, c, x, t in self.ROWS:
+            yield BernsteinInputs(n=n, d=d, M=M, v=v, c=c), x, t
+
+    def test_tail_bound(self):
+        inputs, x, _ = self.columns()
+        log_bound, t_star = log_tail_bound_certified(x, inputs)
+        want = [log_tail_bound_certified(x, inp) for inp, x, _ in self.scalars()]
+        assert all(isinstance(v, float) for row in want for v in row)
+        assert log_bound.tolist() == [w[0] for w in want]
+        assert t_star.tolist() == [w[1] for w in want]
+        bound, _ = tail_bound_certified(x, inputs)
+        assert bound.tolist() == [tail_bound_certified(x, inp)[0]
+                                  for inp, x, _ in self.scalars()]
+
+    def test_master_and_expectation(self):
+        inputs, _, t = self.columns()
+        assert master_log_laplace(t, inputs).tolist() == [
+            master_log_laplace(t, inp) for inp, _, t in self.scalars()]
+        got = expectation_bound(inputs).tolist()
+        assert got == [expectation_bound(inp) for inp, _, _ in self.scalars()]
+        assert got[0] == 0.0 and got[4] == 0.0  # the d = 1 rows
+
+    def test_x_grid_on_one_input(self):
+        inp, xs = BernsteinInputs(n=4, d=3, M=1.0, v=1.0, c=100.0), np.linspace(0.5, 200.0, 9)
+        log_bound, t_star = log_tail_bound_certified(xs, inp)
+        assert list(zip(log_bound.tolist(), t_star.tolist())) == [
+            log_tail_bound_certified(float(x), inp) for x in xs]
+
+    def test_domain_error_names_the_row(self):
+        inputs, x, _ = self.columns()
+        with pytest.raises(BoundDomainError, match=r"need x > 0, got -1.0 at row 2"):
+            log_tail_bound_certified(np.where(np.arange(x.size) == 2, -1.0, x), inputs)
+        with pytest.raises(BoundDomainError, match=r"need v >= 0 finite, got nan at row 1"):
+            BernsteinInputs(n=np.array([4, 4]), d=2, M=1.0, v=np.array([1.0, np.nan]), c=1.0)
+        with pytest.raises(BoundDomainError, match=r"need n >= 2, got 1$"):
+            BernsteinInputs(n=1, d=2, M=1.0, v=1.0, c=1.0)
+
+    def test_split_weight_and_majorant_broadcast(self):
+        p0 = SigmaKappaPair(np.array([1.0, 0.5, 2.0]), np.array([1.0, 0.0, 0.25]))
+        p1 = SigmaKappaPair(np.array([2.0, 1.5, 0.1]), np.array([0.5, 0.0, 3.0]))
+        t = np.array([0.3, 7.0, 0.1])
+        u = split_weight(p0, p1, t)
+        rows = [(SigmaKappaPair(a, b), SigmaKappaPair(c, e), s) for a, b, c, e, s
+                in zip(p0.sigma, p0.kappa, p1.sigma, p1.kappa, t)]
+        assert u.tolist() == [split_weight(a, b, s) for a, b, s in rows]
+        assert gamma_majorant(p1, t / (1 - u)).tolist() == [
+            gamma_majorant(b, s / (1 - split_weight(a, b, s))) for a, b, s in rows]
+        assert gamma_majorant(p0, np.array([0.5, 1e9, 4.0])).tolist() == [0.5, 0.25e18, math.inf]

@@ -115,24 +115,18 @@ class TestBoundCommand:
                             "--c", "100")
         assert code == 0 and json.loads(out)["bound"] > 0
 
-    def test_theorem1(self, capsys):
-        code, out = run_cli(capsys, "bound", "--kind", "theorem1", *self.ARGS,
-                            "--x", "0", "--C", "1.0")
-        assert code == 0 and json.loads(out)["bound"] == 1.0
-
     def test_domain_error_is_exit_3(self, capsys):
         code, _ = run_cli(capsys, "bound", "--kind", "laplace", *self.ARGS,
                           "--t", "10.0")
         assert code == 3
 
     @pytest.mark.parametrize("kind, dropped", [
-        ("tail", "--x"), ("laplace", "--t"), ("theorem1", "--C"), ("theorem1", "--x"),
-        ("tail", "--n"), ("laplace", "--n"), ("expectation", "--n"),
-        ("theorem1", "--n"), ("expectation", "--c"),
+        ("tail", "--x"), ("laplace", "--t"), ("tail", "--n"), ("laplace", "--n"),
+        ("expectation", "--n"), ("expectation", "--c"),
     ])
     def test_missing_argument_is_exit_3(self, capsys, kind, dropped):
         given = dict(zip(self.ARGS[::2], self.ARGS[1::2]),
-                     **{"--x": "40", "--t": "0.05", "--C": "1.0"})
+                     **{"--x": "40", "--t": "0.05"})
         argv = [a for flag, value in given.items() if flag != dropped
                 for a in (flag, value)]
         code = main(["bound", "--kind", kind, *argv])
@@ -169,6 +163,69 @@ class TestBoundCommand:
         # the bound underflows to 0 there; its log stays finite
         assert float(rows[2]["bound"]) == 0.0
         assert float(rows[2]["log_bound"]) == pytest.approx(-750.43, abs=0.01)
+
+    @pytest.mark.parametrize("kind", ["tail", "laplace", "expectation"])
+    def test_batch_row_matches_single_call(self, capsys, tmp_path, kind):
+        grid = [(16, 1, 1.0, 1.0, 100.0, 40.0, 0.01), (1024, 4, 1.0, 0.5, 0.69, 3.5e6, 1e-6),
+                (2 ** 20, 8, 0.3, 2.0, 0.05, 6e4, 1e-9), (2 ** 40, 64, 9.5, 0.07, 18.0, 1e12, 1e-15),
+                (2 ** 70, 2, 1.0, 1.0, 1.0, 1e12, 1e-25)]  # an n past int64
+        names = ("n", "d", "M", "v", "c", "x", "t")
+        batch = tmp_path / "rows.csv"
+        batch.write_text(_rows_csv(names, grid))
+        code, out = run_cli(capsys, "bound", "--kind", kind, "--batch", str(batch))
+        assert code == 0
+        got = list(csv.DictReader(out.splitlines()))
+        assert len(got) == len(grid)
+        for row, values in zip(got, grid):
+            argv = [a for k, v in zip(names, values) for a in (f"--{k}", repr(v))]
+            code, single = run_cli(capsys, "bound", "--kind", kind, *argv)
+            payload = json.loads(single)
+            assert code == 0 and set(payload) - {"config", "schema"} <= set(row)
+            for key in set(payload) - {"config", "schema"}:
+                assert float(row[key]) == payload[key], (key, row)
+            assert "C" not in payload["config"]
+
+    def test_batch_domain_error_names_its_row(self, capsys, tmp_path):
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,-1,100,40\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "need v >= 0 finite, got -1.0 at row 1" in err
+
+
+def _rows_csv(names, rows) -> str:
+    return "\n".join([",".join(names)] + [",".join(map(repr, r)) for r in rows]) + "\n"
+
+
+class TestUsageErrors:
+    """A usage error argparse rejects is an invalid input (3); 2 stays a
+    failed verify check."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "4", "--d", "1", "--M", "1", "--v", "1", "--c", "100"],
+        ["bound", "--kind", "theorem1", "--n", "4", "--d", "1", "--M", "1", "--v", "1",
+         "--c", "100", "--x", "1"],
+        ["simulate", "--model", "nope", "--config", "m.json", "--n", "8",
+         "--trials", "120", "--seed", "1", "--x-grid", "1:2:2"],
+        ["verify", "nosuch"],
+    ], ids=["bound_without_kind", "bound_theorem1", "simulate_unknown_model",
+            "verify_unknown_suite"])
+    def test_usage_error_is_exit_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--help"])
+        assert exc.value.code == 0 and "--kind" in capsys.readouterr().out
+
+    def test_failed_verify_is_still_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "monotonic", itertools.count().__next__)
+        code, out = run_cli(capsys, "verify", "bounds", "--budget", "0")
+        assert code == 2 and json.loads(out)["ok"] is False
 
 
 class TestMixingCommand:

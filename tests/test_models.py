@@ -492,6 +492,21 @@ class TestTailExperiment:
             assert b == pytest.approx(min(self.SPEC.d, math.exp(log_b)), rel=1e-12)
         assert "log_bound_curve" in json.loads(report.to_json())
 
+    def test_one_closed_form_call_per_report(self, monkeypatch):
+        from depbernstein import bounds
+
+        calls, capped = [], []
+        log_bound = bounds.log_tail_bound_certified
+        monkeypatch.setattr(bounds, "log_tail_bound_certified",
+                            lambda x, inputs: calls.append(x) or log_bound(x, inputs))
+        monkeypatch.setattr(bounds, "tail_bound_certified",
+                            lambda *a: capped.append(a) or (0.0, 0.0))
+        report = run_tail_experiment(self.SPEC, 8, trials=100,
+                                     x_grid=[-1.0, 0.0, 0.5, 4.0, 9.0], seed=2)
+        assert len(calls) == 1 and calls[0].tolist() == [0.5, 4.0, 9.0]
+        assert capped == []
+        assert [b for _, b in report.bound_curve[:2]] == [float(self.SPEC.d)] * 2
+
     def test_deterministic_json(self):
         kw = dict(n=8, trials=120, x_grid=[1.0, 2.0], seed=4)
         a = run_tail_experiment(self.SPEC, **kw).to_json()

@@ -78,11 +78,6 @@ class TestSymMatrix:
         assert eig_sym(a) is spectrum
         np.testing.assert_array_equal(spectrum.eigenvalues, values)
 
-    def test_json_roundtrip(self):
-        a = SymMatrix(np.array([[1.0, 2.0], [2.0, -3.0]]))
-        b = SymMatrix.from_json(a.to_json())
-        np.testing.assert_array_equal(a.entries, b.entries)
-
 
 class TestEig:
     def test_identity(self):
@@ -91,7 +86,7 @@ class TestEig:
 
     def test_diagonal(self):
         s = eig_sym(SymMatrix.diag([3.0, -1.0]))
-        assert s.lambda_max == 3.0 and s.lambda_min == -1.0
+        assert s.lambda_max == 3.0 and s.eigenvalues[-1] == -1.0
 
     def test_offdiagonal(self):
         # characteristic polynomial lambda^2 - 1
@@ -105,7 +100,7 @@ class TestEig:
             s = eig_sym(a)
             rec = (s.basis * s.eigenvalues) @ s.basis.T
             err = np.linalg.norm(rec - a.entries, "fro")
-            assert err <= 1e-10 * (1.0 + a.frobenius())
+            assert err <= 1e-10 * (1.0 + np.linalg.norm(a.entries))
 
 
 class TestSpectrumCache:
@@ -280,7 +275,7 @@ class TestExpm:
         rng = np.random.default_rng(1)
         for _ in range(20):
             e = expm_sym(rand_sym(rng, 4))
-            assert eig_sym(e).lambda_min > 0
+            assert eig_sym(e).eigenvalues[-1] > 0
 
 
 class TestTraceExp:
