@@ -11,15 +11,16 @@ from depbernstein import mixing
 chain = mixing.MarkovChain.two_state(0.25, 0.25)
 print("2-state chain with flip probability 1/4 (stationary pi = [1/2, 1/2])")
 print(f"{'k':>3} {'beta_k':>12} {'0.5^(k+1)':>12}")
-for k in range(1, 11):
-    print(f"{k:3d} {mixing.beta_k_exact(chain, k):12.3e} {0.5 ** (k + 1):12.3e}")
+lags = np.arange(1, 11)
+for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist()):
+    print(f"{k:3d} {bk:12.3e} {0.5 ** (k + 1):12.3e}")
 
 c = mixing.fit_geometric_rate(chain, k_max=50)
 print(f"\nfitted geometric rate c = {c:.6f} "
       f"(envelope beta_k <= exp(-c (k-1)) for k = 2..50)")
-for k in (2, 10, 50):
-    print(f"  k = {k:2d}: beta_k = {mixing.beta_k_exact(chain, k):.3e} "
-          f"<= envelope {math.exp(-c * (k - 1)):.3e}")
+lags = np.array([2, 10, 50])
+for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist()):
+    print(f"  k = {k:2d}: beta_k = {bk:.3e} <= envelope {math.exp(-c * (k - 1)):.3e}")
 
 print("\nmaximal coupling of (S_0, S_1):")
 joint = chain.joint_law(1)

@@ -197,11 +197,10 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
 
 
 def schedule_ceiling(inputs: BernsteinInputs) -> SigmaKappaPair:
-    """The ceilings of the schedule's sums: sum(sigma) <= 15 sqrt(n) v + 2 M/sqrt(c)
-    and sum(kappa) <= M gamma(c, n)."""
-    n, M, v, c = inputs.n, inputs.M, inputs.v, inputs.c
-    return SigmaKappaPair(sigma=15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c),
-                          kappa=M * gamma_cn(c, n))
+    """The ceilings of the schedule's sums, from the majorant's (a, b): sum(sigma)
+    <= sqrt(a) = 15 sqrt(n) v + 2 M/sqrt(c) and sum(kappa) <= b = M gamma(c, n)."""
+    a, b = _majorant_coefficients(inputs)
+    return SigmaKappaPair(sigma=_out(np.sqrt(a)), kappa=b)
 
 
 def _majorant_coefficients(inputs: BernsteinInputs):
@@ -238,14 +237,17 @@ def log_tail_bound_certified(x, inputs: BernsteinInputs):
             _out(x / (root * root_sum)))
 
 
+def capped_bound(log_bound, d):
+    """min(d, e^log_bound): the tail bound from its log, capped at d."""
+    return _out(np.minimum(d, np.exp(log_bound)))
+
+
 def tail_bound_certified(x, inputs: BernsteinInputs):
     """Optimized Chernoff bound inf_t exp(-t x + gamma_n(t)) over the
     validity interval t in (0, 1/(M gamma(c,n))), capped at d.
-
-    Returns (bound, t_star); see log_tail_bound_certified.
-    """
+    Returns (bound, t_star); see log_tail_bound_certified."""
     log_bound, t_star = log_tail_bound_certified(x, inputs)
-    return _out(np.minimum(inputs.d, np.exp(log_bound))), t_star
+    return capped_bound(log_bound, inputs.d), t_star
 
 
 def expectation_bound(inputs: BernsteinInputs):

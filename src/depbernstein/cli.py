@@ -82,7 +82,7 @@ def _bound_values(kind, given):
     inputs = bounds.BernsteinInputs(*(given[k] for k in _INPUTS))
     if kind == "tail":
         log_bound, t_star = bounds.log_tail_bound_certified(given["x"], inputs)
-        return {"bound": np.minimum(given["d"], np.exp(log_bound)),
+        return {"bound": bounds.capped_bound(log_bound, given["d"]),
                 "log_bound": log_bound, "t_star": t_star}
     if kind == "laplace":
         return {"log_laplace": bounds.master_log_laplace(given["t"], inputs)}
@@ -122,20 +122,19 @@ def cmd_mixing(args) -> int:
     with open(args.chain) as fh:
         chain = mixing.MarkovChain.from_json(fh.read())
     k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
-    betas = [(k, mixing.beta_k_exact(chain, k)) for k in range(k_lo, k_hi + 1)]
+    lags = np.arange(k_lo, k_hi + 1)
     c = mixing.fit_geometric_rate(chain, max(k_hi, 2)) if args.fit_c else None
-    rows = [(k, bk, math.exp(-c * (k - 1)) if c is not None else "")
-            for k, bk in betas]
+    header = ("k", "beta_k", "envelope")  # csv writes a missing envelope (None) as ""
+    rows = [(k, bk, None if c is None else math.exp(-c * (k - 1)))
+            for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist())]
     if args.format == "json":
         payload = {"schema": SCHEMA,
                    "config": {"command": "mixing", "chain": args.chain,
                               "beta_k": args.beta_k, "fit_c": args.fit_c},
-                   "c": c,
-                   "beta": [{"k": k, "beta_k": bk, "envelope": env if env != "" else None}
-                            for k, bk, env in rows]}
+                   "c": c, "beta": [dict(zip(header, row)) for row in rows]}
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        _emit(_csv_text(("k", "beta_k", "envelope"), rows), args.out)
+        _emit(_csv_text(header, rows), args.out)
     return 0
 
 
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_cantor)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", default=None,
                    help="CSV of parameter rows; bound columns are appended")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("mixing", help="beta profile of a finite chain")
@@ -235,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-k", default="1..20", dest="beta_k")
     p.add_argument("--fit-c", action="store_true", dest="fit_c")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_mixing)
 
     p = sub.add_parser("simulate", help="tail experiment for a model")
@@ -248,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", required=True, dest="x_grid", help="a:b:steps")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--budget", type=float, default=120.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
+    for p in sub.choices.values():  # every command writes to --out, else stdout
+        p.add_argument("--out", default=None)
     return ap
 
 

@@ -2,18 +2,19 @@
 
 For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
-E || P^k(S_0, .) - pi ||_TV, which is what beta_k_exact computes; the
-generic beta_from_joint works on any finite joint law and is used as a
-cross-check via the joint law of (S_0, S_k).
+E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
+from the powers of P - 1 pi; the generic beta_from_joint works on any
+finite joint law and is the independent check, via the law of (S_0, S_k).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectral import _out
 
 RATE_CEILING = 1e6  # returned when the chain mixes "infinitely fast" (beta_k = 0)
 
@@ -159,16 +160,27 @@ def beta_from_joint(joint: JointLaw) -> float:
     return float(0.5 * np.abs(joint.pmf - prod).sum())
 
 
-def beta_k_exact(chain: MarkovChain, k: int) -> float:
-    """beta_k of a stationary chain: sum_x pi(x) * TV(P^k(x, .), pi)."""
-    if k < 1:
-        raise MixingError(f"lag k must be >= 1, got {k}")
-    Pk = np.linalg.matrix_power(chain.P, k)
-    return float(chain.pi @ (0.5 * np.abs(Pk - chain.pi[None, :]).sum(axis=1)))
+def beta_k_exact(chain: MarkovChain, k):
+    """beta_k = sum_x pi(x) TV(P^k(x, .), pi) of a stationary chain: one lag
+    k gives a float, an integer array of lags an array of its shape.
+    P^k - 1 pi = Q^k with Q = P - 1 pi, and summing |Q^k| keeps beta_k's
+    relative accuracy where P^k - 1 pi cancels.  Q^k steps through the
+    distinct lags in order: Q^{k_min} by one matrix_power, then one product
+    per further lag (by Q^gap across a gap); only the betas are kept."""
+    ks, at = np.unique(k, return_inverse=True)
+    if np.any(ks < 1):
+        raise MixingError(f"lag k must be >= 1, got {ks[0]}")
+    Q = chain.P - chain.pi
+    Qk, beta = np.eye(chain.states), np.empty(ks.size)
+    for i, gap in enumerate(np.diff(ks, prepend=0).tolist()):
+        Qk = Qk @ (Q if gap == 1 else np.linalg.matrix_power(Q, gap))
+        beta[i] = chain.pi @ (0.5 * np.abs(Qk).sum(axis=1))
+    return _out(beta[at].reshape(np.shape(k)))
 
 
-def dbar(Pk: np.ndarray) -> float:
-    """d̄(k) = max_{x,y} TV(P^k(x, .), P^k(y, .)), given the k-step matrix P^k.
+def dbar(Pk: np.ndarray):
+    """d̄(k) = max_{x,y} TV(P^k(x, .), P^k(y, .)) of each k-step matrix P^k
+    in a stack (..., s, s); a single matrix gives a float.
 
     It bounds TV(P^k(x, .), pi) for every x and is submultiplicative,
     d̄(j + k) <= d̄(j) d̄(k) (Levin, Peres & Wilmer, Markov Chains and Mixing
@@ -176,26 +188,22 @@ def dbar(Pk: np.ndarray) -> float:
     exponent (s-1)^2 + 1 on.
     """
     Pk = np.asarray(Pk, dtype=float)
-    return float(0.5 * np.abs(Pk[:, None, :] - Pk[None, :, :]).sum(axis=2).max())
+    return _out(0.5 * np.abs(Pk[..., :, None, :] - Pk[..., None, :, :])
+                .sum(axis=-1).max(axis=(-2, -1)))
 
 
 def fit_geometric_rate(chain: MarkovChain, k_max: int) -> float:
-    """Largest c with beta_k <= e^{-c(k-1)} on k = 2..k_max:
-    c = min_k -log(beta_k) / (k-1).  Lags with beta_k below 1e-300 are
-    treated as infinitely fast and skipped; an all-zero profile returns
-    the ceiling 1e6 (iid case)."""
+    """Largest c with beta_k <= e^{-c(k-1)} on k = 2..k_max: the least
+    -log(beta_k) / (k-1) of one beta profile.  Lags with beta_k below 1e-300
+    are infinitely fast and skipped; an all-zero profile (iid) gives 1e6."""
     if k_max < 2:
         raise MixingError(f"k_max must be >= 2, got {k_max}")
-    rates = []
-    for k in range(2, k_max + 1):
-        bk = beta_k_exact(chain, k)
-        if bk >= 1.0:
-            raise MixingError(f"beta_{k} >= 1: no valid geometric rate")
-        if bk > 1e-300:
-            rates.append(-math.log(bk) / (k - 1))
-    if not rates:
-        return RATE_CEILING
-    return min(min(rates), RATE_CEILING)
+    lags = np.arange(2, k_max + 1)
+    beta = beta_k_exact(chain, lags)
+    if np.any(beta >= 1.0):
+        raise MixingError(f"beta_{lags[beta >= 1.0][0]} >= 1: no valid geometric rate")
+    fast = beta > 1e-300
+    return float(np.min(-np.log(beta[fast]) / (lags[fast] - 1), initial=RATE_CEILING))
 
 
 class BerbeeCoupler:

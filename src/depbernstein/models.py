@@ -206,10 +206,6 @@ def block_lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
     return _lag_moments(*_block_transfer(spec), _lag_powers(spec.chain.P, spec.d, lags))
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mats, 2, axis=(-2, -1))
-
-
 def v2_block_ceiling(spec: ModelSpec) -> float:
     """Certified ceiling on the block model's variance proxy, valid for every n.
 
@@ -228,14 +224,14 @@ def v2_block_ceiling(spec: ModelSpec) -> float:
     L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / d) + 1)
     square, A, m = _block_transfer(spec)
     R = _lag_powers(spec.chain.P, d, L + 1)
-    norms = _spectral_norms(_lag_moments(square, A, m, R[:L]))
-    dbars = np.array([dbar(r) for r in R])  # d̄(j_k), k = 1..L+1
+    norms = np.linalg.norm(_lag_moments(square, A, m, R[:L]), 2, axis=(-2, -1))
+    dbars = dbar(R)  # d̄(j_k), k = 1..L+1
     k0 = np.flatnonzero(dbars[:L] < 1.0)
     if k0.size == 0:
         raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * d + 1}: "
                          "the tail of the v^2 ceiling cannot be certified")
-    a = _spectral_norms(A.transpose(2, 0, 1)).sum()
-    b = _spectral_norms(m.transpose(2, 0, 1)).max()
+    a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
+    b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
     tail = 2.0 * a * b * dbars[L] * np.min((k0 + 1) / (1.0 - dbars[k0]))
     return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
 
@@ -437,10 +433,8 @@ def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
     exact for the contraction/iid models and the certified ceiling
     v2_block_ceiling for the block model, valid for every n.  c is fitted
     from the chain's exact beta profile."""
-    if spec.kind == "block_covariance":
-        v = math.sqrt(v2_block_ceiling(spec))
-    else:
-        v = math.sqrt(v2_exact_contraction(spec))
+    v = math.sqrt(v2_block_ceiling(spec) if spec.kind == "block_covariance"
+                  else v2_exact_contraction(spec))
     c = fit_geometric_rate(spec.chain, _RATE_LAGS)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
@@ -539,7 +533,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     positive = xs > 0
     log_b = np.full(xs.shape, math.log(inputs.d))
     log_b[positive] = _bounds.log_tail_bound_certified(xs[positive], inputs)[0]
-    b = np.where(positive, np.minimum(inputs.d, np.exp(log_b)), inputs.d)
+    b = np.where(positive, _bounds.capped_bound(log_b, inputs.d), inputs.d)
     return TrialReport(
         model=spec.digest(), n=n, trials=trials, seed=seed,
         inputs={"n": inputs.n, "d": inputs.d, "M": inputs.M,

@@ -19,6 +19,7 @@ from depbernstein.bounds import (
     log_tail_bound_certified,
     master_log_laplace,
     prop1_log_laplace,
+    schedule_ceiling,
     sigma_kappa_schedule,
     split_weight,
     tail_bound_certified,
@@ -300,6 +301,19 @@ class TestArrays:
         got = expectation_bound(inputs).tolist()
         assert got == [expectation_bound(inp) for inp, _, _ in self.scalars()]
         assert got[0] == 0.0 and got[4] == 0.0  # the d = 1 rows
+
+    def test_schedule_ceiling(self):
+        # the ceilings are read off the majorant's (a, b), so they broadcast too
+        inputs, _, _ = self.columns()
+        ceiling = schedule_ceiling(inputs)
+        want = [schedule_ceiling(inp) for inp, _, _ in self.scalars()]
+        assert all(isinstance(w.sigma, float) and isinstance(w.kappa, float) for w in want)
+        assert ceiling.sigma.tolist() == [w.sigma for w in want]
+        assert ceiling.kappa.tolist() == [w.kappa for w in want]
+        for (n, d, M, v, c, _, _), w in zip(self.ROWS, want):
+            assert w.sigma == pytest.approx(15.0 * math.sqrt(n) * v + 2.0 * M / math.sqrt(c),
+                                            rel=1e-14)
+            assert w.kappa == M * gamma_cn(c, n)
 
     def test_x_grid_on_one_input(self):
         inp, xs = BernsteinInputs(n=4, d=3, M=1.0, v=1.0, c=100.0), np.linspace(0.5, 200.0, 9)

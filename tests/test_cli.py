@@ -250,6 +250,26 @@ class TestMixingCommand:
             if entry["k"] >= 2:
                 assert entry["beta_k"] <= entry["envelope"] * (1 + 1e-12)
 
+    def test_fit_c_json_is_pinned(self, capsys, chain_file, monkeypatch):
+        # the chain path is part of the output, so it is given relative
+        monkeypatch.chdir(Path(chain_file).parent)
+        code, out = run_cli(capsys, "mixing", "--chain", "chain.json",
+                            "--beta-k", "1..50", "--fit-c", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8a5b0f9b98f63f95ecec86279864a55568ba56f2829e9b7e41606c5a8be302ea")
+
+    def test_empty_lag_range(self, capsys, chain_file):
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file,
+                            "--beta-k", "5..3", "--format", "json")
+        assert code == 0 and json.loads(out)["beta"] == []
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file, "--beta-k", "5..3")
+        assert code == 0 and out == "k,beta_k,envelope\n"
+
+    def test_lag_zero_is_exit_3(self, capsys, chain_file):
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file, "--beta-k", "0..3")
+        assert code == 3 and out == ""
+
     def test_missing_file_is_exit_3(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "mixing", "--chain", str(tmp_path / "nope.json"))
         assert code == 3

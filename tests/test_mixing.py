@@ -1,7 +1,9 @@
 import json
 import math
+import tracemalloc
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,34 @@ def random_chain(rng, s):
     P = rng.uniform(0.1, 1.0, (s, s))
     P /= P.sum(axis=1, keepdims=True)
     return MarkovChain.from_transition(P)
+
+
+def two_state_beta(a, b, k):
+    """beta_k of two_state(a, b) in closed form: 2ab|1-a-b|^k / (a+b)^2."""
+    return 2.0 * a * b * abs(1.0 - a - b) ** k / (a + b) ** 2
+
+
+def fraction_betas(P, k_max):
+    """beta_1..beta_k_max of the chain with rational P, in exact arithmetic:
+    pi solves pi (P - I) = 0 with sum(pi) = 1 by Gauss-Jordan elimination."""
+    s = len(P)
+    rows = [[P[j][i] - (i == j) for j in range(s)] + [Fraction(0)] for i in range(s - 1)]
+    rows.append([Fraction(1)] * (s + 1))
+    for col in range(s):
+        pivot = next(r for r in range(col, s) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(s):
+            if r != col:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    pi = [row[-1] for row in rows]
+    assert all(sum(pi[x] * P[x][y] for x in range(s)) == pi[y] for y in range(s))
+    betas, Pk = [], P
+    for _ in range(k_max):
+        betas.append(sum(pi[x] * sum(abs(Pk[x][y] - pi[y]) for y in range(s))
+                         for x in range(s)) / 2)
+        Pk = [[sum(Pk[x][z] * P[z][y] for z in range(s)) for y in range(s)] for x in range(s)]
+    return betas
 
 
 def per_step_paths(chain, u):
@@ -268,6 +298,58 @@ class TestBetaKExact:
     def test_rejects_bad_lag(self):
         with pytest.raises(MixingError):
             beta_k_exact(MarkovChain.two_state(0.25, 0.25), 0)
+        with pytest.raises(MixingError):
+            beta_k_exact(MarkovChain.two_state(0.25, 0.25), np.array([3, 0, 5]))
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.25), (0.1, 0.3), (0.9, 0.8), (0.25, 0.25)])
+    def test_two_state_closed_form_without_cancellation(self, a, b):
+        # P^k - 1 pi would cancel to roundoff long before k = 200; the
+        # powers of P - 1 pi keep every beta_k to full relative accuracy
+        chain = MarkovChain.two_state(a, b)
+        lags = np.arange(1, 201)
+        want = [two_state_beta(a, b, k) for k in range(1, 201)]
+        assert [beta_k_exact(chain, k) for k in range(1, 201)] == pytest.approx(want, rel=1e-12)
+        assert beta_k_exact(chain, lags).tolist() == pytest.approx(want, rel=1e-12)
+        # unordered, repeated and far apart: Q^gap spans each gap
+        sparse = np.array([[150, 7], [7, 10 ** 6]])
+        assert beta_k_exact(chain, sparse).ravel().tolist() == pytest.approx(
+            [two_state_beta(a, b, k) for k in sparse.ravel().tolist()], rel=1e-12)
+
+    def test_three_state_matches_exact_arithmetic(self):
+        tenths = [[6, 3, 1], [2, 5, 3], [3, 2, 5]]
+        chain = MarkovChain.from_transition(np.array(tenths) / 10)
+        want = [float(bk) for bk in fraction_betas(
+            [[Fraction(p, 10) for p in row] for row in tenths], 50)]
+        assert [beta_k_exact(chain, k) for k in range(1, 51)] == pytest.approx(want, rel=1e-12)
+        assert beta_k_exact(chain, np.arange(1, 51)).tolist() == pytest.approx(want, rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(18)
+        lags = np.arange(1, 61)
+        for _ in range(30):
+            chain = random_chain(rng, int(rng.integers(2, 6)))
+            got = beta_k_exact(chain, lags)
+            assert isinstance(got, np.ndarray) and got.shape == lags.shape
+            assert got.tolist() == pytest.approx(
+                [beta_k_exact(chain, int(k)) for k in lags], rel=1e-12)
+            # any order, repeats and shape: one entry per lag
+            picks = rng.integers(1, 61, (3, 4))
+            assert beta_k_exact(chain, picks) == pytest.approx(got[picks - 1], rel=1e-12)
+        assert isinstance(beta_k_exact(chain, 7), float)
+        assert beta_k_exact(chain, np.array([], dtype=int)).shape == (0,)
+
+    def test_profile_keeps_no_stack_of_powers(self):
+        # a (K, s, s) stack of powers would take K s^2 doubles; the profile
+        # keeps the beta values and a few s x s matrices
+        chain = random_chain(np.random.default_rng(3), 20)
+        lags = np.arange(1, 2001)
+        tracemalloc.start()
+        try:
+            beta_k_exact(chain, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lags.size * 20 * 20 * 8 / 20
 
 
 class TestDbar:
@@ -277,6 +359,16 @@ class TestDbar:
         for k in range(1, 8):
             Pk = np.linalg.matrix_power(chain.P, k)
             assert dbar(Pk) == pytest.approx(0.3 ** k, rel=1e-10)
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        for s in (2, 3, 5):
+            chain = random_chain(rng, s)
+            stack = np.stack([np.linalg.matrix_power(chain.P, k) for k in range(1, 13)])
+            got = dbar(stack.reshape(3, 4, s, s))
+            assert got.shape == (3, 4)
+            assert got.ravel().tolist() == [dbar(Pk) for Pk in stack]
+        assert isinstance(dbar(stack[0]), float)
 
     def test_iid_is_exactly_zero(self):
         assert dbar(MarkovChain.iid([0.2, 0.3, 0.5]).P) == 0.0
@@ -305,6 +397,16 @@ class TestFitGeometricRate:
         chain = MarkovChain.two_state(0.25, 0.25)
         got = fit_geometric_rate(chain, 50)
         assert got == pytest.approx(51.0 / 49.0 * math.log(2.0), rel=1e-12)
+
+    def test_rate_of_a_fast_chain(self):
+        # beta_k of [[.5, .5], [.25, .75]] falls like 4^-k: P^k - 1 pi cancels
+        # to 0 from k = 29 on, and a fit that skipped those lags would come out
+        # too fast, with e^{-49c} below beta_50
+        chain = MarkovChain.from_transition([[0.5, 0.5], [0.25, 0.75]])
+        c = fit_geometric_rate(chain, 50)
+        assert c == pytest.approx(1.4311356790247114, rel=1e-12)
+        for k in range(2, 51):
+            assert two_state_beta(0.5, 0.25, k) <= math.exp(-c * (k - 1)) * (1 + 1e-12)
 
     def test_envelope_actually_dominates(self):
         rng = np.random.default_rng(9)

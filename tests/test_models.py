@@ -374,7 +374,7 @@ class TestBlockCeiling:
         assert ceiling >= v2_bruteforce(spec, 10) - 1e-12
 
     def test_no_contracting_step_raises(self, monkeypatch):
-        monkeypatch.setattr(models, "dbar", lambda Pk: 1.0)
+        monkeypatch.setattr(models, "dbar", lambda Pk: np.ones(len(Pk)))
         with pytest.raises(ModelError):
             v2_block_ceiling(SHIPPED_BLOCK)
 
