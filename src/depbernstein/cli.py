@@ -123,7 +123,7 @@ def cmd_mixing(args) -> int:
         chain = mixing.MarkovChain.from_json(fh.read())
     k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
     lags = np.arange(k_lo, k_hi + 1)
-    c = mixing.fit_geometric_rate(chain, max(k_hi, 2)) if args.fit_c else None
+    c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS) if args.fit_c else None
     header = ("k", "beta_k", "envelope")  # csv writes a missing envelope (None) as ""
     rows = [(k, bk, None if c is None else math.exp(-c * (k - 1)))
             for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist())]

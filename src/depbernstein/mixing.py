@@ -17,6 +17,8 @@ import numpy as np
 from .spectral import _out
 
 RATE_CEILING = 1e6  # returned when the chain mixes "infinitely fast" (beta_k = 0)
+RATE_LAGS = 50  # the rate c of the bound fits the beta profile on lags 2..RATE_LAGS
+_TABLE_WORDS = 1 << 10  # entries of sample_paths' k-step table: s W^k at most this
 
 
 class MixingError(ValueError):
@@ -99,7 +101,8 @@ class MarkovChain:
         return JointLaw(pmf=self.pi[:, None] * Pk)
 
     def sample_paths(self, u: np.ndarray) -> np.ndarray:
-        """One stationary path per row of the uniforms u, shape (paths, steps).
+        """One stationary path per row of the uniforms u, shape (paths, steps),
+        in the narrowest unsigned dtype that holds the last state.
 
         The state after x is #{k <= s-2 : cumsum(P[x])[k] <= u}: the inverse
         CDF without its last column, so a row summing to just below 1 still
@@ -107,27 +110,55 @@ class MarkovChain:
         That count depends on u only through its rank among the cut points,
         the distinct values of those columns, so each uniform is ranked once,
         by counting the cuts at or below it (one comparison pass per cut, in
-        the narrowest unsigned type that holds the count), and every step is
-        one lookup jump[x * W + rank] = W * (next state).  All the paths step
-        together, so the step loop runs once per call.
+        the narrowest unsigned type that holds the count), and the one-step
+        table nxt[x, rank] gives the next state.  One lookup moves a path k
+        transitions: with W ranks, k is the largest power of two with s W^k
+        <= _TABLE_WORDS, and the k-step table is built from nxt by doubling.
+        Its entry (x, c) holds the k states visited from x on the rank word
+        c of k steps (first step most significant), packed into one word.
+        The paths step together one block of k steps at a time, each to the
+        last state of its entry, one gather unpacks every block, and the at
+        most k - 1 transitions left over step through nxt.
         """
         u = np.asarray(u, dtype=float)
-        s = self.states
+        s, (paths, steps) = self.states, u.shape
         cuts, at = np.unique(np.cumsum(self.P, axis=1)[:, :-1], return_inverse=True)
-        W = cuts.size + 1
+        W, state = cuts.size + 1, np.min_scalar_type(s - 1)
         # entry k of row x is <= u from rank at[x, k] + 1 on: count those per rank
         rises = np.repeat(np.arange(s) * W, s - 1) + at.ravel() + 1
-        jump = W * np.bincount(rises, minlength=s * W).reshape(s, W).cumsum(1).ravel()
+        nxt = np.bincount(rises, minlength=s * W).reshape(s, W).cumsum(1).astype(state)
+        # seq[x, c] lists the states of entry (x, c).  A doubling round runs
+        # the first half of c from x, then the second half from where the
+        # first ends.  s, W >= 2 give k <= 8, so a packed word of one-byte
+        # states has at most 8 bytes (two-byte states keep k = 1)
+        seq, Wk = nxt[:, :, None], W
+        while s * Wk * Wk <= _TABLE_WORDS:
+            seq = np.concatenate([np.broadcast_to(seq[:, :, None], (s, Wk, Wk, seq.shape[2])),
+                                  seq[seq[:, :, -1]]], axis=3).reshape(s, Wk * Wk, -1)
+            Wk *= Wk
+        k = seq.shape[2]
+        packed = seq.reshape(s * Wk, k).view(f"u{k * state.itemsize}").ravel()
+        end = Wk * seq[:, :, -1].ravel().astype(np.intp)  # last state x, as row x W^k
         rank = np.zeros(u.shape, np.min_scalar_type(cuts.size))
         for cut in cuts:
             rank += u >= cut
-        path = np.array(rank.T, dtype=np.intp, order="C")  # one row per step
-        path[0] = W * np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), s - 1)
-        rows = list(path)
-        for prev, row in zip(rows, rows[1:]):
-            row += prev
-            row[...] = jump[row]
-        return np.floor_divide(path.T, W, order="C")
+        blocks = (steps - 1) // k
+        # one row per block, one column per path: Horner over the block's ranks
+        ranks = rank[:, 1:1 + blocks * k].T.reshape(blocks, k, paths)
+        code = ranks[:, 0].astype(np.intp)
+        for j in range(1, k):
+            code *= W
+            code += ranks[:, j]
+        path = np.empty(u.shape, state)
+        path[:, 0] = np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), s - 1)
+        cur = Wk * path[:, 0].astype(np.intp)
+        for row in code:
+            row += cur
+            cur = end[row]
+        path[:, 1:1 + blocks * k] = packed.take(code.T).view(state)
+        for j in range(1 + blocks * k, steps):
+            path[:, j] = nxt[path[:, j - 1], rank[:, j]]
+        return path
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,12 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import MarkovChain, dbar, fit_geometric_rate
+from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
 _CHUNK_WORDS = 1 << 19  # buffer words of a sampling chunk; no result depends on it
 _CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
-_RATE_LAGS = 50  # c fits the beta profile on lags 2.._RATE_LAGS
 _CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
 
 
@@ -348,6 +347,8 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
     # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
+    if 2 * spec.chain.states - 1 > np.iinfo(path.dtype).max:
+        path = path.astype(np.min_scalar_type(2 * spec.chain.states - 1))
     path <<= 1
     path += negative
     return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()[path]
@@ -435,7 +436,7 @@ def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
     from the chain's exact beta profile."""
     v = math.sqrt(v2_block_ceiling(spec) if spec.kind == "block_covariance"
                   else v2_exact_contraction(spec))
-    c = fit_geometric_rate(spec.chain, _RATE_LAGS)
+    c = fit_geometric_rate(spec.chain, RATE_LAGS)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
 

@@ -14,6 +14,7 @@ import pytest
 from depbernstein import checks
 from depbernstein.cli import main
 from depbernstein.mixing import MarkovChain
+from depbernstein.models import ModelSpec, bernstein_inputs_for
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,15 @@ class TestMixingCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8a5b0f9b98f63f95ecec86279864a55568ba56f2829e9b7e41606c5a8be302ea")
+
+    def test_fit_c_is_the_rate_of_the_bound(self, capsys, chain_file):
+        # the profile shows lags 1..20, but c is fitted on the bound's window
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file,
+                            "--beta-k", "1..20", "--fit-c", "--format", "json")
+        spec = ModelSpec(kind="iid_baseline", d=1, D=np.eye(1),
+                         chain=MarkovChain.from_transition([[0.75, 0.25], [0.25, 0.75]]))
+        assert code == 0
+        assert json.loads(out)["c"] == bernstein_inputs_for(spec, 64).c
 
     def test_empty_lag_range(self, capsys, chain_file):
         code, out = run_cli(capsys, "mixing", "--chain", chain_file,

@@ -244,8 +244,17 @@ class TestSamplePathsBitwise:
         rng = np.random.default_rng(list(shape))
         for u in (rng.random(shape), rng.choice(edge_uniforms(chain), shape)):
             path = chain.sample_paths(u)
-            assert path.shape == shape and path.dtype == np.int64
+            assert path.shape == shape and path.dtype == np.min_scalar_type(chain.states - 1)
             assert np.array_equal(path, per_step_paths(chain, u))
+
+    def test_two_byte_states(self):
+        chain = MarkovChain.iid(np.full(300, 1 / 300))
+        rng = np.random.default_rng(300)
+        for u in (rng.random((64, 40)), rng.choice(edge_uniforms(chain), (64, 40))):
+            path = chain.sample_paths(u)
+            assert path.dtype == np.uint16
+            assert np.array_equal(path, per_step_paths(chain, u))
+
 
 
 class TestBetaFromJoint:

@@ -92,6 +92,10 @@ def draw_reference(spec, n, seed, lo, hi):
 
 DRAW_SPECS = {
     "contraction": contraction_spec(),
+    # 3 cuts, so W = 4 ranks and sample_paths steps k = 4 transitions a lookup
+    "contraction-3-state": ModelSpec(
+        kind="contraction", d=2, D=D2, tau_map=np.array([1.0, 0.5, -0.25]),
+        chain=MarkovChain.from_transition([[.5, .25, .25], [.25, .25, .5], [.25, .5, .25]])),
     "iid_baseline": ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2),
     "block_covariance": ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
                                   value_map=np.array([0.0, 1.0])),
@@ -111,6 +115,11 @@ class TestDraw:
          "cc2b684c0d202297677729e124a73adf1da27f4e7180fa47a664860afdccdb3a"),
         ("contraction", 3, 2 ** 33 + 1, 60, 70,
          "66691de4cb8a9fdecd5be7fb92e7560ed038bf0f94830dd23fe77def4950a295"),
+        # 65 and 1023 transitions: a step is left over after the k-step lookups
+        ("contraction-3-state", 66, 5, 0, 4,
+         "9c006c1e98e79f4219fb0adb7cfe2c13265af98358e0299b8fb98fc81482f55b"),
+        ("contraction-3-state", 1024, 5, 0, 4,
+         "6751ba98e5fe011e399f804807b9fa25dc7468688b0feb7a96f4ca2e4ba7b724"),
         ("iid_baseline", 1, 5, 0, 4,
          "76a449f8269ad0c33e311404ad718e74aacda5ab0cf3030ca43bee47ad8f194e"),
         ("iid_baseline", 3, 5, 0, 4,
@@ -154,6 +163,15 @@ class TestDraw:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sign_fold_widens_past_one_byte(self):
+        # states 128 and 129 fit a uint8 path, but their entries 2x + b of
+        # the signed tau table do not
+        s = 130
+        spec = ModelSpec(kind="contraction", d=2, D=D2, chain=MarkovChain.iid(np.full(s, 1 / s)),
+                         tau_map=np.linspace(-1.0, 1.0, s))
+        got, want = models._draw(spec, 64, 3, 0, 20), draw_reference(spec, 64, 3, 0, 20)
+        assert np.array_equal(got, want)
 
     def test_tau_zero_keeps_the_sign_of_zero(self):
         spec = contraction_spec(tau=(0.0, 0.0))
