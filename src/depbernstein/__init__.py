@@ -1,12 +1,12 @@
 """Deviation bounds for sums of dependent self-adjoint random matrices.
 
 Subpackages:
-  spectral  symmetric-matrix kernels and inequality checkers
+  spectral  symmetric-matrix kernels on one type, SymMatrix
   cantor    recursive blocking of index sets
   bounds    closed-form bound formulas and the certified tail bound
   mixing    exact beta-mixing machinery for finite Markov chains
   models    simulators and the Monte-Carlo experiment harness
-  checks    the invariants checked by `verify` and the acceptance tests
+  checks    every invariant of `verify` and the acceptance tests, with its slack
   cli       command-line interface
 """
 

@@ -1,4 +1,6 @@
-"""Every invariant that `depbernstein verify` and the acceptance tests check.
+"""Every invariant that `depbernstein verify` and the acceptance tests check,
+each stated here with its tolerance (`spectral`'s kernels only compute the
+two sides of an inequality).
 
 A suite is a generator of cases; a case is an iterable of entries
 (invariant, compared, failed): `compared` comparisons, of which those in
@@ -79,24 +81,31 @@ def inequalities(seed: int = 20240901):
             (i, rand_sym(rng, d), rand_sym(rng, d), float(rng.uniform(0.1, 1.0))))
     for rows in by_dim.values():
         pair, a, b, t = zip(*rows)
-        yield _inequality_case(np.array(pair), spectral.SymStack(a),
-                               spectral.SymStack(b), np.array(t))
+        yield _inequality_case(np.array(pair), spectral.SymMatrix(a),
+                               spectral.SymMatrix(b), np.array(t))
 
 
 def _inequality_case(pair, a, b, t):
-    """Golden-Thompson, trace-Hölder at p = 1.5, 2, 3, 10, Weyl for a + b,
-    Gerschgorin for a (absolute slack 1e-9), and convexity of
-    s -> Tr exp(sa) at t (a second difference >= -1e-8) for stacks a and b
-    of one shape; a failure carries its draw index `pair`.  The stack
-    decomposes a, b and a + b."""
-    lhs, rhs, holds = spectral.check_golden_thompson(a, b)
-    yield _rows("golden_thompson", holds, pair=pair, lhs=lhs, rhs=rhs)
+    """Golden-Thompson Tr e^{A+B} <= Tr(e^A e^B), trace-Hölder
+    |Tr(AB)| <= ||A||_p ||B||_q (1/p + 1/q = 1) at p = 1.5, 2, 3, 10, and
+    Weyl lambda_max(A+B) <= lambda_max(A) + lambda_max(B), each to
+    1e-9 (1 + |rhs|); Gerschgorin for a (absolute slack 1e-9), and
+    convexity of s -> Tr exp(sa) at t (a second difference >= -1e-8) for
+    stacks a and b of one shape; a failure carries its draw index `pair`.
+    The stack decomposes a, b and a + b."""
+    total = a + b
+    lhs = spectral.trace_exp(1.0, total)
+    rhs = spectral.trace_product(spectral.expm_sym(a), spectral.expm_sym(b))
+    yield _rows("golden_thompson", lhs <= rhs + 1e-9 * (1.0 + np.abs(rhs)),
+                pair=pair, lhs=lhs, rhs=rhs)
+    lhs = np.abs(spectral.trace_product(a, b))
     for p in _HOLDER_P:
-        lhs, rhs, holds = spectral.check_trace_holder(a, b, p)
-        yield _rows("trace_holder", holds, pair=pair, p=p, lhs=lhs, rhs=rhs)
-    lam_sum, sum_lam = spectral.weyl_lambda_max_bound([a, b])
-    yield _rows("weyl", lam_sum <= sum_lam + 1e-9 * (1.0 + np.abs(sum_lam)),
-                pair=pair, lhs=lam_sum, rhs=sum_lam)
+        rhs = spectral.schatten_norm(a, p) * spectral.schatten_norm(b, p / (p - 1.0))
+        yield _rows("trace_holder", lhs <= rhs + 1e-9 * (1.0 + np.abs(rhs)),
+                    pair=pair, p=p, lhs=lhs, rhs=rhs)
+    lhs = spectral.lambda_max(total)
+    rhs = spectral.lambda_max(a) + spectral.lambda_max(b)
+    yield _rows("weyl", lhs <= rhs + 1e-9 * (1.0 + np.abs(rhs)), pair=pair, lhs=lhs, rhs=rhs)
     gersh, norm = spectral.gerschgorin_bound(a), spectral.schatten_norm(a, np.inf)
     yield _rows("gerschgorin", gersh >= norm - 1e-9, pair=pair, bound=gersh, norm=norm)
     dt = 1e-3

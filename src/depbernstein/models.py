@@ -78,8 +78,8 @@ class ModelSpec:
             if self.D is None:
                 raise ModelError(f"{self.kind} model needs the template matrix D")
             D = SymMatrix(np.asarray(self.D, dtype=float)).entries
-            if D.shape[0] != self.d:
-                raise ModelError("D dimension does not match d")
+            if D.shape != (self.d, self.d):
+                raise ModelError(f"D must be {self.d} x {self.d}, got shape {D.shape}")
             object.__setattr__(self, "D", D)
         if self.kind == "contraction":
             if self.tau_map is None:

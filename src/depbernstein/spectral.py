@@ -1,20 +1,19 @@
-"""Dense real-symmetric matrix kernels and spectral inequality checkers.
+"""Dense real-symmetric matrix kernels.
 
 Everything here is a pure function of immutable inputs. Matrices are small
 (desk scale, d up to a few hundred), so the eigendecomposition route is
-used throughout rather than specialized algorithms.  Every function takes
-a SymMatrix (d x d) or a SymStack (k matrices, shape (k, d, d)) and runs
-the same code on both: a stack gives one result per matrix, as an array,
-and a single matrix gives a Python scalar.  A raw array is taken as a
-stack.  Each SymMatrix or SymStack computes its spectrum at most once and
-keeps it; its entries and the spectrum's arrays are read-only, so the kept
-spectrum cannot go stale.
+used throughout rather than specialized algorithms.  Every kernel takes a
+SymMatrix, which holds one d x d matrix or a stack of k of them (shape
+(k, d, d)), and runs the same code on both: a stack gives one result per
+matrix, as an array, and a single matrix gives a Python scalar.  A raw
+array is validated into a SymMatrix.  Each SymMatrix computes its
+spectrum at most once and keeps it; its entries and the spectrum's arrays
+are read-only, so the kept spectrum cannot go stale.  The inequalities
+these kernels are checked against, with their slacks, live in `checks`.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +26,13 @@ class SpectralError(ValueError):
     """Invalid input to a spectral operation."""
 
 
-def _symmetrized(a, ndim: int) -> np.ndarray:
-    """The entries of a SymMatrix (ndim 2) or SymStack (ndim 3): a read-only
-    copy of `a`, every matrix held to the symmetry rule of SymMatrix."""
+def _symmetrized(a) -> np.ndarray:
+    """The entries of a SymMatrix: a read-only copy of `a`, every matrix
+    held to the symmetry rule of SymMatrix."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.size == 0:
-        kind = "a square matrix" if ndim == 2 else "a stack of square matrices"
-        raise SpectralError(f"expected {kind}, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise SpectralError("expected a square matrix or a stack of square"
+                            f" matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SpectralError("matrix entries must be finite")
     bits = a.view(np.uint64)  # compared as bits: by value, 0.0 == -0.0
@@ -50,66 +49,28 @@ def _symmetrized(a, ndim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Symmetric:
-    """What SymMatrix and SymStack share: checked entries, the kept
-    spectrum, identity equality and elementwise arithmetic."""
+class SymMatrix:
+    """A real symmetric d x d matrix, or a stack of k of them (shape
+    (k, d, d)), symmetry enforced at construction.
+
+    Inputs with asymmetry at most 1e-12 (entrywise) are symmetrized: an
+    entry that differs bitwise from its transpose becomes (a_ij + a_ji)/2,
+    the others are kept as given.  Anything worse is rejected as a likely
+    upstream bug.  The matrix owns a read-only copy of its entries, and a
+    stack is decomposed in one call.  Equality is identity, so a SymMatrix
+    is hashable; compare `entries` to compare values.
+    """
 
     entries: np.ndarray
     _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _symmetrized(self.entries, self._ndim))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
+        object.__setattr__(self, "entries", _symmetrized(self.entries))
 
     def __add__(self, other):
-        self._check_dim(other)
-        return type(self)(self.entries + other.entries)
-
-    def __neg__(self):
-        return type(self)(-self.entries)
-
-    def _check_dim(self, other) -> None:
-        if self.entries.shape != other.entries.shape:
-            raise SpectralError(f"dimension mismatch: shape {self.entries.shape}"
-                                f" vs {other.entries.shape}")
-
-
-class SymMatrix(_Symmetric):
-    """A real symmetric d x d matrix, symmetry enforced at construction.
-
-    Inputs with asymmetry at most 1e-12 (entrywise) are symmetrized: an
-    entry that differs bitwise from its transpose becomes (a_ij + a_ji)/2,
-    the others are kept as given.  Anything worse is rejected as a likely
-    upstream bug.  The matrix owns a read-only copy of its entries.
-    Equality is identity, so a SymMatrix is hashable; compare `entries`
-    to compare values.
-    """
-
-    _ndim = 2
-
-    @classmethod
-    def zero(cls, d: int) -> "SymMatrix":
-        return cls(np.zeros((d, d)))
-
-    @classmethod
-    def identity(cls, d: int) -> "SymMatrix":
-        return cls(np.eye(d))
-
-    @classmethod
-    def diag(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-
-class SymStack(_Symmetric):
-    """k real symmetric d x d matrices, shape (k, d, d), each held to the
-    same rule as a SymMatrix.  The spectral functions decompose the whole
-    stack in one call and return one result per matrix."""
-
-    _ndim = 3
+        _check_shapes(self, other)
+        return SymMatrix(self.entries + other.entries)
 
 
 @dataclass(frozen=True)
@@ -125,9 +86,15 @@ class Spectrum:
         return _out(self.eigenvalues[..., 0])
 
 
-def _sym(a) -> _Symmetric:
-    """a itself if it is a SymMatrix or SymStack; a raw array as a SymStack."""
-    return a if isinstance(a, _Symmetric) else SymStack(a)
+def _sym(a) -> SymMatrix:
+    """a itself if it is a SymMatrix; a raw array validated into one."""
+    return a if isinstance(a, SymMatrix) else SymMatrix(a)
+
+
+def _check_shapes(a: SymMatrix, b: SymMatrix) -> None:
+    if a.entries.shape != b.entries.shape:
+        raise SpectralError(f"dimension mismatch: shape {a.entries.shape}"
+                            f" vs {b.entries.shape}")
 
 
 def _out(x):
@@ -156,13 +123,12 @@ def lambda_max(a):
     return eig_sym(a).lambda_max
 
 
-def expm_sym(a):
-    """exp(A) through the eigendecomposition V e^L V^T; symmetric PD result
-    of the same kind as a."""
-    a = _sym(a)
+def expm_sym(a) -> SymMatrix:
+    """exp(A) through the eigendecomposition V e^L V^T; symmetric PD, of
+    the same shape as a."""
     s = eig_sym(a)
     e = (s.basis * np.exp(s.eigenvalues)[..., None, :]) @ np.swapaxes(s.basis, -1, -2)
-    return type(a)((e + np.swapaxes(e, -1, -2)) / 2.0)
+    return SymMatrix((e + np.swapaxes(e, -1, -2)) / 2.0)
 
 
 def _exponents(t, a) -> np.ndarray:
@@ -174,7 +140,7 @@ def _exponents(t, a) -> np.ndarray:
 
 
 def trace_exp(t, a):
-    """Tr exp(tA) = sum_i e^{t lambda_i}.  Equals dim when t = 0."""
+    """Tr exp(tA) = sum_i e^{t lambda_i}.  Equals d when t = 0."""
     return _out(np.sum(np.exp(_exponents(t, a)), axis=-1))
 
 
@@ -196,60 +162,11 @@ def schatten_norm(a, p: float):
     return _out(np.sum(w ** p, axis=-1) ** (1.0 / p))
 
 
-def _rel_tol(rhs):
-    return 1e-9 * (1.0 + np.abs(rhs))
-
-
-def _trace_product(a, b) -> np.ndarray:
-    """Tr(AB), per matrix of a stack."""
-    return np.einsum("...ij,...ji->...", a.entries, b.entries)
-
-
-@functools.lru_cache(maxsize=1)
-def _total(*matrices):
-    """The sum of the matrices.  The last sum is kept, so Golden-Thompson
-    and Weyl on the same operands decompose it once; operands compare by
-    identity and are immutable, so the kept sum cannot go stale."""
-    return functools.reduce(operator.add, matrices)
-
-
-def check_golden_thompson(a, b):
-    """Golden-Thompson: Tr e^{A+B} <= Tr(e^A e^B).
-
-    Returns (lhs, rhs, holds).
-    """
+def trace_product(a, b):
+    """Tr(AB), per matrix of a stack; a and b must have one shape."""
     a, b = _sym(a), _sym(b)
-    a._check_dim(b)
-    lhs = trace_exp(1.0, _total(a, b))
-    rhs = _trace_product(expm_sym(a), expm_sym(b))
-    return lhs, _out(rhs), _out(lhs <= rhs + _rel_tol(rhs))
-
-
-def check_trace_holder(a, b, p: float):
-    """Non-commutative Hoelder: |Tr(AB)| <= ||A||_{S^p} ||B||_{S^q}, 1/p + 1/q = 1.
-
-    Returns (lhs, rhs, holds).
-    """
-    a, b = _sym(a), _sym(b)
-    a._check_dim(b)
-    if p <= 1:
-        raise SpectralError(f"trace-Hoelder needs p > 1, got {p}")
-    q = p / (p - 1.0)
-    lhs = np.abs(_trace_product(a, b))
-    rhs = schatten_norm(a, p) * schatten_norm(b, q)
-    return _out(lhs), rhs, _out(lhs <= rhs + _rel_tol(rhs))
-
-
-def weyl_lambda_max_bound(matrices):
-    """lambda_max of a sum vs sum of lambda_max (Weyl).
-
-    Returns (lambda_max_of_sum, sum_of_lambda_max); the first never exceeds
-    the second beyond roundoff.
-    """
-    matrices = [_sym(m) for m in matrices]
-    if not matrices:
-        raise SpectralError("need at least one matrix")
-    return lambda_max(_total(*matrices)), _out(sum(lambda_max(m) for m in matrices))
+    _check_shapes(a, b)
+    return _out(np.einsum("...ij,...ji->...", a.entries, b.entries))
 
 
 def gerschgorin_bound(a):

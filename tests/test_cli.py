@@ -364,6 +364,14 @@ class TestSimulateCommand:
         assert code == 3
         assert named in capsys.readouterr().err
 
+    def test_stacked_D_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]],
+                                    "D": [np.eye(2).tolist()] * 2, "tau_map": [1.0, -1.0]}))
+        code = main(["simulate", "--model", "contraction", "--config", str(path), *self.BASE])
+        assert code == 3
+        assert "shape (2, 2, 2)" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["cantor", "bounds", "coupling", "dominance"])
