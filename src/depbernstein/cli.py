@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_cantor)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--kind", choices=tuple(_BOUND_ARGS), required=True)
@@ -225,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", default=None,
                    help="CSV of parameter rows; bound columns are appended")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("mixing", help="beta profile of a finite chain")
     p.add_argument("--chain", required=True, help="JSON file with the P matrix")
     p.add_argument("--beta-k", default="1..20", dest="beta_k")
     p.add_argument("--fit-c", action="store_true", dest="fit_c")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(fn=cmd_mixing)
 
     p = sub.add_parser("simulate", help="tail experiment for a model")
     p.add_argument("--model", choices=("contraction", "blockcov", "iid"),
@@ -244,21 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", required=True, dest="x_grid", help="a:b:steps")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--budget", type=float, default=120.0)
-    p.set_defaults(fn=cmd_verify)
     for p in sub.choices.values():  # every command writes to --out, else stdout
         p.add_argument("--out", default=None)
     return ap
 
 
+# built on the first main call of a process, not at import: argparse's
+# gettext and terminal-size lookups take milliseconds, a share of a short run
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # found by name at each call, so a command replaced on the module
+        # after the parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

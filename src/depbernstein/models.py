@@ -311,10 +311,11 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     trial takes its path uniforms first, word w giving (w >> 11) * 2^-53
     as Generator.random does, then its signs, two per word: bit 31, then
     bit 63, is 1 for +1, as Generator.integers(0, 2) draws them: the sign
-    bits of the word's little-endian int32 halves.  The path words are
-    shifted in place, and the word array is freed before the chain is
-    stepped.  Trial indices are uint32, so hi <= 2^32 (np.arange raises
-    past it).
+    bits of the word's little-endian int32 halves.  The sign bits are taken
+    first, and then the path words become their uniforms in place, so the
+    words and the uniforms never take two buffers; the buffer is freed once
+    the chain is stepped.  Trial indices are uint32, so hi <= 2^32
+    (np.arange raises past it).
 
     Returns the (trials, n) coefficients c of the summands c * D for the
     contraction/iid models, one C-ordered array whose rows are the trials,
@@ -336,14 +337,18 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
                         "state": {"state": state & mask, "inc": inc}}
         raw[i] = bitgen.random_raw(steps + signs)
     del seeds
-    words = raw[:, :steps]
-    words >>= 11
-    u = words * 2.0 ** -53
     negative = raw[:, steps:].astype("<u8", copy=False).view("<i4")[:, :n] >= 0
-    del raw, words
     if spec.kind == "iid_baseline":
+        del raw
         return np.where(negative, -1.0, 1.0)
+    # the path words become their uniforms in place, a block of rows at a
+    # time: a block's shifted words are the only other buffer
+    u = raw.view(np.float64)[:, :steps]
+    block = -(-(hi - lo) // 8)
+    for b in range(0, hi - lo, block):
+        np.multiply(raw[b:b + block, :steps] >> 11, 2.0 ** -53, out=u[b:b + block])
     path = spec.chain.sample_paths(u)
+    del raw, u  # the word buffer, before the coefficients are built
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
     # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
@@ -416,16 +421,105 @@ def v2_bruteforce(spec: ModelSpec, n: int) -> float:
     return best
 
 
-def clopper_pearson(k: int, n: int, conf: float = 0.99):
-    """Exact (conservative) binomial confidence interval for k successes in n.
-    The endpoints are beta quantiles, computed as inverse regularized
-    incomplete beta functions.  scipy is imported here, not at module
-    level, so that only the commands that build intervals pay for it."""
-    from scipy.special import betaincinv
+# stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m/e)^m) for m = 1..15, correctly
+# rounded (Loader 2000 tabulates these); past 15 its series is exact to rounding
+_STIRLERR_SMALL = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+_NEWTON_STEPS = 5  # the fifth moves y by at most 6e-8, a sixth by rounding (n <= 10^7)
 
-    alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+
+def _stirlerr(m: np.ndarray) -> np.ndarray:
+    """stirlerr(m) for integers m >= 1 given as floats."""
+    m2 = m * m
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / m2)
+                                   / m2) / m2) / m2) / m
+    return np.where(m > 15, series, _STIRLERR_SMALL[np.minimum(m, 15).astype(np.intp) - 1])
+
+
+def _binomial_tail_root(k: np.ndarray, n: int, log_tail: float) -> np.ndarray:
+    """The logit y = log(p / (1 - p)) with P(Bin(n, p) >= k) = e^log_tail, for
+    every k in the float array k, 1 <= k <= n - 1, and log_tail < log(1/2).
+
+    The tail is b(k) S with b the pmf.  log b(k) is Loader's saddle-point
+    form, stirlerr(n) - stirlerr(k) - stirlerr(n-k) - log sqrt(2 pi k (n-k) / n)
+    - bd0(k, np) - bd0(n-k, n(1-p)) with bd0(x, m) = x log(x/m) + m - x, so
+    no large log-factorials cancel.  Both bd0 are functions of e = k - np,
+    taken from the smaller of p and 1 - p.  S = 1 + sum_{j>=1} C_j e^(j delta)
+    with delta = y - log(k/(n-k)) and C_j = prod_{i<j} r_i,
+    r_i = (n-k-i) k / ((k+i+1) (n-k)) <= k/(k+1), fixed once.  Every Newton
+    iterate has p < k/n, so delta < 0, and the terms fall like
+    exp(-j^2 / 2 sig^2) with sig^2 = k(n-k)/n <= n/4: J = 5 sqrt(n) + 10
+    terms reach far below rounding.  J depends on n alone, so every k is
+    solved on a row of its own that no other k changes.
+    d log T / dy = k (1-p) / S, and log T is concave in y (the binomial law
+    is log-concave), so Newton's steps converge from any start below k/n;
+    they start from the Wilson score bound.
+    """
+    nk = n - k
+    st_k, st_nk = _stirlerr(np.stack([k, nk]))
+    const = (_stirlerr(np.float64(n)) - st_k - st_nk
+             - 0.5 * np.log(2.0 * math.pi * k * (nk / n)))
+    j = np.arange(math.ceil(5.0 * math.sqrt(n)) + 10)
+    C = np.cumprod(np.maximum(nk[:, None] - j, 0.0) * (k / nk)[:, None]
+                   / (k[:, None] + j + 1.0), axis=1)
+    y_mode = np.log(k / nk)
+    # the Wilson lower bound, rationalised so that no difference cancels, with
+    # z = sqrt(-2 log_tail) above the normal quantile of the tail: a low start
+    z = math.sqrt(-2.0 * log_tail)
+    p = k * k / (n * (k + z * z / 2.0 + z * np.sqrt(k * (nk / n) + z * z / 4.0)))
+    y = np.log(p) - np.log1p(-p)
+    for _ in range(_NEWTON_STEPS):
+        p, q = 1.0 / (1.0 + np.exp(-y)), 1.0 / (1.0 + np.exp(y))
+        e = np.where(p < 0.5, k - n * p, n * q - nk)
+        # bd0(k, np) = -e - k log1p(-e/k); below np = k/2, where p < 1/2 and np
+        # is exact enough, it is k log(k/np) - e
+        bd0_k = np.where(e < k / 2.0, -e - k * np.log1p(-e / k), k * np.log(k / (n * p)) - e)
+        bd0_nk = e - nk * np.log1p(e / nk)
+        S = 1.0 + (C * np.exp((j + 1.0) * (y - y_mode)[:, None])).sum(axis=1)
+        g = const - bd0_k - bd0_nk + np.log(S) - log_tail
+        y = y - g * S / (k * q)
+    return y
+
+
+def clopper_pearson(k, n: int, conf: float = 0.99):
+    """Exact (conservative) binomial confidence interval for k successes in n
+    trials: (lo, hi) as floats for an integer k, as arrays shaped like k for
+    an integer array.
+
+    lo(k) solves P(Bin(n, p) >= k) = alpha/2 with alpha = 1 - conf, and
+    hi(k) = 1 - lo(n - k).  The ends have closed forms: lo(0) = 0, hi(n) = 1,
+    lo(n) = (alpha/2)^(1/n) and hi(0) = 1 - (alpha/2)^(1/n).  All other ends,
+    lower and upper, are solved in one _binomial_tail_root call; an upper
+    end comes from its logit as 1 / (1 + e^y), so 1 - lo never cancels.
+    """
+    ks = np.asarray(k)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ModelError(f"n must be an integer, got {n!r}") from None
+    if ks.dtype.kind not in "iu":
+        raise ModelError(f"k must be an integer or an integer array, got {k!r}")
+    if n < 1 or not np.all((ks >= 0) & (ks <= n)):
+        raise ModelError(f"need n >= 1 and 0 <= k <= n, got k={k!r}, n={n}")
+    if not 0.0 < conf < 1.0:
+        raise ModelError(f"need 0 < conf < 1, got {conf!r}")
+    log_half = math.log((1.0 - conf) / 2.0)
+    # the lower ends lo(k), then the ends lo(n - k) whose complements are hi(k)
+    flat = ks.ravel().astype(float)
+    ends = np.concatenate([flat, n - flat])
+    upper = np.arange(ends.size) >= ks.size
+    out = np.where(upper, -math.expm1(log_half / n), math.exp(log_half / n))  # lo(n), 1 - lo(n)
+    out[ends == 0] = upper[ends == 0]  # lo(0) = 0, 1 - lo(0) = 1
+    inner = (ends > 0) & (ends < n)
+    y = _binomial_tail_root(ends[inner], n, log_half)
+    out[inner] = 1.0 / (1.0 + np.exp(np.where(upper[inner], y, -y)))
+    lo, hi = out[:ks.size].reshape(ks.shape), out[ks.size:].reshape(ks.shape)
+    if ks.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
 
 
@@ -525,12 +619,11 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
-    tail = []
-    for x in x_grid:
-        k = int(np.sum(samples >= x))
-        tail.append((x, k / trials, *clopper_pearson(k, trials, _CONF)))
-    # one closed-form call on the positive x; the bound is d (log d) elsewhere
     xs = np.array(x_grid)
+    k = np.count_nonzero(samples >= xs[:, None], axis=1)
+    lo, hi = clopper_pearson(k, trials, _CONF)
+    tail = list(zip(x_grid, (k / trials).tolist(), lo.tolist(), hi.tolist()))
+    # one closed-form call on the positive x; the bound is d (log d) elsewhere
     positive = xs > 0
     log_b = np.full(xs.shape, math.log(inputs.d))
     log_b[positive] = _bounds.log_tail_bound_certified(xs[positive], inputs)[0]

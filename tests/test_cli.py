@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depbernstein import checks
+from depbernstein import checks, cli
 from depbernstein.cli import main
 from depbernstein.mixing import MarkovChain
 from depbernstein.models import ModelSpec, bernstein_inputs_for
@@ -223,6 +223,21 @@ class TestUsageErrors:
             main(["bound", "--help"])
         assert exc.value.code == 0 and "--kind" in capsys.readouterr().out
 
+    def test_parser_built_once(self, capsys):
+        # two calls share one parser, and it still rejects a bad call with 3
+        cli._parser.cache_clear()
+        assert run_cli(capsys, "cantor", "--A", "10")[0] == 0
+        assert run_cli(capsys, "cantor", "--A", "10", "--format", "csv")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["cantor", "--A", "ten"])
+        assert exc.value.code == 3 and "error:" in capsys.readouterr().err
+        assert cli._parser.cache_info().misses == 1
+
+    def test_command_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        run_cli(capsys, "cantor", "--A", "10")  # the parser is built
+        monkeypatch.setattr(cli, "cmd_cantor", lambda args: 7)
+        assert run_cli(capsys, "cantor", "--A", "10")[0] == 7
+
     def test_failed_verify_is_still_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "monotonic", itertools.count().__next__)
         code, out = run_cli(capsys, "verify", "bounds", "--budget", "0")
@@ -417,39 +432,38 @@ class TestVerifyCommand:
             "tail_dominance.iid", "tail_dominance.contraction", "tail_dominance.blockcov"}
 
     def test_scipy_stats_not_imported(self, tmp_path, chain_file):
-        # one fresh process: the closed-form commands load neither scipy.stats
-        # nor scipy.special; the first Clopper-Pearson interval loads the latter
+        # one fresh process: no command loads any scipy module, simulate and
+        # verify dominance (the Clopper-Pearson intervals) included
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         out = str(tmp_path / "out")
+        config = tmp_path / "contraction.json"
+        config.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]], "D": [[1.0, 0.0], [0.0, -0.5]],
+                                      "tau_map": [1.0, -1.0]}))
         steps = {
             "bound": ["bound", "--kind", "tail", "--n", "64", "--d", "2", "--M", "1",
                       "--v", "1", "--c", "1", "--x", "30"],
             "cantor": ["cantor", "--A", "1000"],
             "mixing": ["mixing", "--chain", chain_file, "--fit-c"],
+            "simulate": ["simulate", "--model", "contraction", "--config", str(config),
+                         "--n", "64", "--trials", "300", "--seed", "1", "--x-grid", "1:16:4"],
             **{f"verify {s}": ["verify", s]
-               for s in ("inequalities", "cantor", "bounds", "coupling")},
+               for s in ("inequalities", "cantor", "bounds", "coupling", "dominance")},
         }
         code = ("import json, sys\n"
                 "def scipy_loaded():\n"
-                "    return [m for m in ('scipy.special', 'scipy.stats') if m in sys.modules]\n"
+                "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
                 "from depbernstein.cli import main\n"
                 "loaded = {'import': scipy_loaded()}\n"
                 f"for name, argv in {steps!r}.items():\n"
                 f"    assert main(argv + ['--out', {out!r}]) == 0, name\n"
                 "    loaded[name] = scipy_loaded()\n"
-                "from depbernstein.models import clopper_pearson\n"
-                "interval = clopper_pearson(3, 10)\n"
-                "loaded['clopper_pearson'] = scipy_loaded()\n"
-                "print(json.dumps({'loaded': loaded, 'interval': interval}))\n")
+                "print(json.dumps(loaded))\n")
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        got = json.loads(res.stdout)
-        assert got["loaded"] == {"import": [], **{name: [] for name in steps},
-                                 "clopper_pearson": ["scipy.special"]}
-        assert got["interval"] == [0.03700722109623209, 0.7351139852871307]
+        assert json.loads(res.stdout) == {"import": [], **{name: [] for name in steps}}
 
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")

@@ -428,14 +428,60 @@ class TestClopperPearson:
 
     @pytest.mark.parametrize("k, n, expected", [
         (0, 1, (0.0, 0.995)),
-        (1, 1, (0.0050000000000000044, 1.0)),
-        (3, 10, (0.03700722109623209, 0.7351139852871307)),
-        (37, 200, (0.12003614826512815, 0.26546828326787136)),
-        (5000, 10000, (0.48707333515582113, 0.5129266648441788)),
+        (1, 1, (0.005000000000000006, 1.0)),
+        (3, 10, (0.03700722109623212, 0.7351139852871306)),
+        (37, 200, (0.12003614826512818, 0.26546828326787136)),
+        (5000, 10000, (0.487073335155821, 0.5129266648441789)),
     ])
     def test_endpoints_pinned(self, k, n, expected):
         # the simulate tail_grid prints these; they must not move by a bit
         assert clopper_pearson(k, n) == expected
+
+    @pytest.mark.parametrize("n, ks", [
+        (100, np.arange(101)),
+        (10 ** 4, np.r_[0:30, 37:10 ** 4:997, 10 ** 4 - 29:10 ** 4 + 1]),
+        (10 ** 6, np.r_[0:30, 37:10 ** 6:99991, 10 ** 6 - 29:10 ** 6 + 1]),
+    ], ids=["n100_every_k", "n1e4_grid", "n1e6_grid"])
+    def test_matches_scipy(self, n, ks):
+        # scipy's inverse incomplete beta, as the intervals were computed
+        # before: the ends are beta quantiles
+        betaincinv = pytest.importorskip("scipy.special").betaincinv
+        lo, hi = clopper_pearson(ks, n)
+        inner_lo, inner_hi = ks > 0, ks < n
+        want_lo = betaincinv(ks[inner_lo], n - ks[inner_lo] + 1, 0.005)
+        want_hi = betaincinv(ks[inner_hi] + 1, n - ks[inner_hi], 0.995)
+        assert np.all(lo[~inner_lo] == 0.0) and np.all(hi[~inner_hi] == 1.0)
+        assert np.max(np.abs(lo[inner_lo] / want_lo - 1)) < 1e-10
+        assert np.max(np.abs(hi[inner_hi] / want_hi - 1)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 10 ** 4, 10 ** 6])
+    @pytest.mark.parametrize("conf", [0.9, 0.99, 0.999999])
+    def test_closed_form_ends(self, n, conf):
+        # hi(0) and lo(n) solve (1 - hi)^n = alpha/2 and lo^n = alpha/2
+        log_half = math.log((1 - conf) / 2)
+        assert clopper_pearson(0, n, conf)[1] == -math.expm1(log_half / n)
+        assert clopper_pearson(n, n, conf)[0] == math.exp(log_half / n)
+
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        for n in (1, 7, 400, 10 ** 6):
+            ks = np.unique(np.r_[0:min(n, 40) + 1, np.linspace(0, n, 25).astype(np.int64)])
+            lo, hi = clopper_pearson(ks, n)
+            assert [clopper_pearson(k, n) for k in ks.tolist()] == list(zip(lo.tolist(), hi.tolist()))
+        lo, hi = clopper_pearson(np.array([[0, 3], [7, 10]]), 10)
+        assert lo.shape == hi.shape == (2, 2)
+        assert (lo[0, 1], hi[0, 1]) == clopper_pearson(3, 10)
+        # a narrow dtype for k, where n - k would not fit it
+        assert clopper_pearson(np.uint8(200), 1000) == clopper_pearson(200, 1000)
+
+    @pytest.mark.parametrize("k, n, conf", [
+        (-1, 10, 0.99), (11, 10, 0.99), (np.array([1, 11]), 10, 0.99), (2.5, 10, 0.99),
+        (np.array([1.0, 2.0]), 10, 0.99), (0, 0, 0.99), (1, 2.0, 0.99),
+        (1, 10, 0.0), (1, 10, 1.0), (1, 10, math.nan),
+    ], ids=["k_negative", "k_above_n", "array_k_above_n", "k_float", "array_k_float",
+            "n_zero", "n_float", "conf_zero", "conf_one", "conf_nan"])
+    def test_invalid_input_raises(self, k, n, conf):
+        with pytest.raises(ModelError):
+            clopper_pearson(k, n, conf)
 
 
 class TestInputsAssembly:
@@ -660,6 +706,16 @@ class TestSamplerMemory:
         spec, n, trials = contraction_spec(), 1024, 200
         per_step = self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n)
         assert per_step < 40.0
+
+    def test_words_and_uniforms_never_share_the_peak(self):
+        # a contraction chunk reads 12 bytes of stream words per trial-step
+        # and steps on 8 bytes of uniforms; with both alive at once the
+        # chunk peaked at 21.2 bytes per trial-step
+        spec = ModelSpec(kind="contraction", d=4, chain=CHAIN,
+                         D=np.diag([1.0, 1 / 3, -1 / 3, -1.0]), tau_map=np.array([1.0, -1.0]))
+        n, trials = 1024, 200
+        models._chunk_eigs((spec, n, 7, 0, trials))  # one-time allocations
+        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 20.0
 
     def test_large_n_peak_is_bounded(self):
         # a chunk is sized by words, so its buffers do not grow with n; the
