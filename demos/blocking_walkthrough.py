@@ -16,14 +16,15 @@ for A in (50, 100, 1000):
           f"gaps d = {p.d_seq}, kept {part.card}/{A}")
 
 part = cantor.cantor_set(100)
-print("\nK_100 leaf runs:", [(leaf[0], leaf[-1]) for leaf in part.leaves])
-print("dropped gap:    ", [(g[0], g[-1]) for g in part.remainders[0]])
+p = part.params
+print("\nK_100 leaf runs:", [(s, s + p.n_seq[-1] - 1) for s in part.leaf_starts.tolist()])
+print("dropped gap:    ", [(s, s + p.d_seq[0] - 1) for s in part.gap_starts[0].tolist()])
 
 print("\nfull decomposition of {1..100}:")
 dec = cantor.full_decomposition(100)
 for i, level in enumerate(dec.levels):
     print(f"  level {i}: {len(level)} indices, first/last = {level[0]}/{level[-1]}")
-print(f"  remainder: {dec.remainder}")
+print(f"  remainder: {tuple(dec.remainder.tolist())}")
 print(f"  survivor counts per round: {dec.cards}")
 
 print("\nalternating sub-blocks of K_100 with p = 8:")

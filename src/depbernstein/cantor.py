@@ -6,18 +6,19 @@ consecutive integers, each of length n_ell, and satisfies
 A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 "first n observations" bookkeeping.
 
-The construction computes run starts as arrays, one row per A: a single
-A gives `range` runs, never lists of integers, and the sorted kept tuple K
-is built from the leaves only when it is read; many A's that share ell
-give one `CantorStack` of start arrays, on which the tiling of {1..A} is
-checked for every row at once.
+Runs are stored by their starts as int64 arrays, one row per A, never as
+every integer.  A single A keeps its one row: the leaf starts and the gap
+starts of each level.  Its kept set K is a sorted int64 array, built from
+the leaf starts only when it is read, and the blocks of a level are the
+rows of K.  Many A's that share ell give one `CantorStack` of start
+arrays, on which the tiling of {1..A} is checked for every row at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter, index
 
 import numpy as np
@@ -36,20 +37,22 @@ class CantorParams:
     d_seq: tuple  # d_0 .. d_{ell-1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CantorPartition:
+    """The blocking of one A by its run starts; equality is identity."""
     params: CantorParams
-    leaves: tuple            # the 2^ell runs of consecutive integers, as ranges
-    remainders: tuple        # per level j = 0..ell-1, tuple of 2^j gap ranges
+    leaf_starts: np.ndarray  # the 2^ell leaf starts as int64, each leaf n_ell long
+    gap_starts: tuple        # per level j = 0..ell-1, the 2^j gap starts, each d_j long
 
     @property
-    def K(self) -> tuple:
-        """Sorted kept indices, a subset of {1..A}; built on each access."""
-        return tuple(chain.from_iterable(self.leaves))
+    def K(self) -> np.ndarray:
+        """Sorted kept indices, a subset of {1..A}, as an int64 array of
+        |K| entries; built on each access."""
+        return (self.leaf_starts[:, None] + np.arange(self.params.n_seq[-1])).ravel()
 
     @property
     def card(self) -> int:
-        return sum(map(len, self.leaves))
+        return self.leaf_starts.size * self.params.n_seq[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +82,12 @@ class CantorStack:
         return np.concatenate(starts, axis=1), np.concatenate(stops, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullDecomposition:
+    """Equality is identity; compare the fields for values."""
     n: int
-    levels: tuple            # C_0 .. C_{L-1}, each a sorted tuple of original indices
-    remainder: tuple         # final surviving indices, at most 2 of them
+    levels: tuple            # C_0 .. C_{L-1}, each a sorted int64 array of original indices
+    remainder: np.ndarray    # final surviving indices as int64, at most 2 of them
     cards: tuple             # A_0 .. A_L
 
     @property
@@ -120,12 +124,7 @@ def cantor_set(A: int) -> CantorPartition:
     block of n_j.  The runs are the one row of `_run_starts` for A."""
     p = cantor_params(A)
     (leaf_starts,), gap_starts = _run_starts(np.array([p.n_seq]))
-    last = p.n_seq[-1]
-    return CantorPartition(
-        params=p,
-        leaves=tuple(range(s, s + last) for s in leaf_starts.tolist()),
-        remainders=tuple(tuple(range(s, s + d) for s in starts[0].tolist())
-                         for starts, d in zip(gap_starts, p.d_seq)))
+    return CantorPartition(p, leaf_starts, tuple(g[0] for g in gap_starts))
 
 
 def cantor_stacks(sizes) -> list:
@@ -174,19 +173,20 @@ def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:
     return (starts == begins).all(axis=-1) & (stops[:, -1] == np.asarray(A) + 1)
 
 
-def level_runs(partition: CantorPartition, k: int) -> list:
-    """The 2^k disjoint blocks K_{k,j} covering K, each as its tuple of leaf
-    runs: block j is leaves (j-1)*2^(ell-k)+1 .. j*2^(ell-k)."""
+def level_runs(partition: CantorPartition, k: int) -> np.ndarray:
+    """The 2^k disjoint blocks K_{k,j} covering K, one row per block: row j
+    holds the starts of leaves (j-1)*2^(ell-k)+1 .. j*2^(ell-k), shape
+    (2^k, 2^(ell-k)), each leaf n_ell long."""
     ell = partition.params.ell
     if not 0 <= k <= ell:
         raise CantorError(f"level k must be in [0, {ell}], got {k}")
-    width = 2 ** (ell - k)
-    return [partition.leaves[j * width:(j + 1) * width] for j in range(2 ** k)]
+    return partition.leaf_starts.reshape(2 ** k, -1)
 
 
-def level_blocks(partition: CantorPartition, k: int):
-    """The blocks of level_runs, each as the sorted tuple of its indices."""
-    return [tuple(chain.from_iterable(runs)) for runs in level_runs(partition, k)]
+def level_blocks(partition: CantorPartition, k: int) -> np.ndarray:
+    """The blocks of level_runs as the rows of K, shape (2^k, |K|/2^k):
+    row j is the sorted indices of block j."""
+    return partition.K.reshape(len(level_runs(partition, k)), -1)
 
 
 def full_decomposition(n: int) -> FullDecomposition:
@@ -199,14 +199,12 @@ def full_decomposition(n: int) -> FullDecomposition:
     surviving = np.arange(1, cards[0] + 1)
     levels = []
     for A in cards[:-1]:
-        n_seq = cantor_params(A).n_seq
-        (leaf_starts,), _ = _run_starts(np.array([n_seq]))
         kept = np.zeros(A + 1, dtype=bool)
-        kept[(leaf_starts[:, None] + np.arange(n_seq[-1])).ravel()] = True
-        levels.append(tuple(surviving[kept[1:]].tolist()))
+        kept[cantor_set(A).K] = True
+        levels.append(surviving[kept[1:]])
         surviving = surviving[~kept[1:]]
     return FullDecomposition(n=cards[0], levels=tuple(levels),
-                             remainder=tuple(surviving.tolist()), cards=cards)
+                             remainder=surviving, cards=cards)
 
 
 def decomposition_depth(n: int) -> int:
@@ -230,9 +228,10 @@ def sub_block_partition(K, p: int):
 
     With m = floor(q/(2p)): 2m intervals of length p in order, plus a
     remainder interval of length q - 2pm (< 2p) appended to the odd family.
-    Returns (odd_blocks, even_blocks) with m+1 and m intervals respectively.
+    Returns (odd_blocks, even_blocks) with m+1 and m intervals respectively,
+    each a slice of K: K may be any sequence that slices, such as a tuple, a
+    range or a 1-D array.
     """
-    K = tuple(K)
     q = len(K)
     if p < 1:
         raise CantorError(f"p must be >= 1, got {p}")

@@ -44,20 +44,21 @@ def _csv_text(header, rows) -> str:
 
 def cmd_cantor(args) -> int:
     part = cantor.cantor_set(args.A)
-    blocks = [] if args.level is None else cantor.level_blocks(part, args.level)
+    K = part.K.tolist()
+    blocks = [] if args.level is None else cantor.level_blocks(part, args.level).tolist()
     if args.format == "json":
         p = part.params
         payload = {
             "schema": SCHEMA,
             "config": {"command": "cantor", "A": args.A, "level": args.level},
             "A": p.A, "delta": p.delta, "ell": p.ell,
-            "n": list(p.n_seq), "d": list(p.d_seq), "K": list(part.K),
+            "n": list(p.n_seq), "d": list(p.d_seq), "K": K,
         }
         if args.level is not None:
-            payload["blocks"] = [list(b) for b in blocks]
+            payload["blocks"] = blocks
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        rows = [("K", i) for i in part.K]
+        rows = [("K", i) for i in K]
         for j, b in enumerate(blocks):
             rows += [(f"block_{j}", i) for i in b]
         _emit(_csv_text(("set", "index"), rows), args.out)

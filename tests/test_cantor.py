@@ -30,7 +30,7 @@ def _full_decomposition_by_sets(n):
     levels = []
     while cards[-1] > 2:
         A = cards[-1]
-        kept_rel = set(cantor_set(A).K)
+        kept_rel = set(cantor_set(A).K.tolist())
         levels.append(tuple(surviving[r - 1] for r in sorted(kept_rel)))
         surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
         cards.append(len(surviving))
@@ -64,8 +64,10 @@ class TestParams:
         p = cantor_params(np.int64(100))
         assert p == cantor_params(100) and type(p.A) is int
         assert decomposition_depth(np.int32(1000)) == decomposition_depth(1000)
-        fd = full_decomposition(np.uint16(100))
-        assert fd == full_decomposition(100) and type(fd.n) is int
+        fd, ref = full_decomposition(np.uint16(100)), full_decomposition(100)
+        assert (fd.n, fd.cards) == (ref.n, ref.cards) and type(fd.n) is int
+        assert [c.tolist() for c in fd.levels] == [c.tolist() for c in ref.levels]
+        assert fd.remainder.tolist() == ref.remainder.tolist()
 
     @pytest.mark.parametrize("bad", [100.0, True, np.float64(100.0), "100"])
     def test_rejects_non_integral_sizes(self, bad):
@@ -82,13 +84,13 @@ class TestParams:
 class TestCantorSet:
     def test_A_100_shape(self):
         part = cantor_set(100)
-        assert part.K == tuple(range(1, 48)) + tuple(range(54, 101))
+        assert part.K.tolist() == list(range(1, 48)) + list(range(54, 101))
         assert part.card == 94
 
     def test_A_2_fallback(self):
         part = cantor_set(2)
         assert part.params.ell == 0
-        assert part.K == (1, 2)
+        assert part.K.tolist() == [1, 2]
 
     def test_A_1000_card(self):
         part = cantor_set(1000)
@@ -98,10 +100,10 @@ class TestCantorSet:
     def test_disjoint_cover(self):
         for A in (2, 7, 44, 100, 573, 1000):
             part = cantor_set(A)
-            seen = list(part.K)
-            for level in part.remainders:
-                for gap in level:
-                    seen.extend(gap)
+            seen = part.K.tolist()
+            for starts, d in zip(part.gap_starts, part.params.d_seq):
+                for s in starts.tolist():
+                    seen.extend(range(s, s + d))
             assert sorted(seen) == list(range(1, A + 1))
             (stack,) = cantor_stacks([A])
             assert tiles_exactly(stack).tolist() == [True]
@@ -141,14 +143,24 @@ class TestCantorSet:
         assert _chains(starts, stops, 100).tolist() == [True]
 
     def test_runs_are_ranges(self):
+        # every run is the range [start, start + length), stored by its
+        # int64 start alone; K is the leaves' ranges joined, as int64
         for A in (2, 44, 100, 1000, 4999):
             part = cantor_set(A)
-            for run in chain(part.leaves, *part.remainders):
-                assert isinstance(run, range) and run.step == 1
-            assert part.K == tuple(chain(*part.leaves))
+            ell, n_ell = part.params.ell, part.params.n_seq[-1]
+            assert part.leaf_starts.dtype == np.int64
+            assert part.leaf_starts.shape == (2 ** ell,)
+            assert [g.dtype for g in part.gap_starts] == [np.int64] * ell
+            assert [g.shape for g in part.gap_starts] == [(2 ** j,) for j in range(ell)]
+            K = part.K
+            assert K.dtype == np.int64 and type(part.card) is int
+            assert K.tolist() == list(chain(*(range(s, s + n_ell)
+                                              for s in part.leaf_starts.tolist())))
 
     def test_deterministic(self):
-        assert cantor_set(777) == cantor_set(777)
+        a, b = cantor_set(777), cantor_set(777)
+        assert a.params == b.params and a.K.tolist() == b.K.tolist()
+        assert [g.tolist() for g in a.gap_starts] == [g.tolist() for g in b.gap_starts]
 
 
     def test_runs_pinned_for_every_A_up_to_5000(self):
@@ -157,8 +169,10 @@ class TestCantorSet:
         h = hashlib.sha256()
         for A in range(2, 5001):
             part = cantor_set(A)
-            runs = ([(r.start, r.stop) for r in part.leaves],
-                    [[(r.start, r.stop) for r in level] for level in part.remainders])
+            n_ell = part.params.n_seq[-1]
+            runs = ([(s, s + n_ell) for s in part.leaf_starts.tolist()],
+                    [[(s, s + d) for s in starts.tolist()]
+                     for starts, d in zip(part.gap_starts, part.params.d_seq)])
             h.update(repr((A, *runs)).encode())
         assert h.hexdigest() == (
             "540eca7eef37e63819e9f669f2c4a5f1a466710aad4d53f2cb5fa9db7028bce9")
@@ -178,9 +192,9 @@ class TestStacks:
             for i, p in enumerate(stack.params):
                 part = cantor_set(p.A)
                 assert p == part.params
-                assert stack.leaf_starts[i].tolist() == [r.start for r in part.leaves]
+                assert stack.leaf_starts[i].tolist() == part.leaf_starts.tolist()
                 assert [g[i].tolist() for g in stack.gap_starts] == [
-                    [r.start for r in level] for level in part.remainders]
+                    g.tolist() for g in part.gap_starts]
                 assert stack.card[i] == part.card
             seen += [p.A for p in stack.params]
         # grouped by ell, each group in the order given
@@ -192,7 +206,9 @@ class TestStacks:
         starts, stops = stack.runs()
         for i, A in enumerate((1000, 999)):
             part = cantor_set(A)
-            runs = [*part.leaves, *chain(*part.remainders)]
+            p = part.params
+            runs = [range(s, s + p.n_seq[-1]) for s in part.leaf_starts.tolist()] + [
+                range(s, s + d) for g, d in zip(part.gap_starts, p.d_seq) for s in g.tolist()]
             assert starts[i].tolist() == [r.start for r in runs]
             assert stops[i].tolist() == [r.stop for r in runs]
 
@@ -229,26 +245,26 @@ class TestStacks:
 class TestLevelBlocks:
     def test_k0_is_whole_set(self):
         part = cantor_set(500)
-        (block,) = level_blocks(part, 0)
-        assert block == part.K
+        (block,) = level_blocks(part, 0).tolist()
+        assert block == part.K.tolist()
 
     def test_leaf_level(self):
         part = cantor_set(1000)
-        blocks = level_blocks(part, 4)
+        blocks = level_blocks(part, 4).tolist()
         assert len(blocks) == 16
         assert all(len(b) == 51 for b in blocks)
-        assert all(b == tuple(range(b[0], b[0] + 51)) for b in blocks)
+        assert all(b == list(range(b[0], b[0] + 51)) for b in blocks)
 
     def test_A_100_level_1(self):
         part = cantor_set(100)
-        blocks = level_blocks(part, 1)
-        assert blocks == [tuple(range(1, 48)), tuple(range(54, 101))]
+        blocks = level_blocks(part, 1).tolist()
+        assert blocks == [list(range(1, 48)), list(range(54, 101))]
 
     def test_gap_between_siblings(self):
         part = cantor_set(1000)
         p = part.params
         for k in range(1, p.ell + 1):
-            blocks = level_blocks(part, k)
+            blocks = level_blocks(part, k).tolist()
             for j in range(len(blocks) // 2):
                 left, right = blocks[2 * j], blocks[2 * j + 1]
                 assert right[0] - left[-1] - 1 == p.d_seq[k - 1]
@@ -263,27 +279,32 @@ class TestLevelBlocks:
     def test_runs_join_to_blocks(self):
         for A in (2, 100, 1000, 4999):
             part = cantor_set(A)
-            for k in range(part.params.ell + 1):
+            ell, n_ell = part.params.ell, part.params.n_seq[-1]
+            for k in range(ell + 1):
                 runs = level_runs(part, k)
-                assert all(isinstance(r, range) for block in runs for r in block)
-                assert [tuple(chain(*block)) for block in runs] == level_blocks(part, k)
+                assert runs.shape == (2 ** k, 2 ** (ell - k)) and runs.dtype == np.int64
+                blocks = level_blocks(part, k)
+                assert blocks.shape == (2 ** k, part.card // 2 ** k)
+                assert [list(chain(*(range(s, s + n_ell) for s in block)))
+                        for block in runs.tolist()] == blocks.tolist()
 
 
 class TestFullDecomposition:
     def test_n_2(self):
         fd = full_decomposition(2)
-        assert fd.L == 0 and fd.remainder == (1, 2) and fd.levels == ()
+        assert fd.L == 0 and fd.remainder.tolist() == [1, 2] and fd.levels == ()
 
     def test_n_100(self):
         fd = full_decomposition(100)
-        assert fd.levels[0] == tuple(range(1, 48)) + tuple(range(54, 101))
+        assert fd.levels[0].tolist() == list(range(1, 48)) + list(range(54, 101))
         # remaining 6 positions {48..53} are consumed in one fallback step
-        assert fd.levels[1] == tuple(range(48, 54))
+        assert fd.levels[1].tolist() == list(range(48, 54))
+        assert all(c.dtype == np.int64 for c in (*fd.levels, fd.remainder))
 
     def test_partition_property(self):
         for n in (2, 3, 17, 100, 999, 4096):
             fd = full_decomposition(n)
-            seen = [i for level in fd.levels for i in level] + list(fd.remainder)
+            seen = [i for level in fd.levels for i in level.tolist()] + fd.remainder.tolist()
             assert sorted(seen) == list(range(1, n + 1))
 
     def test_halving_and_depth(self):
@@ -296,7 +317,9 @@ class TestFullDecomposition:
     def test_matches_set_based_reference(self):
         for n in range(2, 3001):
             fd = full_decomposition(n)
-            assert (fd.levels, fd.remainder, fd.cards) == _full_decomposition_by_sets(n), n
+            levels = tuple(tuple(c.tolist()) for c in fd.levels)
+            assert (levels, tuple(fd.remainder.tolist()), fd.cards) == \
+                _full_decomposition_by_sets(n), n
 
     def test_depth_from_cardinalities(self):
         for n in range(2, 5001):
@@ -306,6 +329,33 @@ class TestFullDecomposition:
         fd = full_decomposition(1000)
         for i, level in enumerate(fd.levels):
             assert fd.cards[i + 1] == fd.cards[i] - len(level)
+
+
+class TestCantorMemory:
+    """tracemalloc peaks of the index sets: numpy reports its buffers to it."""
+
+    @staticmethod
+    def peak(fn, *args):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_kept_set_peak_per_index(self):
+        # K as a tuple of Python ints, joined from range runs, peaked at 44
+        # bytes per index; as one int64 array it holds 8
+        card = cantor_set(10 ** 6).card
+        assert self.peak(lambda: cantor_set(10 ** 6).K) / card <= 9.0
+
+    def test_full_decomposition_peak_per_index(self):
+        # levels as tuples of Python ints peaked at 44 bytes per index
+        n = 2 ** 20
+        assert self.peak(full_decomposition, n) / n <= 24.0
 
 
 class TestSubBlocks:

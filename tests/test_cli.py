@@ -80,6 +80,18 @@ class TestCantorCommand:
         assert code == 0 and len(calls) == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "ca54ea7ed6e68eb3fe7dcf6a13981b87e94c527aab4dfa9e6d5a7384daae8e15"),
+        ("csv", "dad77a08fbe4e92d0baf5754dceae2896fe6021bd56118fad776e626ff477c23"),
+    ])
+    def test_large_output_is_pinned(self, capsys, tmp_path, fmt, digest):
+        # taken when K and the blocks were tuples of Python ints
+        path = tmp_path / f"cantor.{fmt}"
+        code, out = run_cli(capsys, "cantor", "--A", "100000", "--level", "3",
+                            "--format", fmt, "--out", str(path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_invalid_A(self, capsys):
         code, _ = run_cli(capsys, "cantor", "--A", "1")
         assert code == 3
