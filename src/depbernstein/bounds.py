@@ -214,6 +214,7 @@ def master_log_laplace(t, inputs: BernsteinInputs):
     """gamma_n(t) = log d + t^2 n (15v + 2M/sqrt(cn))^2 / (1 - t M gamma(c,n)),
     valid for t M < 1/gamma(c, n)."""
     _reject(t < 0, "t >= 0", t)
+    _reject(~np.isfinite(t), "a finite t", t)
     a, b = _majorant_coefficients(inputs)
     _reject(t * b >= 1.0, "t*M below 1/gamma(c,n)", t * inputs.M)
     return _out(np.log(inputs.d) + a * t * t / (1.0 - b * t))
@@ -230,6 +231,7 @@ def log_tail_bound_certified(x, inputs: BernsteinInputs):
     Returns (log_bound, t_star).
     """
     _reject(x <= 0, "x > 0", x)
+    _reject(~np.isfinite(x), "a finite x", x)
     a, b = _majorant_coefficients(inputs)
     root = np.sqrt(a + b * x)
     root_sum = root + np.sqrt(a)

@@ -140,13 +140,15 @@ def cmd_mixing(args) -> int:
 
 
 def _model_from_config(kind: str, config: dict) -> models.ModelSpec:
+    if not isinstance(config, dict):
+        raise ValueError(f"a model config is a JSON object, got {type(config).__name__}")
     chain = mixing.MarkovChain.from_transition(np.asarray(config["P"], dtype=float))
     kind_map = {"contraction": "contraction", "blockcov": "block_covariance",
                 "iid": "iid_baseline"}
     spec_kind = kind_map[kind]
     kwargs = {"kind": spec_kind, "chain": chain}
     if spec_kind == "block_covariance":
-        kwargs["d"] = int(config["d"])
+        kwargs["d"] = config["d"]
         kwargs["value_map"] = np.asarray(config["value_map"], dtype=float)
     else:
         D = SymMatrix(np.asarray(config["D"], dtype=float)).entries

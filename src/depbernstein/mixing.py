@@ -91,6 +91,8 @@ class MarkovChain:
     @classmethod
     def from_json(cls, text: str) -> "MarkovChain":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise MixingError(f"a chain file is a JSON object, got {type(obj).__name__}")
         return cls.from_transition(np.asarray(obj["P"], dtype=float))
 
     def joint_law(self, k: int) -> "JointLaw":

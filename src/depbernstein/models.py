@@ -9,9 +9,9 @@ Two dependent models are shipped, plus an iid baseline:
   iid_baseline      X_i = eps_i * D with iid fair signs.
 
 The variance proxy v^2 that enters the bound has one path and no Monte
-Carlo: it is exact for the contraction/iid models (v2_exact_contraction)
-and a certified ceiling for the block model (v2_block_ceiling), from the
-exact lag moments E(X_0 X_k) that block_lag_moments derives from (pi, P).
+Carlo, v2_ceiling, from the exact lag moments E(X_0 X_k) that lag_moments
+derives from (pi, P) for every kind.  It is exact when the summands have no
+cross moments, as under a fair sign, and a certified ceiling otherwise.
 The same exact moments make v2_bruteforce an oracle for every kind.
 
 Every trial draws its own RNG stream from (seed, trial index), so results
@@ -43,7 +43,7 @@ from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
 _CHUNK_WORDS = 1 << 19  # buffer words of a sampling chunk; no result depends on it
-_CEILING_LAGS = 64  # exact lags in v2_block_ceiling before its closed-form tail
+_CEILING_LAGS = 64  # exact lags of v2_ceiling, given cross moments, before its closed-form tail
 _CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
 
 
@@ -72,8 +72,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("contraction", "block_covariance", "iid_baseline"):
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if self.d < 1:
-            raise ModelError(f"need d >= 1, got {self.d}")
+        try:
+            d = operator.index(self.d)
+        except TypeError:
+            d = 0
+        if d < 1 or isinstance(self.d, bool):
+            raise ModelError(f"d must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", d)
         if self.kind in ("contraction", "iid_baseline"):
             if self.D is None:
                 raise ModelError(f"{self.kind} model needs the template matrix D")
@@ -155,18 +160,24 @@ def _block_paths(P: np.ndarray, vals: np.ndarray, powers: np.ndarray) -> np.ndar
     return W
 
 
-def _block_transfer(spec: ModelSpec):
-    """The first block X_0 = C C^T - E(C C^T) of the block model, seen
-    through its first and last states S_0 and S_{d-1}.  Returns
+def _transfer(spec: ModelSpec):
+    """The first summand X_0, seen through the first and last of the w chain
+    states it reads, S_0 and S_{w-1}.  Returns (square, A, m, w) with
 
       square     E(X_0^2), shape (d, d);
-      A[a, b, x] E(X_0[a, b]; S_{d-1} = x);
+      A[a, b, x] E(X_0[a, b]; S_{w-1} = x);
       m[a, b, x] E(X_0[a, b] | S_0 = x).
 
-    Each is a product of s x s matrices along the block (_block_paths), so
-    no block path is enumerated.
+    Block model: w = d, and each is a product of s x s matrices along the
+    block (_block_paths), so no block path is enumerated.  Contraction/iid
+    model: w = 1, square = E(tau^2) D^2 (tau = 1 in the iid model), and the
+    fair sign makes A = m = 0.
     """
     P, pi, d = spec.chain.P, spec.chain.pi, spec.d
+    if spec.kind != "block_covariance":
+        etau2 = float(pi @ spec.tau_map ** 2) if spec.kind == "contraction" else 1.0
+        zero = np.zeros((d, d, spec.chain.states))
+        return etau2 * (spec.D @ spec.D), zero, zero, 1
     vals = spec.centered_values
     eye = np.eye(d, dtype=int)
     cov = block_covariance_mean(spec)
@@ -176,58 +187,61 @@ def _block_transfer(spec: ModelSpec):
     quad = _block_paths(P, vals, eye[:, None, None] + 2 * eye[None, :, None]
                         + eye[None, None, :])
     square = np.einsum("x,abcxy->ac", pi, quad) - cov @ cov
-    return square, np.einsum("x,abxy->aby", pi, T), T.sum(axis=-1)
+    return square, np.einsum("x,abxy->aby", pi, T), T.sum(axis=-1), d
 
 
-def _lag_powers(P: np.ndarray, d: int, count: int) -> np.ndarray:
-    """P^((k-1)d+1) for k = 1..count: the step from the last state of block
-    0 to the first state of block k."""
-    step, Pd = P, np.linalg.matrix_power(P, d)
+def _lag_powers(P: np.ndarray, w: int, count: int) -> np.ndarray:
+    """P^((k-1)w+1) for k = 1..count: the step from the last state of summand
+    0 to the first state of summand k, when each summand reads w states."""
+    step, Pw = P, np.linalg.matrix_power(P, w)
     R = np.empty((count,) + P.shape)
     for k in range(count):
         R[k] = step
-        step = step @ Pd
+        step = step @ Pw
     return R
 
 
 def _lag_moments(square, A, m, R) -> np.ndarray:
     """E(X_0^2) followed by E(X_0 X_k) = sum_{x,y} A(x) R_k(x, y) m(y) for each
-    lag power R_k: given block 0, block k's mean depends on S_{d-1} only."""
+    lag power R_k: given X_0, the mean of X_k depends on S_{w-1} only."""
     return np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R, m)])
 
 
-def block_lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
-    """Exact E(X_0 X_k) of the stationary block model for k = 0..lags, shape
+def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
+    """Exact E(X_0 X_k) of the stationary model for k = 0..lags, shape
     (lags + 1, d, d), from (pi, P).  E(X_i X_j) = E(X_0 X_{j-i}) for i <= j;
     the matrices are not symmetric for k >= 1."""
-    if spec.kind != "block_covariance":
-        raise ModelError("block_lag_moments applies to the block model only")
-    return _lag_moments(*_block_transfer(spec), _lag_powers(spec.chain.P, spec.d, lags))
+    square, A, m, w = _transfer(spec)
+    return _lag_moments(square, A, m, _lag_powers(spec.chain.P, w, lags))
 
 
-def v2_block_ceiling(spec: ModelSpec) -> float:
-    """Certified ceiling on the block model's variance proxy, valid for every n.
+def v2_ceiling(spec: ModelSpec) -> float:
+    """Certified ceiling on the variance proxy, valid for every n.
 
-    By stationarity, for every index set K,
+    With A = 0 (_transfer) every cross moment E(X_0 X_k) is 0, so
+    E(sum_K X_i)^2 = |K| E(X_0^2) for every index set K and the ceiling is
+    lambda_max(E X_0^2), exactly.  Otherwise, by stationarity,
     lambda_max(E(sum_K X_i)^2) / |K| <= ||E X_0^2|| + 2 sum_{k>=1} ||E X_0 X_k||
-    (operator norms).  Lags k <= L are exact (block_lag_moments), with
-    L = _CEILING_LAGS, raised so that the lag (L-1)d+1 reaches Wielandt's exponent
-    (s-1)^2 + 1, where d̄ < 1.  Beyond L, with j_k = (k-1)d+1 and E X_0 = 0,
+    (operator norms).  Lags k <= L are exact (lag_moments), with
+    L = _CEILING_LAGS, raised so that the lag (L-1)w+1 reaches Wielandt's exponent
+    (s-1)^2 + 1, where d̄ < 1.  Beyond L, with j_k = (k-1)w+1 and E X_0 = 0,
     E X_0 X_k = sum_{x,y} A(x) (P^{j_k}(x, y) - pi(y)) m(y), so
     ||E X_0 X_k|| <= 2 a b d̄(j_k) with a = sum_x ||A(x)||, b = max_y ||m(y)||.
     Submultiplicativity of d̄ gives, for any k0 <= L with d̄(j_k0) < 1,
     sum_{k>L} d̄(j_k) <= d̄(j_{L+1}) k0 / (1 - d̄(j_k0)); the best such k0 is
     used.  Raises ModelError if no k0 qualifies.
     """
-    s, d = spec.chain.states, spec.d
-    L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / d) + 1)
-    square, A, m = _block_transfer(spec)
-    R = _lag_powers(spec.chain.P, d, L + 1)
+    square, A, m, w = _transfer(spec)
+    if not A.any():
+        return float(np.max(np.linalg.eigvalsh(square)))
+    s = spec.chain.states
+    L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / w) + 1)
+    R = _lag_powers(spec.chain.P, w, L + 1)
     norms = np.linalg.norm(_lag_moments(square, A, m, R[:L]), 2, axis=(-2, -1))
     dbars = dbar(R)  # d̄(j_k), k = 1..L+1
     k0 = np.flatnonzero(dbars[:L] < 1.0)
     if k0.size == 0:
-        raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * d + 1}: "
+        raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * w + 1}: "
                          "the tail of the v^2 ceiling cannot be certified")
     a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
     b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
@@ -368,40 +382,12 @@ def simulate_summands(spec: ModelSpec, n: int, seed: int, trials: int) -> np.nda
     return draws[:, :, None, None] * spec.D
 
 
-def _etau2(spec: ModelSpec) -> float:
-    """E(tau^2) under pi; tau = 1 in the iid model."""
-    if spec.kind == "iid_baseline":
-        return 1.0
-    if spec.kind == "contraction":
-        return float(spec.chain.pi @ (spec.tau_map ** 2))
-    raise ModelError("exact variance proxy is only available for the "
-                     "contraction/iid models")
-
-
-def v2_exact_contraction(spec: ModelSpec) -> float:
-    """Closed-form variance proxy of the contraction/iid model.
-
-    Independent fair signs kill every cross term, so for any index set K
-    E(sum_K X_i)^2 = |K| E(tau^2) D^2 and the subset sup is trivial:
-    v^2 = E(tau^2) lambda_max(D^2).
-    """
-    return _etau2(spec) * float(np.max(np.linalg.eigvalsh(spec.D @ spec.D)))
-
-
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
-    """G[i, j] = E(X_i X_j), exactly.
-
-    Contraction/iid: E(X_i X_j) = E(tau_i tau_j) E(eps_i eps_j) D^2, and
-    the sign factor is delta_{ij}.  Block model: E(X_0 X_{j-i}) from
-    block_lag_moments for i <= j, its transpose for i > j.
-    """
-    if spec.kind == "block_covariance":
-        i, j = np.indices((n, n))
-        G = block_lag_moments(spec, n - 1)[np.abs(j - i)]
-        G[i > j] = np.swapaxes(G[i > j], -1, -2)
-        return G
-    G = np.zeros((n, n, spec.d, spec.d))
-    G[np.arange(n), np.arange(n)] = _etau2(spec) * (spec.D @ spec.D)
+    """G[i, j] = E(X_i X_j), exactly: E(X_0 X_{j-i}) from lag_moments for
+    i <= j, its transpose for i > j."""
+    i, j = np.indices((n, n))
+    G = lag_moments(spec, n - 1)[np.abs(j - i)]
+    G[i > j] = np.swapaxes(G[i > j], -1, -2)
     return G
 
 
@@ -525,11 +511,10 @@ def clopper_pearson(k, n: int, conf: float = 0.99):
 
 def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
     """Assemble (n, d, M, v, c) for a model.  v needs no Monte Carlo: it is
-    exact for the contraction/iid models and the certified ceiling
-    v2_block_ceiling for the block model, valid for every n.  c is fitted
-    from the chain's exact beta profile."""
-    v = math.sqrt(v2_block_ceiling(spec) if spec.kind == "block_covariance"
-                  else v2_exact_contraction(spec))
+    the certified ceiling v2_ceiling, valid for every n and exact when the
+    summands have no cross moments.  c is fitted from the chain's exact beta
+    profile."""
+    v = math.sqrt(v2_ceiling(spec))
     c = fit_geometric_rate(spec.chain, RATE_LAGS)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
@@ -589,21 +574,7 @@ class TrialReport:
     mean_stderr: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "model": self.model,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "mean_lambda_max": self.mean_lambda_max,
-            "mean_stderr": self.mean_stderr,
-            "tail_grid": self.tail_grid,
-            "bound_curve": self.bound_curve,
-            "log_bound_curve": self.log_bound_curve,
-            "lambda_max_samples": self.lambda_max_samples,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({"schema": SCHEMA, **vars(self)}, sort_keys=True)
 
 
 def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,

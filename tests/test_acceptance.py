@@ -193,7 +193,7 @@ def test_criterion_11_v2_oracles():
         kind="contraction", d=2, chain=mixing.MarkovChain.two_state(0.25, 0.25),
         D=np.array([[1.0, 0.25], [0.25, 0.5]]), tau_map=np.array([0.8, 0.8]))
     brute = models.v2_bruteforce(homogeneous, 8)
-    exact = models.v2_exact_contraction(homogeneous)
+    exact = models.v2_ceiling(homogeneous)
     if abs(brute - exact) > 1e-10:
         failures.append(("bruteforce_vs_exact", brute, exact))
     rng = np.random.default_rng(555)
@@ -209,7 +209,7 @@ def test_criterion_11_v2_oracles():
                                 D=D, tau_map=tau)
         n = int(rng.integers(2, 9))
         brute = models.v2_bruteforce(spec, n)
-        exact = models.v2_exact_contraction(spec)
+        exact = models.v2_ceiling(spec)
         if abs(brute - exact) > 1e-10:
             failures.append(("bruteforce_vs_exact", case, brute, exact))
     rng = np.random.default_rng(556)
@@ -222,7 +222,7 @@ def test_criterion_11_v2_oracles():
                                 value_map=rng.uniform(-1.0, 1.0, s))
         n = int(rng.integers(2, 9))
         brute = models.v2_bruteforce(spec, n)
-        ceiling = models.v2_block_ceiling(spec)
+        ceiling = models.v2_ceiling(spec)
         if ceiling < brute - 1e-12:
             failures.append(("ceiling_vs_bruteforce", case, ceiling, brute))
     record(11, "v2-oracles", failures)

@@ -128,6 +128,22 @@ class TestBoundCommand:
                             "--c", "100")
         assert code == 0 and json.loads(out)["bound"] > 0
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("tail", "--x", "nan"), ("tail", "--x", "inf"), ("laplace", "--t", "nan")])
+    def test_non_finite_argument_is_exit_3(self, capsys, kind, flag, value):
+        code = main(["bound", "--kind", kind, *self.ARGS, flag, value])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("kind, column", [("tail", "x"), ("laplace", "t")])
+    def test_batch_non_finite_argument_is_exit_3(self, capsys, tmp_path, kind, column):
+        batch = tmp_path / "rows.csv"
+        batch.write_text(f"n,d,M,v,c,{column}\n4,1,1,1,100,0.01\n4,1,1,1,100,nan\n")
+        code = main(["bound", "--kind", kind, "--batch", str(batch)])
+        assert code == 3
+        assert "at row 1" in capsys.readouterr().err
+
     def test_domain_error_is_exit_3(self, capsys):
         code, _ = run_cli(capsys, "bound", "--kind", "laplace", *self.ARGS,
                           "--t", "10.0")
@@ -311,6 +327,13 @@ class TestMixingCommand:
         code, _ = run_cli(capsys, "mixing", "--chain", str(tmp_path / "nope.json"))
         assert code == 3
 
+    def test_non_object_chain_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text("[1, 2]")
+        code = main(["mixing", "--chain", str(path)])
+        assert code == 3
+        assert "JSON object" in capsys.readouterr().err
+
     def test_bad_matrix_is_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"P": [[1.0, 0.5], [0.5, 0.5]]}))
@@ -390,6 +413,24 @@ class TestSimulateCommand:
         code = main(["simulate", "--model", model, "--config", str(path), *self.BASE])
         assert code == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [[2], 2.5, 2.7, True], ids=["list", "2.5", "2.7", "bool"])
+    def test_non_integer_d_is_exit_3(self, capsys, tmp_path, d):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]], "d": d,
+                                    "value_map": [1.0, -1.0]}))
+        code = main(["simulate", "--model", "blockcov", "--config", str(path), *self.BASE])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "d must be an integer" in captured.err
+
+    @pytest.mark.parametrize("model", ["contraction", "blockcov", "iid"])
+    def test_non_object_config_is_exit_3(self, capsys, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        code = main(["simulate", "--model", model, "--config", str(path), *self.BASE])
+        assert code == 3
+        assert "JSON object" in capsys.readouterr().err
 
     def test_stacked_D_is_exit_3(self, capsys, tmp_path):
         path = tmp_path / "model.json"

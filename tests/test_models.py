@@ -14,15 +14,14 @@ from depbernstein.models import (
     ModelSpec,
     bernstein_inputs_for,
     block_covariance_mean,
-    block_lag_moments,
     clopper_pearson,
     empirical_laplace,
+    lag_moments,
     run_expectation_experiment,
     run_tail_experiment,
     simulate_summands,
-    v2_block_ceiling,
     v2_bruteforce,
-    v2_exact_contraction,
+    v2_ceiling,
 )
 
 CHAIN = MarkovChain.two_state(0.25, 0.25)
@@ -64,6 +63,17 @@ class TestModelSpec:
         with pytest.raises(ModelError):
             ModelSpec(kind="contraction", d=3, chain=CHAIN, D=D2,
                       tau_map=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("d", [2.0, 2.7, True, [2], "2", 0])
+    def test_rejects_d_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ModelError, match="d must be an integer"):
+            ModelSpec(kind="block_covariance", d=d, chain=CHAIN,
+                      value_map=np.array([1.0, -1.0]))
+
+    def test_d_is_stored_as_int(self):
+        spec = ModelSpec(kind="block_covariance", d=np.int64(3), chain=CHAIN,
+                         value_map=np.array([1.0, -1.0]))
+        assert type(spec.d) is int and spec.d == 3
 
     def test_M_is_spectral_radius(self):
         spec = contraction_spec(D=np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -258,17 +268,32 @@ class TestVarianceProxy:
         spec = contraction_spec()
         etau2 = float(CHAIN.pi @ np.array([1.0, 0.25]))
         lam2 = float(np.max(np.linalg.eigvalsh(D2 @ D2)))
-        assert v2_exact_contraction(spec) == pytest.approx(etau2 * lam2, rel=1e-12)
+        assert v2_ceiling(spec) == pytest.approx(etau2 * lam2, rel=1e-12)
 
     def test_exact_matches_bruteforce(self):
         spec = contraction_spec()
-        assert v2_bruteforce(spec, 8) == pytest.approx(v2_exact_contraction(spec),
+        assert v2_bruteforce(spec, 8) == pytest.approx(v2_ceiling(spec),
                                                        abs=1e-10)
 
     def test_iid_variance_is_spectral(self):
         spec = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
         lam2 = float(np.max(np.linalg.eigvalsh(D2 @ D2)))
-        assert v2_exact_contraction(spec) == pytest.approx(lam2)
+        assert v2_ceiling(spec) == pytest.approx(lam2)
+
+    @pytest.mark.parametrize("kind", ["contraction", "iid_baseline"])
+    def test_sign_models_have_no_cross_moments(self, kind):
+        # the fair sign leaves E(tau^2) D^2 at lag 0 and exact zeros after it,
+        # so the ceiling is the exact variance proxy
+        chain = MarkovChain.from_transition([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5],
+                                             [0.25, 0.5, 0.25]])
+        tau = np.array([1.0, 0.5, -0.25])
+        spec = ModelSpec(kind=kind, d=2, chain=chain, D=D2,
+                         tau_map=tau if kind == "contraction" else None)
+        etau2 = float(chain.pi @ tau ** 2) if kind == "contraction" else 1.0
+        moments = lag_moments(spec, 5)
+        assert np.array_equal(moments[0], etau2 * (D2 @ D2))
+        assert not moments[1:].any()
+        assert v2_ceiling(spec) == pytest.approx(v2_bruteforce(spec, 8), abs=1e-12)
 
 
 def block_spec(chain, d, values):
@@ -303,6 +328,9 @@ def lag_moments_by_paths(spec, lags):
 
 
 SHIPPED_BLOCK = block_spec(CHAIN, 2, [1.0, -1.0])
+# an asymmetric 3-state chain, whose blocks have cross moments (A != 0)
+CORRELATED_BLOCK = block_spec(MarkovChain.from_transition(
+    [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), 2, [1.0, -1.0, 0.5])
 PRIMITIVE = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                                          [0.5, 0.5, 0.0]])
 
@@ -311,7 +339,7 @@ class TestBlockCeiling:
     @pytest.mark.parametrize("seed", range(4))
     def test_lag_moments_match_path_enumeration(self, seed):
         spec = random_block_spec(np.random.default_rng(seed))
-        assert block_lag_moments(spec, 4) == pytest.approx(
+        assert lag_moments(spec, 4) == pytest.approx(
             lag_moments_by_paths(spec, 4), abs=1e-14)
 
     def test_lag_moments_agree_with_monte_carlo(self):
@@ -341,11 +369,16 @@ class TestBlockCeiling:
             spec = random_block_spec(rng)
             n = int(rng.integers(2, 9))
             brute = v2_bruteforce(spec, n)
-            assert v2_block_ceiling(spec) >= brute - 1e-12, (case, spec.d, n)
+            assert v2_ceiling(spec) >= brute - 1e-12, (case, spec.d, n)
+
+    def test_shipped_config_has_no_cross_moments(self):
+        # so its ceiling needs no lag window and is exact
+        assert not models._transfer(SHIPPED_BLOCK)[1].any()
+        assert not lag_moments(SHIPPED_BLOCK, 64)[1:].any()
 
     def test_shipped_config_is_exact(self):
         # within-block sign flips are iid, so the lag moments vanish
-        assert v2_block_ceiling(SHIPPED_BLOCK) == pytest.approx(0.75, abs=1e-12)
+        assert v2_ceiling(SHIPPED_BLOCK) == pytest.approx(0.75, abs=1e-12)
         assert v2_bruteforce(SHIPPED_BLOCK, 10) == pytest.approx(0.75, abs=1e-12)
         inp = bernstein_inputs_for(SHIPPED_BLOCK, 64)
         assert inp.v == pytest.approx(math.sqrt(0.75), abs=1e-12)
@@ -354,10 +387,10 @@ class TestBlockCeiling:
         # d̄ = 0 at every lag: the blocks are independent and the ceiling is
         # ||E X_0^2||, which every index set attains
         spec = block_spec(MarkovChain.iid([0.3, 0.7]), 3, [1.0, -0.2])
-        square = block_lag_moments(spec, 0)[0]
-        assert v2_block_ceiling(spec) == pytest.approx(
+        square = lag_moments(spec, 0)[0]
+        assert v2_ceiling(spec) == pytest.approx(
             float(np.max(np.linalg.eigvalsh(square))), abs=1e-15)
-        assert v2_block_ceiling(spec) == pytest.approx(
+        assert v2_ceiling(spec) == pytest.approx(
             v2_bruteforce(spec, 8), abs=1e-12)
 
     @pytest.mark.parametrize("chain, d", [
@@ -367,7 +400,7 @@ class TestBlockCeiling:
     def test_hard_chains_stay_certified(self, chain, d):
         values = [0.3, -1.0, 0.5][:chain.states]
         spec = block_spec(chain, d, values)
-        ceiling = v2_block_ceiling(spec)
+        ceiling = v2_ceiling(spec)
         assert math.isfinite(ceiling)
         assert ceiling >= v2_bruteforce(spec, 10) - 1e-12
 
@@ -375,11 +408,11 @@ class TestBlockCeiling:
                              ids=["near-reducible", "primitive"])
     def test_tail_covers_the_lags_beyond_the_window(self, chain, monkeypatch):
         spec = block_spec(chain, 2, [0.3, -1.0, 0.5][:chain.states])
-        norms = np.linalg.norm(block_lag_moments(spec, 3000), 2, axis=(1, 2))
+        norms = np.linalg.norm(lag_moments(spec, 3000), 2, axis=(1, 2))
         long_sum = norms[0] + 2.0 * norms[1:].sum()
         for lags in (1, 8, 64):
             monkeypatch.setattr(models, "_CEILING_LAGS", lags)
-            assert v2_block_ceiling(spec) >= long_sum - 1e-12
+            assert v2_ceiling(spec) >= long_sum - 1e-12
 
     def test_primitive_chain_needs_a_longer_step(self, monkeypatch):
         assert dbar(PRIMITIVE.P) == 1.0
@@ -387,18 +420,16 @@ class TestBlockCeiling:
         # a one-lag window offers only k0 = 1, where d̄ = 1; the window must
         # grow to Wielandt's exponent 5 to find a contracting step
         monkeypatch.setattr(models, "_CEILING_LAGS", 1)
-        ceiling = v2_block_ceiling(spec)
+        ceiling = v2_ceiling(spec)
         assert math.isfinite(ceiling)
         assert ceiling >= v2_bruteforce(spec, 10) - 1e-12
 
     def test_no_contracting_step_raises(self, monkeypatch):
+        # with A = 0 the ceiling would return before it looks at d̄
+        assert models._transfer(CORRELATED_BLOCK)[1].any()
         monkeypatch.setattr(models, "dbar", lambda Pk: np.ones(len(Pk)))
         with pytest.raises(ModelError):
-            v2_block_ceiling(SHIPPED_BLOCK)
-
-    def test_rejects_other_kinds(self):
-        with pytest.raises(ModelError):
-            block_lag_moments(contraction_spec(), 3)
+            v2_ceiling(CORRELATED_BLOCK)
 
     def test_inputs_draw_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -490,7 +521,7 @@ class TestInputsAssembly:
         inp = bernstein_inputs_for(spec, 64)
         assert inp.n == 64 and inp.d == 2
         assert inp.M == pytest.approx(spec.M)
-        assert inp.v == pytest.approx(math.sqrt(v2_exact_contraction(spec)))
+        assert inp.v == pytest.approx(math.sqrt(v2_ceiling(spec)))
         assert inp.c == pytest.approx(51.0 / 49.0 * math.log(2.0), rel=1e-12)
 
 
