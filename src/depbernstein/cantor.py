@@ -10,16 +10,22 @@ Runs are stored by their starts as int64 arrays, one row per A, never as
 every integer.  A single A keeps its one row: the leaf starts and the gap
 starts of each level.  Its kept set K is a sorted int64 array, built from
 the leaf starts only when it is read, and the blocks of a level are the
-rows of K.  Many A's that share ell give one `CantorStack` of start
-arrays, on which the tiling of {1..A} is checked for every row at once.
+rows of K.  Many A's that share ell give one `CantorStack`: A, delta, the
+block and gap sizes and the run starts as arrays, one row per A, on which
+the tiling of {1..A} is checked for every row at once, in the order the
+runs lie in {1..A} (one column order per ell), so that only rows that do
+not tile are sorted.  The stack's sizes repeat `cantor_params`' float
+operations on arrays, with logs and powers from Python's math (numpy's can
+differ in the last bit), so the two recipes agree bit for bit.  The scalar
+one stays for a single A, where a one-row array call costs over ten scalar ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter, index
+from itertools import repeat
+from operator import index
 
 import numpy as np
 
@@ -57,14 +63,21 @@ class CantorPartition:
 
 @dataclass(frozen=True, eq=False)
 class CantorStack:
-    """The blockings of k sizes A that share ell, one row per A: the block
-    sizes n_0 .. n_ell, shape (k, ell + 1), the leaf starts, shape
+    """The blockings of k sizes A that share ell, one row per A: A and
+    delta, shape (k,), the block sizes n_0 .. n_ell, shape (k, ell + 1),
+    the gap sizes d_0 .. d_{ell-1}, shape (k, ell), the leaf starts, shape
     (k, 2^ell), and per level j = 0..ell-1 the gap starts, shape (k, 2^j),
     in the order of `cantor_set`'s leaves and remainders."""
-    params: tuple            # the k CantorParams, one per row
+    A: np.ndarray
+    delta: np.ndarray
     n_seq: np.ndarray
+    d_seq: np.ndarray
     leaf_starts: np.ndarray
     gap_starts: tuple
+
+    @property
+    def ell(self) -> int:
+        return self.n_seq.shape[1] - 1
 
     @property
     def card(self) -> np.ndarray:
@@ -73,7 +86,8 @@ class CantorStack:
 
     def runs(self):
         """(starts, stops) of the leaves, then the gaps level by level, each
-        shape (k, 2^(ell+1) - 1); a gap at level j has length d_j."""
+        shape (k, 2^(ell+1) - 1); the lengths come from n_seq alone: a leaf
+        is n_ell long and a gap at level j n_j - 2 n_{j+1}."""
         n = self.n_seq
         lengths = [n[:, -1, None]] + [n[:, j, None] - 2 * n[:, j + 1, None]
                                       for j in range(len(self.gap_starts))]
@@ -130,13 +144,40 @@ def cantor_set(A: int) -> CantorPartition:
 def cantor_stacks(sizes) -> list:
     """One `CantorStack` per level count ell among the sizes A, in order of
     ell; the rows of a stack keep the order in which their A's were given."""
-    ell = attrgetter("ell")
+    A, delta, ell, n, d = _array_params(sizes)
     stacks = []
-    for _, group in groupby(sorted(map(cantor_params, sizes), key=ell), key=ell):
-        params = tuple(group)
-        n_seq = np.array([p.n_seq for p in params])
-        stacks.append(CantorStack(params, n_seq, *_run_starts(n_seq)))
+    for level in np.unique(ell).tolist():
+        rows = np.flatnonzero(ell == level)
+        n_seq = n[rows, :level + 1]
+        stacks.append(CantorStack(A[rows], delta[rows], n_seq, d[rows, :level],
+                                  *_run_starts(n_seq)))
     return stacks
+
+
+def _array_params(sizes):
+    """`cantor_params` on every size at once: A, delta and ell, shape (k,),
+    and n_j and d_j, shape (k, max ell + 1) and (k, max ell), whose columns
+    past a row's ell are not its sizes.  Step k raises 1 - delta to the
+    power k - 1 for the rows whose ell is at least k - 1, which gives their
+    n_{k-1} and tells whether level k exists."""
+    sizes = [_size(A, "A") for A in sizes]
+    A = np.array(sizes, dtype=np.int64)
+    delta = math.log(2.0) / (2.0 * np.fromiter(map(math.log, sizes), float, len(sizes)))
+    ell = np.zeros_like(A)
+    n = [A]  # n_j for the rows with ell >= j, 0 in the others
+    rows, k = np.arange(A.size), 1
+    while rows.size:
+        a = A[rows]
+        power = np.fromiter(map(pow, (1.0 - delta[rows]).tolist(), repeat(k - 1)),
+                            float, rows.size)
+        if k > 1:
+            n.append(np.zeros_like(A))
+            n[-1][rows] = np.ceil(a * power / 2.0 ** (k - 1))
+        rows = rows[a * delta[rows] * power / 2.0 ** k >= 2.0]
+        ell[rows] = k
+        k += 1
+    n = np.stack(n, axis=1)
+    return A, delta, ell, n, n[:, :-1] - 2 * n[:, 1:]
 
 
 def _run_starts(n_seq: np.ndarray):
@@ -158,19 +199,48 @@ def _run_starts(n_seq: np.ndarray):
 def tiles_exactly(stack: CantorStack) -> np.ndarray:
     """Per row of the stack, whether its leaves and gaps tile {1..A}: sorted
     by start, every non-empty run begins where the previous one stopped,
-    from 1 to A + 1.  This checks cover and disjointness together."""
-    return _chains(*stack.runs(), np.array([p.A for p in stack.params]))
+    from 1 to A + 1.  This checks cover and disjointness together.  The runs
+    go to the check in the order the construction lays them out, in which
+    the rows of a true tiling need no sort."""
+    walk = _in_order(stack.ell)
+    starts, stops = (np.take(x, walk, axis=1) for x in stack.runs())
+    return _chains(starts, stops, stack.A)
+
+
+def _in_order(ell: int) -> np.ndarray:
+    """The columns of `CantorStack.runs` in the order their runs lie in
+    {1..A}: every block is its left child, its gap, then its right child."""
+    walk = np.arange(2 ** ell)[:, None]  # per block of level ell, its leaf
+    for j in range(ell - 1, -1, -1):
+        children = walk.reshape(2 ** j, 2, -1)
+        gaps = 2 ** ell + 2 ** j - 1 + np.arange(2 ** j)[:, None]
+        walk = np.concatenate((children[:, 0], gaps, children[:, 1]), axis=1)
+    return walk.ravel()
 
 
 def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:
     """Per row of runs [start, stop): whether the non-empty runs, sorted by
-    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first."""
-    empty = stops <= starts
-    starts, stops = np.where(empty, 1, starts), np.where(empty, 1, stops)
-    order = np.argsort(np.where(empty, 0, starts), axis=-1)
-    starts, stops = (np.take_along_axis(x, order, axis=-1) for x in (starts, stops))
-    begins = np.concatenate((np.ones_like(stops[:, :1]), stops[:, :-1]), axis=1)
-    return (starts == begins).all(axis=-1) & (stops[:, -1] == np.asarray(A) + 1)
+    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first.
+    A row whose runs are all non-empty and chain as given is sorted already;
+    only the other rows are sorted and checked again."""
+    A = np.broadcast_to(A, starts.shape[:1])
+    linked = _linked(starts, stops, A) & (stops > starts).all(axis=-1)
+    rows = np.flatnonzero(~linked)
+    if rows.size:
+        starts, stops = starts[rows], stops[rows]
+        empty = stops <= starts
+        order = np.argsort(np.where(empty, 0, starts), axis=-1)
+        starts, stops = (np.take_along_axis(np.where(empty, 1, x), order, axis=-1)
+                         for x in (starts, stops))
+        linked[rows] = _linked(starts, stops, A[rows])
+    return linked
+
+
+def _linked(starts: np.ndarray, stops: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Per row, whether each run begins where the one before it stopped,
+    the first at 1 and the last stopping at A + 1."""
+    return ((starts[:, 0] == 1) & (starts[:, 1:] == stops[:, :-1]).all(axis=-1)
+            & (stops[:, -1] == A + 1))
 
 
 def level_runs(partition: CantorPartition, k: int) -> np.ndarray:

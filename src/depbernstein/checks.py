@@ -124,18 +124,15 @@ def _cantor_case(stack):
     """Per row A of the stack: |K_A| in [A/2, A] and equal to 2^ell n_ell,
     the leaves and gaps tile {1..A}, ell <= log2 A, and every gap d_j is at
     least A delta (1 - delta)^j / 2^(j+1); a failure carries its `A`."""
-    params = stack.params
-    A, card = np.array([p.A for p in params]), stack.card
-    ell = stack.n_seq.shape[1] - 1
+    A, card, ell = stack.A, stack.card, stack.ell
     yield _rows("kept_cardinality", (card <= A) & (2 * card >= A), A=A, card=card)
     yield _rows("kept_card_formula", card == 2 ** ell * stack.n_seq[:, -1], A=A, card=card)
     yield _rows("disjoint_cover", _cantor.tiles_exactly(stack), A=A)
     yield _rows("level_ceiling", A >= 2 ** ell, A=A, ell=ell)  # ell <= log2 A
-    delta = np.array([p.delta for p in params])[:, None]
-    d = np.array([p.d_seq for p in params], dtype=np.int64).reshape(len(params), ell)
-    j = np.arange(ell)
+    delta, j = stack.delta[:, None], np.arange(ell)
     floor = A[:, None] * delta * (1.0 - delta) ** j / 2.0 ** (j + 1)
-    yield _rows("gap_floor", d >= floor, A=A[:, None], j=j, d=d, floor=floor)
+    yield _rows("gap_floor", stack.d_seq >= floor, A=A[:, None], j=j, d=stack.d_seq,
+                floor=floor)
 
 
 def bounds(seed: int = 7):

@@ -11,6 +11,7 @@ embeds the resolved configuration, so runs are replayable byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -44,25 +45,34 @@ def _csv_text(header, rows) -> str:
 
 def cmd_cantor(args) -> int:
     part = cantor.cantor_set(args.A)
-    K = part.K.tolist()
-    blocks = [] if args.level is None else cantor.level_blocks(part, args.level).tolist()
+    blocks = [] if args.level is None else cantor.level_blocks(part, args.level)
     if args.format == "json":
         p = part.params
         payload = {
             "schema": SCHEMA,
             "config": {"command": "cantor", "A": args.A, "level": args.level},
             "A": p.A, "delta": p.delta, "ell": p.ell,
-            "n": list(p.n_seq), "d": list(p.d_seq), "K": K,
+            "n": list(p.n_seq), "d": list(p.d_seq), "K": part.K.tolist(),
         }
         if args.level is not None:
-            payload["blocks"] = blocks
+            payload["blocks"] = blocks.tolist()
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        rows = [("K", i) for i in K]
-        for j, b in enumerate(blocks):
-            rows += [(f"block_{j}", i) for i in b]
-        _emit(_csv_text(("set", "index"), rows), args.out)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write("set,index\n")
+            _write_column(fh, "K", part.K)
+            for j, block in enumerate(blocks):
+                _write_column(fh, f"block_{j}", block)
     return 0
+
+
+def _write_column(fh, label: str, values: np.ndarray):
+    """The CSV rows `label,value` for each value of an int array, 2^14 at a
+    time; no field needs quoting, so the bytes are those of csv.writer."""
+    sep = f"\n{label},"
+    for i in range(0, values.size, 1 << 14):
+        rows = map(str, values[i:i + (1 << 14)].tolist())
+        fh.write(label + "," + sep.join(rows) + "\n")
 
 
 # the BernsteinInputs fields, in order: every bound reads them, and every

@@ -51,6 +51,11 @@ class ModelError(ValueError):
     """Invalid model specification or experiment parameter."""
 
 
+# the optional ModelSpec fields each kind reads; a kind is given no other
+_KIND_FIELDS = {"contraction": ("D", "tau_map"), "iid_baseline": ("D",),
+                "block_covariance": ("value_map",)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Specification of a simulated matrix model.
@@ -59,7 +64,8 @@ class ModelSpec:
     (spectral radius <= M); tau_map gives tau as a function of the hidden
     state and must have sup-norm <= 1.  For block_covariance, value_map
     gives the bounded scalar as a function of the state (centered
-    internally) and d consecutive scalars form one block.
+    internally) and d consecutive scalars form one block.  A field that
+    the kind does not read must be left None.
     """
 
     kind: str
@@ -70,8 +76,12 @@ class ModelSpec:
     value_map: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("contraction", "block_covariance", "iid_baseline"):
+        if self.kind not in _KIND_FIELDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
+        unread = [name for name in ("D", "tau_map", "value_map")
+                  if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
+        if unread:
+            raise ModelError(f"a {self.kind} model does not read {', '.join(unread)}")
         try:
             d = operator.index(self.d)
         except TypeError:

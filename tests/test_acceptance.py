@@ -40,8 +40,7 @@ def test_criterion_01_cantor_exhaustive():
     # alone: the next start in sorted order (A + 1 after the last) minus its
     # own, so the sizes below test where the construction put each run
     for stack in cantor.cantor_stacks(range(2, 5001)):
-        A = np.array([p.A for p in stack.params])
-        ell = stack.n_seq.shape[1] - 1
+        A, ell = stack.A, stack.ell
         levels += ell * A.size
         n_ell = stack.n_seq[:, -1:]
         starts = np.concatenate((stack.leaf_starts, *stack.gap_starts), axis=1)
@@ -59,15 +58,14 @@ def test_criterion_01_cantor_exhaustive():
             blocks = leaves.reshape(A.size, 2 ** k, -1).sum(axis=2)
             failures += [("block_size", a, k) for a in
                          A[(blocks != 2 ** (ell - k) * n_ell).any(axis=1)].tolist()]
-        d_seq = np.array([p.d_seq for p in stack.params]).reshape(A.size, ell)
         for j in range(ell):
             level = gaps[:, 2 ** j - 1:2 ** (j + 1) - 1]
             failures += [("gap_size", a, j) for a in
-                         A[(level != d_seq[:, j:j + 1]).any(axis=1)].tolist()]
+                         A[(level != stack.d_seq[:, j:j + 1]).any(axis=1)].tolist()]
         # ell is the largest level count: one more level would leave a gap
         # floor below 2
-        failures += [("ell_maximal", p.A) for p in stack.params
-                     if p.A * p.delta * (1.0 - p.delta) ** p.ell / 2.0 ** (p.ell + 1) >= 2.0]
+        failures += [("ell_maximal", a) for a, delta in zip(A.tolist(), stack.delta.tolist())
+                     if a * delta * (1.0 - delta) ** ell / 2.0 ** (ell + 1) >= 2.0]
     failures += run_checks(checks.cantor, {
         "kept_cardinality": 4999, "kept_card_formula": 4999, "disjoint_cover": 4999,
         "level_ceiling": 4999, "gap_floor": levels})

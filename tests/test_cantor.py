@@ -9,6 +9,8 @@ import pytest
 from depbernstein import checks
 from depbernstein.cantor import (
     CantorError,
+    CantorParams,
+    _array_params,
     _chains,
     cantor_params,
     cantor_set,
@@ -35,6 +37,24 @@ def _full_decomposition_by_sets(n):
         surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
         cards.append(len(surviving))
     return tuple(levels), tuple(surviving), tuple(cards)
+
+
+def _chains_by_sort(starts, stops, A):
+    """The tiling check that sorted every row by start, kept as the
+    reference for `_chains`."""
+    empty = stops <= starts
+    starts, stops = np.where(empty, 1, starts), np.where(empty, 1, stops)
+    order = np.argsort(np.where(empty, 0, starts), axis=-1)
+    starts, stops = (np.take_along_axis(x, order, axis=-1) for x in (starts, stops))
+    begins = np.concatenate((np.ones_like(stops[:, :1]), stops[:, :-1]), axis=1)
+    return (starts == begins).all(axis=-1) & (stops[:, -1] == np.asarray(A) + 1)
+
+
+def _row_params(stack, i):
+    """Row i of a stack as the `CantorParams` of its A."""
+    return CantorParams(A=int(stack.A[i]), delta=float(stack.delta[i]), ell=stack.ell,
+                        n_seq=tuple(stack.n_seq[i].tolist()),
+                        d_seq=tuple(stack.d_seq[i].tolist()))
 
 
 class TestParams:
@@ -183,23 +203,46 @@ class TestStacks:
         sizes = list(range(2, 5001))
         np.random.default_rng(5).shuffle(sizes)
         stacks = cantor_stacks(sizes)
-        assert [s.params[0].ell for s in stacks] == sorted({s.params[0].ell for s in stacks})
+        assert [s.ell for s in stacks] == sorted({s.ell for s in stacks})
         seen = []
         for stack in stacks:
-            ell = stack.params[0].ell
-            assert stack.leaf_starts.shape == (len(stack.params), 2 ** ell)
+            ell = stack.ell
+            assert stack.leaf_starts.shape == (stack.A.size, 2 ** ell)
             assert [g.shape[1] for g in stack.gap_starts] == [2 ** j for j in range(ell)]
-            for i, p in enumerate(stack.params):
-                part = cantor_set(p.A)
-                assert p == part.params
+            for i, A in enumerate(stack.A.tolist()):
+                part = cantor_set(A)
+                assert _row_params(stack, i) == part.params
                 assert stack.leaf_starts[i].tolist() == part.leaf_starts.tolist()
                 assert [g[i].tolist() for g in stack.gap_starts] == [
                     g.tolist() for g in part.gap_starts]
                 assert stack.card[i] == part.card
-            seen += [p.A for p in stack.params]
+            seen += stack.A.tolist()
         # grouped by ell, each group in the order given
         assert seen == sorted(sizes, key=lambda A: cantor_params(A).ell)
         assert all(tiles_exactly(s).all() for s in stacks)
+
+    def test_array_recipe_matches_cantor_params(self):
+        # bit for bit: the same float operations give the same delta, ell and
+        # sizes.  numpy's log in place of math.log moves delta at A = 9170,
+        # and numpy's power in place of pow moves n_j for some A near 2^50
+        sizes = list(range(2, 10 ** 5 + 1)) + np.random.default_rng(24).integers(
+            10 ** 5, 2 ** 50, 4000, endpoint=True).tolist()
+        A, delta, ell, n, d = _array_params(sizes)
+        params = list(map(cantor_params, sizes))
+        assert A.tolist() == sizes
+        assert delta.tolist() == [p.delta for p in params]
+        assert ell.tolist() == [p.ell for p in params]
+        levels = np.arange(n.shape[1])  # row by row, the n_j with j <= ell
+        assert n[levels <= ell[:, None]].tolist() == [x for p in params for x in p.n_seq]
+        assert d[levels[1:] <= ell[:, None]].tolist() == [x for p in params for x in p.d_seq]
+
+    def test_sizes_are_checked_like_cantor_params(self):
+        assert cantor_stacks([]) == []
+        (stack,) = cantor_stacks([np.int64(100), 101])
+        assert stack.A.tolist() == [100, 101]
+        for bad in (1, 100.0, True, "100"):
+            with pytest.raises(CantorError):
+                cantor_stacks([100, bad])
 
     def test_runs_are_the_ranges_of_cantor_set(self):
         (stack,) = cantor_stacks([1000, 999])
@@ -231,13 +274,72 @@ class TestStacks:
         assert checked["disjoint_cover"] == len(sizes)
         assert checked["gap_floor"] == 4 * len(sizes)
 
+    def test_tiling_verdicts_match_the_sorting_check(self):
+        # every stack of 2..5000 as built, then with a fifth of its rows
+        # perturbed: a leaf or a gap moved, or a block size n_j changed, by
+        # one or two either way
+        rng = np.random.default_rng(24)
+        failed = 0
+        for stack in cantor_stacks(range(2, 5001)):
+            assert tiles_exactly(stack).tolist() == _chains_by_sort(
+                *stack.runs(), stack.A).tolist()
+            leaves, gaps = stack.leaf_starts.copy(), [g.copy() for g in stack.gap_starts]
+            n = stack.n_seq.copy()
+            for i in rng.choice(stack.A.size, stack.A.size // 5 + 1, replace=False):
+                kind, step = rng.integers(3), rng.choice([-2, -1, 1, 2])
+                if kind == 0:
+                    leaves[i, rng.integers(leaves.shape[1])] += step
+                elif kind == 1 and gaps:
+                    level = gaps[rng.integers(len(gaps))]
+                    level[i, rng.integers(level.shape[1])] += step
+                else:
+                    n[i, rng.integers(n.shape[1])] += step
+            bad = dataclasses.replace(stack, n_seq=n, leaf_starts=leaves,
+                                      gap_starts=tuple(gaps))
+            tiles = tiles_exactly(bad)
+            assert tiles.tolist() == _chains_by_sort(*bad.runs(), bad.A).tolist()
+            failed += int((~tiles).sum())
+        assert failed > 900
+
+    def test_chains_match_the_sorting_check_in_any_order(self):
+        # random tilings of {1..A} in 6 runs, their columns shuffled in half
+        # the rows, with empty, negative, overlapping and shared-start runs
+        rng = np.random.default_rng(7)
+        rows, A = 4000, rng.integers(6, 40, 4000)
+        cuts = np.sort(rng.random((rows, 5)), axis=1) * (A[:, None] - 1) + 1
+        edges = np.concatenate((np.ones((rows, 1)), np.ceil(cuts), A[:, None] + 1.0), axis=1)
+        starts, stops = edges[:, :-1].astype(np.int64), edges[:, 1:].astype(np.int64)
+        for x in (starts, stops):
+            hit = rng.random(x.shape) < 0.05
+            x[hit] += rng.integers(-2, 3, hit.sum())
+        for i in range(0, rows, 2):
+            order = rng.permutation(6)
+            starts[i], stops[i] = starts[i, order], stops[i, order]
+        tiles = _chains(starts, stops, A)
+        assert tiles.tolist() == _chains_by_sort(starts, stops, A).tolist()
+        assert 0 < tiles.sum() < rows
+
+    def test_negative_gap_is_not_a_tiling(self):
+        # leaves [1, 54) and [48, 101) overlap by 6, and the gap between
+        # them, [54, 48), is 6 short: in the order of the construction each
+        # run begins where the one before it stopped, and the lengths sum to A
+        (stack,) = cantor_stacks([100])
+        bad = dataclasses.replace(stack, n_seq=np.array([[100, 53]]),
+                                  leaf_starts=np.array([[1, 48]]),
+                                  gap_starts=(np.array([[54]]),))
+        starts, stops = bad.runs()
+        assert (stops - starts).tolist() == [[53, 53, -6]]
+        assert tiles_exactly(bad).tolist() == [False]
+        assert _chains(starts[:, [0, 2, 1]], stops[:, [0, 2, 1]], 100).tolist() == [False]
+
     def test_short_gap_fails_its_floor_alone(self):
         (stack,) = cantor_stacks([1000, 1001])
-        first, p = stack.params
-        short = dataclasses.replace(p, d_seq=(p.d_seq[0], 1, *p.d_seq[2:]))
-        bad = dataclasses.replace(stack, params=(first, short))
+        d = stack.d_seq.copy()
+        d[1, 1] = 1
+        bad = dataclasses.replace(stack, d_seq=d)
         _, failures = checks.run(lambda: [checks._cantor_case(bad)])
-        floor = 1001 * p.delta * (1.0 - p.delta) / 4.0
+        delta = stack.delta[1]
+        floor = 1001 * delta * (1.0 - delta) / 4.0
         assert failures == [{"invariant": "gap_floor", "case": 0, "A": 1001, "j": 1,
                              "d": 1, "floor": pytest.approx(floor, rel=1e-15)}]
 
@@ -351,6 +453,12 @@ class TestCantorMemory:
         # bytes per index; as one int64 array it holds 8
         card = cantor_set(10 ** 6).card
         assert self.peak(lambda: cantor_set(10 ** 6).K) / card <= 9.0
+
+    def test_verify_suite_peak(self):
+        # 13.3 MB when every stack was built from CantorParams and every row
+        # sorted by start; 8.1 MB with array-built stacks and in-order runs
+        checks.run(checks.cantor)
+        assert self.peak(checks.run, checks.cantor) <= 10e6
 
     def test_full_decomposition_peak_per_index(self):
         # levels as tuples of Python ints peaked at 44 bytes per index

@@ -92,6 +92,23 @@ class TestCantorCommand:
         assert code == 0 and out == ""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_csv_is_written_from_the_arrays(self, tmp_path):
+        # K and the blocks as int64 arrays, 1.2 MB, and one slice of rows as
+        # text peak at 2.9 MB; 2 |K| row tuples and the whole text at 27 MB
+        import tracemalloc
+
+        path = tmp_path / "cantor.csv"
+        argv = ["cantor", "--A", "100000", "--level", "3", "--format", "csv",
+                "--out", str(path)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
     def test_invalid_A(self, capsys):
         code, _ = run_cli(capsys, "cantor", "--A", "1")
         assert code == 3

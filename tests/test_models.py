@@ -70,6 +70,21 @@ class TestModelSpec:
             ModelSpec(kind="block_covariance", d=d, chain=CHAIN,
                       value_map=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("kind, unread, named", [
+        ("iid_baseline", {"tau_map": [5.0, "x"]}, "tau_map"),
+        ("iid_baseline", {"value_map": np.array([1.0, -1.0])}, "value_map"),
+        ("contraction", {"value_map": np.array([1.0, -1.0])}, "value_map"),
+        ("block_covariance", {"D": D2}, "D"),
+        ("block_covariance", {"tau_map": np.array([1.0, -1.0]), "D": D2}, "D, tau_map"),
+    ])
+    def test_rejects_a_field_its_kind_does_not_read(self, kind, unread, named):
+        # an iid spec given tau_map [5.0, "x"] was kept unchecked, and its
+        # digest() then raised AttributeError on the list
+        needed = {"D": D2, "tau_map": np.array([1.0, -1.0])} if kind == "contraction" \
+            else {"D": D2} if kind == "iid_baseline" else {"value_map": np.array([1.0, -1.0])}
+        with pytest.raises(ModelError, match=f"does not read {named}$"):
+            ModelSpec(kind=kind, d=2, chain=CHAIN, **needed, **unread)
+
     def test_d_is_stored_as_int(self):
         spec = ModelSpec(kind="block_covariance", d=np.int64(3), chain=CHAIN,
                          value_map=np.array([1.0, -1.0]))
