@@ -159,7 +159,7 @@ def prop1_log_laplace(t: float, A: int, inputs: BernsteinInputs) -> float:
     if t <= 0:
         raise BoundDomainError(f"need t > 0, got {t}")
     tm = t * inputs.M
-    cap = min(0.5, inputs.c * LOG2 / (32.0 * math.log(A)))
+    cap = h(inputs.c, A)
     if tm > cap:
         raise BoundDomainError(
             f"t*M = {tm:.6g} exceeds min(1/2, c log2/(32 log A)) = {cap:.6g}"

@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import bounds, cantor, checks, mixing, models
-from .spectral import SymMatrix
 
 SCHEMA = models.SCHEMA
 
@@ -107,11 +106,14 @@ def cmd_bound(args) -> int:
             rows = list(csv.DictReader(fh))
         if not rows:
             raise ValueError(f"empty batch: {args.batch} has no rows")
+        missing = [k for k in _INPUTS if k not in rows[0]]
+        if missing:
+            raise ValueError(f"batch {args.batch} is missing the columns {', '.join(missing)}")
         # float columns: the bounds use n and d as floats, and an n past
         # int64 would make an object array
         given.update({k: np.array([cast(row[k]) for row in rows], dtype=float)
                       for k, cast in _BOUND_TYPES.items()
-                      if k in _INPUTS or k in rows[0]})
+                      if k in rows[0]})
         res = _bound_values(args.kind, given)
         names = sorted(res)
         columns = zip(*(res[k].tolist() for k in names))
@@ -131,7 +133,7 @@ def cmd_bound(args) -> int:
 
 def cmd_mixing(args) -> int:
     with open(args.chain) as fh:
-        chain = mixing.MarkovChain.from_json(fh.read())
+        chain = mixing.MarkovChain.from_config(json.load(fh))
     k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
     lags = np.arange(k_lo, k_hi + 1)
     c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS) if args.fit_c else None
@@ -149,26 +151,6 @@ def cmd_mixing(args) -> int:
     return 0
 
 
-def _model_from_config(kind: str, config: dict) -> models.ModelSpec:
-    if not isinstance(config, dict):
-        raise ValueError(f"a model config is a JSON object, got {type(config).__name__}")
-    chain = mixing.MarkovChain.from_transition(np.asarray(config["P"], dtype=float))
-    kind_map = {"contraction": "contraction", "blockcov": "block_covariance",
-                "iid": "iid_baseline"}
-    spec_kind = kind_map[kind]
-    kwargs = {"kind": spec_kind, "chain": chain}
-    if spec_kind == "block_covariance":
-        kwargs["d"] = config["d"]
-        kwargs["value_map"] = np.asarray(config["value_map"], dtype=float)
-    else:
-        D = SymMatrix(np.asarray(config["D"], dtype=float)).entries
-        kwargs["d"] = D.shape[0]
-        kwargs["D"] = D
-        if spec_kind == "contraction":
-            kwargs["tau_map"] = np.asarray(config["tau_map"], dtype=float)
-    return models.ModelSpec(**kwargs)
-
-
 def _parse_grid(text: str):
     a, b, steps = text.split(":")
     return np.linspace(float(a), float(b), int(steps)).tolist()
@@ -177,7 +159,7 @@ def _parse_grid(text: str):
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    spec = _model_from_config(args.model, config)
+    spec = models.spec_from_config(args.model, config)
     report = models.run_tail_experiment(
         spec, n=args.n, trials=args.trials, x_grid=_parse_grid(args.x_grid),
         seed=args.seed, workers=args.workers,
@@ -198,6 +180,9 @@ _SUITES = {name: functools.partial(checks.run, suite)
 
 
 def cmd_verify(args) -> int:
+    # a NaN deadline never passes, and JSON has no NaN or Infinity
+    if not (math.isfinite(args.budget) and args.budget >= 0):
+        raise ValueError(f"--budget must be finite and >= 0, got {args.budget}")
     checked, failures = _SUITES[args.suite](args.budget)
     report = {"schema": SCHEMA, "suite": args.suite,
               "config": {"command": "verify", "suite": args.suite,
@@ -245,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("simulate", help="tail experiment for a model")
-    p.add_argument("--model", choices=("contraction", "blockcov", "iid"),
-                   required=True)
+    p.add_argument("--model", choices=tuple(models.MODELS), required=True)
     p.add_argument("--config", required=True, help="model JSON file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

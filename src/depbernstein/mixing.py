@@ -3,13 +3,14 @@
 For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
-from the powers of P - 1 pi; the generic beta_from_joint works on any
-finite joint law and is the independent check, via the law of (S_0, S_k).
+from the powers of P - 1 pi (matrix_powers, which steps the models' lag
+powers too); the generic beta_from_joint works on any finite joint law and
+is the independent check, via the law of (S_0, S_k).  Chain files and model
+files give P alike (MarkovChain.from_config).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,13 @@ class MarkovChain:
         return cls(P=np.tile(pi, (pi.size, 1)), pi=pi)
 
     @classmethod
-    def from_json(cls, text: str) -> "MarkovChain":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise MixingError(f"a chain file is a JSON object, got {type(obj).__name__}")
-        return cls.from_transition(np.asarray(obj["P"], dtype=float))
+    def from_config(cls, obj) -> "MarkovChain":
+        """The chain of a parsed chain or model config: a JSON object with P."""
+        if not isinstance(obj, dict) or "P" not in obj:
+            got = "an object without 'P'" if isinstance(obj, dict) else type(obj).__name__
+            raise MixingError(f"a chain or model config is a JSON object with the transition"
+                              f" matrix 'P', got {got}")
+        return cls.from_transition(obj["P"])
 
     def joint_law(self, k: int) -> "JointLaw":
         """Exact joint law of (S_0, S_k) under the stationary start."""
@@ -193,21 +196,30 @@ def beta_from_joint(joint: JointLaw) -> float:
     return float(0.5 * np.abs(joint.pmf - prod).sum())
 
 
+def matrix_powers(M: np.ndarray, ks):
+    """Yield M^k for each k of the increasing positive integers ks, with no
+    stack kept: one product per lag, by M^gap across the gap from the last
+    lag (from 0 at the first), each distinct M^gap made once."""
+    steps, Mk, last = {}, np.eye(len(M)), 0
+    for k in ks:
+        if k - last not in steps:
+            steps[k - last] = np.linalg.matrix_power(M, k - last)
+        Mk, last = Mk @ steps[k - last], k
+        yield Mk
+
+
 def beta_k_exact(chain: MarkovChain, k):
     """beta_k = sum_x pi(x) TV(P^k(x, .), pi) of a stationary chain: one lag
     k gives a float, an integer array of lags an array of its shape.
     P^k - 1 pi = Q^k with Q = P - 1 pi, and summing |Q^k| keeps beta_k's
     relative accuracy where P^k - 1 pi cancels.  Q^k steps through the
-    distinct lags in order: Q^{k_min} by one matrix_power, then one product
-    per further lag (by Q^gap across a gap); only the betas are kept."""
+    distinct lags in order (matrix_powers); only the betas are kept."""
     ks, at = np.unique(k, return_inverse=True)
     if np.any(ks < 1):
         raise MixingError(f"lag k must be >= 1, got {ks[0]}")
-    Q = chain.P - chain.pi
-    Qk, beta = np.eye(chain.states), np.empty(ks.size)
-    for i, gap in enumerate(np.diff(ks, prepend=0).tolist()):
-        Qk = Qk @ (Q if gap == 1 else np.linalg.matrix_power(Q, gap))
-        beta[i] = chain.pi @ (0.5 * np.abs(Qk).sum(axis=1))
+    beta = np.fromiter((chain.pi @ (0.5 * np.abs(Qk).sum(axis=1))
+                        for Qk in matrix_powers(chain.P - chain.pi, ks.tolist())),
+                       float, ks.size)
     return _out(beta[at].reshape(np.shape(k)))
 
 

@@ -14,6 +14,9 @@ derives from (pi, P) for every kind.  It is exact when the summands have no
 cross moments, as under a fair sign, and a certified ceiling otherwise.
 The same exact moments make v2_bruteforce an oracle for every kind.
 
+spec_from_config reads a model config through two tables, the --model
+names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
+
 Every trial draws its own RNG stream from (seed, trial index), so results
 are reproducible independently of execution order, worker count or the
 size of the trial chunks that are sampled together.  Trial t's stream is
@@ -38,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate
+from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, matrix_powers
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -54,6 +57,8 @@ class ModelError(ValueError):
 # the optional ModelSpec fields each kind reads; a kind is given no other
 _KIND_FIELDS = {"contraction": ("D", "tau_map"), "iid_baseline": ("D",),
                 "block_covariance": ("value_map",)}
+# --model name -> ModelSpec kind
+MODELS = {"contraction": "contraction", "blockcov": "block_covariance", "iid": "iid_baseline"}
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
+        fields = _KIND_FIELDS[self.kind]
         unread = [name for name in ("D", "tau_map", "value_map")
-                  if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
+                  if name not in fields and getattr(self, name) is not None]
         if unread:
             raise ModelError(f"a {self.kind} model does not read {', '.join(unread)}")
+        missing = [name for name in fields if getattr(self, name) is None]
+        if missing:
+            raise ModelError(f"a {self.kind} model needs {', '.join(missing)}")
         try:
             d = operator.index(self.d)
         except TypeError:
@@ -89,33 +98,23 @@ class ModelSpec:
         if d < 1 or isinstance(self.d, bool):
             raise ModelError(f"d must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", d)
-        if self.kind in ("contraction", "iid_baseline"):
-            if self.D is None:
-                raise ModelError(f"{self.kind} model needs the template matrix D")
+        if self.D is not None:
             D = SymMatrix(np.asarray(self.D, dtype=float)).entries
-            if D.shape != (self.d, self.d):
-                raise ModelError(f"D must be {self.d} x {self.d}, got shape {D.shape}")
+            if D.shape != (d, d):
+                raise ModelError(f"D must be {d} x {d}, got shape {D.shape}")
             object.__setattr__(self, "D", D)
-        if self.kind == "contraction":
-            if self.tau_map is None:
-                raise ModelError("contraction model needs tau_map")
-            tau = np.asarray(self.tau_map, dtype=float)
-            if tau.shape != (self.chain.states,):
-                raise ModelError("tau_map must have one value per chain state")
-            if not np.all(np.abs(tau) <= 1.0 + 1e-12):
-                raise ModelError("need finite |tau| <= 1")
-            tau.flags.writeable = False
-            object.__setattr__(self, "tau_map", tau)
-        if self.kind == "block_covariance":
-            if self.value_map is None:
-                raise ModelError("block_covariance model needs value_map")
-            vals = np.asarray(self.value_map, dtype=float)
+        for name in ("tau_map", "value_map"):
+            if getattr(self, name) is None:
+                continue
+            vals = np.array(getattr(self, name), dtype=float)  # the caller's stays writeable
             if vals.shape != (self.chain.states,):
-                raise ModelError("value_map must have one value per chain state")
+                raise ModelError(f"{name} must have one value per chain state")
+            if name == "tau_map" and not np.all(np.abs(vals) <= 1.0 + 1e-12):
+                raise ModelError("need finite |tau| <= 1")
             if not np.all(np.isfinite(vals)):
-                raise ModelError("value_map must be finite")
+                raise ModelError(f"{name} must be finite")
             vals.flags.writeable = False
-            object.__setattr__(self, "value_map", vals)
+            object.__setattr__(self, name, vals)
 
     @property
     def M(self) -> float:
@@ -133,31 +132,29 @@ class ModelSpec:
         return self.value_map - float(self.chain.pi @ self.value_map)
 
     def digest(self) -> dict:
-        out = {"kind": self.kind, "d": self.d,
-               "P": self.chain.P.tolist(), "pi": self.chain.pi.tolist()}
-        if self.D is not None:
-            out["D"] = self.D.tolist()
-        if self.tau_map is not None:
-            out["tau_map"] = self.tau_map.tolist()
-        if self.value_map is not None:
-            out["value_map"] = self.value_map.tolist()
-        return out
+        return {"kind": self.kind, "d": self.d, "P": self.chain.P.tolist(),
+                "pi": self.chain.pi.tolist(),
+                **{name: getattr(self, name).tolist() for name in _KIND_FIELDS[self.kind]}}
+
+
+def spec_from_config(name: str, obj) -> ModelSpec:
+    """The ModelSpec of a parsed model config for --model `name`: P and the
+    kind's fields from their keys, and d from D's order or else its key."""
+    chain = MarkovChain.from_config(obj)
+    kind = MODELS[name]
+    keys = _KIND_FIELDS[kind] if "D" in _KIND_FIELDS[kind] else ("d",) + _KIND_FIELDS[kind]
+    missing = [repr(key) for key in keys if key not in obj]
+    if missing:
+        raise ModelError(f"a --model {name} config is missing {', '.join(missing)}")
+    fields = {key: obj[key] for key in keys}
+    if "D" in fields:
+        fields["d"] = np.shape(fields["D"])[0] if np.ndim(fields["D"]) else 1
+    return ModelSpec(kind=kind, chain=chain, **fields)
 
 
 def block_covariance_mean(spec: ModelSpec) -> np.ndarray:
-    """Exact E(C C^T): entry (a, b) is the stationary autocovariance of the
-    centered scalar at lag |a - b|, computed from (pi, P)."""
-    vals = spec.centered_values
-    cov = np.empty((spec.d, spec.d))
-    for lag in range(spec.d):
-        if lag == 0:
-            c = float(spec.chain.pi @ (vals * vals))
-        else:
-            Pk = np.linalg.matrix_power(spec.chain.P, lag)
-            c = float(vals @ (spec.chain.pi[:, None] * Pk) @ vals)
-        for a in range(spec.d - lag):
-            cov[a, a + lag] = cov[a + lag, a] = c
-    return cov
+    """Exact E(C C^T) of the block model (_block_covariance)."""
+    return _block_covariance(spec)[0]
 
 
 def _block_paths(P: np.ndarray, vals: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -168,6 +165,14 @@ def _block_paths(P: np.ndarray, vals: np.ndarray, powers: np.ndarray) -> np.ndar
     for t in range(1, powers.shape[-1]):
         W = (W @ P) * (vals ** powers[..., t, None])[..., None, :]
     return W
+
+
+def _block_covariance(spec: ModelSpec):
+    """(E(C C^T), B) with B[a, b] the _block_paths of the exponents e_a + e_b:
+    E(C_a C_b) is B[a, b]'s pi-weighted total, sum_{x,y} pi(x) B[a, b, x, y]."""
+    eye = np.eye(spec.d, dtype=int)
+    B = _block_paths(spec.chain.P, spec.centered_values, eye[:, None] + eye[None, :])
+    return B.sum(axis=-1) @ spec.chain.pi, B
 
 
 def _transfer(spec: ModelSpec):
@@ -190,9 +195,8 @@ def _transfer(spec: ModelSpec):
         return etau2 * (spec.D @ spec.D), zero, zero, 1
     vals = spec.centered_values
     eye = np.eye(d, dtype=int)
-    cov = block_covariance_mean(spec)
-    T = (_block_paths(P, vals, eye[:, None] + eye[None, :])
-         - cov[:, :, None, None] * np.linalg.matrix_power(P, d - 1))
+    cov, B = _block_covariance(spec)
+    T = B - cov[:, :, None, None] * np.linalg.matrix_power(P, d - 1)
     # E(X_0^2) = E(|C|^2 C C^T) - cov^2, and |C|^2 = sum_b C_b^2
     quad = _block_paths(P, vals, eye[:, None, None] + 2 * eye[None, :, None]
                         + eye[None, None, :])
@@ -203,12 +207,8 @@ def _transfer(spec: ModelSpec):
 def _lag_powers(P: np.ndarray, w: int, count: int) -> np.ndarray:
     """P^((k-1)w+1) for k = 1..count: the step from the last state of summand
     0 to the first state of summand k, when each summand reads w states."""
-    step, Pw = P, np.linalg.matrix_power(P, w)
-    R = np.empty((count,) + P.shape)
-    for k in range(count):
-        R[k] = step
-        step = step @ Pw
-    return R
+    return np.fromiter(matrix_powers(P, range(1, count * w + 1, w)),
+                       np.dtype((float, P.shape)), count)
 
 
 def _lag_moments(square, A, m, R) -> np.ndarray:

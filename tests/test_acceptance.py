@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 from depbernstein import bounds, cantor, checks, mixing, models
-from depbernstein.cli import _model_from_config, main as cli_main
+from depbernstein.cli import main as cli_main
 
 
 def record(num, name, failures, elapsed=None, budget=None):
@@ -240,7 +240,7 @@ def test_criterion_12_simulate_determinism(tmp_path, capsys):
     argv = ["simulate", "--model", "contraction", "--config", str(config),
             "--n", "4096", "--trials", "200", "--seed", "42",
             "--x-grid", "0.5:16:6"]
-    spec = _model_from_config("contraction", model)
+    spec = models.spec_from_config("contraction", model)
     size = max(1, models._CHUNK_WORDS // models._trial_words(spec, 4096))
     if -(-200 // size) < 3:
         failures.append(("chunks", -(-200 // size)))

@@ -146,6 +146,15 @@ class TestProp1:
         with pytest.raises(BoundDomainError, match="32 log A"):
             prop1_log_laplace(0.4, 100, inp)
 
+    @pytest.mark.parametrize("c, A", [(0.1, 100), (50.0, 3), (1.3, 10 ** 6)])
+    def test_cap_is_h(self, c, A):
+        # t M = h(c, A) is inside the domain, the next float above it is not
+        inp = BernsteinInputs(n=4, d=1, M=1.0, v=1.0, c=c)
+        cap = bounds.h(c, A)
+        prop1_log_laplace(cap, A, inp)
+        with pytest.raises(BoundDomainError, match="32 log A"):
+            prop1_log_laplace(math.nextafter(cap, 1.0), A, inp)
+
 
 class TestSchedule:
     def test_n2_terminal_only(self):

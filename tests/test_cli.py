@@ -187,6 +187,15 @@ class TestBoundCommand:
         assert code == 3
         assert "--t" in capsys.readouterr().err
 
+    def test_batch_without_an_input_column_names_it(self, capsys, tmp_path):
+        # a missing column was a bare KeyError: "error: 'c'"
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,x\n4,1,1,1,40\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: batch {batch} is missing the columns c\n"
+
     def test_empty_batch_is_exit_3(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
         batch.write_text("n,d,M,v,c,x\n")
@@ -351,6 +360,15 @@ class TestMixingCommand:
         assert code == 3
         assert "JSON object" in capsys.readouterr().err
 
+    def test_chain_without_P_names_it(self, capsys, tmp_path):
+        # a missing P was a bare KeyError: "error: 'P'"
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"Q": [[0.75, 0.25], [0.25, 0.75]]}))
+        code = main(["mixing", "--chain", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "chain or model config" in err and "without 'P'" in err
+
     def test_bad_matrix_is_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"P": [[1.0, 0.5], [0.5, 0.5]]}))
@@ -416,6 +434,23 @@ class TestSimulateCommand:
                           "--config", str(path), *self.BASE)
         assert code == 3
 
+    @pytest.mark.parametrize("model, config, named", [
+        ("blockcov", {"P": [[0.75, 0.25], [0.25, 0.75]], "value_map": [1.0, -1.0]},
+         "a --model blockcov config is missing 'd'"),
+        ("contraction", {"D": [[1.0, 0.0], [0.0, -0.5]], "tau_map": [1.0, -1.0]},
+         "a chain or model config is a JSON object with the transition matrix 'P', "
+         "got an object without 'P'"),
+        ("iid", {"P": [[0.75, 0.25], [0.25, 0.75]]}, "a --model iid config is missing 'D'"),
+    ])
+    def test_missing_config_key_is_named(self, capsys, tmp_path, model, config, named):
+        # each was a bare KeyError: "error: 'd'", "error: 'P'", "error: 'D'"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--model", model, "--config", str(path), *self.BASE])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {named}\n"
+
     @pytest.mark.parametrize("model, key, value, named", [
         ("contraction", "P", [[math.nan, 1.0], [0.25, 0.75]], "P rows must be finite"),
         ("contraction", "D", [[1.0, 0.0], [0.0, math.nan]], "entries must be finite"),
@@ -473,6 +508,15 @@ class TestVerifyCommand:
         checked = json.loads(out)["checked"]
         assert code == 0 and checked["disjoint_cover"] == 4999
         assert checked["gap_floor"] == 23_401  # every gap level of every A
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "-1", "-0.5"])
+    def test_budget_that_is_not_a_budget_is_exit_3(self, capsys, budget):
+        # NaN never stopped a suite, and NaN and inf were printed as JSON's
+        # invalid NaN and Infinity; -1 failed as a spent budget (exit 2)
+        code = main(["verify", "bounds", f"--budget={budget}"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: --budget must be finite and >= 0")
 
     @pytest.mark.parametrize("suite", sorted(checks.SUITES))
     def test_spent_budget_stops_every_suite(self, capsys, monkeypatch, suite):

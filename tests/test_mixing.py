@@ -19,6 +19,7 @@ from depbernstein.mixing import (
     beta_k_exact,
     dbar,
     fit_geometric_rate,
+    matrix_powers,
 )
 
 
@@ -122,9 +123,17 @@ class TestMarkovChain:
         assert np.allclose(chain.P, [[0.3, 0.7], [0.3, 0.7]])
         assert beta_k_exact(chain, 1) == 0.0
 
+    @pytest.mark.parametrize("obj, got", [
+        ([[0.5, 0.5], [0.5, 0.5]], "got list"),
+        ({"Q": [[0.5, 0.5], [0.5, 0.5]]}, "got an object without 'P'"),
+    ])
+    def test_config_needs_an_object_with_P(self, obj, got):
+        with pytest.raises(MixingError, match=f"JSON object with the transition matrix 'P', {got}$"):
+            MarkovChain.from_config(obj)
+
     def test_json_roundtrip(self):
         chain = MarkovChain.two_state(0.25, 0.25)
-        again = MarkovChain.from_json(json.dumps({"P": chain.P.tolist()}))
+        again = MarkovChain.from_config(json.loads(json.dumps({"P": chain.P.tolist()})))
         assert np.array_equal(chain.P, again.P)
 
     def test_joint_law_marginals(self):
@@ -359,6 +368,31 @@ class TestBetaKExact:
         finally:
             tracemalloc.stop()
         assert peak < lags.size * 20 * 20 * 8 / 20
+
+
+class TestMatrixPowers:
+    @pytest.mark.parametrize("ks", [range(1, 30), [2, 3, 7, 8, 20, 21, 40], [5], [], [1, 4, 7, 10]])
+    def test_equals_matrix_power_at_every_lag(self, ks):
+        # an integer matrix whose powers stay below 2^53: every product is exact
+        M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        powers = list(matrix_powers(M, ks))
+        assert len(powers) == len(ks)
+        for k, Mk in zip(ks, powers):
+            assert np.array_equal(Mk, np.linalg.matrix_power(M, k)), k
+
+    def test_matches_matrix_power_on_a_chain(self):
+        chain = random_chain(np.random.default_rng(8), 6)
+        ks = [1, 2, 3, 5, 8, 13, 21, 34, 55]
+        for k, Pk in zip(ks, matrix_powers(chain.P, ks)):
+            assert Pk == pytest.approx(np.linalg.matrix_power(chain.P, k), rel=1e-12, abs=1e-15)
+
+    def test_each_gap_power_is_made_once(self, monkeypatch):
+        made = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda M, k: made.append(k) or power(M, k))
+        list(matrix_powers(np.eye(2), [3, 5, 7, 9, 10, 11]))
+        assert made == [3, 2, 1]
 
 
 class TestDbar:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from depbernstein.bounds import BernsteinInputs
-from depbernstein import models
+from depbernstein import checks, models
 from depbernstein.mixing import MarkovChain, dbar
 from depbernstein.models import (
     ModelError,
@@ -20,6 +20,7 @@ from depbernstein.models import (
     run_expectation_experiment,
     run_tail_experiment,
     simulate_summands,
+    spec_from_config,
     v2_bruteforce,
     v2_ceiling,
 )
@@ -84,6 +85,26 @@ class TestModelSpec:
             else {"D": D2} if kind == "iid_baseline" else {"value_map": np.array([1.0, -1.0])}
         with pytest.raises(ModelError, match=f"does not read {named}$"):
             ModelSpec(kind=kind, d=2, chain=CHAIN, **needed, **unread)
+
+    def test_missing_fields_are_named(self):
+        with pytest.raises(ModelError, match="a contraction model needs D, tau_map$"):
+            ModelSpec(kind="contraction", d=2, chain=CHAIN)
+        with pytest.raises(ModelError, match="a block_covariance model needs value_map$"):
+            ModelSpec(kind="block_covariance", d=2, chain=CHAIN)
+
+    @pytest.mark.parametrize("name", ["tau_map", "value_map"])
+    def test_state_maps_need_one_value_per_state(self, name):
+        kind = "contraction" if name == "tau_map" else "block_covariance"
+        fields = {"D": D2, "tau_map": [1.0, -1.0]} if kind == "contraction" \
+            else {"value_map": [1.0, -1.0]}
+        fields[name] = [0.5, 0.5, 0.5]
+        with pytest.raises(ModelError, match=f"{name} must have one value per chain state"):
+            ModelSpec(kind=kind, d=2, chain=CHAIN, **fields)
+
+    def test_state_maps_are_copied_read_only(self):
+        tau = np.array([1.0, -1.0])
+        spec = contraction_spec(tau=tau)
+        assert tau.flags.writeable and not spec.tau_map.flags.writeable
 
     def test_d_is_stored_as_int(self):
         spec = ModelSpec(kind="block_covariance", d=np.int64(3), chain=CHAIN,
@@ -276,6 +297,99 @@ class TestSimulators:
         mats = simulate_summands(spec, 50, 0, 1)[0]
         assert hashlib.sha256(mats.tobytes()).hexdigest() == (
             "5a25e93684e995de9c89b61a8c7413bec400136ec2ce26368e02361bda691815")
+
+
+def block_covariance_by_lags(spec):
+    """E(C C^T) by one matrix_power per lag: entry (a, b) is the stationary
+    autocovariance of the centered values at lag |a - b|."""
+    vals = spec.centered_values
+    cov = np.empty((spec.d, spec.d))
+    for lag in range(spec.d):
+        if lag == 0:
+            c = float(spec.chain.pi @ (vals * vals))
+        else:
+            Pk = np.linalg.matrix_power(spec.chain.P, lag)
+            c = float(vals @ (spec.chain.pi[:, None] * Pk) @ vals)
+        for a in range(spec.d - lag):
+            cov[a, a + lag] = cov[a + lag, a] = c
+    return cov
+
+
+# dyadic configs: P, pi and the centered values are dyadic rationals
+DYADIC_BLOCKS = {
+    "shipped": next(cfg["spec"] for cfg in checks.shipped_model_configs()
+                    if cfg["name"] == "blockcov"),
+    "pinned": ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
+                        value_map=np.array([1.0, -1.0])),
+    **{f"benchmark_shift_{k}": ModelSpec(kind="block_covariance", d=2, chain=CHAIN,
+                                         value_map=np.array([1.0, -1.0]) + k / 8.0)
+       for k in (-8, -3, 0, 5, 8)},
+    "three_state_d3": ModelSpec(
+        kind="block_covariance", d=3, value_map=np.array([1.0, -0.5, 0.25]),
+        chain=MarkovChain.from_transition([[0.5, 0.25, 0.25], [0.5, 0.5, 0.0],
+                                           [0.5, 0.0, 0.5]])),
+}
+
+
+class TestBlockCovariance:
+    @pytest.mark.parametrize("name", sorted(DYADIC_BLOCKS))
+    def test_matches_the_per_lag_formula_bitwise_on_dyadic_configs(self, name):
+        spec = DYADIC_BLOCKS[name]
+        assert np.array_equal(block_covariance_mean(spec), block_covariance_by_lags(spec))
+
+    def test_matches_the_per_lag_formula_on_random_chains(self):
+        # the sums run in another order, so only the dyadic configs keep
+        # every bit: a few ulps of the largest entry move elsewhere
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            s = int(rng.integers(2, 7))
+            P = rng.random((s, s)) + 0.05
+            P /= P.sum(axis=1, keepdims=True)
+            spec = block_spec(MarkovChain.from_transition(P), int(rng.integers(1, 6)),
+                              rng.normal(size=s))
+            ref = block_covariance_by_lags(spec)
+            got = block_covariance_mean(spec)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+class TestSpecFromConfig:
+    P = [[0.75, 0.25], [0.25, 0.75]]
+    CHAIN_P = MarkovChain.from_transition(P)
+
+    @pytest.mark.parametrize("name, config, built", [
+        ("contraction", {"P": P, "D": D2.tolist(), "tau_map": [1.0, -1.0]},
+         ModelSpec(kind="contraction", d=2, chain=CHAIN_P, D=D2, tau_map=np.array([1.0, -1.0]))),
+        ("iid", {"P": P, "D": D2.tolist()},
+         ModelSpec(kind="iid_baseline", d=2, chain=CHAIN_P, D=D2)),
+        ("blockcov", {"P": P, "d": 3, "value_map": [1.0, -1.0]},
+         ModelSpec(kind="block_covariance", d=3, chain=CHAIN_P, value_map=np.array([1.0, -1.0]))),
+    ])
+    def test_every_model_name_builds_its_spec(self, name, config, built):
+        assert models.MODELS[name] == built.kind
+        assert spec_from_config(name, config).digest() == built.digest()
+
+    def test_names_cover_every_kind(self):
+        assert tuple(models.MODELS) == ("contraction", "blockcov", "iid")
+        assert sorted(models.MODELS.values()) == sorted(models._KIND_FIELDS)
+
+    @pytest.mark.parametrize("name, config, named", [
+        ("blockcov", {"P": P, "value_map": [1.0, -1.0]}, "'d'"),
+        ("blockcov", {"P": P, "d": 2}, "'value_map'"),
+        ("contraction", {"P": P}, "'D', 'tau_map'"),
+        ("iid", {"P": P, "tau_map": [1.0, -1.0]}, "'D'"),
+    ])
+    def test_missing_keys_are_named(self, name, config, named):
+        with pytest.raises(ModelError, match=f"a --model {name} config is missing {named}$"):
+            spec_from_config(name, config)
+
+    def test_a_sign_model_reads_d_from_D(self):
+        spec = spec_from_config("iid", {"P": self.P, "D": np.eye(3).tolist(), "d": 7})
+        assert spec.d == 3
+
+    def test_a_scalar_D_is_rejected_by_its_shape(self):
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            spec_from_config("iid", {"P": self.P, "D": 2.0})
 
 
 class TestVarianceProxy:
