@@ -6,10 +6,11 @@ A suite is a generator of cases; a case is an iterable of entries
 (invariant, compared, failed): `compared` comparisons, of which those in
 `failed` (detail dicts) did not hold.  `run` reads the clock before each
 case, so a lazy case (a generator) costs nothing once the budget is spent.
-The inequality, Cantor and split-identity suites check a whole stack per
-case (one dimension, one level count, all 1000 split draws); each failed
-row names its `pair` (draw index) or its `A`.  Randomized suites take
-their seed as an argument; the defaults are `verify`'s.
+The inequality, Cantor, coupling and split-identity suites check a whole
+stack per case (one dimension, one level count, one shape of laws, all 1000
+split draws); each failed row names its `pair` (draw index), its `A`, or
+its lag `k` or `law` (stack index).  Randomized suites take their seed as an argument; the defaults
+are `verify`'s.
 """
 
 from __future__ import annotations
@@ -45,16 +46,13 @@ def run(suite, budget: float = math.inf, **kwargs):
     return dict(checked), failures
 
 
-def _one(invariant: str, ok: bool, **detail):
-    """An entry for a single comparison; `detail` is reported if it fails."""
-    return invariant, 1, [] if ok else [detail]
-
-
 def _rows(invariant: str, holds, **columns):
-    """An entry for one comparison per element of the array `holds`; each
-    failed one is reported with its element of every column (arrays that
-    broadcast against `holds`)."""
+    """An entry for one comparison per element of `holds` (a bool or an
+    array); each failed one is reported with its element of every column
+    (scalars or arrays that broadcast against `holds`)."""
     holds = np.asarray(holds)
+    if holds.all():  # building the columns anyway made schedule_ceilings 3 times slower
+        return invariant, holds.size, []
     bad = ~holds
     cols = [np.broadcast_to(col, holds.shape)[bad].tolist() for col in columns.values()]
     return invariant, holds.size, [dict(zip(columns, row)) for row in zip(*cols)]
@@ -67,6 +65,7 @@ def rand_sym(rng, d: int) -> np.ndarray:
 
 
 _HOLDER_P = (1.5, 2.0, 3.0, 10.0)
+SHIPPED_CHAIN = mixing.MarkovChain.two_state(0.25, 0.25)  # the chain of every shipped model
 
 
 def inequalities(seed: int = 20240901):
@@ -175,46 +174,42 @@ def schedule_ceilings():
             continue
         tot, ceiling = _bounds.combine_sigma_kappa(pairs), _bounds.schedule_ceiling(inputs)
         yield [("schedule_ceiling", 1, []),
-               _one("sigma_ceiling", tot.sigma <= ceiling.sigma, sigma=tot.sigma, **point),
-               _one("kappa_ceiling", tot.kappa <= ceiling.kappa, kappa=tot.kappa, **point)]
+               _rows("sigma_ceiling", tot.sigma <= ceiling.sigma, sigma=tot.sigma, **point),
+               _rows("kappa_ceiling", tot.kappa <= ceiling.kappa, kappa=tot.kappa, **point)]
 
 
 def coupling(seed: int = 123):
-    """One coupling of Y = X, a fair bit (beta = 1/2): Y != Y* at rate beta
-    within 0.013, Y* has the law of Y, and Y* is independent of X (both
-    chi-square p-values >= 1e-3)."""
-    yield _coupling_case(seed)
+    """Berbee's coupling law (mixing.coupling_law), checked exactly: first
+    the laws of (S_0, S_k) of the shipped chain for k = 1..50, then 50
+    seeded random laws of each shape r x (11 - r), r = 2..8 (every row count
+    2..8 and column count 3..9 once), about a quarter of whose cells are 0.
+    A case is one stack: the chain's laws or one shape's (8 cases)."""
+    lags = np.arange(1, 51)
+    yield _coupling_case(lambda: SHIPPED_CHAIN.joint_law(lags), k=lags)
+    rng = np.random.default_rng(seed)
+    for r in range(2, 9):
+        yield _coupling_case(lambda r=r: _random_laws(rng, r, 11 - r), law=np.arange(50), r=r)
 
 
-def _coupling_case(seed: int):
-    joint = mixing.JointLaw(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    x, y, ystar = mixing.BerbeeCoupler(joint, seed).sample(100_000)
-    freq = float(np.mean(y != ystar))
-    beta = mixing.beta_from_joint(joint)
-    yield _one("coupling_mismatch_rate", abs(freq - beta) <= 0.013, freq=freq, beta=beta)
-    counts = np.bincount(ystar, minlength=2)
-    expected = joint.y_marginal * ystar.size
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    yield _one("coupling_marginal", chi2_1_sf(chi2) >= 1e-3, chi2=chi2)
-    table = np.bincount(2 * x + ystar, minlength=4).reshape(2, 2)
-    p = independence_pvalue(table)
-    yield _one("coupling_independence", p >= 1e-3, table=table.tolist(), p=p)
+def _random_laws(rng, r: int, c: int):
+    pmf = rng.random((50, r, c))
+    pmf[pmf < 0.25] = 0.0
+    return mixing.JointLaw(pmf / pmf.sum(axis=(1, 2), keepdims=True))
 
 
-def independence_pvalue(table) -> float:
-    """p-value of Pearson's chi-square test of independence for a 2 x 2
-    table of counts, with Yates' continuity correction (one degree of
-    freedom)."""
-    table = np.asarray(table, dtype=float)
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    excess = np.maximum(np.abs(table - expected) - 0.5, 0.0)
-    return chi2_1_sf(float(np.sum(excess ** 2 / expected)))
-
-
-def chi2_1_sf(x: float) -> float:
-    """P(Z^2 > x) for a standard normal Z: the survival function of the
-    chi-square law with one degree of freedom, in closed form."""
-    return math.erfc(math.sqrt(x / 2.0))
+def _coupling_case(laws, **labels):
+    """Per law of the stack laws(), to 1e-14 absolute: the (X, Y) marginal
+    of its coupling law is the law, the (X, Ystar) marginal is p(x) q(y),
+    and P(Y != Ystar) is beta_from_joint; a failure carries its `labels`."""
+    joint = laws()
+    law = mixing.coupling_law(joint)
+    err = np.abs(law.sum(axis=-1) - joint.pmf).max(axis=(-2, -1))
+    yield _rows("coupling_xy_law", err <= 1e-14, err=err, **labels)
+    err = np.abs(law.sum(axis=-2) - joint.product).max(axis=(-2, -1))
+    yield _rows("coupling_independence", err <= 1e-14, err=err, **labels)
+    mismatch = np.where(np.eye(law.shape[-1], dtype=bool), 0.0, law).sum(axis=(-3, -2, -1))
+    err = np.abs(mismatch - mixing.beta_from_joint(joint))
+    yield _rows("coupling_mismatch_beta", err <= 1e-14, err=err, **labels)
 
 
 def dominance(configs=None, trials: int = 2000, seed: int = 11):
@@ -238,14 +233,13 @@ def _dominance_case(cfg: dict, trials: int, seed: int):
 
 def shipped_model_configs():
     """The three model configurations exercised by `verify dominance`."""
-    chain = mixing.MarkovChain.two_state(0.25, 0.25)
     specs = [
-        ("iid", 64, models.ModelSpec(kind="iid_baseline", d=2, chain=chain,
+        ("iid", 64, models.ModelSpec(kind="iid_baseline", d=2, chain=SHIPPED_CHAIN,
                                      D=np.diag([1.0, -0.5]))),
         ("contraction", 256, models.ModelSpec(
-            kind="contraction", d=4, chain=chain, D=np.diag([1.0, -1.0, 0.5, -0.25]),
+            kind="contraction", d=4, chain=SHIPPED_CHAIN, D=np.diag([1.0, -1.0, 0.5, -0.25]),
             tau_map=np.array([1.0, -1.0]))),
-        ("blockcov", 64, models.ModelSpec(kind="block_covariance", d=2, chain=chain,
+        ("blockcov", 64, models.ModelSpec(kind="block_covariance", d=2, chain=SHIPPED_CHAIN,
                                           value_map=np.array([1.0, -1.0]))),
     ]
     out = []

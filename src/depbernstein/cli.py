@@ -81,6 +81,7 @@ _INPUTS = ("n", "d", "M", "v", "c")
 _BOUND_ARGS = {"tail": ("x",), "laplace": ("t",), "expectation": ()}
 _BOUND_TYPES = {"n": int, "d": int, "M": float, "v": float, "c": float,
                 "x": float, "t": float}
+_WANTED = {int: "an integer", float: "a number"}
 
 
 def _bound_values(kind, given):
@@ -99,6 +100,17 @@ def _bound_values(kind, given):
     return {"bound": bounds.expectation_bound(inputs)}
 
 
+def _batch_column(path, rows, key: str, cast):
+    """The cells of column `key`, cast; a missing one (a short row) or one
+    that `cast` rejects names its column and its row (data rows from 0)."""
+    for i, row in enumerate(rows):
+        try:
+            yield cast(row[key])
+        except (TypeError, ValueError):
+            got = "no cell" if row[key] is None else f"{row[key]!r}, not {_WANTED[cast]},"
+            raise ValueError(f"batch {path} has {got} in column {key!r} at row {i}") from None
+
+
 def cmd_bound(args) -> int:
     given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
@@ -111,9 +123,8 @@ def cmd_bound(args) -> int:
             raise ValueError(f"batch {args.batch} is missing the columns {', '.join(missing)}")
         # float columns: the bounds use n and d as floats, and an n past
         # int64 would make an object array
-        given.update({k: np.array([cast(row[k]) for row in rows], dtype=float)
-                      for k, cast in _BOUND_TYPES.items()
-                      if k in rows[0]})
+        given.update({k: np.fromiter(_batch_column(args.batch, rows, k, cast), float, len(rows))
+                      for k, cast in _BOUND_TYPES.items() if k in rows[0]})
         res = _bound_values(args.kind, given)
         names = sorted(res)
         columns = zip(*(res[k].tolist() for k in names))

@@ -5,8 +5,8 @@ the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
 from the powers of P - 1 pi (matrix_powers, which steps the models' lag
 powers too); the generic beta_from_joint works on any finite joint law and
-is the independent check, via the law of (S_0, S_k).  Chain files and model
-files give P alike (MarkovChain.from_config).
+is the independent check, via the law of (S_0, S_k), and coupling_law builds
+Berbee's coupling of it.  Chain and model files give P alike (from_config).
 """
 
 from __future__ import annotations
@@ -98,12 +98,16 @@ class MarkovChain:
                               f" matrix 'P', got {got}")
         return cls.from_transition(obj["P"])
 
-    def joint_law(self, k: int) -> "JointLaw":
-        """Exact joint law of (S_0, S_k) under the stationary start."""
-        if k < 1:
-            raise MixingError(f"lag k must be >= 1, got {k}")
-        Pk = np.linalg.matrix_power(self.P, k)
-        return JointLaw(pmf=self.pi[:, None] * Pk)
+    def joint_law(self, k) -> "JointLaw":
+        """Exact joint law of (S_0, S_k) under the stationary start; an
+        integer array of lags gives the stack of their laws, (*k.shape, s, s)."""
+        ks = np.asarray(k)
+        if ks.dtype.kind not in "iu":
+            raise MixingError(f"lag k must be an integer, got {k!r}")
+        if np.any(ks < 1):
+            raise MixingError(f"lag k must be >= 1, got {ks.min()}")
+        Pk = [np.linalg.matrix_power(self.P, int(j)) for j in ks.ravel()]
+        return JointLaw(pmf=self.pi[:, None] * np.reshape(Pk, ks.shape + self.P.shape))
 
     def sample_paths(self, u: np.ndarray) -> np.ndarray:
         """One stationary path per row of the uniforms u, shape (paths, steps),
@@ -168,32 +172,52 @@ class MarkovChain:
 
 @dataclass(frozen=True)
 class JointLaw:
-    """Joint pmf of a pair of finite random variables."""
+    """Joint pmf of a pair of finite random variables, or a stack (..., r, c) of them."""
 
     pmf: np.ndarray
 
     def __post_init__(self):
         pmf = np.array(self.pmf, dtype=float)  # a copy: the caller's array stays writeable
-        if pmf.ndim != 2:
-            raise MixingError(f"pmf must be 2-D, got shape {pmf.shape}")
-        if not np.all(np.isfinite(pmf) & (pmf >= 0)) or abs(pmf.sum() - 1.0) > 1e-12:
+        if pmf.ndim < 2:
+            raise MixingError(f"pmf must be 2-D or a stack of 2-D laws, got shape {pmf.shape}")
+        if not (np.isfinite(pmf) & (pmf >= 0)).all() or (abs(pmf.sum((-2, -1)) - 1) > 1e-12).any():
             raise MixingError("pmf must be finite, nonnegative, with total mass 1")
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 
     @property
     def x_marginal(self) -> np.ndarray:
-        return self.pmf.sum(axis=1)
+        return self.pmf.sum(axis=-1)
 
     @property
     def y_marginal(self) -> np.ndarray:
-        return self.pmf.sum(axis=0)
+        return self.pmf.sum(axis=-2)
+
+    @property
+    def product(self) -> np.ndarray:
+        """p(x) q(y): the law of X with an independent copy of Y."""
+        return self.x_marginal[..., :, None] * self.y_marginal[..., None, :]
 
 
-def beta_from_joint(joint: JointLaw) -> float:
-    """beta(sigma(X), sigma(Y)) = 1/2 sum |p(x,y) - p(x) q(y)|, in [0, 1]."""
-    prod = np.outer(joint.x_marginal, joint.y_marginal)
-    return float(0.5 * np.abs(joint.pmf - prod).sum())
+def beta_from_joint(joint: JointLaw):
+    """beta(sigma(X), sigma(Y)) = 1/2 sum |p(x,y) - p(x) q(y)|, in [0, 1], of
+    each law of the stack; a single law gives a float."""
+    return _out(0.5 * np.abs(joint.pmf - joint.product).sum(axis=(-2, -1)))
+
+
+def coupling_law(joint: JointLaw) -> np.ndarray:
+    """Berbee's coupling of each law of the stack, the law of (X, Y, Ystar)
+    on the cells (..., x, y, ystar): Ystar has the law q of Y, is independent
+    of X, and differs from Y with probability beta.  Given X = x, Y and q are
+    coupled maximally (Levin, Peres & Wilmer, Prop. 4.7): Y = Ystar = y with
+    mass min(p(x, y), p(x) q(y)), else Y and Ystar come independently from
+    the two residual laws, whose supports are disjoint."""
+    prod = joint.product
+    shared = np.minimum(joint.pmf, prod)
+    over, under = joint.pmf - shared, prod - shared
+    mass = over.sum(axis=-1, keepdims=True)  # P(X = x, Y != Ystar); where 0, over is 0 too
+    return (shared[..., None] * np.eye(shared.shape[-1])
+            + over[..., None] * (under / np.where(mass > 0, mass, 1.0))[..., None, :])
 
 
 def matrix_powers(M: np.ndarray, ks):
@@ -252,27 +276,14 @@ def fit_geometric_rate(chain: MarkovChain, k_max: int) -> float:
 
 
 class BerbeeCoupler:
-    """Seeded sampler of triples (X, Y, Ystar) for a finite joint law.
-
-    (X, Y) has the given joint law; Ystar has the Y marginal, is
-    independent of X, and P(Y != Ystar) equals the beta coefficient of
-    the joint law.  Construction: for every x, the conditional law of Y
-    given X = x is maximally coupled with the Y marginal q (Levin, Peres &
-    Wilmer, Markov Chains and Mixing Times, Prop. 4.7): Y = Ystar = y with
-    mass min(p(x, y), p(x) q(y)), and otherwise Y and Ystar are drawn
-    independently from the two residual laws, whose supports are disjoint.
-    That is one law on the cells (x, y, ystar), sampled by one draw each.
-    """
+    """Seeded sampler of triples (X, Y, Ystar) for one finite joint law:
+    one draw on the cells of its coupling law (coupling_law) per triple."""
 
     def __init__(self, joint: JointLaw, seed: int):
-        self.joint = joint
+        if joint.pmf.ndim != 2:
+            raise MixingError(f"the coupler samples one law, got shape {joint.pmf.shape}")
         self.rng = np.random.default_rng(seed)
-        prod = np.outer(joint.x_marginal, joint.y_marginal)
-        shared = np.minimum(joint.pmf, prod)
-        over, under = joint.pmf - shared, prod - shared
-        mass = over.sum(axis=1, keepdims=True)  # P(X = x, Y != Ystar); where 0, over is 0 too
-        law = (shared[:, :, None] * np.eye(shared.shape[1])
-               + over[:, :, None] * (under / np.where(mass > 0, mass, 1.0))[:, None, :])
+        law = coupling_law(joint)
         self._shape = law.shape
         cum = np.cumsum(law)
         # ends at 1 exactly, so every draw u < 1 lands on a cell of positive mass

@@ -139,7 +139,8 @@ class ModelSpec:
 
 def spec_from_config(name: str, obj) -> ModelSpec:
     """The ModelSpec of a parsed model config for --model `name`: P and the
-    kind's fields from their keys, and d from D's order or else its key."""
+    kind's fields from their keys, and d from D's order or else its key; a
+    key it does not read is named after ModelSpec has checked the others."""
     chain = MarkovChain.from_config(obj)
     kind = MODELS[name]
     keys = _KIND_FIELDS[kind] if "D" in _KIND_FIELDS[kind] else ("d",) + _KIND_FIELDS[kind]
@@ -149,7 +150,11 @@ def spec_from_config(name: str, obj) -> ModelSpec:
     fields = {key: obj[key] for key in keys}
     if "D" in fields:
         fields["d"] = np.shape(fields["D"])[0] if np.ndim(fields["D"]) else 1
-    return ModelSpec(kind=kind, chain=chain, **fields)
+    spec = ModelSpec(kind=kind, chain=chain, **fields)
+    unread = [repr(key) for key in obj if key not in ("P",) + keys]
+    if unread:
+        raise ModelError(f"a --model {name} config does not read {', '.join(unread)}")
+    return spec
 
 
 def block_covariance_mean(spec: ModelSpec) -> np.ndarray:

@@ -138,8 +138,10 @@ def test_criterion_07_exact_beta():
 
 
 def test_criterion_08_berbee_coupling():
+    # every law of the exact suite: 50 lags of the shipped chain and 350
+    # random laws, each identity to 1e-14 absolute
     failures = run_checks(checks.coupling, {
-        "coupling_mismatch_rate": 1, "coupling_marginal": 1, "coupling_independence": 1},
+        "coupling_xy_law": 400, "coupling_independence": 400, "coupling_mismatch_beta": 400},
         seed=31337)
     record(8, "berbee-coupling", failures)
 

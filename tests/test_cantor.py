@@ -26,17 +26,22 @@ from depbernstein.cantor import (
 
 def _full_decomposition_by_sets(n):
     """The set-based decomposition that the run-based one replaced, kept
-    as the reference: it scans every relabeled position of every level."""
+    as the reference: at each level the relabeled positions in the set K
+    are kept and the others survive, each read off the current labels by
+    position.  Membership in K is a binary search of its sorted copy, one
+    array call per level, where a Python set built every index as an object
+    (and `full_decomposition` scatters K into a mask)."""
     cards = [n]
-    surviving = list(range(1, n + 1))
+    surviving = np.arange(1, n + 1)
     levels = []
     while cards[-1] > 2:
         A = cards[-1]
-        kept_rel = set(cantor_set(A).K.tolist())
-        levels.append(tuple(surviving[r - 1] for r in sorted(kept_rel)))
-        surviving = [surviving[r - 1] for r in range(1, A + 1) if r not in kept_rel]
-        cards.append(len(surviving))
-    return tuple(levels), tuple(surviving), tuple(cards)
+        K, positions = np.sort(cantor_set(A).K), np.arange(1, A + 1)
+        kept = K[np.searchsorted(K, positions).clip(max=K.size - 1)] == positions
+        levels.append(surviving[kept])
+        surviving = surviving[~kept]
+        cards.append(surviving.size)
+    return levels, surviving, tuple(cards)
 
 
 def _chains_by_sort(starts, stops, A):
@@ -419,9 +424,10 @@ class TestFullDecomposition:
     def test_matches_set_based_reference(self):
         for n in range(2, 3001):
             fd = full_decomposition(n)
-            levels = tuple(tuple(c.tolist()) for c in fd.levels)
-            assert (levels, tuple(fd.remainder.tolist()), fd.cards) == \
-                _full_decomposition_by_sets(n), n
+            levels, remainder, cards = _full_decomposition_by_sets(n)
+            assert fd.cards == cards and len(fd.levels) == len(levels), n
+            assert all(map(np.array_equal, fd.levels, levels)), n
+            assert np.array_equal(fd.remainder, remainder), n
 
     def test_depth_from_cardinalities(self):
         for n in range(2, 5001):

@@ -240,6 +240,32 @@ class TestBoundCommand:
                 assert float(row[key]) == payload[key], (key, row)
             assert "C" not in payload["config"]
 
+    def test_batch_short_row_names_its_row_and_column(self, capsys, tmp_path):
+        # csv fills the missing cells with None: a TypeError traceback, exit 1
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: batch {batch} has no cell in column 'v' at row 1\n"
+
+    @pytest.mark.parametrize("cell, column, want", [("abc", "n", "an integer"),
+                                                     ("2.5", "d", "an integer"),
+                                                     ("", "M", "a number"),
+                                                     ("one", "x", "a number")])
+    def test_batch_non_numeric_cell_names_its_row_and_column(self, capsys, tmp_path,
+                                                             cell, column, want):
+        # int('abc') named only the literal
+        values = dict(zip("n,d,M,v,c,x".split(","), "8,2,1,1,100,40".split(",")))
+        values[column] = cell
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n" + ",".join(values.values()) + "\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (f"error: batch {batch} has {cell!r}, not {want}, in column"
+                                f" {column!r} at row 1\n")
+
     def test_batch_domain_error_names_its_row(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
         batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,-1,100,40\n")
@@ -466,6 +492,18 @@ class TestSimulateCommand:
         assert code == 3
         assert named in capsys.readouterr().err
 
+    def test_unread_config_keys_are_exit_3(self, capsys, tmp_path):
+        # an iid model reads P and D: the others ran silently and exited 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]],
+                                    "D": [[1.0, 0.0], [0.0, -0.5]], "tau_map": [1.0, -1.0],
+                                    "value_map": [1.0, -1.0], "bogus": 1}))
+        code = main(["simulate", "--model", "iid", "--config", str(path), *self.BASE])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("error: a --model iid config does not read 'tau_map',"
+                                " 'value_map', 'bogus'\n")
+
     @pytest.mark.parametrize("d", [[2], 2.5, 2.7, True], ids=["list", "2.5", "2.7", "bool"])
     def test_non_integer_d_is_exit_3(self, capsys, tmp_path, d):
         path = tmp_path / "model.json"
@@ -526,18 +564,6 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert code == 2 and payload["ok"] is False and payload["checked"] == {}
         assert payload["failures"] == [{"invariant": "budget", "case": 0}]
-
-    @pytest.mark.parametrize("table", [[[30, 10], [12, 28]], [[5, 7], [9, 2]],
-                                       [[500, 480], [515, 505]], [[1, 0], [0, 1]]])
-    def test_independence_pvalue_matches_scipy(self, table):
-        from scipy import stats
-        expected = stats.chi2_contingency(np.array(table))[1]
-        assert checks.independence_pvalue(table) == pytest.approx(expected, rel=1e-13)
-
-    def test_chi2_1_sf_matches_scipy(self):
-        from scipy.special import chdtrc
-        for x in np.logspace(-8, math.log10(700.0), 400):
-            assert checks.chi2_1_sf(x) == pytest.approx(chdtrc(1, x), rel=1e-13), x
 
     def test_dominance_counts_each_model(self, capsys):
         code, out = run_cli(capsys, "verify", "dominance")

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from depbernstein.mixing import (
     MixingError,
     beta_from_joint,
     beta_k_exact,
+    coupling_law,
     dbar,
     fit_geometric_rate,
     matrix_powers,
@@ -141,6 +143,32 @@ class TestMarkovChain:
         joint = chain.joint_law(3)
         assert joint.x_marginal == pytest.approx(chain.pi, abs=1e-12)
         assert joint.y_marginal == pytest.approx(chain.pi, abs=1e-12)
+
+    def test_joint_law_of_a_lag_array_stacks_each_lag(self):
+        chain = random_chain(np.random.default_rng(3), 4)
+        lags = np.array([[1, 2, 3], [7, 20, 50]])
+        stack = chain.joint_law(lags)
+        assert stack.pmf.shape == (2, 3, 4, 4)
+        for k, pmf in zip(lags.ravel().tolist(), stack.pmf.reshape(-1, 4, 4)):
+            assert np.array_equal(pmf, chain.joint_law(k).pmf), k
+        assert np.array_equal(beta_from_joint(stack),
+                              [[beta_from_joint(chain.joint_law(k)) for k in row]
+                               for row in lags.tolist()])
+
+    def test_joint_law_rejects_a_zero_lag_in_an_array(self):
+        with pytest.raises(MixingError, match="got 0"):
+            MarkovChain.two_state(0.3, 0.1).joint_law(np.array([3, 0, 2]))
+
+    @pytest.mark.parametrize("k", [2.5, np.array([1.0, 2.0]), True])
+    def test_joint_law_rejects_a_lag_that_is_not_an_integer(self, k):
+        with pytest.raises(MixingError, match="must be an integer"):
+            MarkovChain.two_state(0.3, 0.1).joint_law(k)
+
+    def test_joint_law_stack_checks_the_mass_of_each_law(self):
+        pmf = np.full((3, 2, 2), 0.25)
+        pmf[1, 0, 0] = 0.5
+        with pytest.raises(MixingError, match="total mass 1"):
+            JointLaw(pmf)
 
     def test_sample_path_frequencies(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -479,9 +507,16 @@ class TestBerbeeCoupler:
         assert np.array_equal(y, ystar)
 
     def test_mismatch_rate_matches_beta(self):
-        # Y = X, a fair bit: beta = 1/2, and 0.013 is > 8 sigma of the rate
-        checked, failures = checks.run(checks.coupling, seed=2)
-        assert checked["coupling_mismatch_rate"] == 1 and failures == []
+        # Y = X, a fair bit: beta = 1/2, off the diagonal of (Y, Ystar) in
+        # the law, and within 1/N of it over N stratified draws
+        joint = JointLaw(np.diag([0.5, 0.5]))
+        law = coupling_law(joint)
+        assert law[:, [0, 1], [1, 0]].sum() == beta_from_joint(joint) == 0.5
+        coupler = BerbeeCoupler(joint, seed=2)
+        N = 100_000
+        coupler.rng = types.SimpleNamespace(random=lambda size: (np.arange(size) + 0.5) / size)
+        _, y, ystar = coupler.sample(N)
+        assert abs(np.mean(y != ystar) - 0.5) <= 1 / N
 
     def test_xy_joint_preserved(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -492,15 +527,16 @@ class TestBerbeeCoupler:
         assert counts / counts.sum() == pytest.approx(joint.pmf, abs=0.005)
 
     def test_ystar_marginal_and_independence(self):
+        # the law of (X, Ystar) is p(x) q(y): Ystar has the law of Y, and X
+        # and Ystar are independent; the sampler's cells are that law's
         chain = MarkovChain.two_state(0.25, 0.25)
         joint = chain.joint_law(1)
-        x, _, ystar = BerbeeCoupler(joint, seed=4).sample(200_000)
-        # marginal of Ystar
-        freq = np.mean(ystar == 0)
-        assert abs(freq - joint.y_marginal[0]) < 0.005
-        # independence from X: chi-square on the contingency table
-        table = np.bincount(2 * x + ystar, minlength=4).reshape(2, 2)
-        assert checks.independence_pvalue(table) > 1e-3
+        law = coupling_law(joint)
+        np.testing.assert_allclose(law.sum(axis=1), np.outer(chain.pi, chain.pi),
+                                   rtol=0.0, atol=1e-16)
+        coupler = BerbeeCoupler(joint, seed=4)
+        cum = np.cumsum(law)
+        assert np.array_equal(coupler._cum, cum / cum[-1])
 
     def test_deterministic_by_seed(self):
         joint = MarkovChain.two_state(0.3, 0.2).joint_law(2)
@@ -551,3 +587,32 @@ class TestBerbeeCoupler:
         np.testing.assert_allclose(xystar, np.outer(joint.x_marginal, joint.y_marginal),
                                    rtol=0.0, atol=tol)
         assert abs(np.mean(y != ystar) - beta_from_joint(joint)) <= tol
+
+    def test_rejects_a_stack_of_laws(self):
+        with pytest.raises(MixingError, match="one law"):
+            BerbeeCoupler(MarkovChain.two_state(0.3, 0.2).joint_law(np.arange(1, 4)), seed=0)
+
+
+class TestCouplingLaw:
+    def test_stack_matches_each_law(self):
+        rng = np.random.default_rng(17)
+        pmf = rng.random((6, 3, 5))
+        joint = JointLaw(pmf / pmf.sum(axis=(1, 2), keepdims=True))
+        law = coupling_law(joint)
+        assert law.shape == (6, 3, 5, 5)
+        for i in range(6):
+            assert np.array_equal(law[i], coupling_law(JointLaw(joint.pmf[i])))
+
+    def test_a_law_without_its_shared_diagonal_fails(self, monkeypatch):
+        # dropping the mass min(p(x, y), p(x) q(y)) on Y = Ystar loses mass
+        # from (X, Y) and from (X, Ystar) in every law; the mismatch, which
+        # is all the residual mass, still equals beta
+        def sabotaged(joint):
+            law = coupling_law(joint)
+            return law - np.minimum(joint.pmf, joint.product)[..., None] * np.eye(law.shape[-1])
+
+        monkeypatch.setattr(checks.mixing, "coupling_law", sabotaged)
+        checked, failures = checks.run(checks.coupling)
+        failed = Counter(f["invariant"] for f in failures)
+        assert failed == {"coupling_xy_law": 400, "coupling_independence": 400}
+        assert checked["coupling_mismatch_beta"] == 400

@@ -384,8 +384,19 @@ class TestSpecFromConfig:
             spec_from_config(name, config)
 
     def test_a_sign_model_reads_d_from_D(self):
-        spec = spec_from_config("iid", {"P": self.P, "D": np.eye(3).tolist(), "d": 7})
+        spec = spec_from_config("iid", {"P": self.P, "D": np.eye(3).tolist()})
         assert spec.d == 3
+        # a "d" key beside D is not read, so it is rejected, not silently ignored
+        with pytest.raises(ModelError, match="a --model iid config does not read 'd'$"):
+            spec_from_config("iid", {"P": self.P, "D": np.eye(3).tolist(), "d": 7})
+
+    @pytest.mark.parametrize("name, config, named", [
+        ("contraction", {"P": P, "D": D2.tolist(), "tau_map": [1.0, -1.0], "d": 2}, "'d'"),
+        ("blockcov", {"P": P, "d": 2, "value_map": [1.0, -1.0], "D": D2.tolist()}, "'D'"),
+    ])
+    def test_unread_keys_are_named(self, name, config, named):
+        with pytest.raises(ModelError, match=f"a --model {name} config does not read {named}$"):
+            spec_from_config(name, config)
 
     def test_a_scalar_D_is_rejected_by_its_shape(self):
         with pytest.raises(ValueError, match=r"got shape \(\)"):
