@@ -27,7 +27,6 @@ for i, level in enumerate(dec.levels):
 print(f"  remainder: {tuple(dec.remainder.tolist())}")
 print(f"  survivor counts per round: {dec.cards}")
 
-print("\nalternating sub-blocks of K_100 with p = 8:")
-odd, even = cantor.sub_block_partition(part.K, 8)
-print(f"  odd family sizes:  {[len(b) for b in odd]}")
-print(f"  even family sizes: {[len(b) for b in even]}")
+print("\nlevel-1 blocks of K_100 (the two halves of its leaves):")
+for j, block in enumerate(cantor.level_blocks(part, 1)):
+    print(f"  block {j}: {block.size} indices, first/last = {block[0]}/{block[-1]}")

@@ -293,28 +293,6 @@ def _survivor_counts(n: int) -> tuple:
     return tuple(cards)
 
 
-def sub_block_partition(K, p: int):
-    """Split an index set of size q into alternating intervals of length p.
-
-    With m = floor(q/(2p)): 2m intervals of length p in order, plus a
-    remainder interval of length q - 2pm (< 2p) appended to the odd family.
-    Returns (odd_blocks, even_blocks) with m+1 and m intervals respectively,
-    each a slice of K: K may be any sequence that slices, such as a tuple, a
-    range or a 1-D array.
-    """
-    q = len(K)
-    if p < 1:
-        raise CantorError(f"p must be >= 1, got {p}")
-    if 2 * p > q:
-        raise CantorError(f"need 2p <= |K|, got p={p}, |K|={q}")
-    m = q // (2 * p)
-    intervals = [K[i * p:(i + 1) * p] for i in range(2 * m)]
-    intervals.append(K[2 * m * p:])  # remainder, possibly empty
-    odd = [intervals[i] for i in range(0, 2 * m, 2)] + [intervals[-1]]
-    even = [intervals[i] for i in range(1, 2 * m, 2)]
-    return odd, even
-
-
 def _size(x, name: str) -> int:
     """x as a Python int >= 2; any integral type but bool is accepted."""
     try:

@@ -100,14 +100,15 @@ def _bound_values(kind, given):
     return {"bound": bounds.expectation_bound(inputs)}
 
 
-def _batch_column(path, rows, key: str, cast):
+def _batch_column(path, header, rows, key: str, cast):
     """The cells of column `key`, cast; a missing one (a short row) or one
     that `cast` rejects names its column and its row (data rows from 0)."""
+    j = header.index(key)
     for i, row in enumerate(rows):
         try:
-            yield cast(row[key])
-        except (TypeError, ValueError):
-            got = "no cell" if row[key] is None else f"{row[key]!r}, not {_WANTED[cast]},"
+            yield cast(row[j])
+        except (IndexError, ValueError):
+            got = "no cell" if j >= len(row) else f"{row[j]!r}, not {_WANTED[cast]},"
             raise ValueError(f"batch {path} has {got} in column {key!r} at row {i}") from None
 
 
@@ -115,22 +116,31 @@ def cmd_bound(args) -> int:
     given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
         with open(args.batch) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]  # blank lines are skipped
         if not rows:
             raise ValueError(f"empty batch: {args.batch} has no rows")
-        missing = [k for k in _INPUTS if k not in rows[0]]
+        twice = next((k for j, k in enumerate(header) if k in header[:j]), None)
+        if twice is not None:
+            raise ValueError(f"batch {args.batch} names the column {twice!r} twice")
+        missing = [k for k in _INPUTS if k not in header]
         if missing:
             raise ValueError(f"batch {args.batch} is missing the columns {', '.join(missing)}")
         # float columns: the bounds use n and d as floats, and an n past
         # int64 would make an object array
-        given.update({k: np.fromiter(_batch_column(args.batch, rows, k, cast), float, len(rows))
-                      for k, cast in _BOUND_TYPES.items() if k in rows[0]})
+        given.update({k: np.fromiter(_batch_column(args.batch, header, rows, k, cast),
+                                     float, len(rows))
+                      for k, cast in _BOUND_TYPES.items() if k in header})
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ValueError(f"batch {args.batch} has {len(row)} cells at row {i},"
+                                 f" but its header has {len(header)}")
         res = _bound_values(args.kind, given)
         names = sorted(res)
         columns = zip(*(res[k].tolist() for k in names))
-        _emit(_csv_text(list(rows[0]) + names,
-                        [list(row.values()) + list(values)
-                         for row, values in zip(rows, columns)]), args.out)
+        _emit(_csv_text(header + names, [row + list(values) for row, values in zip(rows, columns)]),
+              args.out)
         return 0
     res = {k: float(v) for k, v in _bound_values(args.kind, given).items()}
     config = {"command": "bound", "kind": args.kind, **given}

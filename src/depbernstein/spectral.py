@@ -144,13 +144,6 @@ def trace_exp(t, a):
     return _out(np.sum(np.exp(_exponents(t, a)), axis=-1))
 
 
-def log_trace_exp(t, a):
-    """log Tr exp(tA), computed stably in the log domain (no overflow)."""
-    z = _exponents(t, a)
-    m = np.max(z, axis=-1, keepdims=True)
-    return _out(m[..., 0] + np.log(np.sum(np.exp(z - m), axis=-1)))
-
-
 def schatten_norm(a, p: float):
     """p-Schatten norm: l^p norm of the eigenvalue vector. p = inf gives the
     spectral radius."""

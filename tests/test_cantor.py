@@ -19,7 +19,6 @@ from depbernstein.cantor import (
     full_decomposition,
     level_blocks,
     level_runs,
-    sub_block_partition,
     tiles_exactly,
 )
 
@@ -470,32 +469,3 @@ class TestCantorMemory:
         # levels as tuples of Python ints peaked at 44 bytes per index
         n = 2 ** 20
         assert self.peak(full_decomposition, n) / n <= 24.0
-
-
-class TestSubBlocks:
-    def test_q10_p2(self):
-        odd, even = sub_block_partition(range(1, 11), 2)
-        assert [len(b) for b in odd] == [2, 2, 2]
-        assert [len(b) for b in even] == [2, 2]
-
-    def test_zero_remainder(self):
-        odd, even = sub_block_partition(range(4), 2)
-        assert [len(b) for b in odd] == [2, 0]
-        assert [len(b) for b in even] == [2]
-
-    def test_q11_remainder(self):
-        odd, even = sub_block_partition(range(11), 2)
-        assert len(odd[-1]) == 3
-
-    def test_preserves_order_and_cover(self):
-        K = tuple(range(100, 131))
-        odd, even = sub_block_partition(K, 4)
-        merged = []
-        for o, e in zip(odd, even + [()]):
-            merged.extend(o)
-            merged.extend(e)
-        assert tuple(merged) == K
-
-    def test_rejects_large_p(self):
-        with pytest.raises(CantorError):
-            sub_block_partition(range(4), 3)

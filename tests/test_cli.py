@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -273,6 +274,54 @@ class TestBoundCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert "need v >= 0 finite, got -1.0 at row 1" in err
+
+    @pytest.mark.parametrize("text, message", [
+        # a dict reader files the extra cell under no column: a ['9'] cell, exit 0
+        ("n,d,M,v,c,x\n4,1,1,1,100,40,9\n", "has 7 cells at row 0, but its header has 6"),
+        # and fills a missing pass-through cell with None: an empty cell, exit 0
+        ("n,d,M,v,c,x,label\n4,1,1,1,100,40,a\n4,1,1,1,100,40\n",
+         "has 6 cells at row 1, but its header has 7"),
+        # and keeps the last of two n columns: 8,1,1,... exit 0
+        ("n,d,M,v,c,x,n\n4,1,1,1,100,40,8\n", "names the column 'n' twice"),
+    ])
+    def test_batch_row_off_its_header_or_column_named_twice_is_exit_3(
+            self, capsys, tmp_path, text, message):
+        batch = tmp_path / "rows.csv"
+        batch.write_text(text)
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: batch {batch} {message}\n"
+
+    @pytest.mark.parametrize("kind", ["tail", "laplace", "expectation"])
+    def test_batch_bytes_match_the_dict_reader(self, tmp_path, kind):
+        # quoted pass-through cells, cells a cast would respell, blank lines
+        # and CRLF line ends: the same bytes as the csv.DictReader reference
+        batch = tmp_path / "rows.csv"
+        batch.write_bytes(b'label,x,n,d,M,v,c,t\r\n'
+                          b'"a, ""b""",40,04,1,1,1,1e2,0.01\r\n\r\n'
+                          b'plain,3.5e6,1024,4,1.0,0.5,0.69,1e-6\r\n'
+                          b'"",6e4,1180591620717411303424,8,0.3,2,.05,1e-25\r\n\r\n')
+        out = tmp_path / "out.csv"
+        assert main(["bound", "--kind", kind, "--batch", str(batch), "--out", str(out)]) == 0
+        assert out.read_bytes() == _dict_reader_batch(batch, kind).encode()
+
+
+def _dict_reader_batch(path, kind) -> str:
+    """The output of `bound --batch` as csv.DictReader and csv.writer made
+    it: the reference for a well-formed batch."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    given = dict.fromkeys(cli._BOUND_TYPES)
+    given.update({k: np.fromiter((cast(row[k]) for row in rows), float, len(rows))
+                  for k, cast in cli._BOUND_TYPES.items() if k in rows[0]})
+    res = cli._bound_values(kind, given)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(list(rows[0]) + sorted(res))
+    w.writerows(list(row.values()) + [res[k][i].item() for k in sorted(res)]
+                for i, row in enumerate(rows))
+    return buf.getvalue()
 
 
 def _rows_csv(names, rows) -> str:

@@ -13,7 +13,6 @@ from depbernstein.spectral import (
     expm_sym,
     gerschgorin_bound,
     lambda_max,
-    log_trace_exp,
     schatten_norm,
     trace_exp,
     trace_product,
@@ -276,7 +275,7 @@ class TestStacks:
         def results(x, y):
             return [trace_exp(1.0, x + y), trace_product(expm_sym(x), expm_sym(y)),
                     trace_product(x, y), lambda_max(x + y), gerschgorin_bound(x),
-                    lambda_max(x), trace_exp(0.5, x), log_trace_exp(0.5, x),
+                    lambda_max(x), trace_exp(0.5, x),
                     schatten_norm(x, 1.5), schatten_norm(x, np.inf)]
 
         rng = np.random.default_rng(7)
@@ -341,7 +340,6 @@ class TestOneByOne:
         np.testing.assert_allclose(expm_sym(a).entries[..., 0, 0], np.exp(x), rtol=1e-15)
         same(lambda_max(a), x)
         same(trace_exp(0.5, a), np.exp(0.5 * x))
-        same(log_trace_exp(0.5, a), 0.5 * x)
         for p in (1, 1.5, 2, np.inf):
             same(schatten_norm(a, p), np.abs(x))
         same(trace_product(a, b), x * y)
@@ -393,14 +391,6 @@ class TestTraceExp:
     def test_scalar_evaluation(self):
         got = trace_exp(1.0, diag(1.0, -1.0))
         assert got == pytest.approx(math.e + 1.0 / math.e, rel=1e-12)
-
-    def test_log_domain_agrees(self):
-        a = diag(1.0, -1.0)
-        assert log_trace_exp(2.0, a) == pytest.approx(math.log(trace_exp(2.0, a)))
-
-    def test_log_domain_survives_overflow(self):
-        a = diag(1.0, 0.0)
-        assert log_trace_exp(1000.0, a) == pytest.approx(1000.0, rel=1e-9)
 
 
 class TestSchatten:
