@@ -283,6 +283,10 @@ class TestBoundCommand:
          "has 6 cells at row 1, but its header has 7"),
         # and keeps the last of two n columns: 8,1,1,... exit 0
         ("n,d,M,v,c,x,n\n4,1,1,1,100,40,8\n", "names the column 'n' twice"),
+        # a pass-through column named twice is refused the same way
+        ("label,n,d,M,v,c,x,label\na,4,1,1,1,100,40,b\n", "names the column 'label' twice"),
+        # a column named twice is found before a missing one (no d here)
+        ("n,M,v,c,x,n\n4,1,1,100,40,8\n", "names the column 'n' twice"),
     ])
     def test_batch_row_off_its_header_or_column_named_twice_is_exit_3(
             self, capsys, tmp_path, text, message):
