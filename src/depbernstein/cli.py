@@ -155,7 +155,13 @@ def cmd_bound(args) -> int:
 def cmd_mixing(args) -> int:
     with open(args.chain) as fh:
         chain = mixing.MarkovChain.from_config(json.load(fh))
-    k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
+    try:
+        k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
+        if not 1 <= k_lo <= k_hi:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--beta-k must be lo..hi with 1 <= lo <= hi,"
+                         f" got {args.beta_k!r}") from None
     lags = np.arange(k_lo, k_hi + 1)
     c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS) if args.fit_c else None
     header = ("k", "beta_k", "envelope")  # csv writes a missing envelope (None) as ""
@@ -173,8 +179,15 @@ def cmd_mixing(args) -> int:
 
 
 def _parse_grid(text: str):
-    a, b, steps = text.split(":")
-    return np.linspace(float(a), float(b), int(steps)).tolist()
+    """The --x-grid a:b:steps, steps evenly spaced points from a to b."""
+    try:
+        a, b, steps = text.split(":")
+        a, b, steps = float(a), float(b), int(steps)
+        if steps < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--x-grid must be a:b:steps with steps >= 1, got {text!r}") from None
+    return np.linspace(a, b, steps).tolist()
 
 
 def cmd_simulate(args) -> int:

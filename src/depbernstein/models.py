@@ -27,6 +27,9 @@ of a chunk's trials are hashed together (_seed_states), and no Generator
 is built, so the samples rest only on numpy's PCG64 and SeedSequence.
 A chunk holds as many trials as fit in _CHUNK_WORDS words of its buffers
 (_trial_words), and its chain paths are stepped together in one pass.
+The path words and the sign words of a chunk are held in two buffers, and
+the sign words are freed before the paths are stepped, so each stream word
+is held once: a contraction chunk peaks at about 14 bytes per trial-step.
 """
 
 from __future__ import annotations
@@ -340,11 +343,15 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     trial takes its path uniforms first, word w giving (w >> 11) * 2^-53
     as Generator.random does, then its signs, two per word: bit 31, then
     bit 63, is 1 for +1, as Generator.integers(0, 2) draws them: the sign
-    bits of the word's little-endian int32 halves.  The sign bits are taken
-    first, and then the path words become their uniforms in place, so the
-    words and the uniforms never take two buffers; the buffer is freed once
-    the chain is stepped.  Trial indices are uint32, so hi <= 2^32
-    (np.arange raises past it).
+    bits of the word's little-endian int32 halves.  Each trial's one row of
+    words is copied once, in two slices: its path words to a (trials, steps)
+    buffer and its sign words to a (trials, signs) one (a kind of one part
+    fills only that buffer).  The sign bits become a one-byte mask and the
+    sign words are freed before the chain is stepped; the path words become
+    their uniforms in place, so words and uniforms never take two buffers,
+    and that buffer is freed once the chain is stepped.  So a contraction
+    chunk peaks at about 14 bytes per trial-step, inside sample_paths.
+    Trial indices are uint32, so hi <= 2^32 (np.arange raises past it).
 
     Returns the (trials, n) coefficients c of the summands c * D for the
     contraction/iid models, one C-ordered array whose rows are the trials,
@@ -353,31 +360,36 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     steps, signs = _word_counts(spec, n)
     mask = (1 << 128) - 1
     bitgen = np.random.PCG64(0)
-    raw = np.empty((hi - lo, steps + signs), dtype=np.uint64)
+    words = np.empty((hi - lo, steps), dtype=np.uint64)
+    sign_words = np.empty((hi - lo, signs), dtype=np.uint64)
     seeds = _seed_states(seed, np.arange(lo, hi, dtype=np.uint32)).tolist()
     # PCG64's set-seed step from seed words (s, q), each high word first:
     # inc = 2q + 1 and state = (s + inc) * multiplier + inc, mod 2^128.
-    # Rows go by index: a row view left over from the loop would keep raw
-    # alive past its del.
+    # Rows go by index: a row view left over from the loop would keep a
+    # buffer alive past its del.
     for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
         state = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                         "state": {"state": state & mask, "inc": inc}}
-        raw[i] = bitgen.random_raw(steps + signs)
+        row = bitgen.random_raw(steps + signs)
+        if steps:  # a kind of one part fills only its buffer
+            words[i] = row[:steps]
+        if signs:
+            sign_words[i] = row[steps:]
     del seeds
-    negative = raw[:, steps:].astype("<u8", copy=False).view("<i4")[:, :n] >= 0
+    negative = sign_words.astype("<u8", copy=False).view("<i4")[:, :n] >= 0
+    del sign_words  # before the chain is stepped
     if spec.kind == "iid_baseline":
-        del raw
         return np.where(negative, -1.0, 1.0)
     # the path words become their uniforms in place, a block of rows at a
     # time: a block's shifted words are the only other buffer
-    u = raw.view(np.float64)[:, :steps]
+    u = words.view(np.float64)
     block = -(-(hi - lo) // 8)
     for b in range(0, hi - lo, block):
-        np.multiply(raw[b:b + block, :steps] >> 11, 2.0 ** -53, out=u[b:b + block])
+        np.multiply(words[b:b + block] >> 11, 2.0 ** -53, out=u[b:b + block])
     path = spec.chain.sample_paths(u)
-    del raw, u  # the word buffer, before the coefficients are built
+    del words, u  # the path buffer, before the coefficients are built
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
     # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
@@ -545,6 +557,12 @@ def _chunk_eigs(args) -> np.ndarray:
     return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
 
 
+def _check_sampling(n: int, trials: int, workers: int) -> None:
+    if n < 1 or trials < 2 or workers < 1:
+        raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
+                         f"got n={n}, trials={trials}, workers={workers}")
+
+
 def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
                       workers: int = 1) -> np.ndarray:
     """Ascending eigenvalues of the partial sum, one row per trial.
@@ -556,9 +574,7 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     worker per chunk and per CPU.  Trial t always uses the RNG stream
     (seed, t), so no result depends on the chunk size or the worker count.
     """
-    if n < 1 or trials < 2 or workers < 1:
-        raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
-                         f"got n={n}, trials={trials}, workers={workers}")
+    _check_sampling(n, trials, workers)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
     chunks = [(spec, n, seed, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
@@ -602,9 +618,12 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     x_grid = [float(x) for x in x_grid]
     if not x_grid or any(not math.isfinite(x) for x in x_grid):
         raise ModelError("invalid x grid")
-    samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
+    # the sampler's checks, then the inputs, then the Monte Carlo: an input
+    # that the bound rejects fails before any trial is drawn
+    _check_sampling(n, trials, workers)
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
+    samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     xs = np.array(x_grid)
     k = np.count_nonzero(samples >= xs[:, None], axis=1)
     lo, hi = clopper_pearson(k, trials, _CONF)
@@ -651,8 +670,9 @@ def run_expectation_experiment(spec: ModelSpec, n: int, trials: int, seed: int,
     expectation ceiling.  Returns (mean, stderr, bound)."""
     if spec.d < 2:
         raise ModelError("expectation experiment needs d >= 2")
-    samples = _partial_sum_eigs(spec, n, trials, seed)[:, -1]
+    _check_sampling(n, trials, 1)
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
+    samples = _partial_sum_eigs(spec, n, trials, seed)[:, -1]
     bound = _bounds.expectation_bound(inputs)
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials)), bound

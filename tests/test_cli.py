@@ -12,10 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depbernstein import checks, cli
+from depbernstein import checks, cli, models
 from depbernstein.cli import main
 from depbernstein.mixing import MarkovChain
 from depbernstein.models import ModelSpec, bernstein_inputs_for
+
+
+def src_env():
+    """The environment of a fresh process that imports the checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def run_cli(capsys, *argv):
@@ -417,12 +424,15 @@ class TestMixingCommand:
         assert code == 0
         assert json.loads(out)["c"] == bernstein_inputs_for(spec, 64).c
 
-    def test_empty_lag_range(self, capsys, chain_file):
-        code, out = run_cli(capsys, "mixing", "--chain", chain_file,
-                            "--beta-k", "5..3", "--format", "json")
-        assert code == 0 and json.loads(out)["beta"] == []
-        code, out = run_cli(capsys, "mixing", "--chain", chain_file, "--beta-k", "5..3")
-        assert code == 0 and out == "k,beta_k,envelope\n"
+    @pytest.mark.parametrize("beta_k", ["5", "1..x", "3..1", "1..2..3", ""])
+    def test_malformed_beta_k_names_the_flag(self, capsys, chain_file, beta_k):
+        # these were an unpacking error, an int() error, and for a reversed
+        # range an empty profile with exit 0
+        code = main(["mixing", "--chain", chain_file, "--beta-k", beta_k])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (f"error: --beta-k must be lo..hi with 1 <= lo <= hi,"
+                       f" got {beta_k!r}\n")
 
     def test_lag_zero_is_exit_3(self, capsys, chain_file):
         code, out = run_cli(capsys, "mixing", "--chain", chain_file, "--beta-k", "0..3")
@@ -498,6 +508,25 @@ class TestSimulateCommand:
                      "--n", "8", "--trials", "120", "--seed", "-1", "--x-grid", "0.5:8:4"])
         assert code == 3
         assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:0", "1:2:-1", "a:2:3", "1:2:3.5", "1:2:3:4"])
+    def test_malformed_x_grid_names_the_flag(self, capsys, model_file, grid):
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     "--n", "8", "--trials", "120", "--seed", "9", "--x-grid", grid])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == f"error: --x-grid must be a:b:steps with steps >= 1, got {grid!r}\n"
+
+    def test_rejected_n_is_exit_3_before_sampling(self, capsys, model_file, monkeypatch):
+        # the inputs are built first, so n = 1 exits before any trial runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo before the inputs")
+
+        monkeypatch.setattr(models, "_partial_sum_eigs", forbidden)
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     "--n", "1", "--trials", "2000000", "--seed", "1", "--x-grid", "1:2:2"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: need n >= 2, got 1\n"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_non_positive_workers_is_exit_3(self, capsys, model_file, workers):
@@ -627,9 +656,7 @@ class TestVerifyCommand:
     def test_scipy_stats_not_imported(self, tmp_path, chain_file):
         # one fresh process: no command loads any scipy module, simulate and
         # verify dominance (the Clopper-Pearson intervals) included
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        env = src_env()
         out = str(tmp_path / "out")
         config = tmp_path / "contraction.json"
         config.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]], "D": [[1.0, 0.0], [0.0, -0.5]],
@@ -657,6 +684,34 @@ class TestVerifyCommand:
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == {"import": [], **{name: [] for name in steps}}
+
+    def test_numpy_random_not_imported(self, tmp_path, chain_file):
+        # one fresh process: the commands that never sample leave numpy.random
+        # unloaded (its first import takes milliseconds and megabytes of RSS)
+        env = src_env()
+        check = [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"]
+        if subprocess.run(check, env=env, capture_output=True, text=True,
+                          timeout=60).stdout.strip() != "False":
+            pytest.skip("import numpy loads numpy.random here (numpy before 2)")
+        out = str(tmp_path / "out")
+        steps = {
+            "bound": ["bound", "--kind", "tail", "--n", "64", "--d", "2", "--M", "1",
+                      "--v", "1", "--c", "1", "--x", "30"],
+            "cantor": ["cantor", "--A", "1000"],
+            "mixing": ["mixing", "--chain", chain_file, "--fit-c"],
+            "verify cantor": ["verify", "cantor"],
+        }
+        code = ("import json, sys\n"
+                "from depbernstein.cli import main\n"
+                "loaded = {'import': 'numpy.random' in sys.modules}\n"
+                f"for name, argv in {steps!r}.items():\n"
+                f"    assert main(argv + ['--out', {out!r}]) == 0, name\n"
+                "    loaded[name] = 'numpy.random' in sys.modules\n"
+                "print(json.dumps(loaded))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"import": False, **{name: False for name in steps}}
 
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")

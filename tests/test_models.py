@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from depbernstein.bounds import BernsteinInputs
+from depbernstein.bounds import BernsteinInputs, BoundDomainError
 from depbernstein import checks, models
 from depbernstein.mixing import MarkovChain, dbar
 from depbernstein.models import (
@@ -742,6 +742,16 @@ class TestTailExperiment:
         assert capped == []
         assert [b for _, b in report.bound_curve[:2]] == [float(self.SPEC.d)] * 2
 
+    def test_rejected_inputs_draw_nothing(self, monkeypatch):
+        # the inputs are built before the Monte Carlo, so an n the bound
+        # rejects fails before any trial is sampled
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo before the inputs")
+
+        monkeypatch.setattr(models, "_partial_sum_eigs", forbidden)
+        with pytest.raises(BoundDomainError, match="need n >= 2, got 1"):
+            run_tail_experiment(self.SPEC, 1, trials=2_000_000, x_grid=[1.0], seed=1)
+
     def test_deterministic_json(self):
         kw = dict(n=8, trials=120, x_grid=[1.0, 2.0], seed=4)
         a = run_tail_experiment(self.SPEC, **kw).to_json()
@@ -881,12 +891,13 @@ class TestSamplerMemory:
     def test_words_and_uniforms_never_share_the_peak(self):
         # a contraction chunk reads 12 bytes of stream words per trial-step
         # and steps on 8 bytes of uniforms; with both alive at once the
-        # chunk peaked at 21.2 bytes per trial-step
+        # chunk peaked at 21.2 bytes per trial-step, and with the sign words
+        # kept beside the uniforms while the chain stepped, at 18.05
         spec = ModelSpec(kind="contraction", d=4, chain=CHAIN,
                          D=np.diag([1.0, 1 / 3, -1 / 3, -1.0]), tau_map=np.array([1.0, -1.0]))
         n, trials = 1024, 200
         models._chunk_eigs((spec, n, 7, 0, trials))  # one-time allocations
-        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 20.0
+        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 15.0
 
     def test_large_n_peak_is_bounded(self):
         # a chunk is sized by words, so its buffers do not grow with n; the
@@ -923,3 +934,11 @@ class TestExpectationExperiment:
         spec = ModelSpec(kind="iid_baseline", d=1, chain=CHAIN, D=np.array([[1.0]]))
         with pytest.raises(ModelError):
             run_expectation_experiment(spec, 8, trials=200, seed=0)
+
+    def test_rejected_inputs_draw_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo before the inputs")
+
+        monkeypatch.setattr(models, "_partial_sum_eigs", forbidden)
+        with pytest.raises(BoundDomainError, match="need n >= 2, got 1"):
+            run_expectation_experiment(contraction_spec(), 1, trials=2_000_000, seed=1)
