@@ -187,6 +187,9 @@ def _parse_grid(text: str):
             raise ValueError
     except ValueError:
         raise ValueError(f"--x-grid must be a:b:steps with steps >= 1, got {text!r}") from None
+    # a finite b - a keeps every point finite, and np.linspace from warning
+    if not math.isfinite(b - a):
+        raise ValueError(f"--x-grid must have finite a, b and b - a, got {text!r}")
     return np.linspace(a, b, steps).tolist()
 
 

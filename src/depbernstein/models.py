@@ -17,19 +17,26 @@ The same exact moments make v2_bruteforce an oracle for every kind.
 spec_from_config reads a model config through two tables, the --model
 names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
 
-Every trial draws its own RNG stream from (seed, trial index), so results
-are reproducible independently of execution order, worker count or the
-size of the trial chunks that are sampled together.  Trial t's stream is
-one PCG64 seeded from SeedSequence([seed, t]), the stream that
-np.random.default_rng([seed, t]) uses, read as raw 64-bit words: the path
-uniforms first, one word each, then the signs, two per word.  The seeds
-of a chunk's trials are hashed together (_seed_states), and no Generator
-is built, so the samples rest only on numpy's PCG64 and SeedSequence.
+A seed has two PCG64 streams of raw 64-bit words, the children of
+SeedSequence(seed).spawn(2): part 0 holds the path uniforms, one word
+each, and part 1 the signs, two per word.  The streams are split into
+blocks, one per trial: with `words` the trial's count in a part
+(_word_counts), trial t reads words [t * words, (t + 1) * words).  So a
+trial's words depend only on (seed, t), and results are reproducible
+independently of execution order, worker count or the size of the trial
+chunks that are sampled together.  numpy's public API gives trial t's
+words of a part:
+
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,)))
+    bitgen.advance(t * words)
+    rng = np.random.Generator(bitgen)
+    rng.random(words) if part == 0 else rng.integers(0, 2, n)  # 1 is +1
+
 A chunk holds as many trials as fit in _CHUNK_WORDS words of its buffers
-(_trial_words), and its chain paths are stepped together in one pass.
-The path words and the sign words of a chunk are held in two buffers, and
-the sign words are freed before the paths are stepped, so each stream word
-is held once: a contraction chunk peaks at about 14 bytes per trial-step.
+(_trial_words), reads each part with one jump ahead and one random_raw
+call, and steps its chain paths together in one pass.  The sign words are
+freed before the path words are drawn, so each stream word is held once:
+a contraction chunk peaks at about 14 bytes per trial-step.
 """
 
 from __future__ import annotations
@@ -267,58 +274,9 @@ def v2_ceiling(spec: ModelSpec) -> float:
     return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
 
 
-def _seed_states(seed: int, t: np.ndarray) -> np.ndarray:
-    """SeedSequence([seed, t]).generate_state(4, np.uint64) for every t in
-    the uint32 array t at once, shape (t.size, 4).
-
-    numpy's SeedSequence in uint32 columns, one row per t: the entropy is
-    the seed's 32-bit words, least significant first, then t's one word;
-    it is hashed into a pool of 4 words (the words past the fourth are
-    mixed in after), and the pool is hashed again into 8 output words,
-    paired low word first.  Every row hashes the same number of words, so
-    the hash multipliers advance alike in all rows.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ModelError(f"seed must be a non-negative integer, got {seed}")
-    entropy = []
-    while seed or not entropy:
-        entropy.append(np.full(t.shape, seed & 0xFFFFFFFF, dtype=np.uint32))
-        seed >>= 32
-    entropy.append(t)
-    mult = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal mult
-        value = value ^ mult
-        mult = mult * 0x931E8875 & 0xFFFFFFFF
-        value = value * mult
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = x * 0xCA01F9DD - y * 0x4973F715
-        return out ^ out >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult, out = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & 0xFFFFFFFF
-        value = value * mult
-        out.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-
-
 def _word_counts(spec: ModelSpec, n: int):
-    """The words one trial reads from its stream: (path uniforms, sign words)."""
+    """The words one trial reads from each stream part: (path uniforms,
+    sign words)."""
     if spec.kind == "block_covariance":
         return n * spec.d, 0
     return (n if spec.kind == "contraction" else 0), (n + 1) // 2
@@ -327,63 +285,53 @@ def _word_counts(spec: ModelSpec, n: int):
 def _trial_words(spec: ModelSpec, n: int) -> int:
     """A trial's share of a sampling chunk's buffers, in 8-byte words: its
     stream words, 2 d^2 for its partial sum and that sum's symmetric part,
-    and 32 for its seed row and eigenvalues (by tracemalloc, a trial's
-    fixed buffers take about 280 bytes)."""
+    and 32 for its eigenvalues and the rest (by tracemalloc, a one-step
+    iid trial's whole share is 32 bytes at d = 1 and 296 at d = 4)."""
     return sum(_word_counts(spec, n)) + 2 * spec.d ** 2 + 32
 
 
-def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The random part of trials lo..hi-1, each from its own stream (seed, t),
-    stepped together in one sample_paths call.
+def _stream_words(seed: int, part: int, words: int, lo: int, hi: int) -> np.ndarray:
+    """Words [lo * words, hi * words) of stream `part` of `seed`, the raw
+    output of PCG64(SeedSequence(seed, spawn_key=(part,))), as one
+    (hi - lo, words) array: row t - lo holds trial t's words."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,)))
+    bitgen.advance(lo * words)
+    return bitgen.random_raw((hi - lo, words))
 
-    Trial t's stream is the raw 64-bit output of the PCG64 that
-    np.random.default_rng([seed, t]) builds.  No Generator is built: the
-    PCG64 states of all the trials come from _seed_states and PCG64's
-    set-seed step, and one PCG64 is loaded with each state in turn.  A
-    trial takes its path uniforms first, word w giving (w >> 11) * 2^-53
-    as Generator.random does, then its signs, two per word: bit 31, then
-    bit 63, is 1 for +1, as Generator.integers(0, 2) draws them: the sign
-    bits of the word's little-endian int32 halves.  Each trial's one row of
-    words is copied once, in two slices: its path words to a (trials, steps)
-    buffer and its sign words to a (trials, signs) one (a kind of one part
-    fills only that buffer).  The sign bits become a one-byte mask and the
-    sign words are freed before the chain is stepped; the path words become
-    their uniforms in place, so words and uniforms never take two buffers,
-    and that buffer is freed once the chain is stepped.  So a contraction
-    chunk peaks at about 14 bytes per trial-step, inside sample_paths.
-    Trial indices are uint32, so hi <= 2^32 (np.arange raises past it).
+
+def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The random part of trials lo..hi-1, read from the seed's two streams
+    (the module docstring) and stepped together in one sample_paths call.
+
+    Each stream part of the chunk is one PCG64 jumped ahead to trial lo and
+    one random_raw call (_stream_words), and a kind of one part builds one
+    PCG64.  A path word w gives the uniform (w >> 11) * 2^-53, as
+    Generator.random does; a sign word gives two signs, bit 31, then bit 63,
+    being 1 for +1, as Generator.integers(0, 2) draws them: the sign bits of
+    the word's little-endian int32 halves.  The sign words are drawn first,
+    become a one-byte mask and are freed before the path words are drawn;
+    the path words become their uniforms in place, so words and uniforms
+    never take two buffers, and that buffer is freed once the chain is
+    stepped.  So a contraction chunk peaks at about 14 bytes per trial-step,
+    inside sample_paths.
 
     Returns the (trials, n) coefficients c of the summands c * D for the
     contraction/iid models, one C-ordered array whose rows are the trials,
     or the (trials, n, d) centered rows C_i for the block model.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ModelError(f"seed must be a non-negative integer, got {seed}")
     steps, signs = _word_counts(spec, n)
-    mask = (1 << 128) - 1
-    bitgen = np.random.PCG64(0)
-    words = np.empty((hi - lo, steps), dtype=np.uint64)
-    sign_words = np.empty((hi - lo, signs), dtype=np.uint64)
-    seeds = _seed_states(seed, np.arange(lo, hi, dtype=np.uint32)).tolist()
-    # PCG64's set-seed step from seed words (s, q), each high word first:
-    # inc = 2q + 1 and state = (s + inc) * multiplier + inc, mod 2^128.
-    # Rows go by index: a row view left over from the loop would keep a
-    # buffer alive past its del.
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(seeds):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & mask
-        state = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": state & mask, "inc": inc}}
-        row = bitgen.random_raw(steps + signs)
-        if steps:  # a kind of one part fills only its buffer
-            words[i] = row[:steps]
-        if signs:
-            sign_words[i] = row[steps:]
-    del seeds
-    negative = sign_words.astype("<u8", copy=False).view("<i4")[:, :n] >= 0
-    del sign_words  # before the chain is stepped
+    if signs:  # the block model draws no signs
+        sign_words = _stream_words(seed, 1, signs, lo, hi).astype("<u8", copy=False)
+        negative = sign_words.view("<i4")[:, :n] >= 0
+        del sign_words  # before the path words are drawn
     if spec.kind == "iid_baseline":
         return np.where(negative, -1.0, 1.0)
     # the path words become their uniforms in place, a block of rows at a
     # time: a block's shifted words are the only other buffer
+    words = _stream_words(seed, 0, steps, lo, hi)
     u = words.view(np.float64)
     block = -(-(hi - lo) // 8)
     for b in range(0, hi - lo, block):
@@ -402,7 +350,7 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
 
 def simulate_summands(spec: ModelSpec, n: int, seed: int, trials: int) -> np.ndarray:
     """Stationary paths of n summands X_i, one for each trial t < trials,
-    drawn from the streams (seed, t): shape (trials, n, d, d)."""
+    drawn from the seed's streams (_draw): shape (trials, n, d, d)."""
     draws = _draw(spec, n, seed, 0, trials)
     if spec.kind == "block_covariance":
         return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
@@ -571,8 +519,8 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     many trials as fit in _CHUNK_WORDS words (_trial_words), and at least
     one, so its buffers stay about the same size at every n and d.  When
     workers > 1 the chunks are mapped through a process pool of at most one
-    worker per chunk and per CPU.  Trial t always uses the RNG stream
-    (seed, t), so no result depends on the chunk size or the worker count.
+    worker per chunk and per CPU.  Trial t's words depend only on (seed, t)
+    (_draw), so no result depends on the chunk size or the worker count.
     """
     _check_sampling(n, trials, workers)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))

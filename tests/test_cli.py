@@ -517,6 +517,15 @@ class TestSimulateCommand:
         assert code == 3 and out == ""
         assert err == f"error: --x-grid must be a:b:steps with steps >= 1, got {grid!r}\n"
 
+    @pytest.mark.parametrize("grid", ["1:inf:3", "nan:2:3", "inf:inf:1", "1e308:-1e308:3"])
+    def test_non_finite_x_grid_names_the_flag(self, capsys, model_file, grid):
+        # np.linspace warned on these ends before the points were checked
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     "--n", "8", "--trials", "120", "--seed", "9", "--x-grid", grid])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == f"error: --x-grid must have finite a, b and b - a, got {grid!r}\n"
+
     def test_rejected_n_is_exit_3_before_sampling(self, capsys, model_file, monkeypatch):
         # the inputs are built first, so n = 1 exits before any trial runs
         def forbidden(*args, **kwargs):

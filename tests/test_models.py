@@ -122,17 +122,29 @@ class TestModelSpec:
         assert spec.M == pytest.approx(3.0)
 
 
+def trial_generator(seed, part, t, words):
+    """A Generator on trial t's words of stream `part` of `seed`, from
+    numpy's public API: the seed's child `part`, jumped past the `words`
+    words of each earlier trial."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,)))
+    bitgen.advance(t * words)
+    return np.random.Generator(bitgen)
+
+
 def draw_reference(spec, n, seed, lo, hi):
-    """models._draw with one numpy Generator per trial: the path uniforms
-    from .random, then the signs from .integers(0, 2, n) * 2 - 1."""
-    rngs = [np.random.default_rng([seed, t]) for t in range(lo, hi)]
+    """models._draw with one numpy Generator per trial and stream part: the
+    path uniforms from part 0's .random, the signs from part 1's
+    .integers(0, 2, n) * 2 - 1, which reads two signs a word."""
+    signs = (n + 1) // 2
+    eps = np.array([trial_generator(seed, 1, t, signs).integers(0, 2, n) * 2 - 1
+                    for t in range(lo, hi)])
     if spec.kind == "iid_baseline":
-        return np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs], dtype=float)
+        return eps.astype(float)
     steps = n if spec.kind == "contraction" else n * spec.d
-    path = spec.chain.sample_paths(np.array([r.random(steps) for r in rngs]))
+    path = spec.chain.sample_paths(np.array([trial_generator(seed, 0, t, steps).random(steps)
+                                             for t in range(lo, hi)]))
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
-    eps = np.array([r.integers(0, 2, n) * 2 - 1 for r in rngs])
     return spec.tau_map[path] * eps
 
 
@@ -149,39 +161,39 @@ DRAW_SPECS = {
 
 
 class TestDraw:
-    # bytes of the per-trial Generator sampler; every value is a dyadic
+    # bytes of the block-split streams; every value is a dyadic
     # (tau in {1, 1/2}, signs, centered values +-1/2), so they hold on any
     # platform
     @pytest.mark.parametrize("kind, n, seed, lo, hi, digest", [
         ("contraction", 1, 5, 0, 4,
-         "e83074cd1e363fa5bfc6032f1f0541d36e9bba78e650bd9464d6116d14dbb6d5"),
+         "124ed5b665793304f32eac4bc8f95c8b5cc9c8d81520320ed48a76158059af56"),
         ("contraction", 3, 5, 0, 4,
-         "14264dd110635bd9545e83191879354157eb220b412fcba0a8443594c7f439a7"),
+         "22925b6589237b3d526a5c2077f128d0737c34d70d5174be94d6d18baf05116a"),
         ("contraction", 65, 5, 0, 4,
-         "cc2b684c0d202297677729e124a73adf1da27f4e7180fa47a664860afdccdb3a"),
+         "586b178800e35778ca62368c45c48680d419fc3fd3549b47623dfe819b893157"),
         ("contraction", 3, 2 ** 33 + 1, 60, 70,
-         "66691de4cb8a9fdecd5be7fb92e7560ed038bf0f94830dd23fe77def4950a295"),
+         "0034677b6dead17c9800ff8341251695261c0227a0024be7e918f7c5a0019a7d"),
         # 65 and 1023 transitions: a step is left over after the k-step lookups
         ("contraction-3-state", 66, 5, 0, 4,
-         "9c006c1e98e79f4219fb0adb7cfe2c13265af98358e0299b8fb98fc81482f55b"),
+         "399c544f307cc71811383463f7a71a56ba13311a3d0a49c3f24d35eb074155aa"),
         ("contraction-3-state", 1024, 5, 0, 4,
-         "6751ba98e5fe011e399f804807b9fa25dc7468688b0feb7a96f4ca2e4ba7b724"),
+         "8e760d94bd415b005d2d10ee330c0b9b0c6d20214c1cd1f422952fc1c9ac841a"),
         ("iid_baseline", 1, 5, 0, 4,
-         "76a449f8269ad0c33e311404ad718e74aacda5ab0cf3030ca43bee47ad8f194e"),
+         "9bbf32a4b18132e5d9aa858dc1fc01beb4ca23a4544cbed48ad82930ea45c978"),
         ("iid_baseline", 3, 5, 0, 4,
-         "121d7793edaf099924acd62b51a818338d39c369e2ebbe7181d34bb2de567406"),
+         "a17d4d2207b9a815b7da2d52ed3a74e7a00dfb686808a8c36140a51cc64927ab"),
         ("iid_baseline", 65, 5, 0, 4,
-         "e0264bc99657cd78bffa16ae58b12ed5b3f3fbaae7be1626be00baec93c26c87"),
+         "24dc87895a2f79cc07a1be11bbdf269f612e8c225a1ae51ce0b9c0f01b5482f4"),
         ("iid_baseline", 3, 2 ** 33 + 1, 60, 70,
-         "c4f92e1695c90a3c5d09f774685bcb963732d52801b61ebcd40d5e30f178a3e7"),
+         "d41ecb8b214543419394589c510487a7065da7df6bedaedc61f7634f26dda8a2"),
         ("block_covariance", 1, 5, 0, 4,
-         "c48d64a72692144df96abc208c7296cc96c6b87ca1cf57e8b06a1d1a03ad6c2f"),
+         "ee3865f48286b4e1b7a970a0d38965f5cfad74333b962a804002ed3af6aa4550"),
         ("block_covariance", 3, 5, 0, 4,
-         "bea50aeaffd366f16a481a08258383cf25ab94ace1dc00eb57f485a7b25d478d"),
+         "25211c716485e5b217234f363812dffa8777c210a34901c685c23c4fec64e1ee"),
         ("block_covariance", 65, 5, 0, 4,
-         "eeac12ef614728822c6bfe202b6bc0575e29621be2121f7a9f3a5ba25d6aeefa"),
+         "31967b3d6c1fa9f0e87d0133f5c30b9297168b9019349a1322d9811018f7dead"),
         ("block_covariance", 3, 2 ** 33 + 1, 60, 70,
-         "bbe4cc7c988c665136f0357d9dcf5a703adb75560de357c68cc279d40262b503"),
+         "28ced31a8516505caaa900760c64f4035f1d3603c69ce189709e81f2018f2aa4"),
     ])
     def test_draw_pinned(self, kind, n, seed, lo, hi, digest):
         out = models._draw(DRAW_SPECS[kind], n, seed, lo, hi)
@@ -224,27 +236,38 @@ class TestDraw:
         got, want = models._draw(spec, 9, 3, 0, 5), draw_reference(spec, 9, 3, 0, 5)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    # 2^100 has 4 words, so [seed, t] has 5: the extra word is mixed into
-    # the full pool after it is built
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100])
-    def test_seed_states_match_seed_sequence(self, seed):
-        # the first chunk boundaries of the acceptance-scale contraction run
-        size = chunk_trials(DRAW_SPECS["contraction"], 1024)
-        t = np.array([0, 1, size - 1, size, 2 * size - 1, 2 * size, 3 * size,
-                      2 ** 32 - 1], dtype=np.uint32)
-        want = np.array([np.random.SeedSequence([seed, int(x)]).generate_state(4, np.uint64)
-                         for x in t])
-        got = models._seed_states(seed, t)
-        assert got.dtype == np.uint64 and np.array_equal(got, want)
-
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative integer"):
             run_tail_experiment(contraction_spec(), 8, trials=100, x_grid=[1.0], seed=-1)
 
-    def test_rejects_trial_index_past_uint32(self):
-        # t = 2^32 would otherwise wrap to t = 0's stream
-        with pytest.raises(OverflowError):
-            models._draw(contraction_spec(), 4, 0, 2 ** 32 - 1, 2 ** 32 + 1)
+    def test_trials_past_uint32_have_their_own_words(self):
+        # a uint32 trial index wrapped t = 2^32 to t = 0's stream
+        spec, n = contraction_spec(), 64
+        got = models._draw(spec, n, 0, 2 ** 32 - 1, 2 ** 32 + 1)
+        assert np.array_equal(got, draw_reference(spec, n, 0, 2 ** 32 - 1, 2 ** 32 + 1))
+        first = models._draw(spec, n, 0, 0, 1)[0]
+        assert not np.array_equal(got[0], first) and not np.array_equal(got[1], first)
+
+    @pytest.mark.parametrize("kind, parts", [("contraction", 2), ("contraction-3-state", 2),
+                                             ("iid_baseline", 1), ("block_covariance", 1)])
+    def test_one_generator_and_one_read_per_stream_part(self, kind, parts, monkeypatch):
+        # whatever the trial count: a per-trial loop would build one per trial
+        calls = []
+
+        class CountingPCG64(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                calls.append("PCG64")
+                super().__init__(*args, **kwargs)
+
+            def random_raw(self, *args, **kwargs):
+                calls.append("random_raw")
+                return super().random_raw(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        for trials in (1, 2, 300):
+            calls.clear()
+            models._draw(DRAW_SPECS[kind], 8, 5, 3, 3 + trials)
+            assert calls == ["PCG64", "random_raw"] * parts
 
 
 class TestSimulators:
@@ -296,7 +319,7 @@ class TestSimulators:
                          value_map=np.array([1.0, -1.0]))
         mats = simulate_summands(spec, 50, 0, 1)[0]
         assert hashlib.sha256(mats.tobytes()).hexdigest() == (
-            "5a25e93684e995de9c89b61a8c7413bec400136ec2ce26368e02361bda691815")
+            "5441711bce8dcf71aa8381f5a15f03b379c0a8fec6458baa51d6a05410f23a5e")
 
 
 def block_covariance_by_lags(spec):
@@ -773,9 +796,9 @@ class TestTailExperiment:
 
     @pytest.mark.parametrize("kind, digest", [
         ("contraction",
-         "c44ebd15a39b9b80da4745e7feb191c6bf726cd78e15de5c55b9bee5756e59fc"),
+         "04b3d38eb702db24851226337aad28956fc600150150a606d9fe0d86e1ab40f6"),
         ("iid_baseline",
-         "63a03924e8db71aa64458d3bf36072eac591aeee5ecf601caaac01c83a41d98f"),
+         "7e6b530ee11520cc237fe6b1c77920b3c86888abdb251b70f8cf536ef6730a98"),
     ])
     def test_samples_pinned(self, kind, digest):
         # D = diag(1, -0.5) and tau = +-1 make every lambda_max an exact
