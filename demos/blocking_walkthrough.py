@@ -20,12 +20,9 @@ p = part.params
 print("\nK_100 leaf runs:", [(s, s + p.n_seq[-1] - 1) for s in part.leaf_starts.tolist()])
 print("dropped gap:    ", [(s, s + p.d_seq[0] - 1) for s in part.gap_starts[0].tolist()])
 
-print("\nfull decomposition of {1..100}:")
-dec = cantor.full_decomposition(100)
-for i, level in enumerate(dec.levels):
-    print(f"  level {i}: {len(level)} indices, first/last = {level[0]}/{level[-1]}")
-print(f"  remainder: {tuple(dec.remainder.tolist())}")
-print(f"  survivor counts per round: {dec.cards}")
+print("\ndepth of the decomposition of {1..n} (the bound adds one term per level):")
+for n in (100, 10 ** 4, 10 ** 6):
+    print(f"  n = {n}: {cantor.decomposition_depth(n)} levels")
 
 print("\nlevel-1 blocks of K_100 (the two halves of its leaves):")
 for j, block in enumerate(cantor.level_blocks(part, 1)):

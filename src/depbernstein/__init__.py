@@ -11,7 +11,7 @@ Subpackages:
 """
 
 from .bounds import BernsteinInputs, tail_bound_certified, master_log_laplace
-from .cantor import cantor_params, cantor_set, full_decomposition
+from .cantor import cantor_params, cantor_set
 from .mixing import MarkovChain, beta_k_exact, fit_geometric_rate
 from .models import ModelSpec, run_tail_experiment
 from .spectral import SymMatrix
@@ -25,7 +25,6 @@ __all__ = [
     "cantor_params",
     "cantor_set",
     "fit_geometric_rate",
-    "full_decomposition",
     "master_log_laplace",
     "run_tail_experiment",
     "tail_bound_certified",

@@ -177,8 +177,8 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
         sigma_i = 2 sqrt(n/2^i) (2v + sqrt(3) 2^i M / (n sqrt(c)))
         kappa_i = M / h(c, n/2^i)          for i = 0 .. L-1,
 
-    plus the terminal pair (v sqrt(2), M).  The sums are checked against
-    their ceilings, `schedule_ceiling(inputs)`.
+    plus the terminal pair (v sqrt(2), M).  `checks.schedule_ceilings`
+    compares their sums with `schedule_ceiling(inputs)`.
     """
     n, M, v, c = inputs.n, inputs.M, inputs.v, inputs.c
     L = decomposition_depth(n)
@@ -188,11 +188,6 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
         sigma_i = 2.0 * math.sqrt(x) * (2.0 * v + math.sqrt(3.0) * (2.0 ** i) * M / (n * math.sqrt(c)))
         pairs.append(SigmaKappaPair(sigma=sigma_i, kappa=M / h(c, x)))
     pairs.append(SigmaKappaPair(sigma=v * math.sqrt(2.0), kappa=M))
-    total, ceiling = combine_sigma_kappa(pairs), schedule_ceiling(inputs)
-    if not total.sigma <= ceiling.sigma:
-        raise BoundDomainError(f"sum sigma {total.sigma!r} exceeds its ceiling {ceiling.sigma!r}")
-    if not total.kappa <= ceiling.kappa:
-        raise BoundDomainError(f"sum kappa {total.kappa!r} exceeds its ceiling {ceiling.kappa!r}")
     return pairs
 
 

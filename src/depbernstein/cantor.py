@@ -1,4 +1,4 @@
-"""Recursive Cantor-like blocking of {1..A} and the full decomposition of {1..n}.
+"""Recursive Cantor-like blocking of {1..A} and the decomposition depth of {1..n}.
 
 The construction keeps two side blocks and drops a middle gap at every
 level; after ell levels the kept set K_A is a union of 2^ell runs of
@@ -94,19 +94,6 @@ class CantorStack:
         starts = (self.leaf_starts, *self.gap_starts)
         stops = [s + d for s, d in zip(starts, lengths)]
         return np.concatenate(starts, axis=1), np.concatenate(stops, axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class FullDecomposition:
-    """Equality is identity; compare the fields for values."""
-    n: int
-    levels: tuple            # C_0 .. C_{L-1}, each a sorted int64 array of original indices
-    remainder: np.ndarray    # final surviving indices as int64, at most 2 of them
-    cards: tuple             # A_0 .. A_L
-
-    @property
-    def L(self) -> int:
-        return len(self.levels)
 
 
 def cantor_params(A: int) -> CantorParams:
@@ -259,38 +246,16 @@ def level_blocks(partition: CantorPartition, k: int) -> np.ndarray:
     return partition.K.reshape(len(level_runs(partition, k)), -1)
 
 
-def full_decomposition(n: int) -> FullDecomposition:
-    """Iterate the construction on the surviving positions until at most 2
-    remain.  Survivors are relabeled 1..A_i order-preservingly at each step
-    and the extracted set is mapped back to original coordinates: the leaves
-    of {1..A_i} give the kept positions, the rest (its gaps) in order the
-    survivors."""
-    cards = _survivor_counts(n)
-    surviving = np.arange(1, cards[0] + 1)
-    levels = []
-    for A in cards[:-1]:
-        kept = np.zeros(A + 1, dtype=bool)
-        kept[cantor_set(A).K] = True
-        levels.append(surviving[kept[1:]])
-        surviving = surviving[~kept[1:]]
-    return FullDecomposition(n=cards[0], levels=tuple(levels),
-                             remainder=surviving, cards=cards)
-
-
 def decomposition_depth(n: int) -> int:
-    """Number of extraction levels L for {1..n} (remainder excluded),
-    from cardinalities alone."""
-    return len(_survivor_counts(n)) - 1
-
-
-def _survivor_counts(n: int) -> tuple:
-    """A_0 = n, A_{i+1} = A_i - 2^ell n_ell (the kept set of {1..A_i} is
-    2^ell runs of n_ell), until at most 2 positions survive."""
-    cards = [_size(n, "n")]
-    while cards[-1] > 2:
-        p = cantor_params(cards[-1])
-        cards.append(cards[-1] - 2 ** p.ell * p.n_seq[-1])
-    return tuple(cards)
+    """Number of extraction levels L for {1..n} (remainder excluded), from
+    cardinalities alone: A_0 = n, A_{i+1} = A_i - 2^ell n_ell (the kept set
+    of {1..A_i} is 2^ell runs of n_ell), until at most 2 positions survive."""
+    A, L = _size(n, "n"), 0
+    while A > 2:
+        p = cantor_params(A)
+        A -= 2 ** p.ell * p.n_seq[-1]
+        L += 1
+    return L
 
 
 def _size(x, name: str) -> int:

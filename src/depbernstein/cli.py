@@ -1,6 +1,7 @@
 """Command-line entry point wiring the library into reproducible runs.
 
-Exit codes: 0 success, 2 invariant violation (verify), 3 invalid input.
+Exit codes: 0 success, 2 invariant violation (verify), 3 invalid input
+(an input too large for memory included).
 A verify suite that --budget stops before its end also exits 2: its
 failures end with {"invariant": "budget", "case": i} at the first case
 not run, and "ok" is false.
@@ -295,8 +296,8 @@ def main(argv=None) -> int:
         # found by name at each call, so a command replaced on the module
         # after the parser was built is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

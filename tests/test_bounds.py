@@ -180,10 +180,33 @@ class TestSchedule:
         pairs = sigma_kappa_schedule(BernsteinInputs(n=10 ** 8, d=2, M=1.0, v=1.0, c=2.0))
         assert len(pairs) == decomposition_depth(10 ** 8) + 1
 
-    def test_kappa_ceiling_violation_raises(self, monkeypatch):
+    GRID = [dict(n=n, c=c, v=v, M=M) for n, c, v, M in itertools.product(
+        (4, 16, 256, 4096), (0.5, 2.0, 10.0), (0.1, 1.0, 10.0), (0.1, 1.0, 10.0))]
+
+    @staticmethod
+    def totals(point):
+        return combine_sigma_kappa(sigma_kappa_schedule(BernsteinInputs(d=2, **point)))
+
+    def test_kappa_ceiling_violation_is_reported(self, monkeypatch):
+        # the schedule is built, and verify bounds names the ceiling it breaks
         monkeypatch.setattr(bounds, "gamma_cn", lambda c, n: 1e-3)
-        with pytest.raises(BoundDomainError, match="sum kappa"):
-            sigma_kappa_schedule(BernsteinInputs(n=256, d=2, M=1.0, v=1.0, c=2.0))
+        checked, failures = checks.run(checks.schedule_ceilings)
+        assert checked == {"schedule_ceiling": 108, "sigma_ceiling": 108, "kappa_ceiling": 108}
+        assert [f.pop("invariant") for f in failures] == ["kappa_ceiling"] * 108
+        assert [f.pop("case") for f in failures] == list(range(108))
+        assert failures == [{"kappa": self.totals(p).kappa, **p} for p in self.GRID]
+
+    def test_sigma_ceiling_violation_is_reported(self, monkeypatch):
+        real = bounds.schedule_ceiling
+        monkeypatch.setattr(bounds, "schedule_ceiling", lambda inputs: SigmaKappaPair(
+            sigma=real(inputs).sigma / 2.0, kappa=real(inputs).kappa))
+        checked, failures = checks.run(checks.schedule_ceilings)
+        assert checked == {"schedule_ceiling": 108, "sigma_ceiling": 108, "kappa_ceiling": 108}
+        want = [{"sigma": sigma, **p} for p in self.GRID
+                if (sigma := self.totals(p).sigma) > real(BernsteinInputs(d=2, **p)).sigma / 2.0]
+        assert len(want) == 32
+        assert {f.pop("invariant") for f in failures} == {"sigma_ceiling"}
+        assert [{k: v for k, v in f.items() if k != "case"} for f in failures] == want
 
 
 class TestMaster:

@@ -16,7 +16,6 @@ from depbernstein.cantor import (
     cantor_set,
     cantor_stacks,
     decomposition_depth,
-    full_decomposition,
     level_blocks,
     level_runs,
     tiles_exactly,
@@ -24,12 +23,12 @@ from depbernstein.cantor import (
 
 
 def _full_decomposition_by_sets(n):
-    """The set-based decomposition that the run-based one replaced, kept
-    as the reference: at each level the relabeled positions in the set K
-    are kept and the others survive, each read off the current labels by
-    position.  Membership in K is a binary search of its sorted copy, one
-    array call per level, where a Python set built every index as an object
-    (and `full_decomposition` scatters K into a mask)."""
+    """The decomposition of {1..n} built from its index sets, the reference
+    for `decomposition_depth`, which counts its levels from cardinalities
+    alone: at each level the relabeled positions in the set K are kept and
+    the others survive, each read off the current labels by position.
+    Membership in K is a binary search of its sorted copy, one array call
+    per level."""
     cards = [n]
     surviving = np.arange(1, n + 1)
     levels = []
@@ -88,14 +87,11 @@ class TestParams:
         p = cantor_params(np.int64(100))
         assert p == cantor_params(100) and type(p.A) is int
         assert decomposition_depth(np.int32(1000)) == decomposition_depth(1000)
-        fd, ref = full_decomposition(np.uint16(100)), full_decomposition(100)
-        assert (fd.n, fd.cards) == (ref.n, ref.cards) and type(fd.n) is int
-        assert [c.tolist() for c in fd.levels] == [c.tolist() for c in ref.levels]
-        assert fd.remainder.tolist() == ref.remainder.tolist()
+        assert decomposition_depth(np.uint16(100)) == decomposition_depth(100)
 
     @pytest.mark.parametrize("bad", [100.0, True, np.float64(100.0), "100"])
     def test_rejects_non_integral_sizes(self, bad):
-        for fn in (cantor_params, decomposition_depth, full_decomposition):
+        for fn in (cantor_params, decomposition_depth):
             with pytest.raises(CantorError):
                 fn(bad)
 
@@ -396,46 +392,50 @@ class TestLevelBlocks:
 
 
 class TestFullDecomposition:
+    """The decomposition of {1..n} as `_full_decomposition_by_sets` builds
+    it from `cantor_set`'s kept sets, and its depth as `decomposition_depth`
+    counts it from cardinalities alone."""
+
     def test_n_2(self):
-        fd = full_decomposition(2)
-        assert fd.L == 0 and fd.remainder.tolist() == [1, 2] and fd.levels == ()
+        levels, remainder, cards = _full_decomposition_by_sets(2)
+        assert levels == [] and remainder.tolist() == [1, 2] and cards == (2,)
+        assert decomposition_depth(2) == 0
 
     def test_n_100(self):
-        fd = full_decomposition(100)
-        assert fd.levels[0].tolist() == list(range(1, 48)) + list(range(54, 101))
+        levels, remainder, _ = _full_decomposition_by_sets(100)
+        assert levels[0].tolist() == list(range(1, 48)) + list(range(54, 101))
         # remaining 6 positions {48..53} are consumed in one fallback step
-        assert fd.levels[1].tolist() == list(range(48, 54))
-        assert all(c.dtype == np.int64 for c in (*fd.levels, fd.remainder))
+        assert levels[1].tolist() == list(range(48, 54))
+        assert remainder.size == 0 and decomposition_depth(100) == 2
 
     def test_partition_property(self):
         for n in (2, 3, 17, 100, 999, 4096):
-            fd = full_decomposition(n)
-            seen = [i for level in fd.levels for i in level.tolist()] + fd.remainder.tolist()
+            levels, remainder, _ = _full_decomposition_by_sets(n)
+            seen = [i for level in levels for i in level.tolist()] + remainder.tolist()
             assert sorted(seen) == list(range(1, n + 1))
+            assert decomposition_depth(n) == len(levels), n
 
     def test_halving_and_depth(self):
-        for n in (4, 64, 100, 1000, 4999):
-            fd = full_decomposition(n)
-            for i, a in enumerate(fd.cards):
+        for n in (4, 64, 100, 1000, 4999, 10 ** 6):
+            _, _, cards = _full_decomposition_by_sets(n)
+            for i, a in enumerate(cards):
                 assert a <= n / 2 ** i + 1e-9
-            assert fd.L <= math.floor(math.log2(n / 2)) + 1
+            assert decomposition_depth(n) <= math.floor(math.log2(n / 2)) + 1
 
     def test_matches_set_based_reference(self):
         for n in range(2, 3001):
-            fd = full_decomposition(n)
             levels, remainder, cards = _full_decomposition_by_sets(n)
-            assert fd.cards == cards and len(fd.levels) == len(levels), n
-            assert all(map(np.array_equal, fd.levels, levels)), n
-            assert np.array_equal(fd.remainder, remainder), n
-
-    def test_depth_from_cardinalities(self):
-        for n in range(2, 5001):
-            assert decomposition_depth(n) == full_decomposition(n).L, n
+            assert decomposition_depth(n) == len(levels), n
+            assert len(levels) <= math.floor(math.log2(n / 2)) + 1, n
+            assert all(a * 2 ** i <= n for i, a in enumerate(cards)), n
+            assert remainder.size <= 2, n
 
     def test_card_recursion(self):
-        fd = full_decomposition(1000)
-        for i, level in enumerate(fd.levels):
-            assert fd.cards[i + 1] == fd.cards[i] - len(level)
+        # each level takes the whole kept set of the survivors' relabeling
+        levels, _, cards = _full_decomposition_by_sets(1000)
+        for i, level in enumerate(levels):
+            assert cards[i + 1] == cards[i] - len(level)
+            assert len(level) == cantor_set(cards[i]).card
 
 
 class TestCantorMemory:
@@ -464,8 +464,3 @@ class TestCantorMemory:
         # sorted by start; 8.1 MB with array-built stacks and in-order runs
         checks.run(checks.cantor)
         assert self.peak(checks.run, checks.cantor) <= 10e6
-
-    def test_full_decomposition_peak_per_index(self):
-        # levels as tuples of Python ints peaked at 44 bytes per index
-        n = 2 ** 20
-        assert self.peak(full_decomposition, n) / n <= 24.0

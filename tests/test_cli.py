@@ -121,6 +121,22 @@ class TestCantorCommand:
         code, _ = run_cli(capsys, "cantor", "--A", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 5.16 GiB"), "error: Unable to allocate 5.16 GiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_A_too_large_for_memory_is_exit_3(self, capsys, monkeypatch, exc, line):
+        # numpy's allocation failure is a MemoryError; a bare one names its type
+        from depbernstein import cantor
+
+        def fail(A):
+            raise exc
+
+        monkeypatch.setattr(cantor, "cantor_set", fail)
+        assert main(["cantor", "--A", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "cantor.json"
         code, out = run_cli(capsys, "cantor", "--A", "50", "--out", str(path))
