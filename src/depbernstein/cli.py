@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x-grid", required=True, dest="x_grid", help="a:b:steps")
+    p.add_argument("--x-grid", required=True, dest="x_grid",
+                   help="a:b:steps; a grid from a < 0 is written --x-grid=-1:3:3")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -348,15 +348,6 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()[path]
 
 
-def simulate_summands(spec: ModelSpec, n: int, seed: int, trials: int) -> np.ndarray:
-    """Stationary paths of n summands X_i, one for each trial t < trials,
-    drawn from the seed's streams (_draw): shape (trials, n, d, d)."""
-    draws = _draw(spec, n, seed, 0, trials)
-    if spec.kind == "block_covariance":
-        return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
-    return draws[:, :, None, None] * spec.D
-
-
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
     """G[i, j] = E(X_i X_j), exactly: E(X_0 X_{j-i}) from lag_moments for
     i <= j, its transpose for i > j."""
@@ -611,16 +602,3 @@ def empirical_laplace(spec: ModelSpec, n: int, t_grid, trials: int, seed: int):
                     float(vals.std(ddof=1) / math.sqrt(trials))))
     return out
 
-
-def run_expectation_experiment(spec: ModelSpec, n: int, trials: int, seed: int,
-                               inputs: Optional[_bounds.BernsteinInputs] = None):
-    """MC mean of lambda_max of the partial sum against the closed-form
-    expectation ceiling.  Returns (mean, stderr, bound)."""
-    if spec.d < 2:
-        raise ModelError("expectation experiment needs d >= 2")
-    _check_sampling(n, trials, 1)
-    if inputs is None:
-        inputs = bernstein_inputs_for(spec, n)
-    samples = _partial_sum_eigs(spec, n, trials, seed)[:, -1]
-    bound = _bounds.expectation_bound(inputs)
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials)), bound

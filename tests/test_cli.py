@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depbernstein import checks, cli, models
+from depbernstein import bounds, checks, cli, models
 from depbernstein.cli import main
 from depbernstein.mixing import MarkovChain
 from depbernstein.models import ModelSpec, bernstein_inputs_for
@@ -533,6 +533,38 @@ class TestSimulateCommand:
         assert code == 3 and out == ""
         assert err == f"error: --x-grid must be a:b:steps with steps >= 1, got {grid!r}\n"
 
+    @pytest.mark.parametrize("model, config", [
+        ("contraction", {"D": [[1.0, 0.0], [0.0, -0.5]], "tau_map": [1.0, -1.0]}),
+        ("blockcov", {"d": 2, "value_map": [1.0, -1.0]}),
+        ("iid", {"D": [[1.0, 0.0], [0.0, -0.5]]}),
+    ], ids=["contraction", "blockcov", "iid"])
+    def test_smallest_n_with_grid_points_at_or_below_0(self, capsys, tmp_path, model, config):
+        # n = 2 is the smallest n the bound accepts; at x <= 0 the bound is d
+        # (here 2) and its log log d
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]], **config}))
+        code, out = run_cli(capsys, "simulate", "--model", model, "--config", str(path),
+                            "--n", "2", "--trials", "120", "--seed", "9", "--x-grid=-1:1:3",
+                            "--format", "csv")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert code == 0 and [float(r["x"]) for r in rows] == [-1.0, 0.0, 1.0]
+        for r in rows[:2]:
+            assert float(r["certified_bound"]) == 2.0
+            assert float(r["log_bound"]) == math.log(2.0)
+
+    def test_grid_below_0_is_written_with_equals(self, capsys, model_file):
+        # with a space, argparse reads -1:3:3 as an option, not as the value
+        argv = ["simulate", "--model", "contraction", "--config", model_file,
+                "--n", "8", "--trials", "120", "--seed", "9"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--x-grid", "-1:3:3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 3 and captured.out == ""
+        assert "argument --x-grid: expected one argument" in captured.err
+        code, out = run_cli(capsys, *argv, "--x-grid=-1:3:3")
+        assert code == 0
+        assert [x for x, *_ in json.loads(out)["tail_grid"]] == [-1.0, 1.0, 3.0]
+
     @pytest.mark.parametrize("grid", ["1:inf:3", "nan:2:3", "inf:inf:1", "1e308:-1e308:3"])
     def test_non_finite_x_grid_names_the_flag(self, capsys, model_file, grid):
         # np.linspace warned on these ends before the points were checked
@@ -673,10 +705,39 @@ class TestVerifyCommand:
         assert payload["failures"] == [{"invariant": "budget", "case": 0}]
 
     def test_dominance_counts_each_model(self, capsys):
+        # every bound on the shipped grids is >= 1, so no tail point is compared
         code, out = run_cli(capsys, "verify", "dominance")
         assert code == 0
-        assert set(json.loads(out)["checked"]) == {
-            "tail_dominance.iid", "tail_dominance.contraction", "tail_dominance.blockcov"}
+        assert json.loads(out)["checked"] == {
+            **{f"tail_dominance.{m}": 0 for m in ("iid", "contraction", "blockcov")},
+            **{f"expectation_dominance.{m}": 1 for m in ("iid", "contraction", "blockcov")}}
+
+    def test_dominance_flags_a_zero_expectation_ceiling(self, capsys, monkeypatch):
+        # every shipped model has d >= 2 and a positive mean lambda_max
+        monkeypatch.setattr(bounds, "expectation_bound", lambda inputs: 0.0)
+        code, out = run_cli(capsys, "verify", "dominance")
+        failures = json.loads(out)["failures"]
+        assert code == 2
+        assert [f["invariant"] for f in failures] == [
+            f"expectation_dominance.{m}" for m in ("iid", "contraction", "blockcov")]
+        for f in failures:
+            assert f["invariant"] == f"expectation_dominance.{f['model']}"
+            assert f["bound"] == 0.0 and f["mean"] > 3.0 * f["stderr"] > 0.0
+
+    def test_dominance_tail_failure_carries_its_interval(self, capsys, monkeypatch):
+        # a certified log bound far below every sampled tail: each grid point
+        # is compared, and each with p_hat > 0 fails
+        monkeypatch.setattr(bounds, "log_tail_bound_certified",
+                            lambda x, inputs: (np.full(np.shape(x), -50.0), None))
+        code, out = run_cli(capsys, "verify", "dominance")
+        payload = json.loads(out)
+        tail = [f for f in payload["failures"] if f["invariant"].startswith("tail_dominance.")]
+        assert code == 2 and tail
+        assert all(payload["checked"][f"tail_dominance.{m}"] == 8
+                   for m in ("iid", "contraction", "blockcov"))
+        for f in tail:
+            assert f["lo"] <= f["p_hat"] <= f["hi"]
+            assert f["p_hat"] > f["bound"] == math.exp(-50.0)
 
     def test_scipy_stats_not_imported(self, tmp_path, chain_file):
         # one fresh process: no command loads any scipy module, simulate and

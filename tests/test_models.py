@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from depbernstein.bounds import BernsteinInputs, BoundDomainError
-from depbernstein import checks, models
+from depbernstein import bounds, checks, models
 from depbernstein.mixing import MarkovChain, dbar
 from depbernstein.models import (
     ModelError,
@@ -17,9 +17,7 @@ from depbernstein.models import (
     clopper_pearson,
     empirical_laplace,
     lag_moments,
-    run_expectation_experiment,
     run_tail_experiment,
-    simulate_summands,
     spec_from_config,
     v2_bruteforce,
     v2_ceiling,
@@ -146,6 +144,16 @@ def draw_reference(spec, n, seed, lo, hi):
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
     return spec.tau_map[path] * eps
+
+
+def simulate_summands(spec, n, seed, trials):
+    """The summands X_i of trials 0..trials-1 as one (trials, n, d, d) array,
+    assembled from models._draw; the sampler itself only sums the draws
+    (models._chunk_eigs)."""
+    draws = models._draw(spec, n, seed, 0, trials)
+    if spec.kind == "block_covariance":
+        return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
+    return draws[:, :, None, None] * spec.D
 
 
 DRAW_SPECS = {
@@ -751,8 +759,6 @@ class TestTailExperiment:
         assert "log_bound_curve" in json.loads(report.to_json())
 
     def test_one_closed_form_call_per_report(self, monkeypatch):
-        from depbernstein import bounds
-
         calls, capped = [], []
         log_bound = bounds.log_tail_bound_certified
         monkeypatch.setattr(bounds, "log_tail_bound_certified",
@@ -947,21 +953,15 @@ class TestSamplerMemory:
         assert peak < 16 * models._CHUNK_WORDS
 
 
-class TestExpectationExperiment:
-    def test_mean_below_bound(self):
-        spec = contraction_spec()
-        mean, stderr, bound = run_expectation_experiment(spec, 32, trials=300, seed=8)
-        assert mean <= bound + 3 * stderr
-
-    def test_rejects_scalar(self):
-        spec = ModelSpec(kind="iid_baseline", d=1, chain=CHAIN, D=np.array([[1.0]]))
-        with pytest.raises(ModelError):
-            run_expectation_experiment(spec, 8, trials=200, seed=0)
-
-    def test_rejected_inputs_draw_nothing(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("Monte Carlo before the inputs")
-
-        monkeypatch.setattr(models, "_partial_sum_eigs", forbidden)
-        with pytest.raises(BoundDomainError, match="need n >= 2, got 1"):
-            run_expectation_experiment(contraction_spec(), 1, trials=2_000_000, seed=1)
+class TestDominanceCase:
+    @pytest.mark.parametrize("d, compared", [(1, 0), (2, 1)])
+    def test_expectation_is_compared_from_d_2(self, monkeypatch, d, compared):
+        # at d = 1 the ceiling is E S_n = 0 exactly, so the mean is compared
+        # with nothing, not even with a ceiling below every sample
+        monkeypatch.setattr(bounds, "expectation_bound", lambda inputs: -1e9)
+        spec = ModelSpec(kind="iid_baseline", d=d, chain=CHAIN, D=np.eye(d))
+        config = {"name": "m", "spec": spec, "n": 32, "inputs": bernstein_inputs_for(spec, 32),
+                  "x_grid": [-1.0]}
+        checked, failures = checks.run(checks.dominance, configs=[config], trials=300, seed=8)
+        assert checked == {"tail_dominance.m": 0, "expectation_dominance.m": compared}
+        assert [f["invariant"] for f in failures] == ["expectation_dominance.m"] * compared
