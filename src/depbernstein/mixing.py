@@ -109,28 +109,34 @@ class MarkovChain:
         Pk = [np.linalg.matrix_power(self.P, int(j)) for j in ks.ravel()]
         return JointLaw(pmf=self.pi[:, None] * np.reshape(Pk, ks.shape + self.P.shape))
 
-    def sample_paths(self, u: np.ndarray) -> np.ndarray:
+    def sample_paths(self, u, shape=None) -> np.ndarray:
         """One stationary path per row of the uniforms u, shape (paths, steps),
-        in the narrowest unsigned dtype that holds the last state.
+        in the narrowest unsigned dtype that holds the last state.  u is that
+        array, or, given its shape, an iterable of its row blocks in order:
+        (rows, steps) arrays, each ranked before the next is read, so a
+        caller can refill one buffer per block and the whole array never
+        exists.  Any split into blocks gives the same paths.
 
         The state after x is #{k <= s-2 : cumsum(P[x])[k] <= u}: the inverse
         CDF without its last column, so a row summing to just below 1 still
         ends at the last state (the first state inverts cumsum(pi) alike).
         That count depends on u only through its rank among the cut points,
         the distinct values of those columns, so each uniform is ranked once,
-        by counting the cuts at or below it (one comparison pass per cut, in
-        the narrowest unsigned type that holds the count), and the one-step
-        table nxt[x, rank] gives the next state.  One lookup moves a path k
-        transitions: with W ranks, k is the largest power of two with s W^k
-        <= _TABLE_WORDS, and the k-step table is built from nxt by doubling.
-        Its entry (x, c) holds the k states visited from x on the rank word
-        c of k steps (first step most significant), packed into one word.
-        The paths step together one block of k steps at a time, each to the
-        last state of its entry, one gather unpacks every block, and the at
-        most k - 1 transitions left over step through nxt.
+        by counting the cuts at or below it (one comparison pass per cut over
+        a block, in the narrowest unsigned type that holds the count), and
+        the one-step table nxt[x, rank] gives the next state.  One lookup
+        moves a path k transitions: with W ranks, k is the largest power of
+        two with s W^k <= _TABLE_WORDS, and the k-step table is built from
+        nxt by doubling.  Its entry (x, c) holds the k states visited from x
+        on the rank word c of k steps (first step most significant), packed
+        into one word.  The paths step together one block of k steps at a
+        time, each to the last state of its entry, one gather unpacks every
+        block, and the at most k - 1 transitions left over step through nxt.
         """
-        u = np.asarray(u, dtype=float)
-        s, (paths, steps) = self.states, u.shape
+        if shape is None:
+            u = np.asarray(u, dtype=float)
+            shape, u = u.shape, [u]
+        s, (paths, steps) = self.states, shape
         cuts, at = np.unique(np.cumsum(self.P, axis=1)[:, :-1], return_inverse=True)
         W, state = cuts.size + 1, np.min_scalar_type(s - 1)
         # entry k of row x is <= u from rank at[x, k] + 1 on: count those per rank
@@ -148,25 +154,36 @@ class MarkovChain:
         k = seq.shape[2]
         packed = seq.reshape(s * Wk, k).view(f"u{k * state.itemsize}").ravel()
         end = Wk * seq[:, :, -1].ravel().astype(np.intp)  # last state x, as row x W^k
-        rank = np.zeros(u.shape, np.min_scalar_type(cuts.size))
-        for cut in cuts:
-            rank += u >= cut
+        rank, path = np.empty(shape, np.min_scalar_type(cuts.size)), np.empty(shape, state)
+        lo = 0
+        for rows in u:
+            hi = lo + len(rows)
+            if rows.shape[1:] != (steps,) or hi > paths:
+                raise MixingError(f"uniform blocks must tile shape {shape}")
+            ranked = np.zeros(rows.shape, rank.dtype)
+            for cut in cuts:
+                ranked += rows >= cut
+            rank[lo:hi] = ranked
+            path[lo:hi, 0] = np.minimum((np.cumsum(self.pi) <= rows[:, :1]).sum(1), s - 1)
+            lo = hi
+        if lo != paths:
+            raise MixingError(f"uniform blocks must tile shape {shape}")
         blocks = (steps - 1) // k
-        # one row per block, one column per path: Horner over the block's ranks
-        ranks = rank[:, 1:1 + blocks * k].T.reshape(blocks, k, paths)
-        code = ranks[:, 0].astype(np.intp)
+        rest = 1 + blocks * k  # the first step left over after the k-step lookups
+        # one row per block of k steps, one column per path: Horner over its ranks
+        code = rank[:, 1:rest:k].T.astype(np.intp, order="C")
         for j in range(1, k):
             code *= W
-            code += ranks[:, j]
-        path = np.empty(u.shape, state)
-        path[:, 0] = np.minimum((np.cumsum(self.pi) <= u[:, :1]).sum(1), s - 1)
+            code += rank[:, 1 + j:rest:k].T
+        left = rank[:, rest:].copy()  # a copy, so that rank is freed before the unpacking
+        del rank
         cur = Wk * path[:, 0].astype(np.intp)
         for row in code:
             row += cur
             cur = end[row]
-        path[:, 1:1 + blocks * k] = packed.take(code.T).view(state)
-        for j in range(1 + blocks * k, steps):
-            path[:, j] = nxt[path[:, j - 1], rank[:, j]]
+        path[:, 1:rest].view(packed.dtype)[:] = packed.take(code).T
+        for j in range(rest, steps):
+            path[:, j] = nxt[path[:, j - 1], left[:, j - rest]]
         return path
 
 

@@ -33,10 +33,13 @@ words of a part:
     rng.random(words) if part == 0 else rng.integers(0, 2, n)  # 1 is +1
 
 A chunk holds as many trials as fit in _CHUNK_WORDS words of its buffers
-(_trial_words), reads each part with one jump ahead and one random_raw
-call, and steps its chain paths together in one pass.  The sign words are
-freed before the path words are drawn, so each stream word is held once:
-a contraction chunk peaks at about 14 bytes per trial-step.
+(_trial_words), jumps each part ahead once and steps its chain paths
+together in one pass.  It reads its sign words in one random_raw call and
+frees them before the path is drawn.  It reads its path uniforms with
+Generator.random into one buffer, a block of rows (an eighth of the chunk)
+at a time, each ranked before the next is read, and it gathers and sums
+the summands a block of rows at a time too.  So no float64 array spans the
+chunk: a contraction chunk peaks at about 6.5 bytes per trial-step.
 """
 
 from __future__ import annotations
@@ -290,62 +293,64 @@ def _trial_words(spec: ModelSpec, n: int) -> int:
     return sum(_word_counts(spec, n)) + 2 * spec.d ** 2 + 32
 
 
-def _stream_words(seed: int, part: int, words: int, lo: int, hi: int) -> np.ndarray:
-    """Words [lo * words, hi * words) of stream `part` of `seed`, the raw
-    output of PCG64(SeedSequence(seed, spawn_key=(part,))), as one
-    (hi - lo, words) array: row t - lo holds trial t's words."""
+def _stream(seed: int, part: int, words: int, lo: int) -> np.random.PCG64:
+    """Stream `part` of `seed`, PCG64(SeedSequence(seed, spawn_key=(part,))),
+    jumped ahead to trial lo's block of `words` words."""
     bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(part,)))
     bitgen.advance(lo * words)
-    return bitgen.random_raw((hi - lo, words))
+    return bitgen
 
 
-def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+def _row_blocks(trials: int) -> list:
+    """A chunk's rows, one slice per block of an eighth of them (rounded up,
+    the last block shorter): the rows it draws and gathers at a time."""
+    rows = -(-trials // 8)
+    return [slice(b, min(b + rows, trials)) for b in range(0, trials, rows)]
+
+
+def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     """The random part of trials lo..hi-1, read from the seed's two streams
     (the module docstring) and stepped together in one sample_paths call.
 
-    Each stream part of the chunk is one PCG64 jumped ahead to trial lo and
-    one random_raw call (_stream_words), and a kind of one part builds one
-    PCG64.  A path word w gives the uniform (w >> 11) * 2^-53, as
-    Generator.random does; a sign word gives two signs, bit 31, then bit 63,
-    being 1 for +1, as Generator.integers(0, 2) draws them: the sign bits of
-    the word's little-endian int32 halves.  The sign words are drawn first,
-    become a one-byte mask and are freed before the path words are drawn;
-    the path words become their uniforms in place, so words and uniforms
-    never take two buffers, and that buffer is freed once the chain is
-    stepped.  So a contraction chunk peaks at about 14 bytes per trial-step,
-    inside sample_paths.
+    Each stream part of the chunk is one PCG64 jumped ahead to trial lo
+    (_stream).  A sign word gives two signs, bit 31, then bit 63, being 1
+    for +1, as Generator.integers(0, 2) draws them: the sign bits of the
+    word's little-endian int32 halves.  The sign words are read in one
+    random_raw call, become a one-byte mask and are freed before the path
+    is drawn.  The path uniforms are read one block of rows (an eighth of
+    the chunk) at a time into one buffer, by Generator.random, which makes
+    (w >> 11) * 2^-53 of a word w, and each block is ranked by sample_paths
+    before the next is read.  So no float64 array spans the chunk.
 
-    Returns the (trials, n) coefficients c of the summands c * D for the
-    contraction/iid models, one C-ordered array whose rows are the trials,
-    or the (trials, n, d) centered rows C_i for the block model.
+    Returns (values, index): the summand coefficients are values[index],
+    the (trials, n) coefficients c of the summands c * D for the
+    contraction/iid models, whose rows are the trials, or the (trials, n, d)
+    centered rows C_i for the block model.  index takes one byte an entry
+    on chains of up to 128 states.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ModelError(f"seed must be a non-negative integer, got {seed}")
     steps, signs = _word_counts(spec, n)
     if signs:  # the block model draws no signs
-        sign_words = _stream_words(seed, 1, signs, lo, hi).astype("<u8", copy=False)
+        sign_words = _stream(seed, 1, signs, lo).random_raw((hi - lo, signs))
+        sign_words = sign_words.astype("<u8", copy=False)
         negative = sign_words.view("<i4")[:, :n] >= 0
-        del sign_words  # before the path words are drawn
+        del sign_words  # before the path is drawn
     if spec.kind == "iid_baseline":
-        return np.where(negative, -1.0, 1.0)
-    # the path words become their uniforms in place, a block of rows at a
-    # time: a block's shifted words are the only other buffer
-    words = _stream_words(seed, 0, steps, lo, hi)
-    u = words.view(np.float64)
-    block = -(-(hi - lo) // 8)
-    for b in range(0, hi - lo, block):
-        np.multiply(words[b:b + block] >> 11, 2.0 ** -53, out=u[b:b + block])
-    path = spec.chain.sample_paths(u)
-    del words, u  # the path buffer, before the coefficients are built
+        return np.array([1.0, -1.0]), negative.view(np.uint8)
+    rng, blocks = np.random.Generator(_stream(seed, 0, steps, lo)), _row_blocks(hi - lo)
+    buf = np.empty((blocks[0].stop, steps))
+    path = spec.chain.sample_paths((rng.random(out=buf[:b.stop - b.start]) for b in blocks),
+                                   (hi - lo, steps))
     if spec.kind == "block_covariance":
-        return spec.centered_values[path].reshape(hi - lo, n, spec.d)
+        return spec.centered_values, path.reshape(hi - lo, n, spec.d)
     # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
     if 2 * spec.chain.states - 1 > np.iinfo(path.dtype).max:
         path = path.astype(np.min_scalar_type(2 * spec.chain.states - 1))
     path <<= 1
     path += negative
-    return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()[path]
+    return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel(), path
 
 
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
@@ -486,13 +491,23 @@ def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
 
 
 def _chunk_eigs(args) -> np.ndarray:
-    """Ascending eigenvalues of the partial sum of each trial in one chunk."""
+    """Ascending eigenvalues of the partial sum of each trial in one chunk.
+    The summands are gathered and summed one block of rows (an eighth of
+    the chunk) at a time, so their float64 coefficients never span it; each
+    trial's row is summed whole."""
     spec, n, seed, lo, hi = args
-    draws = _draw(spec, n, seed, lo, hi)
+    values, index = _draw(spec, n, seed, lo, hi)
     if spec.kind == "block_covariance":
-        S = draws.transpose(0, 2, 1) @ draws - n * block_covariance_mean(spec)
+        S = np.empty((hi - lo, spec.d, spec.d))
+        for b in _row_blocks(hi - lo):
+            draws = values.take(index[b])
+            S[b] = draws.transpose(0, 2, 1) @ draws
+        S -= n * block_covariance_mean(spec)
     else:
-        S = draws.sum(axis=1)[:, None, None] * spec.D
+        sums = np.empty(hi - lo)
+        for b in _row_blocks(hi - lo):
+            sums[b] = values.take(index[b]).sum(axis=1)
+        S = sums[:, None, None] * spec.D
     return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
 
 

@@ -261,6 +261,14 @@ class TestMarkovChain:
         assert np.array_equal(a, b)
 
 
+def refilled(blocks):
+    """The row blocks, each copied into the one buffer before it is yielded."""
+    buf = np.empty((max(map(len, blocks)), blocks[0].shape[1]))
+    for block in blocks:
+        buf[:len(block)] = block
+        yield buf[:len(block)]
+
+
 class TestSamplePathsBitwise:
     """sample_paths against the per-step reference, bit for bit."""
 
@@ -283,6 +291,26 @@ class TestSamplePathsBitwise:
             path = chain.sample_paths(u)
             assert path.shape == shape and path.dtype == np.min_scalar_type(chain.states - 1)
             assert np.array_equal(path, per_step_paths(chain, u))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
+    def test_any_split_into_row_blocks_gives_the_same_paths(self, name):
+        # 9 steps leave a transition over after every k-step lookup size; the
+        # blocks arrive in one buffer that is refilled per block, as models
+        # reads its stream
+        chain = SAMPLER_CHAINS[name]()
+        rng = np.random.default_rng(9)
+        for u in (rng.random((23, 9)), rng.choice(edge_uniforms(chain), (23, 9))):
+            whole = chain.sample_paths(u)
+            for splits in ([], [1], [22], [5, 6, 17], list(range(1, 23))):
+                blocks = np.split(u, splits)
+                assert np.array_equal(chain.sample_paths(blocks, u.shape), whole)
+                assert np.array_equal(chain.sample_paths(refilled(blocks), u.shape), whole)
+
+    @pytest.mark.parametrize("blocks", [[np.zeros((2, 9))], [np.zeros((4, 9))],
+                                        [np.zeros((3, 8))], [np.zeros(9)] * 3])
+    def test_row_blocks_must_tile_the_shape(self, blocks):
+        with pytest.raises(MixingError, match=r"must tile shape \(3, 9\)"):
+            MarkovChain.two_state(0.25, 0.25).sample_paths(blocks, (3, 9))
 
     def test_two_byte_states(self):
         chain = MarkovChain.iid(np.full(300, 1 / 300))

@@ -129,8 +129,16 @@ def trial_generator(seed, part, t, words):
     return np.random.Generator(bitgen)
 
 
+def draw(spec, n, seed, lo, hi):
+    """The summand coefficients of trials lo..hi-1 that models._draw reads,
+    as one array: values[index], which models._chunk_eigs gathers a block of
+    rows at a time."""
+    values, index = models._draw(spec, n, seed, lo, hi)
+    return values[index]
+
+
 def draw_reference(spec, n, seed, lo, hi):
-    """models._draw with one numpy Generator per trial and stream part: the
+    """draw with one numpy Generator per trial and stream part: the
     path uniforms from part 0's .random, the signs from part 1's
     .integers(0, 2, n) * 2 - 1, which reads two signs a word."""
     signs = (n + 1) // 2
@@ -150,7 +158,7 @@ def simulate_summands(spec, n, seed, trials):
     """The summands X_i of trials 0..trials-1 as one (trials, n, d, d) array,
     assembled from models._draw; the sampler itself only sums the draws
     (models._chunk_eigs)."""
-    draws = models._draw(spec, n, seed, 0, trials)
+    draws = draw(spec, n, seed, 0, trials)
     if spec.kind == "block_covariance":
         return np.einsum("tia,tib->tiab", draws, draws) - block_covariance_mean(spec)
     return draws[:, :, None, None] * spec.D
@@ -204,7 +212,7 @@ class TestDraw:
          "28ced31a8516505caaa900760c64f4035f1d3603c69ce189709e81f2018f2aa4"),
     ])
     def test_draw_pinned(self, kind, n, seed, lo, hi, digest):
-        out = models._draw(DRAW_SPECS[kind], n, seed, lo, hi)
+        out = draw(DRAW_SPECS[kind], n, seed, lo, hi)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
@@ -224,7 +232,7 @@ class TestDraw:
     @pytest.mark.parametrize("seed, lo", [(0, 0), (2 ** 64 + 5, 60), (2 ** 100, 130)])
     def test_matches_per_trial_generators(self, kind, n, seed, lo):
         spec = DRAW_SPECS[kind]
-        got = models._draw(spec, n, seed, lo, lo + 9)
+        got = draw(spec, n, seed, lo, lo + 9)
         want = draw_reference(spec, n, seed, lo, lo + 9)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -236,12 +244,12 @@ class TestDraw:
         s = 130
         spec = ModelSpec(kind="contraction", d=2, D=D2, chain=MarkovChain.iid(np.full(s, 1 / s)),
                          tau_map=np.linspace(-1.0, 1.0, s))
-        got, want = models._draw(spec, 64, 3, 0, 20), draw_reference(spec, 64, 3, 0, 20)
+        got, want = draw(spec, 64, 3, 0, 20), draw_reference(spec, 64, 3, 0, 20)
         assert np.array_equal(got, want)
 
     def test_tau_zero_keeps_the_sign_of_zero(self):
         spec = contraction_spec(tau=(0.0, 0.0))
-        got, want = models._draw(spec, 9, 3, 0, 5), draw_reference(spec, 9, 3, 0, 5)
+        got, want = draw(spec, 9, 3, 0, 5), draw_reference(spec, 9, 3, 0, 5)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_negative_seed(self):
@@ -251,15 +259,17 @@ class TestDraw:
     def test_trials_past_uint32_have_their_own_words(self):
         # a uint32 trial index wrapped t = 2^32 to t = 0's stream
         spec, n = contraction_spec(), 64
-        got = models._draw(spec, n, 0, 2 ** 32 - 1, 2 ** 32 + 1)
+        got = draw(spec, n, 0, 2 ** 32 - 1, 2 ** 32 + 1)
         assert np.array_equal(got, draw_reference(spec, n, 0, 2 ** 32 - 1, 2 ** 32 + 1))
-        first = models._draw(spec, n, 0, 0, 1)[0]
+        first = draw(spec, n, 0, 0, 1)[0]
         assert not np.array_equal(got[0], first) and not np.array_equal(got[1], first)
 
-    @pytest.mark.parametrize("kind, parts", [("contraction", 2), ("contraction-3-state", 2),
-                                             ("iid_baseline", 1), ("block_covariance", 1)])
-    def test_one_generator_and_one_read_per_stream_part(self, kind, parts, monkeypatch):
-        # whatever the trial count: a per-trial loop would build one per trial
+    @pytest.mark.parametrize("kind", sorted(DRAW_SPECS))
+    def test_one_generator_per_stream_part_and_one_read_per_row_block(self, kind, monkeypatch):
+        # whatever the trial count: a per-trial loop would build one PCG64 and
+        # make one read per trial.  The signs are one random_raw read; the
+        # path uniforms are read one block of rows, an eighth of the chunk,
+        # at a time, so at most 8 reads
         calls = []
 
         class CountingPCG64(np.random.PCG64):
@@ -271,11 +281,20 @@ class TestDraw:
                 calls.append("random_raw")
                 return super().random_raw(*args, **kwargs)
 
+        class CountingGenerator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append("random")
+                return super().random(*args, **kwargs)
+
         monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
-        for trials in (1, 2, 300):
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        spec = DRAW_SPECS[kind]
+        signs = [] if spec.kind == "block_covariance" else ["PCG64", "random_raw"]
+        for trials, blocks in [(1, 1), (2, 2), (9, 5), (300, 8), (3000, 8)]:
             calls.clear()
-            models._draw(DRAW_SPECS[kind], 8, 5, 3, 3 + trials)
-            assert calls == ["PCG64", "random_raw"] * parts
+            models._draw(spec, 8, 5, 3, 3 + trials)
+            path = [] if spec.kind == "iid_baseline" else ["PCG64"] + ["random"] * blocks
+            assert calls == signs + path
 
 
 class TestSimulators:
@@ -920,13 +939,15 @@ class TestSamplerMemory:
     def test_words_and_uniforms_never_share_the_peak(self):
         # a contraction chunk reads 12 bytes of stream words per trial-step
         # and steps on 8 bytes of uniforms; with both alive at once the
-        # chunk peaked at 21.2 bytes per trial-step, and with the sign words
-        # kept beside the uniforms while the chain stepped, at 18.05
+        # chunk peaked at 21.2 bytes per trial-step, with the sign words kept
+        # beside the uniforms while the chain stepped at 18.05, and with the
+        # whole chunk's uniforms and float64 coefficients at 14.0.  Read and
+        # gathered an eighth of the chunk at a time, it peaks at 6.5
         spec = ModelSpec(kind="contraction", d=4, chain=CHAIN,
                          D=np.diag([1.0, 1 / 3, -1 / 3, -1.0]), tau_map=np.array([1.0, -1.0]))
         n, trials = 1024, 200
         models._chunk_eigs((spec, n, 7, 0, trials))  # one-time allocations
-        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 15.0
+        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 8.0
 
     def test_large_n_peak_is_bounded(self):
         # a chunk is sized by words, so its buffers do not grow with n; the
