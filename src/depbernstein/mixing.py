@@ -154,17 +154,15 @@ class MarkovChain:
         k = seq.shape[2]
         packed = seq.reshape(s * Wk, k).view(f"u{k * state.itemsize}").ravel()
         end = Wk * seq[:, :, -1].ravel().astype(np.intp)  # last state x, as row x W^k
-        rank, path = np.empty(shape, np.min_scalar_type(cuts.size)), np.empty(shape, state)
+        rank, path = np.zeros(shape, np.min_scalar_type(cuts.size)), np.empty(shape, state)
         lo = 0
         for rows in u:
             hi = lo + len(rows)
             if rows.shape[1:] != (steps,) or hi > paths:
                 raise MixingError(f"uniform blocks must tile shape {shape}")
-            ranked = np.zeros(rows.shape, rank.dtype)
-            for cut in cuts:
-                ranked += rows >= cut
-            rank[lo:hi] = ranked
-            path[lo:hi, 0] = np.minimum((np.cumsum(self.pi) <= rows[:, :1]).sum(1), s - 1)
+            for cut in cuts:  # counted straight into rank, with no count array of its own
+                rank[lo:hi] += rows >= cut
+            path[lo:hi, 0] = (np.cumsum(self.pi)[:-1] <= rows[:, :1]).sum(1)
             lo = hi
         if lo != paths:
             raise MixingError(f"uniform blocks must tile shape {shape}")

@@ -12,7 +12,8 @@ The variance proxy v^2 that enters the bound has one path and no Monte
 Carlo, v2_ceiling, from the exact lag moments E(X_0 X_k) that lag_moments
 derives from (pi, P) for every kind.  It is exact when the summands have no
 cross moments, as under a fair sign, and a certified ceiling otherwise.
-The same exact moments make v2_bruteforce an oracle for every kind.
+The same exact moments make v2_bruteforce an oracle for every kind, and
+log_laplace is the exact Laplace transform of the contraction/iid models.
 
 spec_from_config reads a model config through two tables, the --model
 names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
@@ -39,7 +40,7 @@ frees them before the path is drawn.  It reads its path uniforms with
 Generator.random into one buffer, a block of rows (an eighth of the chunk)
 at a time, each ranked before the next is read, and it gathers and sums
 the summands a block of rows at a time too.  So no float64 array spans the
-chunk: a contraction chunk peaks at about 6.5 bytes per trial-step.
+chunk: a contraction chunk peaks at about 6.3 bytes per trial-step.
 """
 
 from __future__ import annotations
@@ -243,6 +244,25 @@ def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
     return _lag_moments(square, A, m, _lag_powers(spec.chain.P, w, lags))
 
 
+def log_laplace(spec: ModelSpec, n: int, t):
+    """log E Tr exp(t S_n) of the contraction or iid model (tau = 1), exactly, at
+    a scalar t or each entry of an array t with |t| M <= 710, where cosh is finite.
+    Given the path the signs are independent, so with h_j(x) = cosh(t lam_j tau(x))
+    for each eigenvalue lam_j of D it is sum_j pi diag(h_j) (P diag(h_j))^(n-1) 1
+    (Dembo & Zeitouni, section 3.1), the row vector renormalized after each product."""
+    t = np.asarray(t, dtype=float)
+    if spec.kind == "block_covariance" or n < 1 or not np.all(np.abs(t) * spec.M <= 710.0):
+        raise ModelError("log_laplace needs a contraction or iid model, n >= 1 and |t| M <= 710")
+    tau = spec.tau_map if spec.kind == "contraction" else np.ones(spec.chain.states)
+    h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), tau)))  # (..., d, s)
+    w, log_mass = spec.chain.pi * h, 0.0
+    for _ in range(n - 1):
+        mass = w.sum(axis=-1)
+        w, log_mass = w / mass[..., None] @ spec.chain.P * h, log_mass + np.log(mass)
+    out = np.logaddexp.reduce(log_mass + np.log(w.sum(axis=-1)), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
 def v2_ceiling(spec: ModelSpec) -> float:
     """Certified ceiling on the variance proxy, valid for every n.
 
@@ -308,7 +328,7 @@ def _row_blocks(trials: int) -> list:
     return [slice(b, min(b + rows, trials)) for b in range(0, trials, rows)]
 
 
-def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
+def _draws(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     """The random part of trials lo..hi-1, read from the seed's two streams
     (the module docstring) and stepped together in one sample_paths call.
 
@@ -322,35 +342,40 @@ def _draw(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     (w >> 11) * 2^-53 of a word w, and each block is ranked by sample_paths
     before the next is read.  So no float64 array spans the chunk.
 
-    Returns (values, index): the summand coefficients are values[index],
-    the (trials, n) coefficients c of the summands c * D for the
-    contraction/iid models, whose rows are the trials, or the (trials, n, d)
-    centered rows C_i for the block model.  index takes one byte an entry
-    on chains of up to 128 states.
+    Yields the summand coefficients values[index] one block of rows
+    (_row_blocks) at a time: the (rows, n) coefficients c of the summands
+    c * D for the contraction/iid models, or the (rows, n, d) centered rows
+    C_i for the block model.  index takes one byte an entry on chains of up
+    to 128 states.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ModelError(f"seed must be a non-negative integer, got {seed}")
     steps, signs = _word_counts(spec, n)
+    blocks = _row_blocks(hi - lo)
     if signs:  # the block model draws no signs
         sign_words = _stream(seed, 1, signs, lo).random_raw((hi - lo, signs))
         sign_words = sign_words.astype("<u8", copy=False)
         negative = sign_words.view("<i4")[:, :n] >= 0
         del sign_words  # before the path is drawn
+    if steps:  # the iid model draws no path
+        rng = np.random.Generator(_stream(seed, 0, steps, lo))
+        buf = np.empty((blocks[0].stop, steps))
+        index = spec.chain.sample_paths((rng.random(out=buf[:b.stop - b.start]) for b in blocks),
+                                        (hi - lo, steps))
     if spec.kind == "iid_baseline":
-        return np.array([1.0, -1.0]), negative.view(np.uint8)
-    rng, blocks = np.random.Generator(_stream(seed, 0, steps, lo)), _row_blocks(hi - lo)
-    buf = np.empty((blocks[0].stop, steps))
-    path = spec.chain.sample_paths((rng.random(out=buf[:b.stop - b.start]) for b in blocks),
-                                   (hi - lo, steps))
-    if spec.kind == "block_covariance":
-        return spec.centered_values, path.reshape(hi - lo, n, spec.d)
-    # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
-    if 2 * spec.chain.states - 1 > np.iinfo(path.dtype).max:
-        path = path.astype(np.min_scalar_type(2 * spec.chain.states - 1))
-    path <<= 1
-    path += negative
-    return np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel(), path
+        values, index = np.array([1.0, -1.0]), negative.view(np.uint8)
+    elif spec.kind == "block_covariance":
+        values, index = spec.centered_values, index.reshape(hi - lo, n, spec.d)
+    else:
+        # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
+        if 2 * spec.chain.states - 1 > np.iinfo(index.dtype).max:
+            index = index.astype(np.min_scalar_type(2 * spec.chain.states - 1))
+        index <<= 1
+        index += negative
+        values = np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()
+    for b in blocks:
+        yield values.take(index[b])
 
 
 def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
@@ -483,8 +508,10 @@ def clopper_pearson(k, n: int, conf: float = 0.99):
 def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
     """Assemble (n, d, M, v, c) for a model.  v needs no Monte Carlo: it is
     the certified ceiling v2_ceiling, valid for every n and exact when the
-    summands have no cross moments.  c is fitted from the chain's exact beta
-    profile."""
+    summands have no cross moments.  c is fitted to the chain's exact beta
+    profile on lags 2..RATE_LAGS = 50 only (fit_geometric_rate): a window
+    estimate, not a certificate, as beta_51 > e^{-50c} on the flip-1/4 chain
+    shows.  A certified c is open work (ROADMAP, "Certified c")."""
     v = math.sqrt(v2_ceiling(spec))
     c = fit_geometric_rate(spec.chain, RATE_LAGS)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
@@ -493,20 +520,14 @@ def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
 def _chunk_eigs(args) -> np.ndarray:
     """Ascending eigenvalues of the partial sum of each trial in one chunk.
     The summands are gathered and summed one block of rows (an eighth of
-    the chunk) at a time, so their float64 coefficients never span it; each
-    trial's row is summed whole."""
+    the chunk) at a time (_draws), so their float64 coefficients never span
+    it; each trial's row is summed whole."""
     spec, n, seed, lo, hi = args
-    values, index = _draw(spec, n, seed, lo, hi)
     if spec.kind == "block_covariance":
-        S = np.empty((hi - lo, spec.d, spec.d))
-        for b in _row_blocks(hi - lo):
-            draws = values.take(index[b])
-            S[b] = draws.transpose(0, 2, 1) @ draws
+        S = np.concatenate([C.transpose(0, 2, 1) @ C for C in _draws(spec, n, seed, lo, hi)])
         S -= n * block_covariance_mean(spec)
     else:
-        sums = np.empty(hi - lo)
-        for b in _row_blocks(hi - lo):
-            sums[b] = values.take(index[b]).sum(axis=1)
+        sums = np.concatenate([c.sum(axis=1) for c in _draws(spec, n, seed, lo, hi)])
         S = sums[:, None, None] * spec.D
     return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
 
@@ -526,7 +547,7 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     one, so its buffers stay about the same size at every n and d.  When
     workers > 1 the chunks are mapped through a process pool of at most one
     worker per chunk and per CPU.  Trial t's words depend only on (seed, t)
-    (_draw), so no result depends on the chunk size or the worker count.
+    (_draws), so no result depends on the chunk size or the worker count.
     """
     _check_sampling(n, trials, workers)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
@@ -597,23 +618,4 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
         mean_lambda_max=float(samples.mean()),
         mean_stderr=float(samples.std(ddof=1) / math.sqrt(trials)),
     )
-
-
-def empirical_laplace(spec: ModelSpec, n: int, t_grid, trials: int, seed: int):
-    """MC estimate of E Tr exp(t * partial sum) on a t grid.
-
-    Returns a list of (t, estimate, stderr).  The grid must satisfy
-    t*n*M <= 50 to keep exp() well inside double range.
-    """
-    t_grid = [float(t) for t in t_grid]
-    M = spec.M
-    if any(t * n * M > 50.0 for t in t_grid):
-        raise ModelError("t*n*M exceeds the overflow guard (50)")
-    eigs = _partial_sum_eigs(spec, n, trials, seed)
-    out = []
-    for t in t_grid:
-        vals = np.exp(t * eigs).sum(axis=1)
-        out.append((t, float(vals.mean()),
-                    float(vals.std(ddof=1) / math.sqrt(trials))))
-    return out
 

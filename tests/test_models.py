@@ -8,15 +8,15 @@ import pytest
 
 from depbernstein.bounds import BernsteinInputs, BoundDomainError
 from depbernstein import bounds, checks, models
-from depbernstein.mixing import MarkovChain, dbar
+from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
 from depbernstein.models import (
     ModelError,
     ModelSpec,
     bernstein_inputs_for,
     block_covariance_mean,
     clopper_pearson,
-    empirical_laplace,
     lag_moments,
+    log_laplace,
     run_tail_experiment,
     spec_from_config,
     v2_bruteforce,
@@ -130,11 +130,9 @@ def trial_generator(seed, part, t, words):
 
 
 def draw(spec, n, seed, lo, hi):
-    """The summand coefficients of trials lo..hi-1 that models._draw reads,
-    as one array: values[index], which models._chunk_eigs gathers a block of
-    rows at a time."""
-    values, index = models._draw(spec, n, seed, lo, hi)
-    return values[index]
+    """The summand coefficients of trials lo..hi-1 as one array: the row
+    blocks that models._draws yields, concatenated."""
+    return np.concatenate(list(models._draws(spec, n, seed, lo, hi)))
 
 
 def draw_reference(spec, n, seed, lo, hi):
@@ -156,7 +154,7 @@ def draw_reference(spec, n, seed, lo, hi):
 
 def simulate_summands(spec, n, seed, trials):
     """The summands X_i of trials 0..trials-1 as one (trials, n, d, d) array,
-    assembled from models._draw; the sampler itself only sums the draws
+    assembled from models._draws; the sampler itself only sums the draws
     (models._chunk_eigs)."""
     draws = draw(spec, n, seed, 0, trials)
     if spec.kind == "block_covariance":
@@ -292,7 +290,7 @@ class TestDraw:
         signs = [] if spec.kind == "block_covariance" else ["PCG64", "random_raw"]
         for trials, blocks in [(1, 1), (2, 2), (9, 5), (300, 8), (3000, 8)]:
             calls.clear()
-            models._draw(spec, 8, 5, 3, 3 + trials)
+            list(models._draws(spec, 8, 5, 3, 3 + trials))
             path = [] if spec.kind == "iid_baseline" else ["PCG64"] + ["random"] * blocks
             assert calls == signs + path
 
@@ -625,7 +623,7 @@ class TestBlockCeiling:
         def forbidden(*args, **kwargs):
             raise AssertionError("Monte Carlo on the inputs path")
 
-        monkeypatch.setattr(models, "_draw", forbidden)
+        monkeypatch.setattr(models, "_draws", forbidden)
         a = bernstein_inputs_for(SHIPPED_BLOCK, 64)
         assert a == bernstein_inputs_for(SHIPPED_BLOCK, 64)
 
@@ -714,30 +712,106 @@ class TestInputsAssembly:
         assert inp.v == pytest.approx(math.sqrt(v2_ceiling(spec)))
         assert inp.c == pytest.approx(51.0 / 49.0 * math.log(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("chain", [CHAIN, MarkovChain.two_state(1e-12, 1e-12)],
+                             ids=["flip-1/4", "near-reducible"])
+    def test_fitted_c_is_a_window_estimate(self, chain):
+        # c is fitted on lags 2..50 only, and beta_51 already breaks its
+        # envelope: log beta_51 = -36.044 > -50c = -36.072 on the flip-1/4
+        # chain, beta_51 = 0.5 > 0.49298 on the near-reducible one
+        c = fit_geometric_rate(chain, RATE_LAGS)
+        assert math.log(beta_k_exact(chain, RATE_LAGS + 1)) > -c * RATE_LAGS
+
 
 class TestLaplace:
+    # P = [[.9, .1], [.3, .7]], whose chain matters: pi = (3/4, 1/4)
+    SKEWED = MarkovChain.from_transition([[0.9, 0.1], [0.3, 0.7]])
+
+    @staticmethod
+    def bruteforce(spec, n, t):
+        """E Tr exp(t S_n) as a sum over all s^n paths and 2^n signs."""
+        P, pi, lam = spec.chain.P, spec.chain.pi, np.linalg.eigvalsh(spec.D)
+        total = 0.0
+        for path in itertools.product(range(spec.chain.states), repeat=n):
+            weight = pi[path[0]] * math.prod(P[x, y] for x, y in zip(path, path[1:]))
+            for eps in itertools.product((1.0, -1.0), repeat=n):
+                c = sum(e * spec.tau_map[x] for e, x in zip(eps, path))
+                total += weight * np.exp(t * c * lam).sum() / 2 ** n
+        return total
+
     def test_t_zero_gives_d_exactly(self):
-        spec = contraction_spec()
-        [(t, est, err)] = empirical_laplace(spec, 8, [0.0], trials=200, seed=0)
-        assert t == 0.0 and est == 2.0 and err == 0.0
+        # every h_j is 1, and pi and P are dyadic
+        assert log_laplace(contraction_spec(), 8, 0.0) == math.log(2)
 
     def test_single_summand_two_point_law(self):
-        spec = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
-        t = 0.7
-        [(_, est, err)] = empirical_laplace(spec, 1, [t], trials=20_000, seed=3)
-        w = np.linalg.eigvalsh(D2)
+        t, w = 0.7, np.linalg.eigvalsh(D2)
+        iid = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
         exact = 0.5 * (np.exp(t * w).sum() + np.exp(-t * w).sum())
-        assert est == pytest.approx(exact, abs=3 * err + 1e-12)
+        assert log_laplace(iid, 1, t) == pytest.approx(math.log(exact), rel=1e-15)
+        # tau = (1, 1/2) at pi = (1/2, 1/2): one cosh per state and eigenvalue
+        exact = 0.5 * np.cosh(t * np.outer(w, [1.0, 0.5])).sum()
+        assert log_laplace(contraction_spec(), 1, t) == pytest.approx(math.log(exact), rel=1e-15)
 
-    @pytest.mark.parametrize("trials", [0, 1])
-    def test_rejects_too_few_trials(self, trials):
-        with pytest.raises(ModelError):
-            empirical_laplace(contraction_spec(), 8, [0.1], trials=trials, seed=0)
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_unit_tau_is_a_cosh_power(self, n):
+        # |tau| = 1 leaves the chain out: sum_j cosh(t lam_j)^n, on every t at once
+        t = np.array([[0.0, 0.01, 0.3], [0.9, 2.0, -2.0]])
+        lam = np.linalg.eigvalsh(D2)
+        want = np.log((np.cosh(t[..., None] * lam) ** n).sum(axis=-1))
+        got = log_laplace(contraction_spec(tau=(1.0, -1.0)), n, t)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
-    def test_overflow_guard(self):
-        spec = contraction_spec()
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_every_path_and_sign(self, n):
+        spec = ModelSpec(kind="contraction", d=2, chain=self.SKEWED, D=D2,
+                         tau_map=np.array([1.0, 0.25]))
+        for t in (0.1, 0.7, 3.0):
+            want = math.log(self.bruteforce(spec, n, t))
+            assert log_laplace(spec, n, t) == pytest.approx(want, rel=1e-12)
+
+    def test_iid_model_is_unit_tau(self):
+        iid = ModelSpec(kind="iid_baseline", d=2, chain=self.SKEWED, D=D2)
+        unit = ModelSpec(kind="contraction", d=2, chain=self.SKEWED, D=D2,
+                         tau_map=np.array([1.0, -1.0]))
+        t = np.linspace(-1.0, 1.0, 9)
+        np.testing.assert_allclose(log_laplace(iid, 40, t), log_laplace(unit, 40, t), rtol=1e-14)
+
+    def test_finite_far_past_the_old_overflow_guard(self):
+        # t n M = 1000: the Monte-Carlo estimator it replaces refused t n M > 50
+        spec = ModelSpec(kind="contraction", d=2, chain=CHAIN, D=np.diag([1.0, -1.0]),
+                         tau_map=np.array([1.0, -1.0]))
+        got = log_laplace(spec, 2000, 0.5)
+        assert got == pytest.approx(math.log(2) + 2000 * math.log(math.cosh(0.5)), rel=1e-13)
+
+    def test_block_model_raises(self):
+        with pytest.raises(ModelError, match="contraction or iid"):
+            log_laplace(block_spec(CHAIN, 2, [1.0, -1.0]), 8, 0.1)
+
+    @pytest.mark.parametrize("n, t", [(0, 0.1), (8, 800.0), (8, [0.1, math.nan])])
+    def test_rejects_n_below_one_and_t_past_cosh_range(self, n, t):
         with pytest.raises(ModelError):
-            empirical_laplace(spec, 100, [10.0], trials=200, seed=0)
+            log_laplace(contraction_spec(), n, t)
+
+    def test_sampler_meets_the_exact_law_of_a_sticky_chain(self):
+        # tau = (1, 0) on a chain that stays put 95% of the time: the chain
+        # shapes the law of S_n.  At seed 5 the Monte-Carlo mean of
+        # Tr exp(t S_n) sits 1.82, 1.87 and 2.20 standard errors below the
+        # exact value.  Do not go to t >= 0.5, where its heavy right tail put
+        # it 5.8 below
+        sticky = MarkovChain.from_transition([[0.95, 0.05], [0.05, 0.95]])
+        D, tau = np.diag([1.0, -0.5]), np.array([1.0, 0.0])
+        spec = ModelSpec(kind="contraction", d=2, chain=sticky, D=D, tau_map=tau)
+        n, trials = 64, 20_000
+        eigs = models._partial_sum_eigs(spec, n, trials, 5)
+        for t in (0.1, 0.2, 0.3):
+            vals = np.exp(t * eigs).sum(axis=1)
+            stderr = vals.std(ddof=1) / math.sqrt(trials)
+            exact = math.exp(log_laplace(spec, n, t))
+            assert abs(vals.mean() - exact) < 4.0 * stderr
+        # the check can fail: with the chain's steps drawn iid from pi (P = 1 pi)
+        # the exact value moves 5.6 standard errors at t = 0.3
+        iid = ModelSpec(kind="contraction", d=2, chain=MarkovChain.iid(sticky.pi), D=D, tau_map=tau)
+        assert abs(math.exp(log_laplace(iid, n, t)) - exact) >= 5.0 * stderr
 
 
 class TestTailExperiment:
@@ -942,12 +1016,20 @@ class TestSamplerMemory:
         # chunk peaked at 21.2 bytes per trial-step, with the sign words kept
         # beside the uniforms while the chain stepped at 18.05, and with the
         # whole chunk's uniforms and float64 coefficients at 14.0.  Read and
-        # gathered an eighth of the chunk at a time, it peaks at 6.5
+        # gathered an eighth of the chunk at a time, it peaks at 6.3
         spec = ModelSpec(kind="contraction", d=4, chain=CHAIN,
                          D=np.diag([1.0, 1 / 3, -1 / 3, -1.0]), tau_map=np.array([1.0, -1.0]))
         n, trials = 1024, 200
         models._chunk_eigs((spec, n, 7, 0, trials))  # one-time allocations
         assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 8.0
+
+    def test_block_model_chunk_peak_per_trial_step(self):
+        # the shipped block model, d = 2: 26 bytes per trial-step with the
+        # whole chunk's centered rows in one float64 array, 12.9 gathered an
+        # eighth at a time, and 12.67 with each block's ranks counted in place
+        spec, n, trials = SHIPPED_BLOCK, 64, 400
+        models._chunk_eigs((spec, n, 7, 0, trials))  # one-time allocations
+        assert self.peak(models._chunk_eigs, (spec, n, 7, 0, trials)) / (trials * n) < 16.0
 
     def test_large_n_peak_is_bounded(self):
         # a chunk is sized by words, so its buffers do not grow with n; the
