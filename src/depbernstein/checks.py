@@ -58,30 +58,22 @@ def _rows(invariant: str, holds, **columns):
     return invariant, holds.size, [dict(zip(columns, row)) for row in zip(*cols)]
 
 
-def rand_sym(rng, d: int) -> np.ndarray:
-    """A random symmetric d x d matrix with entries in [-2, 2]."""
-    m = rng.uniform(-2.0, 2.0, (d, d))
-    return (m + m.T) / 2.0
-
-
 _HOLDER_P = (1.5, 2.0, 3.0, 10.0)
 SHIPPED_CHAIN = mixing.MarkovChain.two_state(0.25, 0.25)  # the chain of every shipped model
 
 
 def inequalities(seed: int = 20240901):
-    """1000 random pairs of symmetric matrices, d in 2..8, each with a
-    point t in [0.1, 1) for the convexity check, drawn in order and
-    checked one case per dimension: the pairs of one d form one stack."""
+    """1000 random pairs of symmetric matrices with entries in [-2, 2], d in
+    2..8, each with a point t in [0.1, 1) for the convexity check: the
+    dimensions and points are drawn first, then the pairs of one d as one
+    stack, checked as one case."""
     rng = np.random.default_rng(seed)
-    by_dim = {}
-    for i in range(1000):
-        d = int(rng.integers(2, 9))
-        by_dim.setdefault(d, []).append(
-            (i, rand_sym(rng, d), rand_sym(rng, d), float(rng.uniform(0.1, 1.0))))
-    for rows in by_dim.values():
-        pair, a, b, t = zip(*rows)
-        yield _inequality_case(np.array(pair), spectral.SymMatrix(a),
-                               spectral.SymMatrix(b), np.array(t))
+    dims, t = rng.integers(2, 9, 1000), rng.uniform(0.1, 1.0, 1000)
+    for d in np.unique(dims).tolist():
+        pair = np.flatnonzero(dims == d)
+        m = rng.uniform(-2.0, 2.0, (2, pair.size, d, d))
+        a, b = (m + m.swapaxes(-1, -2)) / 2.0
+        yield _inequality_case(pair, spectral.SymMatrix(a), spectral.SymMatrix(b), t[pair])
 
 
 def _inequality_case(pair, a, b, t):
@@ -146,8 +138,7 @@ def split_identity(seed: int):
     sum to (sigma t)^2 / (1 - kappa t) of the combined pair, to 1e-12
     relative; a failure carries its draw index `pair`."""
     rng = np.random.default_rng(seed)
-    draws = np.array([[*rng.uniform(0.05, 5.0, 4), rng.uniform(0.0, 0.999)]
-                      for _ in range(1000)])
+    draws = rng.uniform([0.05] * 4 + [0.0], [5.0] * 4 + [0.999], (1000, 5))
     s0, s1, k0, k1, w = draws.T
     p0, p1 = _bounds.SigmaKappaPair(s0, k0), _bounds.SigmaKappaPair(s1, k1)
     comb = _bounds.combine_sigma_kappa([p0, p1])

@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -40,6 +41,21 @@ def _csv_text(header, rows) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_lines(header, rows) -> str:
+    """_csv_text for rows of str cells: a row whose cells hold no comma,
+    quote, CR or LF needs no quoting, so it is joined as it is."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for cells in rows:
+        line = ",".join(cells)
+        if line.count(",") != len(cells) - 1 or '"' in line or "\r" in line or "\n" in line:
+            w.writerow(cells)
+        else:
+            buf.write(line + "\n")
     return buf.getvalue()
 
 
@@ -102,15 +118,20 @@ def _bound_values(kind, given):
 
 
 def _batch_column(path, header, rows, key: str, cast):
-    """The cells of column `key`, cast; a missing one (a short row) or one
-    that `cast` rejects names its column and its row (data rows from 0)."""
+    """The cells of column `key`, cast, as one float array, in one pass; a
+    missing one (a short row) or one that `cast` rejects names its column
+    and its row (data rows from 0), found by walking the cells again."""
     j = header.index(key)
-    for i, row in enumerate(rows):
-        try:
-            yield cast(row[j])
-        except (IndexError, ValueError):
-            got = "no cell" if j >= len(row) else f"{row[j]!r}, not {_WANTED[cast]},"
-            raise ValueError(f"batch {path} has {got} in column {key!r} at row {i}") from None
+    try:
+        return np.fromiter(map(cast, map(operator.itemgetter(j), rows)), float, len(rows))
+    except (IndexError, ValueError):
+        for i, row in enumerate(rows):
+            try:
+                cast(row[j])
+            except (IndexError, ValueError):
+                got = "no cell" if j >= len(row) else f"{row[j]!r}, not {_WANTED[cast]},"
+                raise ValueError(f"batch {path} has {got} in column {key!r} at row {i}") from None
+        raise
 
 
 def cmd_bound(args) -> int:
@@ -130,8 +151,7 @@ def cmd_bound(args) -> int:
             raise ValueError(f"batch {args.batch} is missing the columns {', '.join(missing)}")
         # float columns: the bounds use n and d as floats, and an n past
         # int64 would make an object array
-        given.update({k: np.fromiter(_batch_column(args.batch, header, rows, k, cast),
-                                     float, len(rows))
+        given.update({k: _batch_column(args.batch, header, rows, k, cast)
                       for k, cast in _BOUND_TYPES.items() if k in header})
         for i, row in enumerate(rows):
             if len(row) != len(header):
@@ -139,8 +159,8 @@ def cmd_bound(args) -> int:
                                  f" but its header has {len(header)}")
         res = _bound_values(args.kind, given)
         names = sorted(res)
-        columns = zip(*(res[k].tolist() for k in names))
-        _emit(_csv_text(header + names, [row + list(values) for row, values in zip(rows, columns)]),
+        values = zip(*(map(repr, res[k].tolist()) for k in names))
+        _emit(_csv_lines(header + names, (row + list(v) for row, v in zip(rows, values))),
               args.out)
         return 0
     res = {k: float(v) for k, v in _bound_values(args.kind, given).items()}

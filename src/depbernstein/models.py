@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, matrix_powers
+from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, log_row_power, matrix_powers
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -249,17 +249,14 @@ def log_laplace(spec: ModelSpec, n: int, t):
     a scalar t or each entry of an array t with |t| M <= 710, where cosh is finite.
     Given the path the signs are independent, so with h_j(x) = cosh(t lam_j tau(x))
     for each eigenvalue lam_j of D it is sum_j pi diag(h_j) (P diag(h_j))^(n-1) 1
-    (Dembo & Zeitouni, section 3.1), the row vector renormalized after each product."""
+    (Dembo & Zeitouni, section 3.1), by binary powers of P diag(h_j) (log_row_power)."""
     t = np.asarray(t, dtype=float)
     if spec.kind == "block_covariance" or n < 1 or not np.all(np.abs(t) * spec.M <= 710.0):
         raise ModelError("log_laplace needs a contraction or iid model, n >= 1 and |t| M <= 710")
     tau = spec.tau_map if spec.kind == "contraction" else np.ones(spec.chain.states)
     h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), tau)))  # (..., d, s)
-    w, log_mass = spec.chain.pi * h, 0.0
-    for _ in range(n - 1):
-        mass = w.sum(axis=-1)
-        w, log_mass = w / mass[..., None] @ spec.chain.P * h, log_mass + np.log(mass)
-    out = np.logaddexp.reduce(log_mass + np.log(w.sum(axis=-1)), axis=-1)
+    log_mass, _ = log_row_power(spec.chain.pi * h, spec.chain.P * h[..., None, :], n - 1)
+    out = np.logaddexp.reduce(log_mass, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,3 +6,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def rand_sym(rng, d: int):
+    """A random symmetric d x d matrix with entries in [-2, 2]."""
+    m = rng.uniform(-2.0, 2.0, (d, d))
+    return (m + m.T) / 2.0

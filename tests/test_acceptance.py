@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, rand_sym
 from depbernstein import bounds, cantor, checks, mixing, models
 from depbernstein.cli import main as cli_main
 
@@ -205,7 +205,7 @@ def test_criterion_11_v2_oracles():
         P /= P.sum(axis=1, keepdims=True)
         chain = mixing.MarkovChain.from_transition(P)
         d = int(rng.integers(1, 4))
-        D = checks.rand_sym(rng, d)
+        D = rand_sym(rng, d)
         tau = rng.uniform(-1.0, 1.0, s)
         spec = models.ModelSpec(kind="contraction", d=d, chain=chain,
                                 D=D, tau_map=tau)

@@ -333,6 +333,29 @@ class TestBoundCommand:
         assert main(["bound", "--kind", kind, "--batch", str(batch), "--out", str(out)]) == 0
         assert out.read_bytes() == _dict_reader_batch(batch, kind).encode()
 
+    def test_batch_bytes_match_the_dict_reader_on_2000_rows(self, tmp_path):
+        # rows joined as they are, between rows whose pass-through cell
+        # csv.writer quotes: a comma, a doubled quote, a newline and a bare CR
+        labels = [b"plain", b'"a, b"', b'"say ""hi"""', b'"two\nlines"', b'"bare\rCR"', b""]
+        lines = [b"label,n,d,M,v,c,x"] + [
+            labels[i % len(labels)] + b",%d,2,1,0.5,0.7,%d" % (2 ** (4 + i % 30), 10 + i)
+            for i in range(2000)]
+        batch = tmp_path / "rows.csv"
+        batch.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        out = tmp_path / "out.csv"
+        assert main(["bound", "--kind", "tail", "--batch", str(batch), "--out", str(out)]) == 0
+        assert out.read_bytes() == _dict_reader_batch(batch, "tail").encode()
+        assert out.read_bytes().count(b'"say ""hi"""') == 333
+
+    def test_batch_bad_cell_in_the_last_of_2000_rows_names_it(self, capsys, tmp_path):
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x\n" + "4,1,1,1,100,40\n" * 1999 + "4,1,1,1,100,forty\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (f"error: batch {batch} has 'forty', not a number, in column"
+                                f" 'x' at row 1999\n")
+
 
 def _dict_reader_batch(path, kind) -> str:
     """The output of `bound --batch` as csv.DictReader and csv.writer made

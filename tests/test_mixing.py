@@ -21,6 +21,7 @@ from depbernstein.mixing import (
     coupling_law,
     dbar,
     fit_geometric_rate,
+    log_row_power,
     matrix_powers,
 )
 
@@ -449,6 +450,32 @@ class TestMatrixPowers:
                             lambda M, k: made.append(k) or power(M, k))
         list(matrix_powers(np.eye(2), [3, 5, 7, 9, 10, 11]))
         assert made == [3, 2, 1]
+
+
+class TestLogRowPower:
+    def test_no_power_is_the_row_itself(self):
+        log_mass, u = log_row_power(np.array([0.5, 1.5]), np.eye(2), 0)
+        assert log_mass == math.log(2.0) and np.array_equal(u, [0.25, 0.75])
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64, 2 ** 40 + 3])
+    def test_a_scaled_stochastic_matrix_keeps_its_scale_in_the_log(self, m):
+        # w (c P)^m = c^m w P^m: its entries overflow at m = 3, its log mass
+        # is m log c + log(w 1), and the row tends to pi = (3/4, 1/4)
+        P = np.array([[0.9, 0.1], [0.3, 0.7]])
+        w = np.array([0.2, 0.6])
+        log_mass, u = log_row_power(w, 1e300 * P, m)
+        assert log_mass == pytest.approx(m * math.log(1e300) + math.log(0.8), rel=1e-14)
+        assert u.sum() == pytest.approx(1.0, abs=1e-15)
+        want = w @ np.linalg.matrix_power(P, min(m, 64)) / 0.8
+        np.testing.assert_allclose(u, want, rtol=1e-13)
+
+    def test_stack_of_rows_and_matrices(self):
+        rng = np.random.default_rng(3)
+        w, K = rng.random((4, 3, 5)), rng.random((4, 3, 5, 5))
+        log_mass, u = log_row_power(w, K, 11)
+        want = (w[..., None, :] @ np.linalg.matrix_power(K, 11))[..., 0, :]
+        np.testing.assert_allclose(log_mass, np.log(want.sum(axis=-1)), rtol=1e-13)
+        np.testing.assert_allclose(u, want / want.sum(axis=-1, keepdims=True), rtol=1e-13)
 
 
 class TestDbar:

@@ -738,6 +738,26 @@ class TestLaplace:
                 total += weight * np.exp(t * c * lam).sum() / 2 ** n
         return total
 
+    @staticmethod
+    def stepped(spec, n, t):
+        """log_laplace by n - 1 products of the row vector with P diag(h_j),
+        one step at a time, renormalized after each: the reference for the
+        binary powers."""
+        h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), spec.tau_map)))
+        w, log_mass = spec.chain.pi * h, 0.0
+        for _ in range(n - 1):
+            mass = w.sum(axis=-1)
+            w, log_mass = w / mass[..., None] @ spec.chain.P * h, log_mass + np.log(mass)
+        return np.logaddexp.reduce(log_mass + np.log(w.sum(axis=-1)), axis=-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 2 ** 12])
+    def test_binary_powers_match_the_stepped_loop(self, n):
+        spec = ModelSpec(kind="contraction", d=2, chain=self.SKEWED, D=D2,
+                         tau_map=np.array([1.0, 0.25]))
+        t = np.array([-300.0, -2.0, -0.1, 0.0, 1e-3, 0.05, 0.7, 3.0, 40.0, 500.0])
+        np.testing.assert_allclose(log_laplace(spec, n, t), self.stepped(spec, n, t),
+                                   rtol=1e-10, atol=0.0)
+
     def test_t_zero_gives_d_exactly(self):
         # every h_j is 1, and pi and P are dyadic
         assert log_laplace(contraction_spec(), 8, 0.0) == math.log(2)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conftest
 from depbernstein import checks
 from depbernstein.spectral import (
     SpectralError,
@@ -20,7 +21,7 @@ from depbernstein.spectral import (
 
 
 def rand_sym(rng, d):
-    return SymMatrix(checks.rand_sym(rng, d))
+    return SymMatrix(conftest.rand_sym(rng, d))
 
 
 def diag(*values):
@@ -170,7 +171,7 @@ class TestStacks:
         by_dim = {}
         for i, d in enumerate(rng.integers(2, 9, size=k)):
             by_dim.setdefault(int(d), []).append(
-                (i, checks.rand_sym(rng, d), checks.rand_sym(rng, d), rng.uniform(0.1, 1.0)))
+                (i, conftest.rand_sym(rng, d), conftest.rand_sym(rng, d), rng.uniform(0.1, 1.0)))
         out = []
         for rows in by_dim.values():
             pair, a, b, t = zip(*rows)
@@ -279,7 +280,7 @@ class TestStacks:
                     schatten_norm(x, 1.5), schatten_norm(x, np.inf)]
 
         rng = np.random.default_rng(7)
-        a, b = (SymMatrix([checks.rand_sym(rng, 4) for _ in range(6)]) for _ in range(2))
+        a, b = (SymMatrix([conftest.rand_sym(rng, 4) for _ in range(6)]) for _ in range(2))
         stacked = results(a, b)
         for i in range(6):
             single = results(SymMatrix(a.entries[i]), SymMatrix(b.entries[i]))
@@ -288,7 +289,7 @@ class TestStacks:
                 assert got == pytest.approx(col[i], rel=1e-13)
 
     def test_raw_stack_is_held_to_the_symmetry_rule(self):
-        raw = np.stack([checks.rand_sym(np.random.default_rng(s), 3) for s in range(4)])
+        raw = np.stack([conftest.rand_sym(np.random.default_rng(s), 3) for s in range(4)])
         drifted = raw.copy()
         drifted[2, 0, 1] += 1e-9
         with pytest.raises(SpectralError, match="not symmetric"):
