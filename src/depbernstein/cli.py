@@ -119,17 +119,18 @@ def _bound_values(kind, given):
 
 def _batch_column(path, header, rows, key: str, cast):
     """The cells of column `key`, cast, as one float array, in one pass; a
-    missing one (a short row) or one that `cast` rejects names its column
-    and its row (data rows from 0), found by walking the cells again."""
+    missing, rejected or out-of-float-range one names its column and its
+    row (data rows from 0), found by walking the cells again."""
     j = header.index(key)
     try:
         return np.fromiter(map(cast, map(operator.itemgetter(j), rows)), float, len(rows))
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, OverflowError):
         for i, row in enumerate(rows):
             try:
-                cast(row[j])
-            except (IndexError, ValueError):
-                got = "no cell" if j >= len(row) else f"{row[j]!r}, not {_WANTED[cast]},"
+                float(cast(row[j]))
+            except (IndexError, ValueError, OverflowError) as exc:
+                got = ("no cell" if j >= len(row) else f"{row[j]!r}, past the float range,"
+                       if isinstance(exc, OverflowError) else f"{row[j]!r}, not {_WANTED[cast]},")
                 raise ValueError(f"batch {path} has {got} in column {key!r} at row {i}") from None
         raise
 
@@ -163,6 +164,9 @@ def cmd_bound(args) -> int:
         _emit(_csv_lines(header + names, (row + list(v) for row, v in zip(rows, values))),
               args.out)
         return 0
+    for k in ("n", "d"):  # the bounds take them as floats
+        if abs(given[k] or 0) > sys.float_info.max:
+            raise ValueError(f"--{k} is past the float range, got {given[k]}")
     res = {k: float(v) for k, v in _bound_values(args.kind, given).items()}
     config = {"command": "bound", "kind": args.kind, **given}
     if args.format == "json":

@@ -125,16 +125,15 @@ class MarkovChain:
         ends at the last state (the first state inverts cumsum(pi) alike).
         That count depends on u only through its rank among the cut points,
         the distinct values of those columns, so each uniform is ranked once,
-        by counting the cuts at or below it (one comparison pass per cut over
-        a block, in the narrowest unsigned type that holds the count), and
-        the one-step table nxt[x, rank] gives the next state.  One lookup
-        moves a path k transitions: with W ranks, k is the largest power of
-        two with s W^k <= _TABLE_WORDS, and the k-step table is built from
-        nxt by doubling.  Its entry (x, c) holds the k states visited from x
-        on the rank word c of k steps (first step most significant), packed
-        into one word.  The paths step together one block of k steps at a
-        time, each to the last state of its entry, one gather unpacks every
-        block, and the at most k - 1 transitions left over step through nxt.
+        by counting the cuts at or below it, and the one-step table
+        nxt[x, rank] gives the next state.  One lookup moves a path k
+        transitions: with W ranks, k is the largest power of two with
+        s W^k <= _TABLE_WORDS, and the k-step table is built from nxt by
+        doubling.  Its entry (x, c) holds the k states visited from x on the
+        rank word c of k steps (first step most significant), packed into
+        one word.  The paths step together one block of k steps at a time (the
+        ranks padded with 0 to whole blocks), each to the last state of its
+        entry; one gather unpacks every block, and the surplus is sliced off.
         """
         if shape is None:
             u = np.asarray(u, dtype=float)
@@ -157,35 +156,31 @@ class MarkovChain:
         k = seq.shape[2]
         packed = seq.reshape(s * Wk, k).view(f"u{k * state.itemsize}").ravel()
         end = Wk * seq[:, :, -1].ravel().astype(np.intp)  # last state x, as row x W^k
-        rank, path = np.zeros(shape, np.min_scalar_type(cuts.size)), np.empty(shape, state)
+        padded = (paths, 1 + -(-(steps - 1) // k) * k)  # the first state, then whole blocks
+        rank, path = np.zeros(padded, np.min_scalar_type(cuts.size)), np.empty(padded, state)
         lo = 0
         for rows in u:
             hi = lo + len(rows)
             if rows.shape[1:] != (steps,) or hi > paths:
                 raise MixingError(f"uniform blocks must tile shape {shape}")
             for cut in cuts:  # counted straight into rank, with no count array of its own
-                rank[lo:hi] += rows >= cut
+                rank[lo:hi, :steps] += rows >= cut
             path[lo:hi, 0] = (np.cumsum(self.pi)[:-1] <= rows[:, :1]).sum(1)
             lo = hi
         if lo != paths:
             raise MixingError(f"uniform blocks must tile shape {shape}")
-        blocks = (steps - 1) // k
-        rest = 1 + blocks * k  # the first step left over after the k-step lookups
         # one row per block of k steps, one column per path: Horner over its ranks
-        code = rank[:, 1:rest:k].T.astype(np.intp, order="C")
+        code = rank[:, 1::k].T.astype(np.intp, order="C")
         for j in range(1, k):
             code *= W
-            code += rank[:, 1 + j:rest:k].T
-        left = rank[:, rest:].copy()  # a copy, so that rank is freed before the unpacking
+            code += rank[:, 1 + j::k].T
         del rank
         cur = Wk * path[:, 0].astype(np.intp)
         for row in code:
             row += cur
             cur = end[row]
-        path[:, 1:rest].view(packed.dtype)[:] = packed.take(code).T
-        for j in range(rest, steps):
-            path[:, j] = nxt[path[:, j - 1], left[:, j - rest]]
-        return path
+        path[:, 1:].view(packed.dtype)[:] = packed.take(code).T
+        return path[:, :steps]
 
 
 @dataclass(frozen=True)

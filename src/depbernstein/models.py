@@ -6,7 +6,8 @@ Two dependent models are shipped, plus an iid baseline:
                     of a fixed symmetric matrix D with an iid fair sign;
   block_covariance  X_i = C_i C_i^T - E(C_i C_i^T) where C_i stacks d
                     consecutive chain-driven bounded scalars;
-  iid_baseline      X_i = eps_i * D with iid fair signs.
+  iid_baseline      X_i = eps_i * D with iid fair signs, the contraction
+                    model with tau = 1; a constant tau draws no path.
 
 The variance proxy v^2 that enters the bound has one path and no Monte
 Carlo, v2_ceiling, from the exact lag moments E(X_0 X_k) that lag_moments
@@ -83,8 +84,8 @@ class ModelSpec:
     (spectral radius <= M); tau_map gives tau as a function of the hidden
     state and must have sup-norm <= 1.  For block_covariance, value_map
     gives the bounded scalar as a function of the state (centered
-    internally) and d consecutive scalars form one block.  A field that
-    the kind does not read must be left None.
+    internally) and d consecutive scalars form one block.  A field that the
+    kind does not read must be left None; the iid kind gets tau_map = 1.
     """
 
     kind: str
@@ -112,6 +113,8 @@ class ModelSpec:
         if d < 1 or isinstance(self.d, bool):
             raise ModelError(f"d must be an integer >= 1, got {self.d!r}")
         object.__setattr__(self, "d", d)
+        if self.kind == "iid_baseline":  # the contraction model with tau = 1
+            object.__setattr__(self, "tau_map", np.ones(self.chain.states))
         if self.D is not None:
             D = SymMatrix(np.asarray(self.D, dtype=float)).entries
             if D.shape != (d, d):
@@ -129,11 +132,14 @@ class ModelSpec:
                 raise ModelError(f"{name} must be finite")
             vals.flags.writeable = False
             object.__setattr__(self, name, vals)
+        # _tau0: tau where it is constant, bit for bit (tau = (0, -0) is not), else None
+        constant = self.tau_map is not None and np.ptp(self.tau_map.view(np.uint64)) == 0
+        object.__setattr__(self, "_tau0", float(self.tau_map[0]) if constant else None)
 
     @property
     def M(self) -> float:
         """Almost-sure ceiling on lambda_max of one summand."""
-        if self.kind in ("contraction", "iid_baseline"):
+        if self.D is not None:  # |tau| <= 1 times D
             return float(np.max(np.abs(np.linalg.eigvalsh(self.D))))
         m0 = float(np.max(np.abs(self.centered_values)))
         return self.d * m0 * m0
@@ -204,12 +210,12 @@ def _transfer(spec: ModelSpec):
 
     Block model: w = d, and each is a product of s x s matrices along the
     block (_block_paths), so no block path is enumerated.  Contraction/iid
-    model: w = 1, square = E(tau^2) D^2 (tau = 1 in the iid model), and the
-    fair sign makes A = m = 0.
+    model: w = 1, square = E(tau^2) D^2 (tau_0^2 D^2 exactly if tau is a
+    constant tau_0), and the fair sign makes A = m = 0.
     """
     P, pi, d = spec.chain.P, spec.chain.pi, spec.d
     if spec.kind != "block_covariance":
-        etau2 = float(pi @ spec.tau_map ** 2) if spec.kind == "contraction" else 1.0
+        etau2 = float(pi @ spec.tau_map ** 2) if spec._tau0 is None else spec._tau0 ** 2
         zero = np.zeros((d, d, spec.chain.states))
         return etau2 * (spec.D @ spec.D), zero, zero, 1
     vals = spec.centered_values
@@ -253,8 +259,7 @@ def log_laplace(spec: ModelSpec, n: int, t):
     t = np.asarray(t, dtype=float)
     if spec.kind == "block_covariance" or n < 1 or not np.all(np.abs(t) * spec.M <= 710.0):
         raise ModelError("log_laplace needs a contraction or iid model, n >= 1 and |t| M <= 710")
-    tau = spec.tau_map if spec.kind == "contraction" else np.ones(spec.chain.states)
-    h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), tau)))  # (..., d, s)
+    h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), spec.tau_map)))
     log_mass, _ = log_row_power(spec.chain.pi * h, spec.chain.P * h[..., None, :], n - 1)
     out = np.logaddexp.reduce(log_mass, axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -296,10 +301,10 @@ def v2_ceiling(spec: ModelSpec) -> float:
 
 def _word_counts(spec: ModelSpec, n: int):
     """The words one trial reads from each stream part: (path uniforms,
-    sign words)."""
+    sign words); a constant tau reads no path."""
     if spec.kind == "block_covariance":
         return n * spec.d, 0
-    return (n if spec.kind == "contraction" else 0), (n + 1) // 2
+    return (n if spec._tau0 is None else 0), (n + 1) // 2
 
 
 def _trial_words(spec: ModelSpec, n: int) -> int:
@@ -330,14 +335,10 @@ def _draws(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     (the module docstring) and stepped together in one sample_paths call.
 
     Each stream part of the chunk is one PCG64 jumped ahead to trial lo
-    (_stream).  A sign word gives two signs, bit 31, then bit 63, being 1
-    for +1, as Generator.integers(0, 2) draws them: the sign bits of the
-    word's little-endian int32 halves.  The sign words are read in one
-    random_raw call, become a one-byte mask and are freed before the path
-    is drawn.  The path uniforms are read one block of rows (an eighth of
-    the chunk) at a time into one buffer, by Generator.random, which makes
-    (w >> 11) * 2^-53 of a word w, and each block is ranked by sample_paths
-    before the next is read.  So no float64 array spans the chunk.
+    (_stream), read as the module docstring says.  A sign word gives two
+    signs, bit 31, then bit 63, being 1 for +1, as Generator.integers(0, 2)
+    draws them: the sign bits of the word's little-endian int32 halves.
+    Generator.random makes (w >> 11) * 2^-53 of a path word w.
 
     Yields the summand coefficients values[index] one block of rows
     (_row_blocks) at a time: the (rows, n) coefficients c of the summands
@@ -355,15 +356,15 @@ def _draws(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
         sign_words = sign_words.astype("<u8", copy=False)
         negative = sign_words.view("<i4")[:, :n] >= 0
         del sign_words  # before the path is drawn
-    if steps:  # the iid model draws no path
+    if steps:  # a constant tau draws no path
         rng = np.random.Generator(_stream(seed, 0, steps, lo))
         buf = np.empty((blocks[0].stop, steps))
         index = spec.chain.sample_paths((rng.random(out=buf[:b.stop - b.start]) for b in blocks),
                                         (hi - lo, steps))
-    if spec.kind == "iid_baseline":
-        values, index = np.array([1.0, -1.0]), negative.view(np.uint8)
-    elif spec.kind == "block_covariance":
+    if spec.kind == "block_covariance":
         values, index = spec.centered_values, index.reshape(hi - lo, n, spec.d)
+    elif not steps:  # a constant tau: entry b of the table is tau_0 * (-1)^b, sign bit b
+        values, index = spec._tau0 * np.array([1.0, -1.0]), negative.view(np.uint8)
     else:
         # entry 2x + b of the table is tau(x) * (-1)^b: state x with sign bit b
         if 2 * spec.chain.states - 1 > np.iinfo(index.dtype).max:

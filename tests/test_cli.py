@@ -290,6 +290,29 @@ class TestBoundCommand:
         assert captured.err == (f"error: batch {batch} has {cell!r}, not {want}, in column"
                                 f" {column!r} at row 1\n")
 
+    def test_batch_integer_past_the_float_range_names_its_row_and_column(self, capsys,
+                                                                         tmp_path):
+        # int() took the 401-digit cell, and its float conversion raised an
+        # OverflowError traceback, exit 1
+        big = "1" + "0" * 400
+        batch = tmp_path / "rows.csv"
+        batch.write_text(f"n,d,M,v,c,x\n4,1,1,1,100,40\n{big},2,1,1,100,40\n")
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (f"error: batch {batch} has {big!r}, past the float range,"
+                                " in column 'n' at row 1\n")
+
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_integer_flag_past_the_float_range_names_it(self, capsys, flag):
+        big = "1" + "0" * 400
+        argv = ["--n", "10", "--d", "2", "--M", "1", "--v", "1", "--c", "1", "--x", "5"]
+        argv[argv.index(flag) + 1] = big
+        code = main(["bound", "--kind", "tail", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {flag} is past the float range, got {big}\n"
+
     def test_batch_domain_error_names_its_row(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
         batch.write_text("n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,-1,100,40\n")

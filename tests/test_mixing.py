@@ -85,6 +85,8 @@ SAMPLER_CHAINS = {
     # 380 cut points: a rank no longer fits in one byte
     "dirichlet-20": lambda: dirichlet_chain(20, 5),
     "near-reducible": lambda: MarkovChain.two_state(1e-3, 1e-3),
+    # one cut, W = 2 ranks: a lookup moves k = 8 transitions
+    "one-cut": lambda: MarkovChain.two_state(0.5, 0.5),
     # cumulative rows end at 1 - 2^-53
     "iid-tenths": lambda: MarkovChain.iid([0.1] * 10),
     "primitive-with-zeros": lambda: MarkovChain.from_transition(
@@ -283,7 +285,9 @@ class TestSamplePathsBitwise:
         assert set(per_step_paths(chain, u)[:, 0]) == set(range(chain.states))
         assert np.array_equal(chain.sample_paths(u), per_step_paths(chain, u))
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (64, 2), (200, 1024)])
+    # steps 1..17 leave every remainder (steps - 1) mod k for k = 1, 2, 4, 8
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (64, 2), (200, 1024)]
+                             + [(16, steps) for steps in range(1, 18)])
     @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
     def test_matches_per_step_reference(self, name, shape):
         chain = SAMPLER_CHAINS[name]()
@@ -295,12 +299,12 @@ class TestSamplePathsBitwise:
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
     def test_any_split_into_row_blocks_gives_the_same_paths(self, name):
-        # 9 steps leave a transition over after every k-step lookup size; the
-        # blocks arrive in one buffer that is refilled per block, as models
-        # reads its stream
+        # 10 steps, 9 transitions, leave surplus states in the last lookup for
+        # every k > 1; the blocks arrive in one buffer that is refilled per
+        # block, as models reads its stream
         chain = SAMPLER_CHAINS[name]()
         rng = np.random.default_rng(9)
-        for u in (rng.random((23, 9)), rng.choice(edge_uniforms(chain), (23, 9))):
+        for u in (rng.random((23, 10)), rng.choice(edge_uniforms(chain), (23, 10))):
             whole = chain.sample_paths(u)
             for splits in ([], [1], [22], [5, 6, 17], list(range(1, 23))):
                 blocks = np.split(u, splits)

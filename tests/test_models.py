@@ -169,9 +169,14 @@ DRAW_SPECS = {
         kind="contraction", d=2, D=D2, tau_map=np.array([1.0, 0.5, -0.25]),
         chain=MarkovChain.from_transition([[.5, .25, .25], [.25, .25, .5], [.25, .5, .25]])),
     "iid_baseline": ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2),
+    # a constant tau reads no state, so it draws no path
+    "contraction-constant-tau": contraction_spec(tau=(0.5, 0.5)),
     "block_covariance": ModelSpec(kind="block_covariance", d=3, chain=CHAIN,
                                   value_map=np.array([0.0, 1.0])),
 }
+
+
+NO_PATH = ("iid_baseline", "contraction-constant-tau")
 
 
 class TestDraw:
@@ -187,7 +192,7 @@ class TestDraw:
          "586b178800e35778ca62368c45c48680d419fc3fd3549b47623dfe819b893157"),
         ("contraction", 3, 2 ** 33 + 1, 60, 70,
          "0034677b6dead17c9800ff8341251695261c0227a0024be7e918f7c5a0019a7d"),
-        # 65 and 1023 transitions: a step is left over after the k-step lookups
+        # 65 and 1023 transitions: the last k-step lookup has surplus states
         ("contraction-3-state", 66, 5, 0, 4,
          "399c544f307cc71811383463f7a71a56ba13311a3d0a49c3f24d35eb074155aa"),
         ("contraction-3-state", 1024, 5, 0, 4,
@@ -291,7 +296,7 @@ class TestDraw:
         for trials, blocks in [(1, 1), (2, 2), (9, 5), (300, 8), (3000, 8)]:
             calls.clear()
             list(models._draws(spec, 8, 5, 3, 3 + trials))
-            path = [] if spec.kind == "iid_baseline" else ["PCG64"] + ["random"] * blocks
+            path = [] if kind in NO_PATH else ["PCG64"] + ["random"] * blocks
             assert calls == signs + path
 
 
@@ -836,6 +841,21 @@ class TestLaplace:
 
 class TestTailExperiment:
     SPEC = contraction_spec()
+
+    def test_iid_is_the_contraction_model_with_unit_tau(self):
+        # pi of this chain sums to 1 - 2^-53, where pi @ tau^2 gave a v one
+        # ulp off the iid model's
+        chain = MarkovChain.from_transition([[0.9, 0.1], [0.3, 0.7]])
+        D = np.array([[1.0, 0.3], [0.3, -0.5]])
+        assert chain.pi.sum() != 1.0
+        iid, unit = (run_tail_experiment(spec, 64, 300, [0.5, 2.0, 8.0, 40.0], seed=5)
+                     for spec in (ModelSpec(kind="iid_baseline", d=2, chain=chain, D=D),
+                                  ModelSpec(kind="contraction", d=2, chain=chain, D=D,
+                                            tau_map=np.ones(2))))
+        assert iid.inputs["v"] == 1.0577747210701758
+        for key in ("lambda_max_samples", "inputs", "tail_grid", "bound_curve",
+                    "log_bound_curve"):
+            assert getattr(iid, key) == getattr(unit, key)
 
     def test_report_invariants(self):
         n = 16
