@@ -4,17 +4,19 @@ For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
 from the powers of P - 1 pi (matrix_powers, which steps the models' lag
-powers too); the generic beta_from_joint works on any finite joint law and
-is the independent check, via the law of (S_0, S_k), and coupling_law builds
-Berbee's coupling of it.  Chain and model files give P alike (from_config).
-log_row_power gives w K^m in log space by binary powers, for the tilted
-transfer matrices of the models' Laplace transforms.
+powers too), reduced a bounded block of lags at a time; the generic
+beta_from_joint works on any finite joint law and is the independent check,
+via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
+Chain and model files give P alike (from_config).  log_row_power gives
+w K^m in log space by binary powers, for the tilted transfer matrices of
+the models' Laplace transforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .spectral import _out
 RATE_CEILING = 1e6  # returned when the chain mixes "infinitely fast" (beta_k = 0)
 RATE_LAGS = 50  # the rate c of the bound fits the beta profile on lags 2..RATE_LAGS
 _TABLE_WORDS = 1 << 10  # entries of sample_paths' k-step table: s W^k at most this
+_BLOCK_WORDS = 1 << 12  # entries of beta_k_exact's block of powers: s^2 per lag, one lag at least
 
 
 class MixingError(ValueError):
@@ -275,13 +278,21 @@ def beta_k_exact(chain: MarkovChain, k):
     k gives a float, an integer array of lags an array of its shape.
     P^k - 1 pi = Q^k with Q = P - 1 pi, and summing |Q^k| keeps beta_k's
     relative accuracy where P^k - 1 pi cancels.  Q^k steps through the
-    distinct lags in order (matrix_powers); only the betas are kept."""
+    distinct lags in order (matrix_powers), and the powers are reduced a
+    block of at most _BLOCK_WORDS entries (one lag at least) at a time: one
+    |.| row sum and one stacked product with pi per block, a dot product per
+    lag that gives each beta the bits of pi @ (0.5 |Q^k| 1), where the gemv
+    rows @ pi would not.  Only the betas and one block are kept."""
     ks, at = np.unique(k, return_inverse=True)
     if np.any(ks < 1):
         raise MixingError(f"lag k must be >= 1, got {ks[0]}")
-    beta = np.fromiter((chain.pi @ (0.5 * np.abs(Qk).sum(axis=1))
-                        for Qk in matrix_powers(chain.P - chain.pi, ks.tolist())),
-                       float, ks.size)
+    s = chain.states
+    powers = matrix_powers(chain.P - chain.pi, ks.tolist())
+    size, beta = max(1, _BLOCK_WORDS // s ** 2), np.empty(ks.size)
+    for lo in range(0, ks.size, size):
+        block = np.fromiter(islice(powers, size), np.dtype((float, (s, s))))
+        rows = 0.5 * np.abs(block, out=block).sum(axis=2)
+        beta[lo:lo + len(block)] = np.matmul(rows[:, None, :], chain.pi)[:, 0]
     return _out(beta[at].reshape(np.shape(k)))
 
 

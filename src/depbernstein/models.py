@@ -41,7 +41,8 @@ frees them before the path is drawn.  It reads its path uniforms with
 Generator.random into one buffer, a block of rows (an eighth of the chunk)
 at a time, each ranked before the next is read, and it gathers and sums
 the summands a block of rows at a time too.  So no float64 array spans the
-chunk: a contraction chunk peaks at about 6.3 bytes per trial-step.
+chunk: a contraction chunk peaks at about 6.3 bytes per trial-step.  Its
+one eigvalsh call decomposes each distinct partial sum once (_chunk_eigs).
 """
 
 from __future__ import annotations
@@ -519,21 +520,48 @@ def _chunk_eigs(args) -> np.ndarray:
     """Ascending eigenvalues of the partial sum of each trial in one chunk.
     The summands are gathered and summed one block of rows (an eighth of
     the chunk) at a time (_draws), so their float64 coefficients never span
-    it; each trial's row is summed whole."""
+    it; each trial's row is summed whole.
+
+    Summands on a lattice repeat their partial sums, so one eigvalsh call
+    decomposes each distinct (S + S^T)/2 once and the rows are gathered back
+    by the inverse index.  The key is the bits of the scalar sum for the
+    sign models (-0.0 keeps its own), whose S is formed for the distinct
+    sums only, and the bytes of the symmetrized S for the block model; each
+    distinct matrix reaches LAPACK with the bytes it had per trial."""
     spec, n, seed, lo, hi = args
     if spec.kind == "block_covariance":
         S = np.concatenate([C.transpose(0, 2, 1) @ C for C in _draws(spec, n, seed, lo, hi)])
         S -= n * block_covariance_mean(spec)
-    else:
-        sums = np.concatenate([c.sum(axis=1) for c in _draws(spec, n, seed, lo, hi)])
-        S = sums[:, None, None] * spec.D
-    return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
+        S = (S + S.transpose(0, 2, 1)) / 2.0
+        rows = S.reshape(len(S), -1).view(np.dtype((np.void, S[0].nbytes)))[:, 0]
+        _, first, at = np.unique(rows, return_index=True, return_inverse=True)
+        return np.linalg.eigvalsh(S[first])[at]
+    sums = np.concatenate([c.sum(axis=1) for c in _draws(spec, n, seed, lo, hi)])
+    keys, at = np.unique(sums.view(np.uint64), return_inverse=True)
+    S = keys.view(float)[:, None, None] * spec.D
+    return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)[at]
 
 
-def _check_sampling(n: int, trials: int, workers: int) -> None:
+def _memory_bytes() -> int:
+    """The host's physical memory in bytes, or the intp range where the OS does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        pages = size = 0
+    return pages * size if pages > 0 and size > 0 else np.iinfo(np.intp).max
+
+
+def _check_sampling(spec: ModelSpec, n: int, trials: int, workers: int) -> None:
+    """The sampler's checks, made before any stream word is read.  A chunk
+    holds one trial at least, so a trial whose buffer words alone exceed
+    the host's memory can never be sampled: its n is an invalid input."""
     if n < 1 or trials < 2 or workers < 1:
         raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
+    memory = _memory_bytes()
+    if 8 * _trial_words(spec, n) > memory:
+        raise ModelError(f"--n {n} is too large for one sampling chunk: one trial's buffers"
+                         f" exceed the {memory / 2 ** 30:.1f} GiB of this host's memory")
 
 
 def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
@@ -547,7 +575,7 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     worker per chunk and per CPU.  Trial t's words depend only on (seed, t)
     (_draws), so no result depends on the chunk size or the worker count.
     """
-    _check_sampling(n, trials, workers)
+    _check_sampling(spec, n, trials, workers)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
     chunks = [(spec, n, seed, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
@@ -593,7 +621,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
         raise ModelError("invalid x grid")
     # the sampler's checks, then the inputs, then the Monte Carlo: an input
     # that the bound rejects fails before any trial is drawn
-    _check_sampling(n, trials, workers)
+    _check_sampling(spec, n, trials, workers)
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]

@@ -631,6 +631,22 @@ class TestSimulateCommand:
         assert code == 3
         assert capsys.readouterr().err == "error: need n >= 2, got 1\n"
 
+    @pytest.mark.parametrize("n", ["100000000000", "1" + "0" * 400], ids=["1e11", "1e400"])
+    def test_n_too_large_for_one_chunk_names_the_flag(self, capsys, tmp_path, monkeypatch, n):
+        # numpy's "Unable to allocate 373. GiB for an array with shape
+        # (1, 50000000000)" and "Maximum allowed dimension exceeded" named no flag
+        read = []
+        monkeypatch.setattr(models, "_stream", lambda *args: read.append(args))
+        path = tmp_path / "iid.json"
+        path.write_text(json.dumps({"P": [[0.75, 0.25], [0.25, 0.75]],
+                                    "D": [[1.0, 0.3], [0.3, -0.5]]}))
+        code = main(["simulate", "--model", "iid", "--config", str(path), "--n", n,
+                     "--trials", "300", "--seed", "4294967296", "--x-grid", "1:16:4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and read == []
+        assert captured.err.startswith(f"error: --n {n} is too large for one sampling chunk")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_non_positive_workers_is_exit_3(self, capsys, model_file, workers):
         code = main(["simulate", "--model", "contraction", "--config", model_file,

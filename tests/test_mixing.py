@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from depbernstein import checks
+from depbernstein import checks, mixing
 from depbernstein.mixing import (
     RATE_CEILING,
+    RATE_LAGS,
     BerbeeCoupler,
     JointLaw,
     MarkovChain,
@@ -429,6 +430,52 @@ class TestBetaKExact:
         finally:
             tracemalloc.stop()
         assert peak < lags.size * 20 * 20 * 8 / 20
+
+
+def beta_per_lag(chain, k):
+    """The reference for beta_k_exact: each lag reduced on its own, by
+    pi @ (0.5 |Q^k| 1), four numpy calls a lag."""
+    ks, at = np.unique(k, return_inverse=True)
+    beta = np.fromiter((chain.pi @ (0.5 * np.abs(Qk).sum(axis=1))
+                        for Qk in matrix_powers(chain.P - chain.pi, ks.tolist())),
+                       float, ks.size)
+    return beta[at].reshape(np.shape(k))
+
+
+PROFILE_CHAINS = {
+    **{f"dirichlet-{alpha}-{s}": (lambda alpha=alpha, s=s: MarkovChain.from_transition(
+        np.random.default_rng(s).dirichlet(np.full(s, alpha), s)))
+       for alpha in (0.1, 1.0) for s in range(2, 25)},
+    "near-reducible": lambda: MarkovChain.two_state(1e-12, 5e-13),
+    # s^2 > _BLOCK_WORDS: one lag a block
+    "uniform-130": lambda: MarkovChain.from_transition(np.full((130, 130), 1 / 130)),
+}
+
+
+class TestBetaProfileBits:
+    @pytest.mark.parametrize("name", list(PROFILE_CHAINS))
+    def test_blocked_profile_has_the_per_lag_bits(self, name, monkeypatch):
+        chain = PROFILE_CHAINS[name]()
+        rng = np.random.default_rng(list(PROFILE_CHAINS).index(name))
+        # the fit's window, then unordered sparse lags with repeats
+        for lags in (np.arange(2, RATE_LAGS + 1), rng.integers(1, 401, (4, 10))):
+            got, want = beta_k_exact(chain, lags), beta_per_lag(chain, lags)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        c = fit_geometric_rate(chain, RATE_LAGS)
+        monkeypatch.setattr(mixing, "beta_k_exact", beta_per_lag)
+        assert fit_geometric_rate(chain, RATE_LAGS).hex() == c.hex()
+
+    @pytest.mark.parametrize("s", [2, 20, 70])
+    def test_blocks_hold_at_most_block_words(self, s, monkeypatch):
+        # each block is one fromiter call: count the powers it holds
+        blocks, fromiter = [], np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda it, dtype, *args: blocks.append(
+            fromiter(it, dtype, *args)) or blocks[-1])
+        beta_k_exact(MarkovChain.from_transition(np.full((s, s), 1 / s)), np.arange(1, 101))
+        per_block = max(1, mixing._BLOCK_WORDS // s ** 2)
+        assert [len(b) for b in blocks] == [min(per_block, 100 - lo)
+                                            for lo in range(0, 100, per_block)]
 
 
 class TestMatrixPowers:

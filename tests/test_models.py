@@ -1029,6 +1029,85 @@ class TestTailExperiment:
             assert run_tail_experiment(spec, **kw).to_json() == want
 
 
+def eigs_per_trial(spec, n, seed, lo, hi):
+    """The reference for models._chunk_eigs: one eigvalsh((S + S^T)/2) row
+    per trial, whether or not its sum repeats."""
+    c = draw(spec, n, seed, lo, hi)
+    if spec.kind == "block_covariance":
+        S = c.transpose(0, 2, 1) @ c - n * block_covariance_mean(spec)
+    else:
+        S = c.sum(axis=1)[:, None, None] * spec.D
+    return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
+
+
+def rotated(eigenvalues, seed):
+    """Q diag(eigenvalues) Q^T for a seeded orthogonal Q, symmetrized."""
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))[0]
+    D = (Q * eigenvalues) @ Q.T
+    return (D + D.T) / 2.0
+
+
+UNIFORM_130 = MarkovChain.from_transition(np.full((130, 130), 1 / 130))
+# (spec, n, trials): the benchmark's models_short and tail_n1024 shapes on
+# rotated templates, then CI configs.  On the flip-1/4 chain with tau = +-1
+# the sums lie on a lattice; tau = linspace(-1, 1, 130) makes almost every
+# sum distinct, and tau = (0, -0) makes every sample -0.0
+LAMBDA_SHAPES = {
+    "iid-n64": (ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=rotated([1.0, -0.5], 1)),
+                64, 400),
+    "contraction-n256": (contraction_spec((1.0, -1.0), rotated([1, 1 / 3, -1 / 3, -1], 2)),
+                         256, 400),
+    "blockcov-n64": (block_spec(CHAIN, 2, [1.0, -1.0]), 64, 400),
+    "tail-n1024": (contraction_spec((-1.0, 1.0), rotated([1, 1 / 3, -1 / 3, -1], 3)), 1024, 200),
+    "contraction-130-state": (ModelSpec(kind="contraction", d=2, chain=UNIFORM_130,
+                                        D=np.diag([1.0, -0.5]),
+                                        tau_map=np.linspace(-1.0, 1.0, 130)), 256, 400),
+    "tau-signed-zero": (contraction_spec((0.0, -0.0), np.diag([1.0, -0.5])), 64, 400),
+    "blockcov-3-state": (block_spec(MarkovChain.from_transition(
+        [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), 2, [1.0, -1.0, 0.5]), 512, 400),
+}
+
+
+class TestLambdaStage:
+    SEED = 4294967296
+
+    @staticmethod
+    def distinct_sums(spec, n, seed, trials):
+        """The distinct partial sums of a chunk, told apart by their bytes:
+        the scalar sums of the sign models, the symmetrized S of the block model."""
+        c = draw(spec, n, seed, 0, trials)
+        if spec.kind != "block_covariance":
+            return len({s.tobytes() for s in c.sum(axis=1)})
+        S = c.transpose(0, 2, 1) @ c - n * block_covariance_mean(spec)
+        return len({m.tobytes() for m in (S + S.transpose(0, 2, 1)) / 2.0})
+
+    @pytest.mark.parametrize("name", sorted(LAMBDA_SHAPES))
+    def test_bits_equal_one_decomposition_per_trial(self, name):
+        spec, n, trials = LAMBDA_SHAPES[name]
+        want = eigs_per_trial(spec, n, self.SEED, 0, trials)
+        got = models._chunk_eigs((spec, n, self.SEED, 0, trials))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign bits too
+
+    def test_signed_zero_tau_keeps_negative_zero_samples(self):
+        spec, n, trials = LAMBDA_SHAPES["tau-signed-zero"]
+        top = models._chunk_eigs((spec, n, self.SEED, 0, trials))[:, -1]
+        assert np.all(top == 0.0) and np.all(np.signbit(top))
+
+    @pytest.mark.parametrize("name", sorted(LAMBDA_SHAPES))
+    def test_eigvalsh_gets_one_matrix_per_distinct_sum(self, name, monkeypatch):
+        spec, n, trials = LAMBDA_SHAPES[name]
+        distinct = self.distinct_sums(spec, n, self.SEED, trials)
+        if name == "contraction-130-state":  # tau on a fine grid: few sums repeat
+            assert distinct > 0.95 * trials
+        elif name != "blockcov-3-state":  # the lattice shapes repeat their sums
+            assert distinct < trials / 3
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        models._chunk_eigs((spec, n, self.SEED, 0, trials))
+        assert sizes == [distinct]
+
+
 class TestSamplerMemory:
     """tracemalloc peaks of the sampler: numpy reports its buffers to it."""
 
