@@ -3,8 +3,9 @@
 For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
-from the powers of P - 1 pi (matrix_powers, which steps the models' lag
-powers too), reduced a bounded block of lags at a time; the generic
+from the powers of P - 1 pi.  power_blocks is the one walker of lag powers:
+it steps them a bounded block at a time for beta_k_exact and for the models'
+lag_moments and v2_ceiling (the lag moments and d̄).  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
 Chain and model files give P alike (from_config).  log_row_power gives
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -25,7 +26,9 @@ from .spectral import _out
 RATE_CEILING = 1e6  # returned when the chain mixes "infinitely fast" (beta_k = 0)
 RATE_LAGS = 50  # the rate c of the bound fits the beta profile on lags 2..RATE_LAGS
 _TABLE_WORDS = 1 << 10  # entries of sample_paths' k-step table: s W^k at most this
-_BLOCK_WORDS = 1 << 12  # entries of beta_k_exact's block of powers: s^2 per lag, one lag at least
+# entries of a block of power_blocks, the one walker of lag powers (for beta_k_exact and
+# models.lag_moments and v2_ceiling): s^2 per lag, one lag at least
+_BLOCK_WORDS = 1 << 12
 
 
 class MixingError(ValueError):
@@ -236,16 +239,16 @@ def coupling_law(joint: JointLaw) -> np.ndarray:
             + over[..., None] * (under / np.where(mass > 0, mass, 1.0))[..., None, :])
 
 
-def matrix_powers(M: np.ndarray, ks):
-    """Yield M^k for each k of the increasing positive integers ks, with no
-    stack kept: one product per lag, by M^gap across the gap from the last
-    lag (from 0 at the first), each distinct M^gap made once."""
-    steps, Mk, last = {}, np.eye(len(M)), 0
-    for k in ks:
-        if k - last not in steps:
-            steps[k - last] = np.linalg.matrix_power(M, k - last)
-        Mk, last = Mk @ steps[k - last], k
-        yield Mk
+def power_blocks(M: np.ndarray, ks):
+    """Yield M^k for the increasing positive integers ks, in (lags, s, s) blocks
+    of at most _BLOCK_WORDS entries (one lag at least), and keep one block: a
+    product a lag, by M^gap across each gap (from 0), each distinct M^gap once."""
+    gaps = np.diff(ks, prepend=0).tolist()
+    steps = {gap: np.linalg.matrix_power(M, gap) for gap in dict.fromkeys(gaps)}
+    powers = islice(accumulate(map(steps.get, gaps), np.matmul, initial=np.eye(len(M))), 1, None)
+    size = max(1, _BLOCK_WORDS // len(M) ** 2)
+    for lo in range(0, len(ks), size):
+        yield np.fromiter(islice(powers, size), np.dtype((float, M.shape)))
 
 
 def log_row_power(w, K, m: int):
@@ -277,23 +280,16 @@ def beta_k_exact(chain: MarkovChain, k):
     """beta_k = sum_x pi(x) TV(P^k(x, .), pi) of a stationary chain: one lag
     k gives a float, an integer array of lags an array of its shape.
     P^k - 1 pi = Q^k with Q = P - 1 pi, and summing |Q^k| keeps beta_k's
-    relative accuracy where P^k - 1 pi cancels.  Q^k steps through the
-    distinct lags in order (matrix_powers), and the powers are reduced a
-    block of at most _BLOCK_WORDS entries (one lag at least) at a time: one
-    |.| row sum and one stacked product with pi per block, a dot product per
-    lag that gives each beta the bits of pi @ (0.5 |Q^k| 1), where the gemv
-    rows @ pi would not.  Only the betas and one block are kept."""
+    relative accuracy where P^k - 1 pi cancels.  Each block of Q^k
+    (power_blocks) is reduced by one |.| row sum and one stacked product
+    with pi: a dot product per lag that gives each beta the bits of
+    pi @ (0.5 |Q^k| 1), where the gemv rows @ pi would not."""
     ks, at = np.unique(k, return_inverse=True)
     if np.any(ks < 1):
         raise MixingError(f"lag k must be >= 1, got {ks[0]}")
-    s = chain.states
-    powers = matrix_powers(chain.P - chain.pi, ks.tolist())
-    size, beta = max(1, _BLOCK_WORDS // s ** 2), np.empty(ks.size)
-    for lo in range(0, ks.size, size):
-        block = np.fromiter(islice(powers, size), np.dtype((float, (s, s))))
-        rows = 0.5 * np.abs(block, out=block).sum(axis=2)
-        beta[lo:lo + len(block)] = np.matmul(rows[:, None, :], chain.pi)[:, 0]
-    return _out(beta[at].reshape(np.shape(k)))
+    beta = [np.matmul(0.5 * np.abs(Q, out=Q).sum(axis=2)[:, None, :], chain.pi)[:, 0]
+            for Q in power_blocks(chain.P - chain.pi, ks.tolist())]
+    return _out(np.concatenate([np.empty(0), *beta])[at].reshape(np.shape(k)))
 
 
 def dbar(Pk: np.ndarray):
@@ -306,8 +302,8 @@ def dbar(Pk: np.ndarray):
     exponent (s-1)^2 + 1 on.
     """
     Pk = np.asarray(Pk, dtype=float)
-    return _out(0.5 * np.abs(Pk[..., :, None, :] - Pk[..., None, :, :])
-                .sum(axis=-1).max(axis=(-2, -1)))
+    gap = Pk[..., :, None, :] - Pk[..., None, :, :]
+    return _out(0.5 * np.abs(gap, out=gap).sum(axis=-1).max(axis=(-2, -1)))
 
 
 def fit_geometric_rate(chain: MarkovChain, k_max: int) -> float:

@@ -11,10 +11,11 @@ Two dependent models are shipped, plus an iid baseline:
 
 The variance proxy v^2 that enters the bound has one path and no Monte
 Carlo, v2_ceiling, from the exact lag moments E(X_0 X_k) that lag_moments
-derives from (pi, P) for every kind.  It is exact when the summands have no
-cross moments, as under a fair sign, and a certified ceiling otherwise.
-The same exact moments make v2_bruteforce an oracle for every kind, and
-log_laplace is the exact Laplace transform of the contraction/iid models.
+derives from (pi, P) for every kind, a block of lag powers at a time from
+mixing.power_blocks, beta_k_exact's walker too.  It is exact when the
+summands have no cross moments, as under a fair sign, and a certified
+ceiling otherwise.  The same exact moments make v2_bruteforce an oracle for
+every kind; log_laplace is the exact Laplace transform of the sign models.
 
 spec_from_config reads a model config through two tables, the --model
 names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
@@ -57,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, log_row_power, matrix_powers
+from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, log_row_power, power_blocks
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -230,17 +231,12 @@ def _transfer(spec: ModelSpec):
     return square, np.einsum("x,abxy->aby", pi, T), T.sum(axis=-1), d
 
 
-def _lag_powers(P: np.ndarray, w: int, count: int) -> np.ndarray:
-    """P^((k-1)w+1) for k = 1..count: the step from the last state of summand
-    0 to the first state of summand k, when each summand reads w states."""
-    return np.fromiter(matrix_powers(P, range(1, count * w + 1, w)),
-                       np.dtype((float, P.shape)), count)
-
-
-def _lag_moments(square, A, m, R) -> np.ndarray:
-    """E(X_0^2) followed by E(X_0 X_k) = sum_{x,y} A(x) R_k(x, y) m(y) for each
-    lag power R_k: given X_0, the mean of X_k depends on S_{w-1} only."""
-    return np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R, m)])
+def _moment_blocks(P: np.ndarray, A, m, w: int, count: int):
+    """Blocks (power_blocks) of the steps R_k = P^((k-1)w+1) from summand 0's last
+    state to summand k's first, k = 1..count, each with its E(X_0 X_k) =
+    sum_{x,y} A(x) R_k(x, y) m(y): given X_0, X_k's mean depends on S_{w-1} only."""
+    for R in power_blocks(P, range(1, count * w + 1, w)):
+        yield R, np.einsum("abx,kxy,bcy->kac", A, R, m)
 
 
 def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
@@ -248,7 +244,8 @@ def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
     (lags + 1, d, d), from (pi, P).  E(X_i X_j) = E(X_0 X_{j-i}) for i <= j;
     the matrices are not symmetric for k >= 1."""
     square, A, m, w = _transfer(spec)
-    return _lag_moments(square, A, m, _lag_powers(spec.chain.P, w, lags))
+    blocks = _moment_blocks(spec.chain.P, A, m, w, lags)
+    return np.concatenate([square[None], *(moments for _, moments in blocks)])
 
 
 def log_laplace(spec: ModelSpec, n: int, t):
@@ -287,9 +284,12 @@ def v2_ceiling(spec: ModelSpec) -> float:
         return float(np.max(np.linalg.eigvalsh(square)))
     s = spec.chain.states
     L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / w) + 1)
-    R = _lag_powers(spec.chain.P, w, L + 1)
-    norms = np.linalg.norm(_lag_moments(square, A, m, R[:L]), 2, axis=(-2, -1))
-    dbars = dbar(R)  # d̄(j_k), k = 1..L+1
+    # only the moment norms and d̄(j_k), k = 1..L+1, of each block are kept
+    norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], []
+    for R, moments in _moment_blocks(spec.chain.P, A, m, w, L + 1):
+        norms.append(np.linalg.norm(moments, 2, axis=(-2, -1)))
+        dbars.append(dbar(R))
+    norms, dbars = np.concatenate(norms)[:L + 1], np.concatenate(dbars)
     k0 = np.flatnonzero(dbars[:L] < 1.0)
     if k0.size == 0:
         raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * w + 1}: "
@@ -554,13 +554,17 @@ def _memory_bytes() -> int:
 def _check_sampling(spec: ModelSpec, n: int, trials: int, workers: int) -> None:
     """The sampler's checks, made before any stream word is read.  A chunk
     holds one trial at least, so a trial whose buffer words alone exceed
-    the host's memory can never be sampled: its n is an invalid input."""
+    the host's memory can never be sampled: its n is an invalid input.  So
+    is a trial count whose eigenvalue rows alone (8 trials d bytes) exceed it."""
     if n < 1 or trials < 2 or workers < 1:
         raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
     memory = _memory_bytes()
     if 8 * _trial_words(spec, n) > memory:
         raise ModelError(f"--n {n} is too large for one sampling chunk: one trial's buffers"
+                         f" exceed the {memory / 2 ** 30:.1f} GiB of this host's memory")
+    if 8 * trials * spec.d > memory:
+        raise ModelError(f"--trials {trials} is too large: its eigenvalue rows alone"
                          f" exceed the {memory / 2 ** 30:.1f} GiB of this host's memory")
 
 

@@ -647,6 +647,22 @@ class TestSimulateCommand:
         assert captured.err.startswith(f"error: --n {n} is too large for one sampling chunk")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("trials", ["1000000000000", "1" + "0" * 400],
+                             ids=["1e12", "1e400"])
+    def test_trials_too_large_for_memory_names_the_flag(self, capsys, model_file,
+                                                        monkeypatch, trials):
+        # 10^12 trials passed the checks and built about 3e9 chunk tuples,
+        # then exited with "error: MemoryError", which named no flag
+        read = []
+        monkeypatch.setattr(models, "_stream", lambda *args: read.append(args))
+        monkeypatch.setattr(models, "bernstein_inputs_for", lambda *args: read.append(args))
+        code = main(["simulate", "--model", "contraction", "--config", model_file, "--n", "64",
+                     "--trials", trials, "--seed", "1", "--x-grid", "1:16:4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and read == []
+        assert captured.err.startswith(f"error: --trials {trials} is too large")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_non_positive_workers_is_exit_3(self, capsys, model_file, workers):
         code = main(["simulate", "--model", "contraction", "--config", model_file,

@@ -23,7 +23,7 @@ from depbernstein.mixing import (
     dbar,
     fit_geometric_rate,
     log_row_power,
-    matrix_powers,
+    power_blocks,
 )
 
 
@@ -432,6 +432,11 @@ class TestBetaKExact:
         assert peak < lags.size * 20 * 20 * 8 / 20
 
 
+def matrix_powers(M, ks):
+    """M^k for each k of ks, one at a time, read from power_blocks' blocks."""
+    return [Mk for block in power_blocks(M, ks) for Mk in block]
+
+
 def beta_per_lag(chain, k):
     """The reference for beta_k_exact: each lag reduced on its own, by
     pi @ (0.5 |Q^k| 1), four numpy calls a lag."""
@@ -483,7 +488,7 @@ class TestMatrixPowers:
     def test_equals_matrix_power_at_every_lag(self, ks):
         # an integer matrix whose powers stay below 2^53: every product is exact
         M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        powers = list(matrix_powers(M, ks))
+        powers = matrix_powers(M, ks)
         assert len(powers) == len(ks)
         for k, Mk in zip(ks, powers):
             assert np.array_equal(Mk, np.linalg.matrix_power(M, k)), k
@@ -499,7 +504,7 @@ class TestMatrixPowers:
         power = np.linalg.matrix_power
         monkeypatch.setattr(np.linalg, "matrix_power",
                             lambda M, k: made.append(k) or power(M, k))
-        list(matrix_powers(np.eye(2), [3, 5, 7, 9, 10, 11]))
+        matrix_powers(np.eye(2), [3, 5, 7, 9, 10, 11])
         assert made == [3, 2, 1]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -631,6 +632,87 @@ class TestBlockCeiling:
         monkeypatch.setattr(models, "_draws", forbidden)
         a = bernstein_inputs_for(SHIPPED_BLOCK, 64)
         assert a == bernstein_inputs_for(SHIPPED_BLOCK, 64)
+
+
+def lag_powers_stacked(P, w, count):
+    """The reference for the walker: one (count, s, s) stack of every lag
+    power P^((k-1)w+1), by the walker's products: one a lag, by P^w (P first)."""
+    steps, Mk, last, stack = {}, np.eye(len(P)), 0, []
+    for k in range(1, count * w + 1, w):
+        if k - last not in steps:
+            steps[k - last] = np.linalg.matrix_power(P, k - last)
+        Mk, last = Mk @ steps[k - last], k
+        stack.append(Mk)
+    return np.array(stack).reshape(count, *P.shape)
+
+
+def lag_moments_stacked(spec, lags):
+    square, A, m, w = models._transfer(spec)
+    R = lag_powers_stacked(spec.chain.P, w, lags)
+    return np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R, m)])
+
+
+def v2_ceiling_stacked(spec):
+    """v2_ceiling over the whole stack of lag powers, with dbar over the
+    whole stack: an (L + 1, s, s, s) temporary."""
+    square, A, m, w = models._transfer(spec)
+    if not A.any():
+        return float(np.max(np.linalg.eigvalsh(square)))
+    L = max(models._CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
+    R = lag_powers_stacked(spec.chain.P, w, L + 1)
+    moments = np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R[:L], m)])
+    norms, dbars = np.linalg.norm(moments, 2, axis=(-2, -1)), dbar(R)
+    k0 = np.flatnonzero(dbars[:L] < 1.0)
+    a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
+    b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
+    tail = 2.0 * a * b * dbars[L] * np.min((k0 + 1) / (1.0 - dbars[k0]))
+    return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
+
+
+def dirichlet_block_spec(s, alpha, d):
+    rng = np.random.default_rng(s)
+    chain = MarkovChain.from_transition(rng.dirichlet(np.full(s, alpha), s))
+    return block_spec(chain, d, rng.uniform(-1.0, 1.0, s))
+
+
+class TestLagWalker:
+    def assert_same_bits(self, spec):
+        ceiling, want = v2_ceiling(spec), v2_ceiling_stacked(spec)
+        assert ceiling.hex() == want.hex()
+        moments, want_moments = lag_moments(spec, 40), lag_moments_stacked(spec, 40)
+        assert np.array_equal(moments.view(np.uint64), want_moments.view(np.uint64))
+        inputs = bernstein_inputs_for(spec, 64)
+        assert inputs.v.hex() == math.sqrt(want).hex()
+        assert inputs.c.hex() == fit_geometric_rate(spec.chain, RATE_LAGS).hex()
+
+    # from s = 8 on v2_ceiling's lags span several blocks of _BLOCK_WORDS
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("s", range(2, 25))
+    def test_blocks_give_the_stacked_bits(self, s, alpha):
+        for d in (1, 2, 3):
+            self.assert_same_bits(dirichlet_block_spec(s, alpha, d))
+
+    def test_correlated_block_gives_the_stacked_bits(self):
+        self.assert_same_bits(CORRELATED_BLOCK)
+
+    @pytest.mark.parametrize("lags", [1, 8, 64])
+    @pytest.mark.parametrize("chain", [MarkovChain.two_state(1e-2, 2e-2), PRIMITIVE],
+                             ids=["near-reducible", "primitive"])
+    def test_short_windows_give_the_stacked_bits(self, chain, lags, monkeypatch):
+        monkeypatch.setattr(models, "_CEILING_LAGS", lags)
+        self.assert_same_bits(block_spec(chain, 2, [0.3, -1.0, 0.5][:chain.states]))
+
+    def test_ceiling_keeps_no_stack_of_lags(self):
+        # a stack of every lag, reduced by one dbar call, peaked at about
+        # 177 MiB here: its (L + 1, s, s, s) d̄ temporary spans all 423 lags
+        spec = dirichlet_block_spec(30, 1.0, 2)
+        tracemalloc.start()
+        try:
+            v2_ceiling(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestClopperPearson:
