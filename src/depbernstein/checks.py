@@ -1,6 +1,7 @@
-"""Every invariant that `depbernstein verify` and the acceptance tests check,
-each stated here with its tolerance (`spectral`'s kernels only compute the
-two sides of an inequality).
+"""Every invariant that `depbernstein verify` checks, each stated here with
+its tolerance (`spectral`'s kernels only compute the two sides of an
+inequality).  Acceptance criteria 01, 04, 05, 06, 08 and 10 run these suites
+too; criteria 02, 03, 07, 09, 11 and 12 check theirs in the acceptance tests.
 
 A suite is a generator of cases; a case is an iterable of entries
 (invariant, compared, failed): `compared` comparisons, of which those in

@@ -36,17 +36,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def _csv_lines(header, rows) -> str:
-    """_csv_text for rows of str cells: a row whose cells hold no comma,
-    quote, CR or LF needs no quoting, so it is joined as it is."""
+    """The CSV table of bound, mixing and simulate, with csv.writer's bytes, from
+    rows of str cells: a row whose cells hold no comma, quote, CR or LF needs no
+    quoting, so it is joined as it is, and csv.writer writes the others."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -173,7 +166,7 @@ def cmd_bound(args) -> int:
         _emit(json.dumps({"schema": SCHEMA, "config": config, **res},
                          sort_keys=True), args.out)
     else:
-        _emit(_csv_text(sorted(res), [[res[k] for k in sorted(res)]]), args.out)
+        _emit(_csv_lines(sorted(res), [[repr(res[k]) for k in sorted(res)]]), args.out)
     return 0
 
 
@@ -189,7 +182,7 @@ def cmd_mixing(args) -> int:
                          f" got {args.beta_k!r}") from None
     lags = np.arange(k_lo, k_hi + 1)
     c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS) if args.fit_c else None
-    header = ("k", "beta_k", "envelope")  # csv writes a missing envelope (None) as ""
+    header = ("k", "beta_k", "envelope")  # JSON writes a missing envelope as null, CSV as ""
     rows = [(k, bk, None if c is None else math.exp(-c * (k - 1)))
             for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist())]
     if args.format == "json":
@@ -199,7 +192,8 @@ def cmd_mixing(args) -> int:
                    "c": c, "beta": [dict(zip(header, row)) for row in rows]}
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
-        _emit(_csv_text(header, rows), args.out)
+        _emit(_csv_lines(header, ([str(k), repr(bk), "" if env is None else repr(env)]
+                                  for k, bk, env in rows)), args.out)
     return 0
 
 
@@ -229,10 +223,10 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
-        rows = [(x, p, lo, hi, b, log_b) for (x, p, lo, hi), (_, b), (_, log_b)
-                in zip(report.tail_grid, report.bound_curve, report.log_bound_curve)]
-        _emit(_csv_text(("x", "p_hat", "ci_low", "ci_high", "certified_bound",
-                         "log_bound"), rows), args.out)
+        curves = zip(report.tail_grid, report.bound_curve, report.log_bound_curve)
+        rows = ([repr(v) for v in (*tail, b, log_b)] for tail, (_, b), (_, log_b) in curves)
+        _emit(_csv_lines(("x", "p_hat", "ci_low", "ci_high", "certified_bound",
+                          "log_bound"), rows), args.out)
     return 0
 
 

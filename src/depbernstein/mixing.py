@@ -118,13 +118,13 @@ class MarkovChain:
         Pk = [np.linalg.matrix_power(self.P, int(j)) for j in ks.ravel()]
         return JointLaw(pmf=self.pi[:, None] * np.reshape(Pk, ks.shape + self.P.shape))
 
-    def sample_paths(self, u, shape=None) -> np.ndarray:
-        """One stationary path per row of the uniforms u, shape (paths, steps),
-        in the narrowest unsigned dtype that holds the last state.  u is that
-        array, or, given its shape, an iterable of its row blocks in order:
-        (rows, steps) arrays, each ranked before the next is read, so a
-        caller can refill one buffer per block and the whole array never
-        exists.  Any split into blocks gives the same paths.
+    def sample_paths(self, u, shape) -> np.ndarray:
+        """One stationary path per row of a (paths, steps) = shape array of
+        uniforms, in the narrowest unsigned dtype that holds the last state.
+        u is an iterable of that array's row blocks in order: (rows, steps)
+        arrays, each ranked before the next is read, so a caller can refill
+        one buffer per block and the whole array never exists.  Any split
+        into blocks gives the same paths; [u] is one block.
 
         The state after x is #{k <= s-2 : cumsum(P[x])[k] <= u}: the inverse
         CDF without its last column, so a row summing to just below 1 still
@@ -141,9 +141,6 @@ class MarkovChain:
         ranks padded with 0 to whole blocks), each to the last state of its
         entry; one gather unpacks every block, and the surplus is sliced off.
         """
-        if shape is None:
-            u = np.asarray(u, dtype=float)
-            shape, u = u.shape, [u]
         s, (paths, steps) = self.states, shape
         cuts, at = np.unique(np.cumsum(self.P, axis=1)[:, :-1], return_inverse=True)
         W, state = cuts.size + 1, np.min_scalar_type(s - 1)

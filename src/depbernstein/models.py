@@ -43,7 +43,8 @@ Generator.random into one buffer, a block of rows (an eighth of the chunk)
 at a time, each ranked before the next is read, and it gathers and sums
 the summands a block of rows at a time too.  So no float64 array spans the
 chunk: a contraction chunk peaks at about 6.3 bytes per trial-step.  Its
-one eigvalsh call decomposes each distinct partial sum once (_chunk_eigs).
+one eigvalsh call decomposes each distinct scalar sum of a sign model once,
+and each trial's sum of the block model (_chunk_eigs).
 """
 
 from __future__ import annotations
@@ -345,11 +346,8 @@ def _draws(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
     (_row_blocks) at a time: the (rows, n) coefficients c of the summands
     c * D for the contraction/iid models, or the (rows, n, d) centered rows
     C_i for the block model.  index takes one byte an entry on chains of up
-    to 128 states.
+    to 128 states.  It checks nothing: _check_sampling has checked its inputs.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ModelError(f"seed must be a non-negative integer, got {seed}")
     steps, signs = _word_counts(spec, n)
     blocks = _row_blocks(hi - lo)
     if signs:  # the block model draws no signs
@@ -517,29 +515,25 @@ def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
 
 
 def _chunk_eigs(args) -> np.ndarray:
-    """Ascending eigenvalues of the partial sum of each trial in one chunk.
-    The summands are gathered and summed one block of rows (an eighth of
-    the chunk) at a time (_draws), so their float64 coefficients never span
-    it; each trial's row is summed whole.
+    """Ascending eigenvalues of the partial sum of each trial in one chunk,
+    from one eigvalsh call.  The summands are gathered and summed one block
+    of rows (an eighth of the chunk) at a time (_draws), so their float64
+    coefficients never span it; each trial's row is summed whole.
 
-    Summands on a lattice repeat their partial sums, so one eigvalsh call
-    decomposes each distinct (S + S^T)/2 once and the rows are gathered back
-    by the inverse index.  The key is the bits of the scalar sum for the
-    sign models (-0.0 keeps its own), whose S is formed for the distinct
-    sums only, and the bytes of the symmetrized S for the block model; each
-    distinct matrix reaches LAPACK with the bytes it had per trial."""
+    Block model: the stack of (S + S^T)/2, one matrix per trial.  Sign
+    models: S = c D with c the trial's scalar sum, and the sums of a lattice
+    repeat, so each distinct c (by its bits: -0.0 keeps its own) is
+    decomposed once and the rows are gathered back by the inverse index.
+    ModelSpec keeps D bitwise symmetric (SymMatrix), so each c D is too,
+    and (S + S^T)/2 would change no bit of it."""
     spec, n, seed, lo, hi = args
     if spec.kind == "block_covariance":
         S = np.concatenate([C.transpose(0, 2, 1) @ C for C in _draws(spec, n, seed, lo, hi)])
         S -= n * block_covariance_mean(spec)
-        S = (S + S.transpose(0, 2, 1)) / 2.0
-        rows = S.reshape(len(S), -1).view(np.dtype((np.void, S[0].nbytes)))[:, 0]
-        _, first, at = np.unique(rows, return_index=True, return_inverse=True)
-        return np.linalg.eigvalsh(S[first])[at]
+        return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
     sums = np.concatenate([c.sum(axis=1) for c in _draws(spec, n, seed, lo, hi)])
     keys, at = np.unique(sums.view(np.uint64), return_inverse=True)
-    S = keys.view(float)[:, None, None] * spec.D
-    return np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)[at]
+    return np.linalg.eigvalsh(keys.view(float)[:, None, None] * spec.D)[at]
 
 
 def _memory_bytes() -> int:
@@ -551,14 +545,17 @@ def _memory_bytes() -> int:
     return pages * size if pages > 0 and size > 0 else np.iinfo(np.intp).max
 
 
-def _check_sampling(spec: ModelSpec, n: int, trials: int, workers: int) -> None:
-    """The sampler's checks, made before any stream word is read.  A chunk
-    holds one trial at least, so a trial whose buffer words alone exceed
-    the host's memory can never be sampled: its n is an invalid input.  So
-    is a trial count whose eigenvalue rows alone (8 trials d bytes) exceed it."""
+def _check_sampling(spec: ModelSpec, n: int, trials: int, workers: int, seed: int) -> None:
+    """The sampler's only input checks, made before the inputs, any stream or
+    any pool exists.  A chunk holds one trial at least, so a trial whose
+    buffer words alone exceed the host's memory can never be sampled: its n
+    is an invalid input.  So is a trial count whose eigenvalue rows alone
+    (8 trials d bytes) exceed it."""
     if n < 1 or trials < 2 or workers < 1:
         raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
+    if operator.index(seed) < 0:
+        raise ModelError(f"--seed must be a non-negative integer, got {seed}")
     memory = _memory_bytes()
     if 8 * _trial_words(spec, n) > memory:
         raise ModelError(f"--n {n} is too large for one sampling chunk: one trial's buffers"
@@ -579,7 +576,7 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     worker per chunk and per CPU.  Trial t's words depend only on (seed, t)
     (_draws), so no result depends on the chunk size or the worker count.
     """
-    _check_sampling(spec, n, trials, workers)
+    _check_sampling(spec, n, trials, workers, seed)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
     chunks = [(spec, n, seed, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
@@ -625,7 +622,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
         raise ModelError("invalid x grid")
     # the sampler's checks, then the inputs, then the Monte Carlo: an input
     # that the bound rejects fails before any trial is drawn
-    _check_sampling(spec, n, trials, workers)
+    _check_sampling(spec, n, trials, workers, seed)
     if inputs is None:
         inputs = bernstein_inputs_for(spec, n)
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]

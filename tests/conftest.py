@@ -12,3 +12,9 @@ def rand_sym(rng, d: int):
     """A random symmetric d x d matrix with entries in [-2, 2]."""
     m = rng.uniform(-2.0, 2.0, (d, d))
     return (m + m.T) / 2.0
+
+
+def sample_whole(chain, u):
+    """chain.sample_paths on one (paths, steps) array of uniforms, given as
+    a single row block."""
+    return chain.sample_paths([u], u.shape)

@@ -169,6 +169,21 @@ class TestBoundCommand:
                             "--c", "100")
         assert code == 0 and json.loads(out)["bound"] > 0
 
+    @pytest.mark.parametrize("argv, digest", [
+        # the tail bound's underflow row: a bound of 0.0 beside its finite log
+        (("--kind", "tail", "--n", "1024", "--d", "4", "--M", "1", "--v", "0.5",
+          "--c", "0.69", "--x", "3.5e6"),
+         "0f448200b889290e28dde8421866f9968426c1de9e875554a348b5fe1257a238"),
+        # one column: the expectation bound at d = 1 is 0.0
+        (("--kind", "expectation", "--n", "4", "--d", "1", "--M", "1", "--v", "1",
+          "--c", "100"),
+         "fde034d86d70689b46a91420d2ad721b55482047758480a239f0997782c6c1f1"),
+    ], ids=["tail-underflow", "expectation-d1"])
+    def test_csv_is_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "bound", *argv, "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind, flag, value", [
         ("tail", "--x", "nan"), ("tail", "--x", "inf"), ("laplace", "--t", "nan")])
     def test_non_finite_argument_is_exit_3(self, capsys, kind, flag, value):
@@ -477,6 +492,16 @@ class TestMixingCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8a5b0f9b98f63f95ecec86279864a55568ba56f2829e9b7e41606c5a8be302ea")
 
+    @pytest.mark.parametrize("fit_c, digest", [
+        # no --fit-c: the envelope column is empty
+        ((), "fcdc9349e49054e765515049b6b954a1b09eb9f7bb418207a58b765143b8a04e"),
+        (("--fit-c",), "a8a5c43e4bf9618b0616075962319bc7392031f92e50671fac51ce600f9c2540"),
+    ], ids=["envelope-empty", "fit-c"])
+    def test_csv_is_pinned(self, capsys, chain_file, fit_c, digest):
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file, *fit_c, "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_fit_c_is_the_rate_of_the_bound(self, capsys, chain_file):
         # the profile shows lags 1..20, but c is fitted on the bound's window
         code, out = run_cli(capsys, "mixing", "--chain", chain_file,
@@ -570,6 +595,28 @@ class TestSimulateCommand:
                      "--n", "8", "--trials", "120", "--seed", "-1", "--x-grid", "0.5:8:4"])
         assert code == 3
         assert "non-negative integer" in capsys.readouterr().err
+
+    def test_negative_seed_is_exit_3_before_the_inputs_and_the_streams(self, capsys,
+                                                                       model_file, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached past the sampler's checks")
+
+        monkeypatch.setattr(models, "bernstein_inputs_for", forbidden)
+        monkeypatch.setattr(models, "_stream", forbidden)
+        code = main(["simulate", "--model", "contraction", "--config", model_file,
+                     "--n", "8", "--trials", "120", "--seed", "-1", "--x-grid", "0.5:8:4"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "--seed" in err
+
+    def test_csv_with_a_grid_below_0_is_pinned(self, capsys, model_file):
+        # x = -1 is a row of the bound d = 2 and its log, log 2
+        code, out = run_cli(capsys, "simulate", "--model", "contraction", "--config", model_file,
+                            "--n", "8", "--trials", "120", "--seed", "9", "--x-grid=-1:3:3",
+                            "--format", "csv")
+        assert code == 0 and out.splitlines()[1].endswith(",2.0,0.6931471805599453")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8e35531af2be9f3195c61c225a2e8ab443f76522426ccb08db1cc414040ef859")
 
     @pytest.mark.parametrize("grid", ["1:2", "1:2:0", "1:2:-1", "a:2:3", "1:2:3.5", "1:2:3:4"])
     def test_malformed_x_grid_names_the_flag(self, capsys, model_file, grid):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import sample_whole
 from depbernstein import checks, mixing
 from depbernstein.mixing import (
     RATE_CEILING,
@@ -177,14 +178,14 @@ class TestMarkovChain:
     def test_sample_path_frequencies(self):
         chain = MarkovChain.two_state(0.25, 0.25)
         rng = np.random.default_rng(7)
-        path = chain.sample_paths(rng.random((1, 20_000)))[0]
+        path = sample_whole(chain, rng.random((1, 20_000)))[0]
         assert set(np.unique(path)) <= {0, 1}
         # stationary frequency of state 0 is 1/2; binomial-ish 5-sigma band
         assert abs(np.mean(path == 0) - 0.5) < 0.02
 
     def test_sample_path_transition_frequencies(self):
         chain = MarkovChain.two_state(0.25, 0.25)
-        path = chain.sample_paths(np.random.default_rng(3).random((1, 50_000)))[0]
+        path = sample_whole(chain, np.random.default_rng(3).random((1, 50_000)))[0]
         stay = np.mean(path[1:][path[:-1] == 0] == 0)
         assert abs(stay - 0.75) < 0.02
 
@@ -192,7 +193,7 @@ class TestMarkovChain:
         chain = random_chain(np.random.default_rng(11), 4)
         u = np.random.default_rng(12).random((5, 300))
         cum = np.cumsum(chain.P, axis=1)
-        for row, path in zip(u, chain.sample_paths(u)):
+        for row, path in zip(u, sample_whole(chain, u)):
             s = int(np.searchsorted(np.cumsum(chain.pi), row[0], side="right"))
             ref = [s]
             for x in row[1:]:
@@ -205,7 +206,7 @@ class TestMarkovChain:
         # uniform draw can take that largest value below 1
         chain = MarkovChain.iid([0.1] * 10)
         top = np.full((1, 5), np.nextafter(1.0, 0.0))
-        assert np.all(chain.sample_paths(top)[0] == 9)
+        assert np.all(sample_whole(chain, top)[0] == 9)
 
     @pytest.mark.parametrize("P, pi", [
         ([[math.nan, 1.0], [0.5, 0.5]], [1 / 3, 2 / 3]),
@@ -260,8 +261,8 @@ class TestMarkovChain:
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
-        a = chain.sample_paths(np.random.default_rng(5).random((1, 100)))[0]
-        b = chain.sample_paths(np.random.default_rng(5).random((1, 100)))[0]
+        a = sample_whole(chain, np.random.default_rng(5).random((1, 100)))[0]
+        b = sample_whole(chain, np.random.default_rng(5).random((1, 100)))[0]
         assert np.array_equal(a, b)
 
 
@@ -284,7 +285,7 @@ class TestSamplePathsBitwise:
         edges = edge_uniforms(chain)
         u = np.array([(a, b) for a in starts for b in edges])
         assert set(per_step_paths(chain, u)[:, 0]) == set(range(chain.states))
-        assert np.array_equal(chain.sample_paths(u), per_step_paths(chain, u))
+        assert np.array_equal(sample_whole(chain, u), per_step_paths(chain, u))
 
     # steps 1..17 leave every remainder (steps - 1) mod k for k = 1, 2, 4, 8
     @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (64, 2), (200, 1024)]
@@ -294,7 +295,7 @@ class TestSamplePathsBitwise:
         chain = SAMPLER_CHAINS[name]()
         rng = np.random.default_rng(list(shape))
         for u in (rng.random(shape), rng.choice(edge_uniforms(chain), shape)):
-            path = chain.sample_paths(u)
+            path = sample_whole(chain, u)
             assert path.shape == shape and path.dtype == np.min_scalar_type(chain.states - 1)
             assert np.array_equal(path, per_step_paths(chain, u))
 
@@ -306,7 +307,7 @@ class TestSamplePathsBitwise:
         chain = SAMPLER_CHAINS[name]()
         rng = np.random.default_rng(9)
         for u in (rng.random((23, 10)), rng.choice(edge_uniforms(chain), (23, 10))):
-            whole = chain.sample_paths(u)
+            whole = sample_whole(chain, u)
             for splits in ([], [1], [22], [5, 6, 17], list(range(1, 23))):
                 blocks = np.split(u, splits)
                 assert np.array_equal(chain.sample_paths(blocks, u.shape), whole)
@@ -322,7 +323,7 @@ class TestSamplePathsBitwise:
         chain = MarkovChain.iid(np.full(300, 1 / 300))
         rng = np.random.default_rng(300)
         for u in (rng.random((64, 40)), rng.choice(edge_uniforms(chain), (64, 40))):
-            path = chain.sample_paths(u)
+            path = sample_whole(chain, u)
             assert path.dtype == np.uint16
             assert np.array_equal(path, per_step_paths(chain, u))
 

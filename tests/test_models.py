@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sample_whole
 from depbernstein.bounds import BernsteinInputs, BoundDomainError
 from depbernstein import bounds, checks, models
 from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
@@ -146,8 +147,8 @@ def draw_reference(spec, n, seed, lo, hi):
     if spec.kind == "iid_baseline":
         return eps.astype(float)
     steps = n if spec.kind == "contraction" else n * spec.d
-    path = spec.chain.sample_paths(np.array([trial_generator(seed, 0, t, steps).random(steps)
-                                             for t in range(lo, hi)]))
+    path = sample_whole(spec.chain, np.array([trial_generator(seed, 0, t, steps).random(steps)
+                                              for t in range(lo, hi)]))
     if spec.kind == "block_covariance":
         return spec.centered_values[path].reshape(hi - lo, n, spec.d)
     return spec.tau_map[path] * eps
@@ -258,6 +259,15 @@ class TestDraw:
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative integer"):
+            run_tail_experiment(contraction_spec(), 8, trials=100, x_grid=[1.0], seed=-1)
+
+    def test_negative_seed_is_rejected_before_the_inputs_and_the_streams(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached past the sampler's checks")
+
+        monkeypatch.setattr(models, "bernstein_inputs_for", forbidden)
+        monkeypatch.setattr(models, "_stream", forbidden)
+        with pytest.raises(ModelError, match="--seed must be a non-negative integer, got -1"):
             run_tail_experiment(contraction_spec(), 8, trials=100, x_grid=[1.0], seed=-1)
 
     def test_trials_past_uint32_have_their_own_words(self):
@@ -1155,13 +1165,15 @@ class TestLambdaStage:
 
     @staticmethod
     def distinct_sums(spec, n, seed, trials):
-        """The distinct partial sums of a chunk, told apart by their bytes:
-        the scalar sums of the sign models, the symmetrized S of the block model."""
-        c = draw(spec, n, seed, 0, trials)
-        if spec.kind != "block_covariance":
-            return len({s.tobytes() for s in c.sum(axis=1)})
-        S = c.transpose(0, 2, 1) @ c - n * block_covariance_mean(spec)
-        return len({m.tobytes() for m in (S + S.transpose(0, 2, 1)) / 2.0})
+        """The distinct scalar sums of a sign model's chunk, told apart by their bytes."""
+        return len({s.tobytes() for s in draw(spec, n, seed, 0, trials).sum(axis=1)})
+
+    @staticmethod
+    def eigvalsh_inputs(monkeypatch):
+        """The stacks np.linalg.eigvalsh is given from here on, in call order."""
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a) or eigvalsh(a))
+        return stacks
 
     @pytest.mark.parametrize("name", sorted(LAMBDA_SHAPES))
     def test_bits_equal_one_decomposition_per_trial(self, name):
@@ -1178,16 +1190,50 @@ class TestLambdaStage:
 
     @pytest.mark.parametrize("name", sorted(LAMBDA_SHAPES))
     def test_eigvalsh_gets_one_matrix_per_distinct_sum(self, name, monkeypatch):
+        # the sign models decompose each distinct scalar sum once; the block
+        # model one matrix per trial, as keying its S by bytes gained nothing
         spec, n, trials = LAMBDA_SHAPES[name]
-        distinct = self.distinct_sums(spec, n, self.SEED, trials)
-        if name == "contraction-130-state":  # tau on a fine grid: few sums repeat
-            assert distinct > 0.95 * trials
-        elif name != "blockcov-3-state":  # the lattice shapes repeat their sums
-            assert distinct < trials / 3
-        sizes, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        if spec.kind == "block_covariance":
+            want = trials
+        else:
+            want = self.distinct_sums(spec, n, self.SEED, trials)
+            if name == "contraction-130-state":  # tau on a fine grid: few sums repeat
+                assert want > 0.95 * trials
+            else:  # the lattice shapes repeat their sums
+                assert want < trials / 3
+        stacks = self.eigvalsh_inputs(monkeypatch)
         models._chunk_eigs((spec, n, self.SEED, 0, trials))
-        assert sizes == [distinct]
+        assert [len(a) for a in stacks] == [want]
+
+    # a template given with drift within SymMatrix's tolerance and with signed
+    # zeros: (0, 1) drifts by 1e-13, (0, 2) is -0.0 against 0.0, (1, 2) is
+    # -0.0 both ways
+    DRIFTED = np.array([[1.0, 0.25 + 1e-13, -0.0], [0.25, 0.5, -0.0], [0.0, -0.0, -0.75]])
+
+    @pytest.mark.parametrize("kind", ["contraction", "iid_baseline"])
+    def test_template_is_bitwise_symmetric(self, kind):
+        # the sign route hands c D to eigvalsh unsymmetrized, which rests on this
+        extra = {"tau_map": np.array([1.0, -0.5])} if kind == "contraction" else {}
+        D = ModelSpec(kind=kind, d=3, chain=CHAIN, D=self.DRIFTED, **extra).D
+        bits = D.view(np.uint64)
+        assert np.array_equal(bits, bits.T)
+        assert D[0, 1] == (0.25 + 1e-13 + 0.25) / 2 and not np.signbit(D[0, 2])
+        assert np.signbit(D[1, 2]) and np.signbit(D[2, 1])
+
+    @pytest.mark.parametrize("name", sorted(n for n, (spec, *_) in LAMBDA_SHAPES.items()
+                                            if spec.kind != "block_covariance") + ["drifted"])
+    def test_sign_route_gets_bitwise_symmetric_stacks(self, name, monkeypatch):
+        if name == "drifted":
+            spec, n, trials = contraction_spec((1.0, -0.5), self.DRIFTED), 64, 400
+        else:
+            spec, n, trials = LAMBDA_SHAPES[name]
+        stacks = self.eigvalsh_inputs(monkeypatch)
+        got = models._chunk_eigs((spec, n, self.SEED, 0, trials))
+        (S,) = stacks
+        bits = S.view(np.uint64)
+        assert np.array_equal(bits, bits.transpose(0, 2, 1))
+        want = eigs_per_trial(spec, n, self.SEED, 0, trials)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSamplerMemory:
