@@ -207,18 +207,19 @@ def _coupling_case(laws, **labels):
 def dominance(configs=None, trials: int = 2000, seed: int = 11):
     """Monte-Carlo tail of each model config (default: the shipped ones) at
     each grid point x: p_hat(x) <= certified bound(x), and on the same
-    samples mean lambda_max <= expectation ceiling + 3 stderr.  A bound >= 1
-    says nothing, so only the points below 1 are compared, and counted per
-    model; a failed point carries its Clopper-Pearson interval (lo, hi)."""
+    samples mean lambda_max <= expectation ceiling + 3 stderr, both from the
+    report's inputs.  A bound >= 1 says nothing, so only the points below 1
+    are compared, and counted per model; a failed point carries its
+    Clopper-Pearson interval (lo, hi)."""
     for cfg in configs if configs is not None else shipped_model_configs():
         yield _dominance_case(cfg, trials, seed)
 
 
 def _dominance_case(cfg: dict, trials: int, seed: int):
-    name, inputs = cfg["name"], cfg["inputs"]
+    name = cfg["name"]
     report = models.run_tail_experiment(
-        cfg["spec"], n=cfg["n"], trials=trials, x_grid=cfg["x_grid"], seed=seed,
-        inputs=inputs)
+        cfg["spec"], n=cfg["n"], trials=trials, x_grid=cfg["x_grid"], seed=seed)
+    inputs = _bounds.BernsteinInputs(**report.inputs)
     compared = [(*point, b) for point, (_, b) in zip(report.tail_grid, report.bound_curve)
                 if b < 1.0]
     yield f"tail_dominance.{name}", len(compared), [
@@ -233,7 +234,8 @@ def _dominance_case(cfg: dict, trials: int, seed: int):
 
 
 def shipped_model_configs():
-    """The three model configurations exercised by `verify dominance`."""
+    """The three model configurations exercised by `verify dominance`, with no
+    inputs: each report builds its own model's."""
     specs = [
         ("iid", 64, models.ModelSpec(kind="iid_baseline", d=2, chain=SHIPPED_CHAIN,
                                      D=np.diag([1.0, -0.5]))),
@@ -245,9 +247,8 @@ def shipped_model_configs():
     ]
     out = []
     for name, n, spec in specs:
-        inputs = models.bernstein_inputs_for(spec, n)
-        top = inputs.n * inputs.M
-        out.append({"name": name, "spec": spec, "n": n, "inputs": inputs,
+        top = n * spec.M
+        out.append({"name": name, "spec": spec, "n": n,
                     "x_grid": np.linspace(0.05 * top, 0.9 * top, 8).tolist()})
     return out
 

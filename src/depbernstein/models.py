@@ -53,7 +53,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -546,13 +546,13 @@ def _memory_bytes() -> int:
 
 
 def _check_sampling(spec: ModelSpec, n: int, trials: int, workers: int, seed: int) -> None:
-    """The sampler's only input checks, made before the inputs, any stream or
-    any pool exists.  A chunk holds one trial at least, so a trial whose
-    buffer words alone exceed the host's memory can never be sampled: its n
-    is an invalid input.  So is a trial count whose eigenvalue rows alone
-    (8 trials d bytes) exceed it."""
-    if n < 1 or trials < 2 or workers < 1:
-        raise ModelError(f"need n >= 1, trials >= 2 and workers >= 1, "
+    """The sampler's only input checks and its one trials floor, run once by
+    run_tail_experiment before the inputs, any stream or any pool exists.  A
+    chunk holds one trial at least, so a trial whose buffer words alone exceed
+    the host's memory can never be sampled: its n is an invalid input.  So is a
+    trial count whose eigenvalue rows alone (8 trials d bytes) exceed it."""
+    if n < 1 or trials < 100 or workers < 1:
+        raise ModelError(f"need n >= 1, trials >= 100 and workers >= 1, "
                          f"got n={n}, trials={trials}, workers={workers}")
     if operator.index(seed) < 0:
         raise ModelError(f"--seed must be a non-negative integer, got {seed}")
@@ -574,9 +574,9 @@ def _partial_sum_eigs(spec: ModelSpec, n: int, trials: int, seed: int,
     one, so its buffers stay about the same size at every n and d.  When
     workers > 1 the chunks are mapped through a process pool of at most one
     worker per chunk and per CPU.  Trial t's words depend only on (seed, t)
-    (_draws), so no result depends on the chunk size or the worker count.
+    (_draws), so no result depends on the chunk size or the worker count; its
+    one program caller, run_tail_experiment, has run _check_sampling.
     """
-    _check_sampling(spec, n, trials, workers, seed)
     size = max(1, _CHUNK_WORDS // _trial_words(spec, n))
     chunks = [(spec, n, seed, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
@@ -600,31 +600,28 @@ class TrialReport:
     seed: int
     inputs: dict
     lambda_max_samples: list
-    tail_grid: list = field(default_factory=list)   # (x, p_hat, lo, hi)
-    bound_curve: list = field(default_factory=list)  # (x, certified_bound)
-    log_bound_curve: list = field(default_factory=list)  # (x, log bound), no underflow
-    mean_lambda_max: float = 0.0
-    mean_stderr: float = 0.0
+    tail_grid: list  # (x, p_hat, lo, hi)
+    bound_curve: list  # (x, certified_bound)
+    log_bound_curve: list  # (x, log bound), no underflow
+    mean_lambda_max: float
+    mean_stderr: float
 
     def to_json(self) -> str:
         return json.dumps({"schema": SCHEMA, **vars(self)}, sort_keys=True)
 
 
 def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
-                        seed: int, inputs: Optional[_bounds.BernsteinInputs] = None,
-                        workers: int = 1) -> TrialReport:
-    """Empirical tail of lambda_max of the partial sum on a grid, with
-    exact binomial intervals, against the certified optimized bound."""
-    if trials < 100:
-        raise ModelError(f"need trials >= 100, got {trials}")
+                        seed: int, workers: int = 1) -> TrialReport:
+    """Empirical tail of lambda_max of the partial sum on a grid, with exact
+    binomial intervals, against the certified optimized bound of the model's
+    own inputs, bernstein_inputs_for(spec, n)."""
     x_grid = [float(x) for x in x_grid]
     if not x_grid or any(not math.isfinite(x) for x in x_grid):
         raise ModelError("invalid x grid")
     # the sampler's checks, then the inputs, then the Monte Carlo: an input
     # that the bound rejects fails before any trial is drawn
     _check_sampling(spec, n, trials, workers, seed)
-    if inputs is None:
-        inputs = bernstein_inputs_for(spec, n)
+    inputs = bernstein_inputs_for(spec, n)
     samples = _partial_sum_eigs(spec, n, trials, seed, workers)[:, -1]
     xs = np.array(x_grid)
     k = np.count_nonzero(samples >= xs[:, None], axis=1)
@@ -637,8 +634,7 @@ def run_tail_experiment(spec: ModelSpec, n: int, trials: int, x_grid,
     b = np.where(positive, _bounds.capped_bound(log_b, inputs.d), inputs.d)
     return TrialReport(
         model=spec.digest(), n=n, trials=trials, seed=seed,
-        inputs={"n": inputs.n, "d": inputs.d, "M": inputs.M,
-                "v": inputs.v, "c": inputs.c},
+        inputs=asdict(inputs),
         lambda_max_samples=samples.tolist(),
         tail_grid=tail, bound_curve=list(zip(x_grid, b.tolist())),
         log_bound_curve=list(zip(x_grid, log_b.tolist())),

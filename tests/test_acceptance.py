@@ -178,8 +178,7 @@ def test_criterion_10_tail_dominance():
     inputs = models.bernstein_inputs_for(spec, n)  # exact v^2, fitted c
     top = n * inputs.M
     x_grid = np.linspace(0.02 * top, 1.2 * top, 12)
-    config = {"name": "contraction", "spec": spec, "n": n, "inputs": inputs,
-              "x_grid": x_grid}
+    config = {"name": "contraction", "spec": spec, "n": n, "x_grid": x_grid}
     below_one = sum(bounds.tail_bound_certified(x, inputs)[0] < 1.0 for x in x_grid)
     # the tail on the grid and the mean against the expectation ceiling, on
     # one run's samples

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_whole
-from depbernstein.bounds import BernsteinInputs, BoundDomainError
+from depbernstein.bounds import BoundDomainError
 from depbernstein import bounds, checks, models
 from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
 from depbernstein.models import (
@@ -967,12 +967,14 @@ class TestTailExperiment:
         assert x > n * self.SPEC.M and p_hat == 0.0
 
     def test_log_bound_past_underflow(self):
-        inputs = BernsteinInputs(n=1024, d=4, M=1.0, v=0.5, c=0.69)
-        report = run_tail_experiment(self.SPEC, 8, trials=100, x_grid=[3.5e6],
-                                     seed=1, inputs=inputs)
+        # the report's bound is its own model's, at n = 8: it underflows to 0
+        # there, and the log bound keeps its value
+        report = run_tail_experiment(self.SPEC, 8, trials=100, x_grid=[3.5e6], seed=1)
         assert report.bound_curve == [(3.5e6, 0.0)]
         (x, log_bound), = report.log_bound_curve
-        assert x == 3.5e6 and log_bound == pytest.approx(-750.43, abs=0.01)
+        want, _ = bounds.log_tail_bound_certified(3.5e6, bernstein_inputs_for(self.SPEC, 8))
+        assert x == 3.5e6 and log_bound == pytest.approx(want, rel=1e-12)
+        assert log_bound == pytest.approx(-7928.07, abs=0.01)
 
     def test_log_bound_curve_matches_bound_curve(self):
         report = run_tail_experiment(self.SPEC, 8, trials=100,
@@ -1054,6 +1056,14 @@ class TestTailExperiment:
         with pytest.raises(ModelError, match="workers"):
             run_tail_experiment(self.SPEC, 8, trials=200, x_grid=[1.0], seed=0,
                                 workers=workers)
+
+    def test_sampler_arguments_are_checked_once(self, monkeypatch):
+        calls = []
+        check = models._check_sampling
+        monkeypatch.setattr(models, "_check_sampling",
+                            lambda *args: calls.append(args) or check(*args))
+        run_tail_experiment(self.SPEC, 8, trials=100, x_grid=[1.0], seed=0, workers=2)
+        assert calls == [(self.SPEC, 8, 100, 2, 0)]
 
     @staticmethod
     def fake_pool(monkeypatch, cpus):
@@ -1304,14 +1314,23 @@ class TestSamplerMemory:
 
 
 class TestDominanceCase:
+    def test_shipped_configs_build_no_inputs(self, monkeypatch):
+        # each report builds its own model's inputs, so the configs need none
+        def forbidden(*args):
+            raise AssertionError("inputs built outside the report")
+
+        monkeypatch.setattr(models, "bernstein_inputs_for", forbidden)
+        configs = checks.shipped_model_configs()
+        assert [cfg["name"] for cfg in configs] == ["iid", "contraction", "blockcov"]
+        assert all("inputs" not in cfg for cfg in configs)
+
     @pytest.mark.parametrize("d, compared", [(1, 0), (2, 1)])
     def test_expectation_is_compared_from_d_2(self, monkeypatch, d, compared):
         # at d = 1 the ceiling is E S_n = 0 exactly, so the mean is compared
         # with nothing, not even with a ceiling below every sample
         monkeypatch.setattr(bounds, "expectation_bound", lambda inputs: -1e9)
         spec = ModelSpec(kind="iid_baseline", d=d, chain=CHAIN, D=np.eye(d))
-        config = {"name": "m", "spec": spec, "n": 32, "inputs": bernstein_inputs_for(spec, 32),
-                  "x_grid": [-1.0]}
+        config = {"name": "m", "spec": spec, "n": 32, "x_grid": [-1.0]}
         checked, failures = checks.run(checks.dominance, configs=[config], trials=300, seed=8)
         assert checked == {"tail_dominance.m": 0, "expectation_dominance.m": compared}
         assert [f["invariant"] for f in failures] == ["expectation_dominance.m"] * compared
