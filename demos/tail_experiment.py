@@ -17,12 +17,11 @@ spec = models.ModelSpec(
     D=np.diag([1.0, -0.5]), tau_map=np.array([1.0, -1.0]),
 )
 n, trials = 64, 2000
-inputs = models.bernstein_inputs_for(spec, n)
+x_grid = np.linspace(2.0, 0.9 * n * spec.M, 8)
+report = models.run_tail_experiment(spec, n, trials=trials, x_grid=x_grid, seed=1)
+inputs = bounds.BernsteinInputs(**report.inputs)  # the inputs of the report's own bound
 print(f"model: contraction, d = {spec.d}, n = {n}, trials = {trials}")
 print(f"inputs: M = {inputs.M}, v = {inputs.v:.4f}, c = {inputs.c:.4f}\n")
-
-x_grid = np.linspace(2.0, 0.9 * n * inputs.M, 8)
-report = models.run_tail_experiment(spec, n, trials=trials, x_grid=x_grid, seed=1)
 
 print(f"{'x':>8} {'p_hat':>10} {'99% CI':>23} {'certified':>12}")
 for (x, p_hat, lo, hi), (_, b) in zip(report.tail_grid, report.bound_curve):

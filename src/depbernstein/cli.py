@@ -268,13 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--kind", choices=tuple(_BOUND_ARGS), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--M", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
+    for k, cast in _BOUND_TYPES.items():
+        p.add_argument(f"--{k}", type=cast)
     p.add_argument("--batch", default=None,
                    help="CSV of parameter rows; bound columns are appended")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -8,7 +8,8 @@ it steps them a bounded block at a time for beta_k_exact and for the models'
 lag_moments and v2_ceiling (the lag moments and d̄).  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
-Chain and model files give P alike (from_config).  log_row_power gives
+A chain is its transition matrix: MarkovChain(P) derives pi from P, and
+chain and model files give P alike (from_config).  log_row_power gives
 w K^m in log space by binary powers, for the tilted transfer matrices of
 the models' Laplace transforms.
 """
@@ -16,7 +17,7 @@ the models' Laplace transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 import numpy as np
@@ -37,22 +38,33 @@ class MixingError(ValueError):
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Finite-state chain: row-stochastic P plus its stationary law pi.
+    """Finite-state chain given by its row-stochastic P alone; its stationary
+    law pi is derived from P, never given.
 
     The chain must be irreducible and aperiodic so that beta_k -> 0.
+    pi comes from Grassmann-Taksar-Heyman elimination (Operations Research
+    33, 1985): censor the chain to states 0..k-1 for k = s-1 down to 1,
+    routing the exits of state k to the lower states; then add the states
+    back, each by the flow balance pi(k) W(k, :k).sum() = pi(:k) @ W(:k, k)
+    of the censored chain.  Only nonnegative numbers are added, multiplied
+    and divided, and no ratio exceeds 1, so pi >= 0 and is exact to working
+    precision even on near-reducible chains, with subnormal rates included.
     """
 
     P: np.ndarray
-    pi: np.ndarray
+    pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        P = _transition_matrix(self.P)
-        pi = np.array(self.pi, dtype=float)  # a copy: the caller's array stays writeable
-        if (pi.shape != (P.shape[0],) or not np.all(np.isfinite(pi)) or np.any(pi < 0)
-                or abs(pi.sum() - 1.0) > 1e-12):
-            raise MixingError("pi must be a probability vector over the states")
-        if np.max(np.abs(pi @ P - pi)) > 1e-10:
-            raise MixingError("pi is not stationary for P")
+        P = _transition_matrix(self.P)  # a copy: the caller's array stays writeable
+        W, s = P.copy(), P.shape[0]
+        for k in range(s - 1, 0, -1):
+            W[:k, :k] += np.outer(W[:k, k], W[k, :k] / W[k, :k].sum())
+        pi = np.zeros(s)
+        pi[0] = 1.0
+        for k in range(1, s):
+            pi[k] = pi[:k] @ W[:k, k]
+            pi[:k] *= W[k, :k].sum()
+            pi /= pi.sum()
         P.flags.writeable = False
         pi.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -63,40 +75,9 @@ class MarkovChain:
         return self.P.shape[0]
 
     @classmethod
-    def from_transition(cls, P) -> "MarkovChain":
-        """Build a chain from P alone, with pi by Grassmann-Taksar-Heyman
-        elimination (Operations Research 33, 1985): censor the chain to
-        states 0..k-1 for k = s-1 down to 1, routing the exits of state k to
-        the lower states; then add the states back, each by the flow balance
-        pi(k) W(k, :k).sum() = pi(:k) @ W(:k, k) of the censored chain.
-        Only nonnegative numbers are added, multiplied and divided, and no
-        ratio exceeds 1, so pi >= 0 and is exact to working precision even
-        on near-reducible chains, with subnormal rates included.
-        """
-        W = _transition_matrix(P)
-        s = W.shape[0]
-        for k in range(s - 1, 0, -1):
-            W[:k, :k] += np.outer(W[:k, k], W[k, :k] / W[k, :k].sum())
-        pi = np.zeros(s)
-        pi[0] = 1.0
-        for k in range(1, s):
-            pi[k] = pi[:k] @ W[:k, k]
-            pi[:k] *= W[k, :k].sum()
-            pi /= pi.sum()
-        return cls(P=P, pi=pi)
-
-    @classmethod
     def two_state(cls, a: float, b: float) -> "MarkovChain":
-        """P = [[1-a, a], [b, 1-b]] with pi = (b, a)/(a+b)."""
-        return cls(
-            P=np.array([[1.0 - a, a], [b, 1.0 - b]]),
-            pi=np.array([b, a]) / (a + b),
-        )
-
-    @classmethod
-    def iid(cls, pi) -> "MarkovChain":
-        pi = np.asarray(pi, dtype=float)
-        return cls(P=np.tile(pi, (pi.size, 1)), pi=pi)
+        """P = [[1-a, a], [b, 1-b]]; its pi, (b, a)/(a+b), comes from P."""
+        return cls(np.array([[1.0 - a, a], [b, 1.0 - b]]))
 
     @classmethod
     def from_config(cls, obj) -> "MarkovChain":
@@ -105,7 +86,7 @@ class MarkovChain:
             got = "an object without 'P'" if isinstance(obj, dict) else type(obj).__name__
             raise MixingError(f"a chain or model config is a JSON object with the transition"
                               f" matrix 'P', got {got}")
-        return cls.from_transition(obj["P"])
+        return cls(obj["P"])
 
     def joint_law(self, k) -> "JointLaw":
         """Exact joint law of (S_0, S_k) under the stationary start; an

@@ -1,3 +1,7 @@
+import numpy as np
+
+from depbernstein.mixing import MarkovChain
+
 ACCEPTANCE_LINES = []
 
 
@@ -18,3 +22,9 @@ def sample_whole(chain, u):
     """chain.sample_paths on one (paths, steps) array of uniforms, given as
     a single row block."""
     return chain.sample_paths([u], u.shape)
+
+
+def iid_chain(pi):
+    """The chain whose rows all equal pi: independent draws from pi."""
+    pi = np.asarray(pi, dtype=float)
+    return MarkovChain(np.tile(pi, (pi.size, 1)))

@@ -128,7 +128,7 @@ def test_criterion_07_exact_beta():
         s = int(rng.integers(2, 5))
         P = rng.uniform(0.05, 1.0, (s, s))
         P /= P.sum(axis=1, keepdims=True)
-        ch = mixing.MarkovChain.from_transition(P)
+        ch = mixing.MarkovChain(P)
         for k in range(1, 7):
             direct = mixing.beta_k_exact(ch, k)
             via_joint = mixing.beta_from_joint(ch.joint_law(k))
@@ -202,7 +202,7 @@ def test_criterion_11_v2_oracles():
         s = int(rng.integers(2, 4))
         P = rng.uniform(0.1, 1.0, (s, s))
         P /= P.sum(axis=1, keepdims=True)
-        chain = mixing.MarkovChain.from_transition(P)
+        chain = mixing.MarkovChain(P)
         d = int(rng.integers(1, 4))
         D = rand_sym(rng, d)
         tau = rng.uniform(-1.0, 1.0, s)
@@ -219,7 +219,7 @@ def test_criterion_11_v2_oracles():
         P = rng.uniform(0.1, 1.0, (s, s))
         P /= P.sum(axis=1, keepdims=True)
         spec = models.ModelSpec(kind="block_covariance", d=int(rng.integers(1, 4)),
-                                chain=mixing.MarkovChain.from_transition(P),
+                                chain=mixing.MarkovChain(P),
                                 value_map=rng.uniform(-1.0, 1.0, s))
         n = int(rng.integers(2, 9))
         brute = models.v2_bruteforce(spec, n)

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import iid_chain
 from depbernstein import bounds, checks, cli, models
 from depbernstein.cli import main
-from depbernstein.mixing import MarkovChain
+from depbernstein.mixing import RATE_LAGS, MarkovChain, fit_geometric_rate
 from depbernstein.models import ModelSpec, bernstein_inputs_for
 
 
@@ -507,9 +508,21 @@ class TestMixingCommand:
         code, out = run_cli(capsys, "mixing", "--chain", chain_file,
                             "--beta-k", "1..20", "--fit-c", "--format", "json")
         spec = ModelSpec(kind="iid_baseline", d=1, D=np.eye(1),
-                         chain=MarkovChain.from_transition([[0.75, 0.25], [0.25, 0.75]]))
+                         chain=MarkovChain([[0.75, 0.25], [0.25, 0.75]]))
         assert code == 0
         assert json.loads(out)["c"] == bernstein_inputs_for(spec, 64).c
+
+    def test_iid_chain_has_one_pi_and_one_c(self, capsys, tmp_path):
+        # in code, from a config and through the CLI, one P gives one pi and one c
+        path = tmp_path / "iid.json"
+        path.write_text(json.dumps({"P": np.tile([0.1] * 10, (10, 1)).tolist()}))
+        in_code = iid_chain([0.1] * 10)
+        from_config = MarkovChain.from_config(json.loads(path.read_text()))
+        assert np.array_equal(in_code.pi.view(np.uint64), from_config.pi.view(np.uint64))
+        code, out = run_cli(capsys, "mixing", "--chain", str(path), "--fit-c", "--format", "json")
+        assert code == 0
+        c = fit_geometric_rate(in_code, RATE_LAGS)
+        assert json.loads(out)["c"] == c == fit_geometric_rate(from_config, RATE_LAGS)
 
     @pytest.mark.parametrize("beta_k", ["5", "1..x", "3..1", "1..2..3", ""])
     def test_malformed_beta_k_names_the_flag(self, capsys, chain_file, beta_k):

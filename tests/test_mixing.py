@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import sample_whole
+from conftest import iid_chain, sample_whole
 from depbernstein import checks, mixing
 from depbernstein.mixing import (
     RATE_CEILING,
@@ -32,7 +32,7 @@ def random_chain(rng, s):
     """A random irreducible aperiodic chain on s states (strictly positive P)."""
     P = rng.uniform(0.1, 1.0, (s, s))
     P /= P.sum(axis=1, keepdims=True)
-    return MarkovChain.from_transition(P)
+    return MarkovChain(P)
 
 
 def two_state_beta(a, b, k):
@@ -76,7 +76,7 @@ def per_step_paths(chain, u):
 
 
 def dirichlet_chain(s, seed):
-    return MarkovChain.from_transition(np.random.default_rng(seed).dirichlet(np.ones(s), s))
+    return MarkovChain(np.random.default_rng(seed).dirichlet(np.ones(s), s))
 
 
 SAMPLER_CHAINS = {
@@ -90,8 +90,8 @@ SAMPLER_CHAINS = {
     # one cut, W = 2 ranks: a lookup moves k = 8 transitions
     "one-cut": lambda: MarkovChain.two_state(0.5, 0.5),
     # cumulative rows end at 1 - 2^-53
-    "iid-tenths": lambda: MarkovChain.iid([0.1] * 10),
-    "primitive-with-zeros": lambda: MarkovChain.from_transition(
+    "iid-tenths": lambda: iid_chain([0.1] * 10),
+    "primitive-with-zeros": lambda: MarkovChain(
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]),
 }
 
@@ -109,26 +109,55 @@ class TestMarkovChain:
 
     def test_rejects_nonstochastic(self):
         with pytest.raises(MixingError):
-            MarkovChain.from_transition([[0.5, 0.6], [0.5, 0.5]])
+            MarkovChain([[0.5, 0.6], [0.5, 0.5]])
 
     def test_rejects_reducible(self):
         with pytest.raises(MixingError):
-            MarkovChain.from_transition([[1.0, 0.0], [0.0, 1.0]])
+            MarkovChain([[1.0, 0.0], [0.0, 1.0]])
 
     def test_rejects_periodic(self):
         with pytest.raises(MixingError):
-            MarkovChain.from_transition([[0.0, 1.0], [1.0, 0.0]])
+            MarkovChain([[0.0, 1.0], [1.0, 0.0]])
 
     def test_accepts_primitive_chain_with_zero_in_P_cubed(self):
         # P^3 has a zero but P^5 > 0, at Wielandt's exponent (s-1)^2 + 1
-        chain = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                                             [0.5, 0.5, 0.0]])
+        chain = MarkovChain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                             [0.5, 0.5, 0.0]])
         assert chain.pi @ chain.P == pytest.approx(chain.pi, abs=1e-12)
 
     def test_iid_chain(self):
-        chain = MarkovChain.iid([0.3, 0.7])
+        chain = iid_chain([0.3, 0.7])
         assert np.allclose(chain.P, [[0.3, 0.7], [0.3, 0.7]])
         assert beta_k_exact(chain, 1) == 0.0
+
+    def test_pi_is_never_given(self):
+        # P is the only input: pi has no second source to disagree with it
+        P, pi = np.full((2, 2), 0.5), np.full(2, 0.5)
+        with pytest.raises(TypeError):
+            MarkovChain(P, pi=pi)
+        with pytest.raises(TypeError):
+            MarkovChain(P, pi)
+
+    def test_two_state_pi_has_the_closed_form_bits(self):
+        # GTH on two states makes the float operations of (b, a) / (a + b):
+        # every two_state pair written in the tests, the package and the
+        # demos, then seeded random pairs
+        rng = np.random.default_rng(44)
+        pairs = [(0.2, 0.5), (0.2, 0.6), (0.25, 0.25), (0.3, 0.1), (0.3, 0.2), (0.5, 0.5),
+                 (1e-12, 1e-12), (1e-12, 5e-13), (1e-2, 2e-2), (1e-3, 1e-3), (1e-3, 2e-3),
+                 *rng.uniform(0.0, 1.0, (1000, 2)).tolist(),
+                 *(10.0 ** rng.uniform(-15.0, 0.0, (1000, 2))).tolist()]
+        for a, b in pairs:
+            pi = MarkovChain.two_state(a, b).pi
+            assert np.array_equal(pi.view(np.uint64),
+                                  (np.array([b, a]) / (a + b)).view(np.uint64)), (a, b)
+
+    def test_config_P_is_checked_once(self, monkeypatch):
+        calls = []
+        check = mixing._transition_matrix
+        monkeypatch.setattr(mixing, "_transition_matrix", lambda P: calls.append(1) or check(P))
+        MarkovChain.from_config({"P": [[0.75, 0.25], [0.25, 0.75]]})
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("obj, got", [
         ([[0.5, 0.5], [0.5, 0.5]], "got list"),
@@ -204,60 +233,53 @@ class TestMarkovChain:
     def test_sample_path_clips_cumulative_roundoff(self):
         # the cumulative rows of ten 0.1s end at 1 - 2^-53 < 1, and a
         # uniform draw can take that largest value below 1
-        chain = MarkovChain.iid([0.1] * 10)
+        chain = iid_chain([0.1] * 10)
         top = np.full((1, 5), np.nextafter(1.0, 0.0))
         assert np.all(sample_whole(chain, top)[0] == 9)
 
-    @pytest.mark.parametrize("P, pi", [
-        ([[math.nan, 1.0], [0.5, 0.5]], [1 / 3, 2 / 3]),
-        ([[math.inf, 0.0], [0.5, 0.5]], [0.5, 0.5]),
-        ([[0.5, 0.5], [0.5, 0.5]], [math.nan, math.nan]),
-        ([[0.5, 0.5], [0.5, 0.5]], [math.inf, 0.5]),
-    ])
-    def test_rejects_non_finite(self, P, pi):
+    @pytest.mark.parametrize("P", [[[math.nan, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.5, 0.5]]])
+    def test_rejects_non_finite(self, P):
         with pytest.raises(MixingError):
-            MarkovChain(P=np.array(P), pi=np.array(pi))
+            MarkovChain(np.array(P))
 
-    def test_from_transition_rejects_non_finite(self):
+    def test_rejects_non_finite_list(self):
         with pytest.raises(MixingError):
-            MarkovChain.from_transition([[math.nan, 1.0], [0.5, 0.5]])
+            MarkovChain([[math.nan, 1.0], [0.5, 0.5]])
 
     def test_inputs_stay_writeable(self):
-        P, pi, pmf = np.full((2, 2), 0.5), np.full(2, 0.5), np.full((2, 2), 0.25)
-        MarkovChain.from_transition(P)
-        MarkovChain(P=P, pi=pi)
-        MarkovChain.iid(pi)
+        P, pmf = np.full((2, 2), 0.5), np.full((2, 2), 0.25)
+        MarkovChain(P)
         JointLaw(pmf)
-        assert P.flags.writeable and pi.flags.writeable and pmf.flags.writeable
+        assert P.flags.writeable and pmf.flags.writeable
 
     @pytest.mark.parametrize("a, b", [(1e-3, 2e-3), (1e-9, 3e-9), (1e-12, 5e-13),
                                       (0.25, 1e-15), (0.5, 1e-300),
                                       (0.5, 1e-310), (1.0, 1e-320)])
-    def test_from_transition_two_state_closed_form(self, a, b):
+    def test_pi_two_state_closed_form(self, a, b):
         # near-reducible chains, down to subnormal rates: pi = (b, a) / (a + b)
-        pi = MarkovChain.from_transition(MarkovChain.two_state(a, b).P).pi
+        pi = MarkovChain(MarkovChain.two_state(a, b).P).pi
         np.testing.assert_allclose(pi, np.array([b, a]) / (a + b), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("seed", [5, 13, 92])
-    def test_from_transition_sparse_dirichlet(self, seed):
+    def test_pi_sparse_dirichlet(self, seed):
         # stationary laws spanning 20+ orders of magnitude
         P = np.random.default_rng(seed).dirichlet(np.full(3, 0.05), 3)
-        pi = MarkovChain.from_transition(P).pi
+        pi = MarkovChain(P).pi
         assert np.all(pi >= 0)
         assert np.max(np.abs(pi @ P - pi) / pi) <= 1e-14
 
     @pytest.mark.parametrize("P", [[0.5, 0.5], [[0.5, 0.5]], [[[1.0]]]])
-    def test_from_transition_rejects_bad_shape(self, P):
+    def test_rejects_bad_shape(self, P):
         with pytest.raises(MixingError, match="P must be square"):
-            MarkovChain.from_transition(P)
+            MarkovChain(P)
 
     @pytest.mark.parametrize("P", [np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
                                    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
-    def test_from_transition_rejects_without_warning(self, P):
+    def test_rejects_without_warning(self, P):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MixingError, match="irreducible and aperiodic"):
-                MarkovChain.from_transition(P)
+                MarkovChain(P)
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -320,7 +342,7 @@ class TestSamplePathsBitwise:
             MarkovChain.two_state(0.25, 0.25).sample_paths(blocks, (3, 9))
 
     def test_two_byte_states(self):
-        chain = MarkovChain.iid(np.full(300, 1 / 300))
+        chain = iid_chain(np.full(300, 1 / 300))
         rng = np.random.default_rng(300)
         for u in (rng.random((64, 40)), rng.choice(edge_uniforms(chain), (64, 40))):
             path = sample_whole(chain, u)
@@ -398,7 +420,7 @@ class TestBetaKExact:
 
     def test_three_state_matches_exact_arithmetic(self):
         tenths = [[6, 3, 1], [2, 5, 3], [3, 2, 5]]
-        chain = MarkovChain.from_transition(np.array(tenths) / 10)
+        chain = MarkovChain(np.array(tenths) / 10)
         want = [float(bk) for bk in fraction_betas(
             [[Fraction(p, 10) for p in row] for row in tenths], 50)]
         assert [beta_k_exact(chain, k) for k in range(1, 51)] == pytest.approx(want, rel=1e-12)
@@ -449,12 +471,12 @@ def beta_per_lag(chain, k):
 
 
 PROFILE_CHAINS = {
-    **{f"dirichlet-{alpha}-{s}": (lambda alpha=alpha, s=s: MarkovChain.from_transition(
+    **{f"dirichlet-{alpha}-{s}": (lambda alpha=alpha, s=s: MarkovChain(
         np.random.default_rng(s).dirichlet(np.full(s, alpha), s)))
        for alpha in (0.1, 1.0) for s in range(2, 25)},
     "near-reducible": lambda: MarkovChain.two_state(1e-12, 5e-13),
     # s^2 > _BLOCK_WORDS: one lag a block
-    "uniform-130": lambda: MarkovChain.from_transition(np.full((130, 130), 1 / 130)),
+    "uniform-130": lambda: MarkovChain(np.full((130, 130), 1 / 130)),
 }
 
 
@@ -478,7 +500,7 @@ class TestBetaProfileBits:
         blocks, fromiter = [], np.fromiter
         monkeypatch.setattr(np, "fromiter", lambda it, dtype, *args: blocks.append(
             fromiter(it, dtype, *args)) or blocks[-1])
-        beta_k_exact(MarkovChain.from_transition(np.full((s, s), 1 / s)), np.arange(1, 101))
+        beta_k_exact(MarkovChain(np.full((s, s), 1 / s)), np.arange(1, 101))
         per_block = max(1, mixing._BLOCK_WORDS // s ** 2)
         assert [len(b) for b in blocks] == [min(per_block, 100 - lo)
                                             for lo in range(0, 100, per_block)]
@@ -554,12 +576,12 @@ class TestDbar:
         assert isinstance(dbar(stack[0]), float)
 
     def test_iid_is_exactly_zero(self):
-        assert dbar(MarkovChain.iid([0.2, 0.3, 0.5]).P) == 0.0
+        assert dbar(iid_chain([0.2, 0.3, 0.5]).P) == 0.0
 
     def test_one_until_rows_overlap(self):
         # every row of P is a point mass or misses another row's support
-        P = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                                         [0.5, 0.5, 0.0]]).P
+        P = MarkovChain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.5, 0.5, 0.0]]).P
         assert dbar(P) == 1.0
         assert dbar(np.linalg.matrix_power(P, 5)) < 1.0  # Wielandt: (3-1)^2 + 1
 
@@ -585,7 +607,7 @@ class TestFitGeometricRate:
         # beta_k of [[.5, .5], [.25, .75]] falls like 4^-k: P^k - 1 pi cancels
         # to 0 from k = 29 on, and a fit that skipped those lags would come out
         # too fast, with e^{-49c} below beta_50
-        chain = MarkovChain.from_transition([[0.5, 0.5], [0.25, 0.75]])
+        chain = MarkovChain([[0.5, 0.5], [0.25, 0.75]])
         c = fit_geometric_rate(chain, 50)
         assert c == pytest.approx(1.4311356790247114, rel=1e-12)
         for k in range(2, 51):
@@ -600,7 +622,7 @@ class TestFitGeometricRate:
                 assert beta_k_exact(chain, k) <= math.exp(-c * (k - 1)) * (1 + 1e-12)
 
     def test_iid_hits_ceiling(self):
-        assert fit_geometric_rate(MarkovChain.iid([0.4, 0.6]), 10) == RATE_CEILING
+        assert fit_geometric_rate(iid_chain([0.4, 0.6]), 10) == RATE_CEILING
 
     def test_monotone_in_k_max(self):
         chain = MarkovChain.two_state(0.25, 0.25)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import sample_whole
+from conftest import iid_chain, sample_whole
 from depbernstein.bounds import BoundDomainError
 from depbernstein import bounds, checks, models
 from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
@@ -169,7 +169,7 @@ DRAW_SPECS = {
     # 3 cuts, so W = 4 ranks and sample_paths steps k = 4 transitions a lookup
     "contraction-3-state": ModelSpec(
         kind="contraction", d=2, D=D2, tau_map=np.array([1.0, 0.5, -0.25]),
-        chain=MarkovChain.from_transition([[.5, .25, .25], [.25, .25, .5], [.25, .5, .25]])),
+        chain=MarkovChain([[.5, .25, .25], [.25, .25, .5], [.25, .5, .25]])),
     "iid_baseline": ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2),
     # a constant tau reads no state, so it draws no path
     "contraction-constant-tau": contraction_spec(tau=(0.5, 0.5)),
@@ -247,7 +247,7 @@ class TestDraw:
         # states 128 and 129 fit a uint8 path, but their entries 2x + b of
         # the signed tau table do not
         s = 130
-        spec = ModelSpec(kind="contraction", d=2, D=D2, chain=MarkovChain.iid(np.full(s, 1 / s)),
+        spec = ModelSpec(kind="contraction", d=2, D=D2, chain=iid_chain(np.full(s, 1 / s)),
                          tau_map=np.linspace(-1.0, 1.0, s))
         got, want = draw(spec, 64, 3, 0, 20), draw_reference(spec, 64, 3, 0, 20)
         assert np.array_equal(got, want)
@@ -348,7 +348,7 @@ class TestSimulators:
 
     def test_block_mean_iid_is_diagonal(self):
         spec = ModelSpec(kind="block_covariance", d=3,
-                         chain=MarkovChain.iid([0.5, 0.5]),
+                         chain=iid_chain([0.5, 0.5]),
                          value_map=np.array([0.0, 1.0]))
         assert block_covariance_mean(spec) == pytest.approx(
             0.25 * np.eye(3), abs=1e-12)
@@ -390,8 +390,8 @@ DYADIC_BLOCKS = {
        for k in (-8, -3, 0, 5, 8)},
     "three_state_d3": ModelSpec(
         kind="block_covariance", d=3, value_map=np.array([1.0, -0.5, 0.25]),
-        chain=MarkovChain.from_transition([[0.5, 0.25, 0.25], [0.5, 0.5, 0.0],
-                                           [0.5, 0.0, 0.5]])),
+        chain=MarkovChain([[0.5, 0.25, 0.25], [0.5, 0.5, 0.0],
+                           [0.5, 0.0, 0.5]])),
 }
 
 
@@ -409,7 +409,7 @@ class TestBlockCovariance:
             s = int(rng.integers(2, 7))
             P = rng.random((s, s)) + 0.05
             P /= P.sum(axis=1, keepdims=True)
-            spec = block_spec(MarkovChain.from_transition(P), int(rng.integers(1, 6)),
+            spec = block_spec(MarkovChain(P), int(rng.integers(1, 6)),
                               rng.normal(size=s))
             ref = block_covariance_by_lags(spec)
             got = block_covariance_mean(spec)
@@ -419,7 +419,7 @@ class TestBlockCovariance:
 
 class TestSpecFromConfig:
     P = [[0.75, 0.25], [0.25, 0.75]]
-    CHAIN_P = MarkovChain.from_transition(P)
+    CHAIN_P = MarkovChain(P)
 
     @pytest.mark.parametrize("name, config, built", [
         ("contraction", {"P": P, "D": D2.tolist(), "tau_map": [1.0, -1.0]},
@@ -488,8 +488,8 @@ class TestVarianceProxy:
     def test_sign_models_have_no_cross_moments(self, kind):
         # the fair sign leaves E(tau^2) D^2 at lag 0 and exact zeros after it,
         # so the ceiling is the exact variance proxy
-        chain = MarkovChain.from_transition([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5],
-                                             [0.25, 0.5, 0.25]])
+        chain = MarkovChain([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5],
+                             [0.25, 0.5, 0.25]])
         tau = np.array([1.0, 0.5, -0.25])
         spec = ModelSpec(kind=kind, d=2, chain=chain, D=D2,
                          tau_map=tau if kind == "contraction" else None)
@@ -509,7 +509,7 @@ def random_block_spec(rng):
     s = int(rng.choice([2, 3]))
     P = rng.uniform(0.05, 1.0, (s, s))
     P /= P.sum(axis=1, keepdims=True)
-    return block_spec(MarkovChain.from_transition(P), int(rng.integers(1, 4)),
+    return block_spec(MarkovChain(P), int(rng.integers(1, 4)),
                       rng.uniform(-1.0, 1.0, s))
 
 
@@ -533,10 +533,10 @@ def lag_moments_by_paths(spec, lags):
 
 SHIPPED_BLOCK = block_spec(CHAIN, 2, [1.0, -1.0])
 # an asymmetric 3-state chain, whose blocks have cross moments (A != 0)
-CORRELATED_BLOCK = block_spec(MarkovChain.from_transition(
+CORRELATED_BLOCK = block_spec(MarkovChain(
     [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), 2, [1.0, -1.0, 0.5])
-PRIMITIVE = MarkovChain.from_transition([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                                         [0.5, 0.5, 0.0]])
+PRIMITIVE = MarkovChain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.5, 0.5, 0.0]])
 
 
 class TestBlockCeiling:
@@ -549,7 +549,7 @@ class TestBlockCeiling:
     def test_lag_moments_agree_with_monte_carlo(self):
         # a sticky chain, so that every lag moment is tens of standard errors
         # away from 0 and a G without them fails
-        spec = block_spec(MarkovChain.from_transition(
+        spec = block_spec(MarkovChain(
             [[0.9, 0.08, 0.02], [0.05, 0.9, 0.05], [0.02, 0.08, 0.9]]), 2, [1.0, -0.5, 0.2])
         n = 4
         G = models._pairwise_moments_exact(spec, n)
@@ -590,7 +590,7 @@ class TestBlockCeiling:
     def test_iid_chain_has_no_tail(self):
         # d̄ = 0 at every lag: the blocks are independent and the ceiling is
         # ||E X_0^2||, which every index set attains
-        spec = block_spec(MarkovChain.iid([0.3, 0.7]), 3, [1.0, -0.2])
+        spec = block_spec(iid_chain([0.3, 0.7]), 3, [1.0, -0.2])
         square = lag_moments(spec, 0)[0]
         assert v2_ceiling(spec) == pytest.approx(
             float(np.max(np.linalg.eigvalsh(square))), abs=1e-15)
@@ -681,7 +681,7 @@ def v2_ceiling_stacked(spec):
 
 def dirichlet_block_spec(s, alpha, d):
     rng = np.random.default_rng(s)
-    chain = MarkovChain.from_transition(rng.dirichlet(np.full(s, alpha), s))
+    chain = MarkovChain(rng.dirichlet(np.full(s, alpha), s))
     return block_spec(chain, d, rng.uniform(-1.0, 1.0, s))
 
 
@@ -821,7 +821,7 @@ class TestInputsAssembly:
 
 class TestLaplace:
     # P = [[.9, .1], [.3, .7]], whose chain matters: pi = (3/4, 1/4)
-    SKEWED = MarkovChain.from_transition([[0.9, 0.1], [0.3, 0.7]])
+    SKEWED = MarkovChain([[0.9, 0.1], [0.3, 0.7]])
 
     @staticmethod
     def bruteforce(spec, n, t):
@@ -915,7 +915,7 @@ class TestLaplace:
         # Tr exp(t S_n) sits 1.82, 1.87 and 2.20 standard errors below the
         # exact value.  Do not go to t >= 0.5, where its heavy right tail put
         # it 5.8 below
-        sticky = MarkovChain.from_transition([[0.95, 0.05], [0.05, 0.95]])
+        sticky = MarkovChain([[0.95, 0.05], [0.05, 0.95]])
         D, tau = np.diag([1.0, -0.5]), np.array([1.0, 0.0])
         spec = ModelSpec(kind="contraction", d=2, chain=sticky, D=D, tau_map=tau)
         n, trials = 64, 20_000
@@ -927,7 +927,7 @@ class TestLaplace:
             assert abs(vals.mean() - exact) < 4.0 * stderr
         # the check can fail: with the chain's steps drawn iid from pi (P = 1 pi)
         # the exact value moves 5.6 standard errors at t = 0.3
-        iid = ModelSpec(kind="contraction", d=2, chain=MarkovChain.iid(sticky.pi), D=D, tau_map=tau)
+        iid = ModelSpec(kind="contraction", d=2, chain=iid_chain(sticky.pi), D=D, tau_map=tau)
         assert abs(math.exp(log_laplace(iid, n, t)) - exact) >= 5.0 * stderr
 
 
@@ -937,7 +937,7 @@ class TestTailExperiment:
     def test_iid_is_the_contraction_model_with_unit_tau(self):
         # pi of this chain sums to 1 - 2^-53, where pi @ tau^2 gave a v one
         # ulp off the iid model's
-        chain = MarkovChain.from_transition([[0.9, 0.1], [0.3, 0.7]])
+        chain = MarkovChain([[0.9, 0.1], [0.3, 0.7]])
         D = np.array([[1.0, 0.3], [0.3, -0.5]])
         assert chain.pi.sum() != 1.0
         iid, unit = (run_tail_experiment(spec, 64, 300, [0.5, 2.0, 8.0, 40.0], seed=5)
@@ -1149,7 +1149,7 @@ def rotated(eigenvalues, seed):
     return (D + D.T) / 2.0
 
 
-UNIFORM_130 = MarkovChain.from_transition(np.full((130, 130), 1 / 130))
+UNIFORM_130 = MarkovChain(np.full((130, 130), 1 / 130))
 # (spec, n, trials): the benchmark's models_short and tail_n1024 shapes on
 # rotated templates, then CI configs.  On the flip-1/4 chain with tau = +-1
 # the sums lie on a lattice; tau = linspace(-1, 1, 130) makes almost every
@@ -1165,7 +1165,7 @@ LAMBDA_SHAPES = {
                                         D=np.diag([1.0, -0.5]),
                                         tau_map=np.linspace(-1.0, 1.0, 130)), 256, 400),
     "tau-signed-zero": (contraction_spec((0.0, -0.0), np.diag([1.0, -0.5])), 64, 400),
-    "blockcov-3-state": (block_spec(MarkovChain.from_transition(
+    "blockcov-3-state": (block_spec(MarkovChain(
         [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]), 2, [1.0, -1.0, 0.5]), 512, 400),
 }
 
