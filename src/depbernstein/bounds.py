@@ -5,11 +5,14 @@ All functions are pure and deterministic.  The certified tail bound needs
 no unspecified universal constant: it is the exact minimum of the explicit
 log-Laplace majorant exp(-t x + gamma_n(t)) over its validity interval.
 
-Every closed form (gamma_cn, the majorant, the tail and expectation bounds,
-the split weight) broadcasts: x, t and the fields of BernsteinInputs may be
-scalars or numpy arrays that broadcast together, and one code path serves
-both.  Scalar inputs give Python floats, arrays give arrays.  A domain error
-names the first failing element and, for arrays, its row.
+Every closed form (gamma_cn, h, the majorant, the tail and expectation
+bounds, the split weight, the (sigma, kappa) schedule) broadcasts: x, t and
+the fields of BernsteinInputs may be scalars or numpy arrays that broadcast
+together, and one code path serves both.  Two arguments stay scalars: x in
+h, and n in the schedule, which fixes its depth.  Scalar inputs give Python
+floats, arrays give arrays.  A domain error names the first failing element
+and, for arrays, its row.  Each check is written as the negation of what
+must hold, so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class BernsteinInputs:
     c: float
 
     def __post_init__(self):
-        _reject(self.n < 2, "n >= 2", self.n)
-        _reject(self.d < 1, "d >= 1", self.d)
+        _reject(np.logical_not(self.n >= 2), "n >= 2", self.n)
+        _reject(np.logical_not(self.d >= 1), "d >= 1", self.d)
         _reject(~(np.isfinite(self.M) & (self.M > 0)), "M > 0 finite", self.M)
         _reject(~(np.isfinite(self.v) & (self.v >= 0)), "v >= 0 finite", self.v)
         _reject(~(np.isfinite(self.c) & (self.c > 0)), "c > 0 finite", self.c)
@@ -79,7 +82,7 @@ def g(x: float) -> float:
     Small arguments use the Taylor series to avoid catastrophic
     cancellation.
     """
-    if x <= 0:
+    if not x > 0:
         raise BoundDomainError(f"g needs x > 0, got {x}")
     if x <= 1e-4:
         return 0.5 + x / 6.0 + x * x / 24.0
@@ -89,9 +92,9 @@ def g(x: float) -> float:
 def tropp_log_laplace(t: float, B: float, variance_stat: float, d: int) -> float:
     """log of the independent-sum master bound:
     log d + t^2 g(tB) * lambda_max(sum_k E U_k^2)."""
-    if t <= 0 or B <= 0:
+    if not (t > 0 and B > 0):
         raise BoundDomainError("tropp_log_laplace needs t > 0 and B > 0")
-    if variance_stat < 0:
+    if not variance_stat >= 0:
         raise BoundDomainError("variance_stat must be >= 0")
     return math.log(d) + t * t * g(t * B) * variance_stat
 
@@ -125,7 +128,7 @@ def split_weight(pair0: SigmaKappaPair, pair1: SigmaKappaPair, t):
 
 def gamma_majorant(pair: SigmaKappaPair, t):
     """(sigma t)^2 / (1 - kappa t), infinite at or beyond t = 1/kappa."""
-    _reject(t < 0, "t >= 0", t)
+    _reject(np.logical_not(t >= 0), "t >= 0", t)
     with np.errstate(divide="ignore", invalid="ignore"):  # at and past the pole
         value = np.square(pair.sigma * t) / (1.0 - pair.kappa * t)
     return _out(np.where(t >= _pole(pair.kappa), np.inf, value))
@@ -133,19 +136,20 @@ def gamma_majorant(pair: SigmaKappaPair, t):
 
 def gamma_cn(c, n):
     """gamma(c, n) = (log n / log 2) * max(2, 32 log n / (c log 2))."""
-    _reject(c <= 0, "c > 0", c)
-    _reject(n < 2, "n >= 2", n)
+    _reject(np.logical_not(c > 0), "c > 0", c)
+    _reject(np.logical_not(n >= 2), "n >= 2", n)
     ln = np.log(np.asarray(n, dtype=float))  # an int n may exceed int64
     return _out((ln / LOG2) * np.maximum(2.0, 32.0 * ln / (c * LOG2)))
 
 
-def h(c: float, x: float) -> float:
-    """h(c, x) = min(1/2, c log 2 / (32 log x)), for x > 1."""
-    if x <= 1:
+def h(c, x: float):
+    """h(c, x) = min(1/2, c log 2 / (32 log x)), for x > 1.  c broadcasts;
+    x is one number, whose log is `math.log`'s (numpy's can differ in the
+    last bit)."""
+    if not x > 1:
         raise BoundDomainError(f"h needs x > 1, got {x}")
-    if c <= 0:
-        raise BoundDomainError(f"h needs c > 0, got {c}")
-    return min(0.5, c * LOG2 / (32.0 * math.log(x)))
+    _reject(np.logical_not(c > 0), "c > 0", c)
+    return _out(np.minimum(0.5, c * LOG2 / (32.0 * math.log(x))))
 
 
 def prop1_log_laplace(t: float, A: int, inputs: BernsteinInputs) -> float:
@@ -154,9 +158,9 @@ def prop1_log_laplace(t: float, A: int, inputs: BernsteinInputs) -> float:
 
     Valid for t M <= min(1/2, c log 2 / (32 log A)).
     """
-    if A < 2:
+    if not A >= 2:
         raise BoundDomainError(f"need A >= 2, got {A}")
-    if t <= 0:
+    if not t > 0:
         raise BoundDomainError(f"need t > 0, got {t}")
     tm = t * inputs.M
     cap = h(inputs.c, A)
@@ -177,15 +181,19 @@ def sigma_kappa_schedule(inputs: BernsteinInputs):
         sigma_i = 2 sqrt(n/2^i) (2v + sqrt(3) 2^i M / (n sqrt(c)))
         kappa_i = M / h(c, n/2^i)          for i = 0 .. L-1,
 
-    plus the terminal pair (v sqrt(2), M).  `checks.schedule_ceilings`
-    compares their sums with `schedule_ceiling(inputs)`.
+    plus the terminal pair (v sqrt(2), M).  M, v and c broadcast; n is one
+    integer, as it fixes the depth L.  Each value takes the float operations
+    of the scalar formula, so an array's elements equal the scalar schedules
+    bit for bit.  `checks.schedule_ceilings` compares their sums with
+    `schedule_ceiling(inputs)`.
     """
     n, M, v, c = inputs.n, inputs.M, inputs.v, inputs.c
     L = decomposition_depth(n)
+    root_c = _out(np.sqrt(c))  # a Python float for a scalar c, as math.sqrt gives
     pairs = []
     for i in range(L):
         x = n / 2.0 ** i
-        sigma_i = 2.0 * math.sqrt(x) * (2.0 * v + math.sqrt(3.0) * (2.0 ** i) * M / (n * math.sqrt(c)))
+        sigma_i = 2.0 * math.sqrt(x) * (2.0 * v + math.sqrt(3.0) * (2.0 ** i) * M / (n * root_c))
         pairs.append(SigmaKappaPair(sigma=sigma_i, kappa=M / h(c, x)))
     pairs.append(SigmaKappaPair(sigma=v * math.sqrt(2.0), kappa=M))
     return pairs

@@ -13,8 +13,10 @@ the leaf starts only when it is read, and the blocks of a level are the
 rows of K.  Many A's that share ell give one `CantorStack`: A, delta, the
 block and gap sizes and the run starts as arrays, one row per A, on which
 the tiling of {1..A} is checked for every row at once, in the order the
-runs lie in {1..A} (one column order per ell), so that only rows that do
-not tile are sorted.  The stack's sizes repeat `cantor_params`' float
+runs lie in {1..A} (one run order per ell), so that only rows that do not
+tile are sorted.  A stack's starts are laid out level-major, one
+contiguous row of k starts per run, and its (k, runs) arrays are their
+transposes.  The stack's sizes repeat `cantor_params`' float
 operations on arrays, with logs and powers from Python's math (numpy's can
 differ in the last bit), so the two recipes agree bit for bit.  The scalar
 one stays for a single A, where a one-row array call costs over ten scalar ones.
@@ -86,14 +88,16 @@ class CantorStack:
 
     def runs(self):
         """(starts, stops) of the leaves, then the gaps level by level, each
-        shape (k, 2^(ell+1) - 1); the lengths come from n_seq alone: a leaf
-        is n_ell long and a gap at level j n_j - 2 n_{j+1}."""
-        n = self.n_seq
-        lengths = [n[:, -1, None]] + [n[:, j, None] - 2 * n[:, j + 1, None]
-                                      for j in range(len(self.gap_starts))]
-        starts = (self.leaf_starts, *self.gap_starts)
-        stops = [s + d for s, d in zip(starts, lengths)]
-        return np.concatenate(starts, axis=1), np.concatenate(stops, axis=1)
+        shape (k, 2^(ell+1) - 1): the transposes of level-major arrays, one
+        contiguous (k,) row per run.  The lengths come from n_seq alone: a
+        leaf is n_ell long and a gap at level j n_j - 2 n_{j+1}."""
+        n = self.n_seq.T
+        parts = [x.T for x in (self.leaf_starts, *self.gap_starts)]
+        lengths = np.concatenate((n[-1:], n[:-1] - 2 * n[1:]))
+        starts = np.concatenate(parts)
+        stops = np.repeat(lengths, [len(x) for x in parts], axis=0)
+        stops += starts
+        return starts.T, stops.T
 
 
 def cantor_params(A: int) -> CantorParams:
@@ -170,28 +174,41 @@ def _array_params(sizes):
 def _run_starts(n_seq: np.ndarray):
     """Leaf and gap starts for rows of block sizes n_0 .. n_ell, shape
     (k, ell + 1).  At level j every block start s gives a gap at s + n_j
-    and two blocks at s and s + n_{j-1} - n_j.  Returns the leaf starts,
-    shape (k, 2^ell), and the tuple of gap starts, shape (k, 2^j) at level j."""
-    k = len(n_seq)
-    shifts = n_seq[:, :-1, None] - n_seq[:, 1:, None]
-    starts = np.ones((k, 1, 1), dtype=np.int64)  # block starts as (k, 2^j, 1)
+    and two blocks at s and s + n_{j-1} - n_j.  The starts are built
+    level-major, one (k,) row per run, and returned as their transposes:
+    the leaf starts, shape (k, 2^ell), and the tuple of gap starts, shape
+    (k, 2^j) at level j."""
+    n = n_seq.T
+    shifts = n[:-1] - n[1:]
+    starts = np.ones((1, len(n_seq)), dtype=np.int64)  # one row per block of level j
     gaps = []
-    for j in range(1, n_seq.shape[1]):
-        gaps.append(starts[:, :, 0] + n_seq[:, j, None])
-        pair = (starts, starts + shifts[:, j - 1, None])
-        starts = np.concatenate(pair, axis=2).reshape(k, -1, 1)
-    return starts[:, :, 0], tuple(gaps)
+    for j in range(1, len(n)):
+        gaps.append(starts + n[j])
+        children = np.empty((2 * len(starts), len(n_seq)), dtype=np.int64)
+        children[0::2] = starts
+        np.add(starts, shifts[j - 1], out=children[1::2])
+        starts = children
+    return starts.T, tuple(g.T for g in gaps)
 
 
 def tiles_exactly(stack: CantorStack) -> np.ndarray:
     """Per row of the stack, whether its leaves and gaps tile {1..A}: sorted
     by start, every non-empty run begins where the previous one stopped,
     from 1 to A + 1.  This checks cover and disjointness together.  The runs
-    go to the check in the order the construction lays them out, in which
-    the rows of a true tiling need no sort."""
+    are read level-major, one contiguous (k,) row per run, and each run but
+    the first leaf is compared with the run before it in the construction's
+    layout, in which the rows of a true tiling need no sort; only the rows
+    that do not link go to `_chains`' sort."""
     walk = _in_order(stack.ell)
-    starts, stops = (np.take(x, walk, axis=1) for x in stack.runs())
-    return _chains(starts, stops, stack.A)
+    before = np.empty_like(walk)
+    before[walk[1:]] = walk[:-1]  # walk[0] is leaf 0, which starts at 1
+    starts, stops = (x.T for x in stack.runs())
+    tiles = ((starts[0] == 1) & (stops[walk[-1]] == stack.A + 1)
+             & (starts[1:] == stops[before[1:]]).all(axis=0) & (stops > starts).all(axis=0))
+    rows = np.flatnonzero(~tiles)
+    if rows.size:
+        tiles[rows] = _chains(starts[:, rows].T, stops[:, rows].T, stack.A[rows])
+    return tiles
 
 
 def _in_order(ell: int) -> np.ndarray:

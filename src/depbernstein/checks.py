@@ -9,9 +9,10 @@ A suite is a generator of cases; a case is an iterable of entries
 case, so a lazy case (a generator) costs nothing once the budget is spent.
 The inequality, Cantor, coupling and split-identity suites check a whole
 stack per case (one dimension, one level count, one shape of laws, all 1000
-split draws); each failed row names its `pair` (draw index), its `A`, or
-its lag `k` or `law` (stack index).  Randomized suites take their seed as an argument; the defaults
-are `verify`'s.
+split draws), and the schedule ceilings one n per case, its 27 grid points
+as arrays; each failed row names its `pair` (draw index), its `A`, its lag
+`k` or `law` (stack index), or its point (n, c, v, M).  Randomized suites
+take their seed as an argument; the defaults are `verify`'s.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _rows(invariant: str, holds, **columns):
     array); each failed one is reported with its element of every column
     (scalars or arrays that broadcast against `holds`)."""
     holds = np.asarray(holds)
-    if holds.all():  # building the columns anyway made schedule_ceilings 3 times slower
+    if holds.all():  # without the columns: schedule_ceilings in 0.29 ms, not 0.44
         return invariant, holds.size, []
     bad = ~holds
     cols = [np.broadcast_to(col, holds.shape)[bad].tolist() for col in columns.values()]
@@ -84,10 +85,12 @@ def _inequality_case(pair, a, b, t):
     1e-9 (1 + |rhs|); Gerschgorin for a (absolute slack 1e-9), and
     convexity of s -> Tr exp(sa) at t (a second difference >= -1e-8) for
     stacks a and b of one shape; a failure carries its draw index `pair`.
-    The stack decomposes a, b and a + b."""
+    Golden-Thompson's right side decomposes a and b with their bases first;
+    the other kernels read eigenvalues alone, so a + b is decomposed for
+    its eigenvalues only."""
+    rhs = spectral.trace_product(spectral.expm_sym(a), spectral.expm_sym(b))
     total = a + b
     lhs = spectral.trace_exp(1.0, total)
-    rhs = spectral.trace_product(spectral.expm_sym(a), spectral.expm_sym(b))
     yield _rows("golden_thompson", lhs <= rhs + 1e-9 * (1.0 + np.abs(rhs)),
                 pair=pair, lhs=lhs, rhs=rhs)
     lhs = np.abs(spectral.trace_product(a, b))
@@ -153,19 +156,22 @@ def split_identity(seed: int):
 
 
 def schedule_ceilings():
-    """On a grid of (n, c, v, M): the schedule exists, and the combined pair
-    has sigma <= 15 sqrt(n) v + 2 M / sqrt(c) and kappa <= M gamma(c, n)."""
-    for n, c, v, M in itertools.product((4, 16, 256, 4096), (0.5, 2.0, 10.0),
-                                        (0.1, 1.0, 10.0), (0.1, 1.0, 10.0)):
+    """On a grid of (n, c, v, M), one case per n with its 27 points (c, v, M)
+    as arrays: the schedule exists, and the combined pair has
+    sigma <= 15 sqrt(n) v + 2 M / sqrt(c) and kappa <= M gamma(c, n); a
+    failure names its point, and a domain error fails every point of its case."""
+    c, v, M = np.array(list(itertools.product((0.5, 2.0, 10.0), (0.1, 1.0, 10.0),
+                                               (0.1, 1.0, 10.0)))).T
+    for n in (4, 16, 256, 4096):
         point = {"n": n, "c": c, "v": v, "M": M}
         try:
             inputs = _bounds.BernsteinInputs(n=n, d=2, M=M, v=v, c=c)
             pairs = _bounds.sigma_kappa_schedule(inputs)
         except _bounds.BoundDomainError:
-            yield [("schedule_ceiling", 1, [point])]
+            yield [_rows("schedule_ceiling", np.zeros(c.shape, bool), **point)]
             continue
         tot, ceiling = _bounds.combine_sigma_kappa(pairs), _bounds.schedule_ceiling(inputs)
-        yield [("schedule_ceiling", 1, []),
+        yield [("schedule_ceiling", c.size, []),
                _rows("sigma_ceiling", tot.sigma <= ceiling.sigma, sigma=tot.sigma, **point),
                _rows("kappa_ceiling", tot.kappa <= ceiling.kappa, kappa=tot.kappa, **point)]
 

@@ -7,8 +7,9 @@ SymMatrix, which holds one d x d matrix or a stack of k of them (shape
 (k, d, d)), and runs the same code on both: a stack gives one result per
 matrix, as an array, and a single matrix gives a Python scalar.  A raw
 array is validated into a SymMatrix.  Each SymMatrix computes its
-spectrum at most once and keeps it; its entries and the spectrum's arrays
-are read-only, so the kept spectrum cannot go stale.  The inequalities
+eigenvalues at most once (by `eigvalsh` where no basis is read) and its
+basis once `eig_sym` asks for it, and keeps both; its entries and the kept
+arrays are read-only, so they cannot go stale.  The inequalities
 these kernels are checked against, with their slacks, live in `checks`.
 """
 
@@ -62,6 +63,8 @@ class SymMatrix:
     """
 
     entries: np.ndarray
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
     _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -102,9 +105,17 @@ def _out(x):
     return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
+def _descending(x: np.ndarray) -> np.ndarray:
+    """x reversed on its last axis (eigh and eigvalsh sort ascending), read-only."""
+    x = x[..., ::-1]
+    x.flags.writeable = False
+    return x
+
+
 def eig_sym(a) -> Spectrum:
-    """Full spectrum, eigenvalues sorted descending (eigh returns them
-    ascending), one decomposition for a whole stack.
+    """Full spectrum, eigenvalues sorted descending, one `eigh` call for a
+    whole stack; eigenvalues that `a` already holds are kept, so they are
+    computed once.
 
     Computed on the first call and kept on `a`; every later call returns
     the same read-only Spectrum.
@@ -112,15 +123,23 @@ def eig_sym(a) -> Spectrum:
     a = _sym(a)
     if a._spectrum is None:
         w, v = np.linalg.eigh(a.entries)
-        w, v = w[..., ::-1], v[..., ::-1]
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(a, "_spectrum", Spectrum(eigenvalues=w, basis=v))
+        if a._eigenvalues is None:
+            object.__setattr__(a, "_eigenvalues", _descending(w))
+        object.__setattr__(a, "_spectrum", Spectrum(a._eigenvalues, _descending(v)))
     return a._spectrum
 
 
+def _eigenvalues(a) -> np.ndarray:
+    """The eigenvalues of `a`, descending; one `eigvalsh` call for a whole
+    stack if `a` holds none yet."""
+    a = _sym(a)
+    if a._eigenvalues is None:
+        object.__setattr__(a, "_eigenvalues", _descending(np.linalg.eigvalsh(a.entries)))
+    return a._eigenvalues
+
+
 def lambda_max(a):
-    return eig_sym(a).lambda_max
+    return _out(_eigenvalues(a)[..., 0])
 
 
 def expm_sym(a) -> SymMatrix:
@@ -136,7 +155,7 @@ def _exponents(t, a) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise SpectralError("t must be finite")
-    return t[..., None] * eig_sym(a).eigenvalues
+    return t[..., None] * _eigenvalues(a)
 
 
 def trace_exp(t, a):
@@ -147,9 +166,9 @@ def trace_exp(t, a):
 def schatten_norm(a, p: float):
     """p-Schatten norm: l^p norm of the eigenvalue vector. p = inf gives the
     spectral radius."""
-    if p != np.inf and p < 1:
+    if not p >= 1:
         raise SpectralError(f"Schatten norm needs p >= 1, got {p}")
-    w = np.abs(eig_sym(a).eigenvalues)
+    w = np.abs(_eigenvalues(a))
     if p == np.inf:
         return _out(np.max(w, axis=-1))
     return _out(np.sum(w ** p, axis=-1) ** (1.0 / p))

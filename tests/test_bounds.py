@@ -193,7 +193,8 @@ class TestSchedule:
         checked, failures = checks.run(checks.schedule_ceilings)
         assert checked == {"schedule_ceiling": 108, "sigma_ceiling": 108, "kappa_ceiling": 108}
         assert [f.pop("invariant") for f in failures] == ["kappa_ceiling"] * 108
-        assert [f.pop("case") for f in failures] == list(range(108))
+        # one case per n, its 27 points (c, v, M) in grid order
+        assert [f.pop("case") for f in failures] == [0] * 27 + [1] * 27 + [2] * 27 + [3] * 27
         assert failures == [{"kappa": self.totals(p).kappa, **p} for p in self.GRID]
 
     def test_sigma_ceiling_violation_is_reported(self, monkeypatch):
@@ -207,6 +208,91 @@ class TestSchedule:
         assert len(want) == 32
         assert {f.pop("invariant") for f in failures} == {"sigma_ceiling"}
         assert [{k: v for k, v in f.items() if k != "case"} for f in failures] == want
+
+
+    @pytest.mark.parametrize("n, grid", [(n, True) for n in (4, 16, 256, 4096)]
+                             + [(2 ** e, False) for e in range(10, 21)])
+    def test_array_schedule_is_the_scalar_one_bit_for_bit(self, n, grid):
+        # the grid's 27 points (c, v, M) of this n, or 40 seeded ones
+        if grid:
+            points = [(p["c"], p["v"], p["M"]) for p in self.GRID if p["n"] == n]
+        else:
+            rng = np.random.default_rng(n)
+            points = rng.uniform([0.01, 0.0, 0.01], [20.0, 10.0, 10.0], (40, 3)).tolist()
+        c, v, M = np.array(points).T
+        got = sigma_kappa_schedule(BernsteinInputs(n=n, d=2, M=M, v=v, c=c))
+        want = [sigma_kappa_schedule(BernsteinInputs(n=n, d=2, M=Mi, v=vi, c=ci))
+                for ci, vi, Mi in points]
+        assert all(isinstance(x, float) for pairs in want for q in pairs
+                   for x in (q.sigma, q.kappa))
+        assert len(got) == len(want[0]) == decomposition_depth(n) + 1
+        got_bits = np.array([[q.sigma, q.kappa] for q in got]).view(np.uint64)
+        want_bits = np.array([[[q.sigma, q.kappa] for q in pairs] for pairs in want])
+        assert np.array_equal(got_bits, want_bits.transpose(1, 2, 0).view(np.uint64))
+
+    def test_domain_error_fails_every_point_of_its_case(self, monkeypatch):
+        real = bounds.sigma_kappa_schedule
+
+        def schedule(inputs):
+            if inputs.n == 16:
+                raise BoundDomainError("no schedule at n = 16")
+            return real(inputs)
+
+        monkeypatch.setattr(bounds, "sigma_kappa_schedule", schedule)
+        checked, failures = checks.run(checks.schedule_ceilings)
+        assert checked == {"schedule_ceiling": 108, "sigma_ceiling": 81, "kappa_ceiling": 81}
+        assert failures == [{"invariant": "schedule_ceiling", "case": 1, **p}
+                            for p in self.GRID if p["n"] == 16]
+
+
+class TestNaNIsRejected:
+    """Each domain check is the negation of what must hold, so a NaN fails it."""
+
+    PAIR = SigmaKappaPair(1.0, 0.5)
+    FIELDS = dict(n=4, d=2, M=1.0, v=1.0, c=1.0)
+
+    @pytest.mark.parametrize("field, need", [("n", "n >= 2"), ("d", "d >= 1")])
+    def test_bernstein_inputs(self, field, need):
+        with pytest.raises(BoundDomainError, match=f"need {need}, got nan$"):
+            BernsteinInputs(**dict(self.FIELDS, **{field: math.nan}))
+        with pytest.raises(BoundDomainError, match=f"need {need}, got nan at row 1$"):
+            BernsteinInputs(**dict(self.FIELDS, **{field: np.array([4.0, math.nan])}))
+
+    def test_tail_bound_never_sees_a_nan_n(self):
+        with pytest.raises(BoundDomainError):
+            tail_bound_certified(10.0, BernsteinInputs(**dict(self.FIELDS, n=math.nan)))
+
+    @pytest.mark.parametrize("c, n", [(math.nan, 10), (1.0, math.nan)])
+    def test_gamma_cn(self, c, n):
+        with pytest.raises(BoundDomainError, match="got nan"):
+            gamma_cn(c, n)
+
+    def test_gamma_majorant(self):
+        with pytest.raises(BoundDomainError, match="need t >= 0, got nan"):
+            gamma_majorant(self.PAIR, math.nan)
+
+    @pytest.mark.parametrize("c, x", [(math.nan, 10.0), (1.0, math.nan)])
+    def test_h(self, c, x):
+        with pytest.raises(BoundDomainError):
+            h(c, x)
+
+    def test_h_broadcasts_over_c(self):
+        c = np.array([0.5, 1e9, 3.0])
+        assert h(c, 100.0).tolist() == [h(ci, 100.0) for ci in c.tolist()]
+        with pytest.raises(BoundDomainError, match="need c > 0, got nan at row 1"):
+            h(np.array([1.0, math.nan]), 100.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: g(math.nan),
+        lambda: tropp_log_laplace(math.nan, 1.0, 1.0, 2),
+        lambda: tropp_log_laplace(0.1, math.nan, 1.0, 2),
+        lambda: tropp_log_laplace(0.1, 1.0, math.nan, 2),
+        lambda: prop1_log_laplace(math.nan, 100, BernsteinInputs(n=4, d=2, M=1.0, v=1.0, c=1.0)),
+        lambda: prop1_log_laplace(0.01, math.nan, BernsteinInputs(n=4, d=2, M=1.0, v=1.0, c=1.0)),
+    ], ids=["g", "tropp_t", "tropp_B", "tropp_variance", "prop1_t", "prop1_A"])
+    def test_scalar_closed_forms(self, call):
+        with pytest.raises(BoundDomainError):
+            call()
 
 
 class TestMaster:

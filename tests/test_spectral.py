@@ -143,13 +143,36 @@ class TestSpectrumCache:
         compared = [f.name for f in dataclasses.fields(SymMatrix) if f.compare]
         assert compared == ["entries"]
 
-    def test_inequality_suite_decomposes_one_stack_per_dimension(self, monkeypatch):
+    def test_eigenvalues_are_computed_once(self, monkeypatch):
+        # lambda_max reads eigenvalues alone; eig_sym adds the basis and keeps
+        # the eigenvalues it finds, so both read one array
+        entries = np.stack([conftest.rand_sym(np.random.default_rng(s), 4) for s in range(3)])
+        fresh = np.linalg.eigvalsh(entries)[:, ::-1]
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, _name=name, _original=original:
+                                calls.append(_name) or _original(m))
+        a = SymMatrix(entries)
+        top = lambda_max(a)
+        s = eig_sym(a)
+        assert calls == ["eigvalsh", "eigh"]
+        assert s.eigenvalues.tobytes() == fresh.tobytes()
+        assert s.eigenvalues[:, 0].tobytes() == top.tobytes()
+        assert np.shares_memory(s.eigenvalues, top)
+        # with the basis first, the eigenvalue kernels decompose nothing more
+        b = SymMatrix(entries)
+        eig_sym(b)
+        lambda_max(b), trace_exp(1.0, b), schatten_norm(b, 2.0)
+        assert calls == ["eigvalsh", "eigh", "eigh"]
 
-            def counting(m, *args, _original=original, **kwargs):
-                calls.append(m.shape)
+    def test_inequality_suite_decomposes_one_stack_per_dimension(self, monkeypatch):
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counting(m, *args, _original=original, _calls=calls[name], **kwargs):
+                _calls.append(m.shape)
                 return _original(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
@@ -157,9 +180,11 @@ class TestSpectrumCache:
         assert failures == []
         assert checked == {"golden_thompson": 1000, "trace_holder": 4000, "weyl": 1000,
                            "gerschgorin": 1000, "trace_exp_convexity": 1000}
-        # a, b and a + b for each of the seven dimensions d = 2..8
-        assert len(calls) <= 21
-        assert {shape[1:] for shape in calls} == {(d, d) for d in range(2, 9)}
+        # for each of the seven dimensions d = 2..8, a and b with their bases
+        # (for e^A and e^B) and a + b for its eigenvalues alone
+        dims = [(d, d) for d in range(2, 9)]
+        assert sorted(shape[1:] for shape in calls["eigh"]) == sorted(dims * 2)
+        assert sorted(shape[1:] for shape in calls["eigvalsh"]) == dims
 
 
 class TestStacks:
@@ -407,6 +432,10 @@ class TestSchatten:
     def test_rejects_small_p(self):
         with pytest.raises(SpectralError):
             schatten_norm(identity(2), 0.5)
+
+    def test_rejects_nan_p(self):
+        with pytest.raises(SpectralError, match="got nan"):
+            schatten_norm(identity(2), math.nan)
 
 
 def case_failures(a, b):
