@@ -6,20 +6,16 @@ consecutive integers, each of length n_ell, and satisfies
 A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 "first n observations" bookkeeping.
 
-Runs are stored by their starts as int64 arrays, one row per A, never as
-every integer.  A single A keeps its one row: the leaf starts and the gap
-starts of each level.  Its kept set K is a sorted int64 array, built from
-the leaf starts only when it is read, and the blocks of a level are the
-rows of K.  Many A's that share ell give one `CantorStack`: A, delta, the
-block and gap sizes and the run starts as arrays, one row per A, on which
-the tiling of {1..A} is checked for every row at once, in the order the
-runs lie in {1..A} (one run order per ell), so that only rows that do not
-tile are sorted.  A stack's starts are laid out level-major, one
-contiguous row of k starts per run, and its (k, runs) arrays are their
-transposes.  The stack's sizes repeat `cantor_params`' float
-operations on arrays, with logs and powers from Python's math (numpy's can
-differ in the last bit), so the two recipes agree bit for bit.  The scalar
-one stays for a single A, where a one-row array call costs over ten scalar ones.
+Runs are stored by their starts as int64 arrays, never as every integer,
+in the order they lie in {1..A} (every block is its left child, its gap,
+then its right child), so the leaves and each level's gaps are strided
+views.  A single A keeps one column of starts; its kept set K, a sorted
+int64 array, is built from the leaf starts when it is read.  Many A's that
+share ell give one `CantorStack`: A, delta and the block and gap sizes, one
+row per A, and the starts, built once, one row of k per run, on which the
+tiling of {1..A} is checked for every A at once.  Its sizes repeat
+`cantor_params`' float operations on arrays with Python's log and pow
+(numpy's can differ in the last bit), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -65,39 +61,47 @@ class CantorPartition:
 
 @dataclass(frozen=True, eq=False)
 class CantorStack:
-    """The blockings of k sizes A that share ell, one row per A: A and
-    delta, shape (k,), the block sizes n_0 .. n_ell, shape (k, ell + 1),
-    the gap sizes d_0 .. d_{ell-1}, shape (k, ell), the leaf starts, shape
-    (k, 2^ell), and per level j = 0..ell-1 the gap starts, shape (k, 2^j),
-    in the order of `cantor_set`'s leaves and remainders."""
+    """The blockings of k sizes A that share ell: A and delta, shape (k,),
+    n_0 .. n_ell and d_0 .. d_{ell-1}, shape (k, ell + 1) and (k, ell), and
+    the start of every run, shape (2^(ell+1) - 1, k), one row per run in the
+    order the runs lie in {1..A}, of which the leaf and gap starts are views."""
     A: np.ndarray
     delta: np.ndarray
     n_seq: np.ndarray
     d_seq: np.ndarray
-    leaf_starts: np.ndarray
-    gap_starts: tuple
+    starts: np.ndarray
 
     @property
     def ell(self) -> int:
         return self.n_seq.shape[1] - 1
 
     @property
+    def leaf_starts(self) -> np.ndarray:
+        """The leaf starts, shape (k, 2^ell), in `cantor_set`'s order."""
+        return self.starts[::2].T
+
+    @property
+    def gap_starts(self) -> tuple:
+        """Per level j = 0..ell-1, the gap starts, shape (k, 2^j)."""
+        return tuple(self.starts[rows].T for rows in _layers(self.ell)[1:])
+
+    @property
     def card(self) -> np.ndarray:
         """|K_A| per row: the leaf count times the leaf length stop - start."""
-        return self.leaf_starts.shape[1] * self.n_seq[:, -1]
+        return (len(self.starts) + 1) // 2 * self.n_seq[:, -1]
+
+    def lengths(self) -> np.ndarray:
+        """Per layer, shape (ell + 1, k), from n_seq alone: n_ell, then n_j - 2 n_{j+1}."""
+        n = self.n_seq.T
+        return np.concatenate((n[-1:], n[:-1] - 2 * n[1:]))
 
     def runs(self):
-        """(starts, stops) of the leaves, then the gaps level by level, each
-        shape (k, 2^(ell+1) - 1): the transposes of level-major arrays, one
-        contiguous (k,) row per run.  The lengths come from n_seq alone: a
-        leaf is n_ell long and a gap at level j n_j - 2 n_{j+1}."""
-        n = self.n_seq.T
-        parts = [x.T for x in (self.leaf_starts, *self.gap_starts)]
-        lengths = np.concatenate((n[-1:], n[:-1] - 2 * n[1:]))
-        starts = np.concatenate(parts)
-        stops = np.repeat(lengths, [len(x) for x in parts], axis=0)
-        stops += starts
-        return starts.T, stops.T
+        """(starts, stops) of every run, each shape (k, 2^(ell+1) - 1), in
+        the order the runs lie in {1..A}."""
+        stops = self.starts.copy()
+        for rows, length in zip(_layers(self.ell), self.lengths()):
+            stops[rows] += length
+        return self.starts.T, stops.T
 
 
 def cantor_params(A: int) -> CantorParams:
@@ -126,22 +130,25 @@ def cantor_params(A: int) -> CantorParams:
 def cantor_set(A: int) -> CantorPartition:
     """Recursive trisection of {1..A}: each block of n_{j-1} consecutive
     integers splits into a left block of n_j, a gap of d_{j-1} and a right
-    block of n_j.  The runs are the one row of `_run_starts` for A."""
+    block of n_j.  The runs are the one column of `_run_starts` for A."""
     p = cantor_params(A)
-    (leaf_starts,), gap_starts = _run_starts(np.array([p.n_seq]))
-    return CantorPartition(p, leaf_starts, tuple(g[0] for g in gap_starts))
+    starts = _run_starts(np.array([p.n_seq]))[:, 0]
+    leaf_starts, *gap_starts = (starts[rows] for rows in _layers(p.ell))
+    return CantorPartition(p, leaf_starts, tuple(gap_starts))
 
 
 def cantor_stacks(sizes) -> list:
     """One `CantorStack` per level count ell among the sizes A, in order of
-    ell; the rows of a stack keep the order in which their A's were given."""
+    ell; the rows of a stack keep the order in which their A's were given.
+    A size past int64 raises a `CantorError` that names it."""
     A, delta, ell, n, d = _array_params(sizes)
+    order = np.argsort(ell, kind="stable")  # grouped by ell, each group in the order given
+    levels, first = np.unique(ell[order], return_index=True)
     stacks = []
-    for level in np.unique(ell).tolist():
-        rows = np.flatnonzero(ell == level)
+    for level, rows in zip(levels.tolist(), np.split(order, first[1:])):
         n_seq = n[rows, :level + 1]
         stacks.append(CantorStack(A[rows], delta[rows], n_seq, d[rows, :level],
-                                  *_run_starts(n_seq)))
+                                  _run_starts(n_seq)))
     return stacks
 
 
@@ -149,102 +156,82 @@ def _array_params(sizes):
     """`cantor_params` on every size at once: A, delta and ell, shape (k,),
     and n_j and d_j, shape (k, max ell + 1) and (k, max ell), whose columns
     past a row's ell are not its sizes.  Step k raises 1 - delta to the
-    power k - 1 for the rows whose ell is at least k - 1, which gives their
-    n_{k-1} and tells whether level k exists."""
-    sizes = [_size(A, "A") for A in sizes]
-    A = np.array(sizes, dtype=np.int64)
-    delta = math.log(2.0) / (2.0 * np.fromiter(map(math.log, sizes), float, len(sizes)))
-    ell = np.zeros_like(A)
-    n = [A]  # n_j for the rows with ell >= j, 0 in the others
-    rows, k = np.arange(A.size), 1
+    power k - 1 (by `math.pow`, the libm pow of `**`; at k = 1 it is exactly 1,
+    C99 F.9.4.4) for the rows with ell >= k - 1: their n_{k-1}, and whether
+    level k exists."""
+    A = np.array(sizes)
+    if A.dtype != np.int64 or (A < 2).any():  # _size words the error
+        A = [_size(x, "A") for x in sizes]
+        if max(A, default=0) >= 2 ** 63:
+            raise CantorError(f"A must be below 2^63 in a stack, got {max(A)}")
+        A = np.array(A, dtype=np.int64)
+    delta = math.log(2.0) / (2.0 * np.fromiter(map(math.log, A.tolist()), float, A.size))
+    x, scaled = 1.0 - delta, A * delta
+    # row j: n_j where ell >= j, else 0 (which no n_j is); ell <= log2 A - 2
+    n = np.zeros((int(A.max(initial=2)).bit_length(), A.size), dtype=np.int64)
+    n[0] = A
+    rows, power, k = np.arange(A.size), np.ones(A.size), 1
     while rows.size:
-        a = A[rows]
-        power = np.fromiter(map(pow, (1.0 - delta[rows]).tolist(), repeat(k - 1)),
-                            float, rows.size)
         if k > 1:
-            n.append(np.zeros_like(A))
-            n[-1][rows] = np.ceil(a * power / 2.0 ** (k - 1))
-        rows = rows[a * delta[rows] * power / 2.0 ** k >= 2.0]
-        ell[rows] = k
+            power = np.fromiter(map(math.pow, x[rows].tolist(), repeat(k - 1.0)), float, rows.size)
+            n[k - 1, rows] = np.ceil(A[rows] * power / 2.0 ** (k - 1))
+        rows = rows[scaled[rows] * power / 2.0 ** k >= 2.0]
         k += 1
-    n = np.stack(n, axis=1)
-    return A, delta, ell, n, n[:, :-1] - 2 * n[:, 1:]
+    n = n[:k - 1]
+    return A, delta, (n[1:] > 0).sum(axis=0), n.T, (n[:-1] - 2 * n[1:]).T
 
 
-def _run_starts(n_seq: np.ndarray):
-    """Leaf and gap starts for rows of block sizes n_0 .. n_ell, shape
-    (k, ell + 1).  At level j every block start s gives a gap at s + n_j
-    and two blocks at s and s + n_{j-1} - n_j.  The starts are built
-    level-major, one (k,) row per run, and returned as their transposes:
-    the leaf starts, shape (k, 2^ell), and the tuple of gap starts, shape
-    (k, 2^j) at level j."""
+def _run_starts(n_seq: np.ndarray) -> np.ndarray:
+    """`CantorStack.starts` for rows of block sizes n_0 .. n_ell, shape (k, ell + 1).
+    A level-j block whose runs begin at row s starts where its first leaf does; its
+    gap (row s + 2^(ell-j) - 1) starts n_{j+1} later and its right child (from row
+    s + 2^(ell-j)) n_j - n_{j+1} later: two strided row views a level."""
     n = n_seq.T
-    shifts = n[:-1] - n[1:]
-    starts = np.ones((1, len(n_seq)), dtype=np.int64)  # one row per block of level j
-    gaps = []
-    for j in range(1, len(n)):
-        gaps.append(starts + n[j])
-        children = np.empty((2 * len(starts), len(n_seq)), dtype=np.int64)
-        children[0::2] = starts
-        np.add(starts, shifts[j - 1], out=children[1::2])
-        starts = children
-    return starts.T, tuple(g.T for g in gaps)
+    ell = len(n) - 1
+    starts = np.empty((2 ** (ell + 1) - 1, len(n_seq)), dtype=np.int64)
+    starts[0] = 1
+    for j in range(ell):
+        span = 2 ** (ell - j)
+        blocks = starts[::2 * span]
+        np.add(blocks, n[j + 1], out=starts[span - 1::2 * span])
+        np.add(blocks, n[j] - n[j + 1], out=starts[span::2 * span])
+    return starts
+
+
+def _layers(ell: int) -> list:
+    """The rows of a stack's starts that hold its leaves (every other row),
+    then level j's gaps (every 2^(ell-j+1)-th row from row 2^(ell-j) - 1)."""
+    return [np.s_[::2]] + [np.s_[2 ** (ell - j) - 1::2 ** (ell - j + 1)] for j in range(ell)]
 
 
 def tiles_exactly(stack: CantorStack) -> np.ndarray:
     """Per row of the stack, whether its leaves and gaps tile {1..A}: sorted
     by start, every non-empty run begins where the previous one stopped,
-    from 1 to A + 1.  This checks cover and disjointness together.  The runs
-    are read level-major, one contiguous (k,) row per run, and each run but
-    the first leaf is compared with the run before it in the construction's
-    layout, in which the rows of a true tiling need no sort; only the rows
-    that do not link go to `_chains`' sort."""
-    walk = _in_order(stack.ell)
-    before = np.empty_like(walk)
-    before[walk[1:]] = walk[:-1]  # walk[0] is leaf 0, which starts at 1
-    starts, stops = (x.T for x in stack.runs())
-    tiles = ((starts[0] == 1) & (stops[walk[-1]] == stack.A + 1)
-             & (starts[1:] == stops[before[1:]]).all(axis=0) & (stops > starts).all(axis=0))
-    rows = np.flatnonzero(~tiles)
-    if rows.size:
-        tiles[rows] = _chains(starts[:, rows].T, stops[:, rows].T, stack.A[rows])
+    from 1 to A + 1 (cover and disjointness together).  In the order of the
+    starts a true tiling needs no sort: each step from a start to the next
+    is its run's length, one (k,) row a layer.  Only the rows that do not
+    link, or hold an empty run, go to `_chains`' sort."""
+    starts, lengths = stack.starts, stack.lengths()
+    step = np.diff(starts, axis=0)  # less each run's length: all 0 in a tiling
+    for rows, length in zip(_layers(stack.ell), lengths):
+        step[rows] -= length
+    tiles = ((starts[0] == 1) & (starts[-1] + lengths[0] == stack.A + 1)
+             & (lengths > 0).all(axis=0) & ~step.any(axis=0))
+    if not tiles.all():
+        starts, stops = (x[~tiles] for x in stack.runs())
+        tiles[~tiles] = _chains(starts, stops, stack.A[~tiles])
     return tiles
-
-
-def _in_order(ell: int) -> np.ndarray:
-    """The columns of `CantorStack.runs` in the order their runs lie in
-    {1..A}: every block is its left child, its gap, then its right child."""
-    walk = np.arange(2 ** ell)[:, None]  # per block of level ell, its leaf
-    for j in range(ell - 1, -1, -1):
-        children = walk.reshape(2 ** j, 2, -1)
-        gaps = 2 ** ell + 2 ** j - 1 + np.arange(2 ** j)[:, None]
-        walk = np.concatenate((children[:, 0], gaps, children[:, 1]), axis=1)
-    return walk.ravel()
 
 
 def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:
     """Per row of runs [start, stop): whether the non-empty runs, sorted by
-    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first.
-    A row whose runs are all non-empty and chain as given is sorted already;
-    only the other rows are sorted and checked again."""
-    A = np.broadcast_to(A, starts.shape[:1])
-    linked = _linked(starts, stops, A) & (stops > starts).all(axis=-1)
-    rows = np.flatnonzero(~linked)
-    if rows.size:
-        starts, stops = starts[rows], stops[rows]
-        empty = stops <= starts
-        order = np.argsort(np.where(empty, 0, starts), axis=-1)
-        starts, stops = (np.take_along_axis(np.where(empty, 1, x), order, axis=-1)
-                         for x in (starts, stops))
-        linked[rows] = _linked(starts, stops, A[rows])
-    return linked
-
-
-def _linked(starts: np.ndarray, stops: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Per row, whether each run begins where the one before it stopped,
-    the first at 1 and the last stopping at A + 1."""
+    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first."""
+    empty = stops <= starts
+    order = np.argsort(np.where(empty, 0, starts), axis=-1)
+    starts, stops = (np.take_along_axis(np.where(empty, 1, x), order, axis=-1)
+                     for x in (starts, stops))
     return ((starts[:, 0] == 1) & (starts[:, 1:] == stops[:, :-1]).all(axis=-1)
-            & (stops[:, -1] == A + 1))
+            & (stops[:, -1] == np.asarray(A) + 1))
 
 
 def level_runs(partition: CantorPartition, k: int) -> np.ndarray:
@@ -276,11 +263,10 @@ def decomposition_depth(n: int) -> int:
 
 
 def _size(x, name: str) -> int:
-    """x as a Python int >= 2; any integral type but bool is accepted."""
+    """x as a Python int >= 2; any integral type is accepted (a bool is 0 or 1)."""
     try:
-        value = index(x)
+        if index(x) >= 2:
+            return index(x)
     except TypeError:
-        value = None
-    if value is None or isinstance(x, bool) or value < 2:
-        raise CantorError(f"{name} must be an integer >= 2, got {x!r}")
-    return value
+        pass
+    raise CantorError(f"{name} must be an integer >= 2, got {x!r}")

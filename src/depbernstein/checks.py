@@ -111,7 +111,7 @@ def _inequality_case(pair, a, b, t):
 
 def cantor():
     """Every A in 2..5000, one case per `CantorStack` (one per ell)."""
-    for stack in _cantor.cantor_stacks(range(2, 5001)):
+    for stack in _cantor.cantor_stacks(np.arange(2, 5001)):
         yield _cantor_case(stack)
 
 

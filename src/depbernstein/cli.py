@@ -132,9 +132,18 @@ def cmd_bound(args) -> int:
     given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
         with open(args.batch) as fh:
-            reader = csv.reader(fh)
+            text = fh.read()  # CR and CRLF line ends read as LF
+        lines = text.split("\n")
+        # csv.reader splits a line with no quote or NUL at its commas; csv.writer quotes no cell
+        plain = not ('"' in text or "\0" in text) and max(map(len, lines)) <= csv.field_size_limit()
+        reader = ((line.split(",") if line else [] for line in lines) if plain
+                  else csv.reader(io.StringIO(text)))
+        try:
             header = next(reader, [])
             rows = [row for row in reader if row]  # blank lines are skipped
+        except csv.Error as exc:  # a cell past csv's field size limit, say
+            raise ValueError(f"batch {args.batch} is not CSV at line {reader.line_num}:"
+                             f" {exc}") from None
         if not rows:
             raise ValueError(f"empty batch: {args.batch} has no rows")
         twice = next((k for j, k in enumerate(header) if k in header[:j]), None)
@@ -153,9 +162,13 @@ def cmd_bound(args) -> int:
                                  f" but its header has {len(header)}")
         res = _bound_values(args.kind, given)
         names = sorted(res)
-        values = zip(*(map(repr, res[k].tolist()) for k in names))
-        _emit(_csv_lines(header + names, (row + list(v) for row, v in zip(rows, values))),
-              args.out)
+        values = [map(repr, res[k].tolist()) for k in names]  # no repr needs quoting
+        if plain:  # each line, the header first, then its values
+            columns = ([k, *v] for k, v in zip(names, values))
+            table = "\n".join(map(",".join, zip(filter(None, lines), *columns))) + "\n"
+        else:
+            table = _csv_lines(header + names, map(list.__add__, rows, map(list, zip(*values))))
+        _emit(table, args.out)
         return 0
     for k in ("n", "d"):  # the bounds take them as floats
         if abs(given[k] or 0) > sys.float_info.max:

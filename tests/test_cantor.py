@@ -130,34 +130,34 @@ class TestCantorSet:
 
     @staticmethod
     def _runs(A):
-        """The (starts, stops) of A's one-row stack, as writable copies,
-        and its leaf count: the first gap is run number 2^ell."""
+        """The (starts, stops) of A's one-row stack, as writable copies, in
+        the order the runs lie in {1..A}: leaf, gap, leaf, ..., leaf."""
         (stack,) = cantor_stacks([A])
         starts, stops = stack.runs()
-        return starts.copy(), stops.copy(), stack.leaf_starts.shape[1]
+        return starts.copy(), stops.copy()
 
     def test_shifted_gap_is_not_a_tiling(self):
         (stack,) = cantor_stacks([1000])
-        first, *rest = stack.gap_starts
-        bad = dataclasses.replace(stack, gap_starts=(first + 1, *rest))
+        bad = dataclasses.replace(stack, starts=stack.starts.copy())
+        bad.gap_starts[0][:] += 1  # a view of bad's starts
         assert tiles_exactly(bad).tolist() == [False]
 
     def test_overlap_is_not_a_tiling(self):
         # the widened gap overlaps the next leaf but still covers {1..A}, so a
         # check by set union alone would accept it
-        starts, stops, leaves = self._runs(1000)
-        stops[0, leaves] += 1
+        starts, stops = self._runs(1000)
+        stops[0, 1] += 1
         covered = set().union(*map(range, starts[0].tolist(), stops[0].tolist()))
         assert covered == set(range(1, 1001))
         assert _chains(starts, stops, 1000).tolist() == [False]
 
     def test_short_last_leaf_is_not_a_tiling(self):
-        starts, stops, leaves = self._runs(1000)
-        stops[0, leaves - 1] -= 1
+        starts, stops = self._runs(1000)
+        stops[0, -1] -= 1
         assert _chains(starts, stops, 1000).tolist() == [False]
 
     def test_empty_runs_are_skipped(self):
-        starts, stops, _ = self._runs(100)
+        starts, stops = self._runs(100)
         starts = np.concatenate((starts, [[50, 70]]), axis=1)
         stops = np.concatenate((stops, [[50, 60]]), axis=1)
         assert _chains(starts, stops, 100).tolist() == [True]
@@ -244,6 +244,21 @@ class TestStacks:
             with pytest.raises(CantorError):
                 cantor_stacks([100, bad])
 
+    def test_sizes_past_int64_are_named(self):
+        # cantor_params takes any size, but a stack's sizes are int64
+        assert cantor_params(2 ** 70).ell > 0
+        for big in (2 ** 63, 2 ** 64, 2 ** 70):
+            with pytest.raises(CantorError, match=f"got {big}$"):
+                cantor_stacks([100, big])
+
+    def test_leaves_and_gaps_are_views_of_the_starts(self):
+        # one array of starts, in the order the runs lie in {1..A}
+        for stack in cantor_stacks(range(2, 300)):
+            assert stack.starts.shape == (2 ** (stack.ell + 1) - 1, stack.A.size)
+            assert np.all(np.diff(stack.starts, axis=0) > 0)
+            for part in (stack.leaf_starts, *stack.gap_starts):
+                assert np.shares_memory(part, stack.starts)
+
     def test_runs_are_the_ranges_of_cantor_set(self):
         (stack,) = cantor_stacks([1000, 999])
         starts, stops = stack.runs()
@@ -252,17 +267,18 @@ class TestStacks:
             p = part.params
             runs = [range(s, s + p.n_seq[-1]) for s in part.leaf_starts.tolist()] + [
                 range(s, s + d) for g, d in zip(part.gap_starts, p.d_seq) for s in g.tolist()]
+            runs.sort(key=lambda r: r.start)  # every run is non-empty
             assert starts[i].tolist() == [r.start for r in runs]
             assert stops[i].tolist() == [r.stop for r in runs]
 
     def test_perturbed_rows_fail_alone(self):
         sizes = [A for A in range(1000, 1400) if cantor_params(A).ell == 4]
         (stack,) = cantor_stacks(sizes)
-        leaves, gaps = stack.leaf_starts.copy(), [g.copy() for g in stack.gap_starts]
+        bad = dataclasses.replace(stack, starts=stack.starts.copy())
+        leaves, gaps = bad.leaf_starts, bad.gap_starts  # views of bad's starts
         gaps[1][3, 1] += 1                       # a gap shifted by one
         leaves[10, 5] = leaves[10, 4] + 1        # leaf 5 overlaps leaf 4
         leaves[17, -1] -= 1                      # last leaf stops at A
-        bad = dataclasses.replace(stack, leaf_starts=leaves, gap_starts=tuple(gaps))
         tiles = tiles_exactly(bad)
         assert tiles.shape == (len(sizes),)
         assert np.flatnonzero(~tiles).tolist() == [3, 10, 17]
@@ -283,8 +299,9 @@ class TestStacks:
         for stack in cantor_stacks(range(2, 5001)):
             assert tiles_exactly(stack).tolist() == _chains_by_sort(
                 *stack.runs(), stack.A).tolist()
-            leaves, gaps = stack.leaf_starts.copy(), [g.copy() for g in stack.gap_starts]
-            n = stack.n_seq.copy()
+            bad = dataclasses.replace(stack, n_seq=stack.n_seq.copy(),
+                                      starts=stack.starts.copy())
+            leaves, gaps, n = bad.leaf_starts, bad.gap_starts, bad.n_seq  # views of bad's
             for i in rng.choice(stack.A.size, stack.A.size // 5 + 1, replace=False):
                 kind, step = rng.integers(3), rng.choice([-2, -1, 1, 2])
                 if kind == 0:
@@ -294,8 +311,6 @@ class TestStacks:
                     level[i, rng.integers(level.shape[1])] += step
                 else:
                     n[i, rng.integers(n.shape[1])] += step
-            bad = dataclasses.replace(stack, n_seq=n, leaf_starts=leaves,
-                                      gap_starts=tuple(gaps))
             tiles = tiles_exactly(bad)
             assert tiles.tolist() == _chains_by_sort(*bad.runs(), bad.A).tolist()
             failed += int((~tiles).sum())
@@ -325,10 +340,9 @@ class TestStacks:
         # run begins where the one before it stopped, and the lengths sum to A
         (stack,) = cantor_stacks([100])
         bad = dataclasses.replace(stack, n_seq=np.array([[100, 53]]),
-                                  leaf_starts=np.array([[1, 48]]),
-                                  gap_starts=(np.array([[54]]),))
+                                  starts=np.array([[1], [54], [48]]))
         starts, stops = bad.runs()
-        assert (stops - starts).tolist() == [[53, 53, -6]]
+        assert (stops - starts).tolist() == [[53, -6, 53]]
         assert tiles_exactly(bad).tolist() == [False]
         assert _chains(starts[:, [0, 2, 1]], stops[:, [0, 2, 1]], 100).tolist() == [False]
 

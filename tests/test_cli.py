@@ -386,6 +386,47 @@ class TestBoundCommand:
         assert out.read_bytes() == _dict_reader_batch(batch, "tail").encode()
         assert out.read_bytes().count(b'"say ""hi"""') == 333
 
+    def test_batch_cell_past_the_csv_field_limit_is_exit_3(self, capsys, tmp_path):
+        # csv.reader refuses a field longer than 131,072 characters
+        batch = tmp_path / "rows.csv"
+        batch.write_text("n,d,M,v,c,x,note\n4,1,1,1,100,40,a\n4,1,1,1,100,40," + "a" * 200_000)
+        code = main(["bound", "--kind", "tail", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"error: batch {batch} is not CSV at line 3: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_bytes_match_the_csv_reference_on_seeded_files(self, tmp_path, seed):
+        # pass-through columns anywhere in the header, CRLF or LF line ends,
+        # blank lines and a missing final newline; half the files hold quoted
+        # cells (a comma, a doubled quote, a line break), the others none
+        rng = np.random.default_rng(seed)
+        quoted = seed % 2 == 0
+        header = ["n", "d", "M", "v", "c", "x"] + [f"p{j}" for j in range(rng.integers(1, 4))]
+        header = [header[j] for j in rng.permutation(len(header))]
+        cells = {"n": lambda: str(2 ** int(rng.integers(4, 40))), "d": lambda: str(rng.integers(1, 9)),
+                 "M": lambda: repr(rng.uniform(0.1, 10.0)), "v": lambda: repr(rng.uniform(0.05, 5.0)),
+                 "c": lambda: repr(rng.uniform(0.05, 20.0)), "x": lambda: repr(rng.uniform(1.0, 1e3))}
+        plain = ["", "a", "label 7", "-", "1e3", " x "]
+        odd = ['"a, b"', '"say ""hi"""', '"two\nlines"', '","', '""""']
+        lines = [",".join(header)]
+        for _ in range(int(rng.integers(1, 60))):
+            lines.append(",".join(
+                cells[k]() if k in cells else
+                odd[rng.integers(len(odd))] if quoted and rng.random() < 0.3 else
+                plain[rng.integers(len(plain))] for k in header))
+            if rng.random() < 0.2:
+                lines.append("")
+        end = "\r\n" if rng.random() < 0.5 else "\n"
+        text = end.join(lines) + (end if rng.random() < 0.5 else "")
+        assert ('"' in text) == quoted
+        batch = tmp_path / "rows.csv"
+        batch.write_bytes(text.encode())
+        out = tmp_path / "out.csv"
+        assert main(["bound", "--kind", "tail", "--batch", str(batch), "--out", str(out)]) == 0
+        assert out.read_bytes() == _csv_reference_batch(batch, "tail").encode()
+
     def test_batch_bad_cell_in_the_last_of_2000_rows_names_it(self, capsys, tmp_path):
         batch = tmp_path / "rows.csv"
         batch.write_text("n,d,M,v,c,x\n" + "4,1,1,1,100,40\n" * 1999 + "4,1,1,1,100,forty\n")
@@ -410,6 +451,24 @@ def _dict_reader_batch(path, kind) -> str:
     w.writerow(list(rows[0]) + sorted(res))
     w.writerows(list(row.values()) + [res[k][i].item() for k in sorted(res)]
                 for i, row in enumerate(rows))
+    return buf.getvalue()
+
+
+def _csv_reference_batch(path, kind) -> str:
+    """The output of `bound --batch` as csv.reader and csv.writer make it,
+    row by row: the reference for a well-formed batch."""
+    with open(path) as fh:
+        header, *rows = csv.reader(fh)
+    rows = [row for row in rows if row]
+    given = dict.fromkeys(cli._BOUND_TYPES)
+    given.update({k: np.array([float(cast(row[header.index(k)])) for row in rows])
+                  for k, cast in cli._BOUND_TYPES.items() if k in header})
+    res = cli._bound_values(kind, given)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header + sorted(res))
+    for i, row in enumerate(rows):
+        w.writerow(row + [repr(res[k][i].item()) for k in sorted(res)])
     return buf.getvalue()
 
 
