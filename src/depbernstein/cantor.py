@@ -9,13 +9,14 @@ A >= |K_A| >= A/2.  All index sets are 1-based to match the usual
 Runs are stored by their starts as int64 arrays, never as every integer,
 in the order they lie in {1..A} (every block is its left child, its gap,
 then its right child), so the leaves and each level's gaps are strided
-views.  A single A keeps one column of starts; its kept set K, a sorted
-int64 array, is built from the leaf starts when it is read.  Many A's that
-share ell give one `CantorStack`: A, delta and the block and gap sizes, one
-row per A, and the starts, built once, one row of k per run, on which the
-tiling of {1..A} is checked for every A at once.  Its sizes repeat
-`cantor_params`' float operations on arrays with Python's log and pow
-(numpy's can differ in the last bit), so the two agree bit for bit.
+views.  A single A keeps one column of starts, built from its 1-D sizes by
+the stack's builder; its kept set K, a sorted int64 array, is built from the
+leaf starts when it is read.  Many A's that share ell give one `CantorStack`:
+A, delta and the block and gap sizes, one row per A, and the starts, built
+once, one row of k per run, on which the tiling of {1..A} is checked for
+every A at once.  Its sizes repeat `cantor_params`' float operations, one
+power of 1 - delta a level, on arrays with Python's log and pow (numpy's can
+differ in the last bit), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -113,18 +114,13 @@ def cantor_params(A: int) -> CantorParams:
     """
     A = _size(A, "A")
     delta = math.log(2.0) / (2.0 * math.log(A))
-    ell = 0
-    k = 1
-    while A * delta * (1.0 - delta) ** (k - 1) / 2.0 ** k >= 2.0:
-        ell = k
+    n_seq, d_seq, power, k = [A], [], 1.0, 1  # power = (1 - delta)^(k-1); pow(x, 0) is 1
+    while A * delta * power / 2.0 ** k >= 2.0:  # level k exists: its n_k and d_{k-1}
+        power = (1.0 - delta) ** k
+        n_seq.append(math.ceil(A * power / 2.0 ** k))
+        d_seq.append(n_seq[-2] - 2 * n_seq[-1])
         k += 1
-    n_seq = [A]
-    d_seq = []
-    for j in range(1, ell + 1):
-        nj = math.ceil(A * (1.0 - delta) ** j / 2.0 ** j)
-        d_seq.append(n_seq[-1] - 2 * nj)
-        n_seq.append(nj)
-    return CantorParams(A=A, delta=delta, ell=ell, n_seq=tuple(n_seq), d_seq=tuple(d_seq))
+    return CantorParams(A=A, delta=delta, ell=k - 1, n_seq=tuple(n_seq), d_seq=tuple(d_seq))
 
 
 def cantor_set(A: int) -> CantorPartition:
@@ -132,7 +128,7 @@ def cantor_set(A: int) -> CantorPartition:
     integers splits into a left block of n_j, a gap of d_{j-1} and a right
     block of n_j.  The runs are the one column of `_run_starts` for A."""
     p = cantor_params(A)
-    starts = _run_starts(np.array([p.n_seq]))[:, 0]
+    starts = _run_starts(np.array(p.n_seq))
     leaf_starts, *gap_starts = (starts[rows] for rows in _layers(p.ell))
     return CantorPartition(p, leaf_starts, tuple(gap_starts))
 
@@ -148,7 +144,7 @@ def cantor_stacks(sizes) -> list:
     for level, rows in zip(levels.tolist(), np.split(order, first[1:])):
         n_seq = n[rows, :level + 1]
         stacks.append(CantorStack(A[rows], delta[rows], n_seq, d[rows, :level],
-                                  _run_starts(n_seq)))
+                                  _run_starts(n_seq.T)))
     return stacks
 
 
@@ -181,14 +177,14 @@ def _array_params(sizes):
     return A, delta, (n[1:] > 0).sum(axis=0), n.T, (n[:-1] - 2 * n[1:]).T
 
 
-def _run_starts(n_seq: np.ndarray) -> np.ndarray:
-    """`CantorStack.starts` for rows of block sizes n_0 .. n_ell, shape (k, ell + 1).
-    A level-j block whose runs begin at row s starts where its first leaf does; its
-    gap (row s + 2^(ell-j) - 1) starts n_{j+1} later and its right child (from row
+def _run_starts(n: np.ndarray) -> np.ndarray:
+    """`CantorStack.starts`, shape (2^(ell+1) - 1, *k), from the sizes n_0 .. n_ell,
+    shape (ell + 1, *k); a lone A's 1-D sizes give its one column.  A level-j block
+    whose runs begin at row s starts where its first leaf does; its gap (row
+    s + 2^(ell-j) - 1) starts n_{j+1} later and its right child (from row
     s + 2^(ell-j)) n_j - n_{j+1} later: two strided row views a level."""
-    n = n_seq.T
     ell = len(n) - 1
-    starts = np.empty((2 ** (ell + 1) - 1, len(n_seq)), dtype=np.int64)
+    starts = np.empty((2 ** (ell + 1) - 1, *n.shape[1:]), dtype=np.int64)
     starts[0] = 1
     for j in range(ell):
         span = 2 ** (ell - j)

@@ -226,11 +226,10 @@ def _dominance_case(cfg: dict, trials: int, seed: int):
     report = models.run_tail_experiment(
         cfg["spec"], n=cfg["n"], trials=trials, x_grid=cfg["x_grid"], seed=seed)
     inputs = _bounds.BernsteinInputs(**report.inputs)
-    compared = [(*point, b) for point, (_, b) in zip(report.tail_grid, report.bound_curve)
-                if b < 1.0]
-    yield f"tail_dominance.{name}", len(compared), [
-        {"model": name, "x": x, "p_hat": p_hat, "lo": lo, "hi": hi, "bound": b}
-        for x, p_hat, lo, hi, b in compared if p_hat > b]
+    x, p_hat, lo, hi, bound = np.array([(*point, b) for point, (_, b) in zip(
+        report.tail_grid, report.bound_curve) if b < 1.0]).reshape(-1, 5).T
+    yield _rows(f"tail_dominance.{name}", p_hat <= bound,
+                model=name, x=x, p_hat=p_hat, lo=lo, hi=hi, bound=bound)
     mean, stderr = report.mean_lambda_max, report.mean_stderr
     bound = _bounds.expectation_bound(inputs)
     # at d = 1 the ceiling is E S_n = 0 exactly, which a sample mean straddles

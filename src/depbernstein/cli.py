@@ -37,18 +37,10 @@ def _emit(text: str, out_path):
 
 
 def _csv_lines(header, rows) -> str:
-    """The CSV table of bound, mixing and simulate, with csv.writer's bytes, from
-    rows of str cells: a row whose cells hold no comma, quote, CR or LF needs no
-    quoting, so it is joined as it is, and csv.writer writes the others."""
+    """The CSV table of bound, mixing and simulate, as csv.writer writes it,
+    from rows of str cells."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for cells in rows:
-        line = ",".join(cells)
-        if line.count(",") != len(cells) - 1 or '"' in line or "\r" in line or "\n" in line:
-            w.writerow(cells)
-        else:
-            buf.write(line + "\n")
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 

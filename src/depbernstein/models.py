@@ -65,7 +65,7 @@ from .spectral import SymMatrix
 SCHEMA = "depbernstein/1"
 _CHUNK_WORDS = 1 << 19  # buffer words of a sampling chunk; no result depends on it
 _CEILING_LAGS = 64  # exact lags of v2_ceiling, given cross moments, before its closed-form tail
-_CONF = 0.99  # level of the Clopper-Pearson intervals of run_tail_experiment
+_CONF = 0.99  # the Clopper-Pearson level: clopper_pearson's default, run_tail_experiment's
 
 
 class ModelError(ValueError):
@@ -464,7 +464,7 @@ def _binomial_tail_root(k: np.ndarray, n: int, log_tail: float) -> np.ndarray:
     return y
 
 
-def clopper_pearson(k, n: int, conf: float = 0.99):
+def clopper_pearson(k, n: int, conf: float = _CONF):
     """Exact (conservative) binomial confidence interval for k successes in n
     trials: (lo, hi) as floats for an integer k, as arrays shaped like k for
     an integer array.

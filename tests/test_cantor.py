@@ -12,6 +12,7 @@ from depbernstein.cantor import (
     CantorParams,
     _array_params,
     _chains,
+    _run_starts,
     cantor_params,
     cantor_set,
     cantor_stacks,
@@ -235,6 +236,17 @@ class TestStacks:
         levels = np.arange(n.shape[1])  # row by row, the n_j with j <= ell
         assert n[levels <= ell[:, None]].tolist() == [x for p in params for x in p.n_seq]
         assert d[levels[1:] <= ell[:, None]].tolist() == [x for p in params for x in p.d_seq]
+
+    def test_a_lone_A_is_its_one_row_stack_column(self):
+        # cantor_set's run starts are `_run_starts` of its 1-D sizes: one
+        # int64 column, no second axis, equal to its one-row stack's starts
+        sizes = list(range(2, 5001)) + np.random.default_rng(48).integers(
+            5001, 10 ** 6, 200, endpoint=True).tolist()
+        for A in sizes:
+            p = cantor_params(A)
+            starts = _run_starts(np.array(p.n_seq))
+            assert starts.dtype == np.int64 and starts.shape == (2 ** (p.ell + 1) - 1,)
+            assert np.array_equal(starts, cantor_stacks([A])[0].starts[:, 0])
 
     def test_sizes_are_checked_like_cantor_params(self):
         assert cantor_stacks([]) == []
