@@ -14,7 +14,8 @@ the stack's builder; its kept set K, a sorted int64 array, is built from the
 leaf starts when it is read.  Many A's that share ell give one `CantorStack`:
 A, delta and the block and gap sizes, one row per A, and the starts, built
 once, one row of k per run, on which the tiling of {1..A} is checked for
-every A at once.  Its sizes repeat `cantor_params`' float operations, one
+every A at once, in the stored run order with no sort (a permuted or empty
+run is not a tiling).  Its sizes repeat `cantor_params`' float operations, one
 power of 1 - delta a level, on arrays with Python's log and pow (numpy's can
 differ in the last bit), so the two agree bit for bit.
 """
@@ -201,33 +202,18 @@ def _layers(ell: int) -> list:
 
 
 def tiles_exactly(stack: CantorStack) -> np.ndarray:
-    """Per row of the stack, whether its leaves and gaps tile {1..A}: sorted
-    by start, every non-empty run begins where the previous one stopped,
-    from 1 to A + 1 (cover and disjointness together).  In the order of the
-    starts a true tiling needs no sort: each step from a start to the next
-    is its run's length, one (k,) row a layer.  Only the rows that do not
-    link, or hold an empty run, go to `_chains`' sort."""
+    """Per row of the stack, whether its leaves and gaps tile {1..A} in the
+    order the runs are stored, with no sort: every run has positive length,
+    the first starts at 1, each begins where the one before it stopped (the
+    step from a start to the next, less its run's length, one (k,) row a
+    layer, is 0), and the last stops at A + 1 (cover and disjointness
+    together).  A row whose runs are permuted or empty is not a tiling."""
     starts, lengths = stack.starts, stack.lengths()
-    step = np.diff(starts, axis=0)  # less each run's length: all 0 in a tiling
+    step = np.diff(starts, axis=0)
     for rows, length in zip(_layers(stack.ell), lengths):
         step[rows] -= length
-    tiles = ((starts[0] == 1) & (starts[-1] + lengths[0] == stack.A + 1)
-             & (lengths > 0).all(axis=0) & ~step.any(axis=0))
-    if not tiles.all():
-        starts, stops = (x[~tiles] for x in stack.runs())
-        tiles[~tiles] = _chains(starts, stops, stack.A[~tiles])
-    return tiles
-
-
-def _chains(starts: np.ndarray, stops: np.ndarray, A) -> np.ndarray:
-    """Per row of runs [start, stop): whether the non-empty runs, sorted by
-    start, chain from 1 to A + 1.  Empty runs become [1, 1) and sort first."""
-    empty = stops <= starts
-    order = np.argsort(np.where(empty, 0, starts), axis=-1)
-    starts, stops = (np.take_along_axis(np.where(empty, 1, x), order, axis=-1)
-                     for x in (starts, stops))
-    return ((starts[:, 0] == 1) & (starts[:, 1:] == stops[:, :-1]).all(axis=-1)
-            & (stops[:, -1] == np.asarray(A) + 1))
+    return ((starts[0] == 1) & (starts[-1] + lengths[0] == stack.A + 1)
+            & (lengths > 0).all(axis=0) & ~step.any(axis=0))
 
 
 def level_runs(partition: CantorPartition, k: int) -> np.ndarray:

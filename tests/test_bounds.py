@@ -81,6 +81,10 @@ class TestCombiner:
         c = combine_sigma_kappa([SigmaKappaPair(1, 1), SigmaKappaPair(2, 3)])
         assert (c.sigma, c.kappa) == (3.0, 4.0)
 
+    def test_rejects_no_pairs(self):
+        with pytest.raises(BoundDomainError, match="at least one pair"):
+            combine_sigma_kappa([])
+
     def test_split_identity_spot(self):
         p0, p1 = SigmaKappaPair(1.0, 1.0), SigmaKappaPair(2.0, 0.5)
         t = 0.3

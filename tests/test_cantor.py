@@ -11,7 +11,6 @@ from depbernstein.cantor import (
     CantorError,
     CantorParams,
     _array_params,
-    _chains,
     _run_starts,
     cantor_params,
     cantor_set,
@@ -45,7 +44,8 @@ def _full_decomposition_by_sets(n):
 
 def _chains_by_sort(starts, stops, A):
     """The tiling check that sorted every row by start, kept as the
-    reference for `_chains`."""
+    reference for `tiles_exactly`, which reads the runs in their stored
+    order: the two agree on rows stored in the order the runs lie in {1..A}."""
     empty = stops <= starts
     starts, stops = np.where(empty, 1, starts), np.where(empty, 1, stops)
     order = np.argsort(np.where(empty, 0, starts), axis=-1)
@@ -129,14 +129,6 @@ class TestCantorSet:
             (stack,) = cantor_stacks([A])
             assert tiles_exactly(stack).tolist() == [True]
 
-    @staticmethod
-    def _runs(A):
-        """The (starts, stops) of A's one-row stack, as writable copies, in
-        the order the runs lie in {1..A}: leaf, gap, leaf, ..., leaf."""
-        (stack,) = cantor_stacks([A])
-        starts, stops = stack.runs()
-        return starts.copy(), stops.copy()
-
     def test_shifted_gap_is_not_a_tiling(self):
         (stack,) = cantor_stacks([1000])
         bad = dataclasses.replace(stack, starts=stack.starts.copy())
@@ -144,24 +136,23 @@ class TestCantorSet:
         assert tiles_exactly(bad).tolist() == [False]
 
     def test_overlap_is_not_a_tiling(self):
-        # the widened gap overlaps the next leaf but still covers {1..A}, so a
-        # check by set union alone would accept it
-        starts, stops = self._runs(1000)
-        stops[0, 1] += 1
+        # n_0 one larger widens the level-0 gap into the next leaf, yet the
+        # runs still cover {1..A}, so a check by set union alone would accept it
+        (stack,) = cantor_stacks([1000])
+        bad = dataclasses.replace(stack, n_seq=stack.n_seq.copy())
+        bad.n_seq[:, 0] += 1
+        starts, stops = bad.runs()
         covered = set().union(*map(range, starts[0].tolist(), stops[0].tolist()))
         assert covered == set(range(1, 1001))
-        assert _chains(starts, stops, 1000).tolist() == [False]
+        assert tiles_exactly(bad).tolist() == [False]
 
     def test_short_last_leaf_is_not_a_tiling(self):
-        starts, stops = self._runs(1000)
-        stops[0, -1] -= 1
-        assert _chains(starts, stops, 1000).tolist() == [False]
-
-    def test_empty_runs_are_skipped(self):
-        starts, stops = self._runs(100)
-        starts = np.concatenate((starts, [[50, 70]]), axis=1)
-        stops = np.concatenate((stops, [[50, 60]]), axis=1)
-        assert _chains(starts, stops, 100).tolist() == [True]
+        # n_ell one short: every leaf, the last one too, stops a step early
+        (stack,) = cantor_stacks([1000])
+        bad = dataclasses.replace(stack, n_seq=stack.n_seq.copy())
+        bad.n_seq[:, -1] -= 1
+        assert bad.runs()[1][0, -1] == 1000
+        assert tiles_exactly(bad).tolist() == [False]
 
     def test_runs_are_ranges(self):
         # every run is the range [start, start + length), stored by its
@@ -328,24 +319,6 @@ class TestStacks:
             failed += int((~tiles).sum())
         assert failed > 900
 
-    def test_chains_match_the_sorting_check_in_any_order(self):
-        # random tilings of {1..A} in 6 runs, their columns shuffled in half
-        # the rows, with empty, negative, overlapping and shared-start runs
-        rng = np.random.default_rng(7)
-        rows, A = 4000, rng.integers(6, 40, 4000)
-        cuts = np.sort(rng.random((rows, 5)), axis=1) * (A[:, None] - 1) + 1
-        edges = np.concatenate((np.ones((rows, 1)), np.ceil(cuts), A[:, None] + 1.0), axis=1)
-        starts, stops = edges[:, :-1].astype(np.int64), edges[:, 1:].astype(np.int64)
-        for x in (starts, stops):
-            hit = rng.random(x.shape) < 0.05
-            x[hit] += rng.integers(-2, 3, hit.sum())
-        for i in range(0, rows, 2):
-            order = rng.permutation(6)
-            starts[i], stops[i] = starts[i, order], stops[i, order]
-        tiles = _chains(starts, stops, A)
-        assert tiles.tolist() == _chains_by_sort(starts, stops, A).tolist()
-        assert 0 < tiles.sum() < rows
-
     def test_negative_gap_is_not_a_tiling(self):
         # leaves [1, 54) and [48, 101) overlap by 6, and the gap between
         # them, [54, 48), is 6 short: in the order of the construction each
@@ -356,7 +329,17 @@ class TestStacks:
         starts, stops = bad.runs()
         assert (stops - starts).tolist() == [[53, -6, 53]]
         assert tiles_exactly(bad).tolist() == [False]
-        assert _chains(starts[:, [0, 2, 1]], stops[:, [0, 2, 1]], 100).tolist() == [False]
+
+    def test_permuted_or_empty_runs_are_not_a_tiling(self):
+        # sorted by start, each bad row's runs tile {1..A}; stored out of the
+        # order they lie in, or with the empty gap [51, 51), they are no blocking
+        (stack,) = cantor_stacks([100])
+        permuted = dataclasses.replace(stack, starts=stack.starts[::-1].copy())
+        empty = dataclasses.replace(stack, n_seq=np.array([[100, 50]]),
+                                    starts=np.array([[1], [51], [51]]))
+        for bad in (permuted, empty):
+            assert _chains_by_sort(*bad.runs(), bad.A).tolist() == [True]
+            assert tiles_exactly(bad).tolist() == [False]
 
     def test_short_gap_fails_its_floor_alone(self):
         (stack,) = cantor_stacks([1000, 1001])

@@ -198,6 +198,10 @@ class TestMarkovChain:
         with pytest.raises(MixingError, match="must be an integer"):
             MarkovChain.two_state(0.3, 0.1).joint_law(k)
 
+    def test_joint_law_rejects_a_1d_pmf(self):
+        with pytest.raises(MixingError, match="got shape \\(4,\\)"):
+            JointLaw(np.full(4, 0.25))
+
     def test_joint_law_stack_checks_the_mass_of_each_law(self):
         pmf = np.full((3, 2, 2), 0.25)
         pmf[1, 0, 0] = 0.5

@@ -121,6 +121,13 @@ class TestModelSpec:
         # centered values are +-1, so M = d * max|value|^2 = 3
         assert spec.M == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("spec", [contraction_spec(),
+                                      ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)],
+                             ids=["contraction", "iid"])
+    def test_sign_models_have_no_centered_values(self, spec):
+        with pytest.raises(ModelError, match="block model only"):
+            spec.centered_values
+
 
 def trial_generator(seed, part, t, words):
     """A Generator on trial t's words of stream `part` of `seed`, from
@@ -483,6 +490,12 @@ class TestVarianceProxy:
         spec = ModelSpec(kind="iid_baseline", d=2, chain=CHAIN, D=D2)
         lam2 = float(np.max(np.linalg.eigvalsh(D2 @ D2)))
         assert v2_ceiling(spec) == pytest.approx(lam2)
+
+    @pytest.mark.parametrize("n, named", [(0, "need n >= 1, got 0$"),
+                                          (21, "capped at n = 20, got 21$")])
+    def test_bruteforce_needs_n_from_1_to_20(self, n, named):
+        with pytest.raises(ModelError, match=named):
+            v2_bruteforce(contraction_spec(), n)
 
     @pytest.mark.parametrize("kind", ["contraction", "iid_baseline"])
     def test_sign_models_have_no_cross_moments(self, kind):
@@ -1051,6 +1064,12 @@ class TestTailExperiment:
         with pytest.raises(ModelError):
             run_tail_experiment(self.SPEC, 0, trials=200, x_grid=[1.0], seed=0)
 
+    @pytest.mark.parametrize("x_grid", [[], [1.0, math.nan], [math.inf]])
+    def test_rejects_an_empty_or_non_finite_grid(self, x_grid):
+        # the CLI's --x-grid parser rejects these before the library sees them
+        with pytest.raises(ModelError, match="invalid x grid"):
+            run_tail_experiment(self.SPEC, 8, trials=200, x_grid=x_grid, seed=0)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_non_positive_workers(self, workers):
         with pytest.raises(ModelError, match="workers"):
@@ -1296,6 +1315,14 @@ class TestSamplerMemory:
         assert trials > 2 * chunk_trials(spec, n)
         assert self.peak(models._partial_sum_eigs, spec, n, trials, 3) < 32 << 20
 
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_memory_is_the_intp_range_where_the_os_does_not_say(self, error, monkeypatch):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(models.os, "sysconf", sysconf)
+        assert models._memory_bytes() == np.iinfo(np.intp).max
+
     @pytest.mark.parametrize("case", ["wide", "one-step"])
     def test_peak_per_budget_word_is_bounded(self, case, monkeypatch):
         # a chunk's partial sums grow with d^2 and its seed rows with the
@@ -1311,6 +1338,54 @@ class TestSamplerMemory:
         assert trials > 2 * chunk_trials(spec, n)
         peak = self.peak(models._partial_sum_eigs, spec, n, trials, 3)
         assert peak < 16 * models._CHUNK_WORDS
+
+
+def visit_law(chain, n):
+    """P(N_1 = k), k = 0..n, where N_1 counts the visits to state 1 of n steps
+    of a stationary two-state chain: a forward recursion over (state, N_1)."""
+    P, f = chain.P, np.zeros((2, n + 1))
+    f[0, 0], f[1, 1] = chain.pi
+    for _ in range(n - 1):
+        to0, to1 = f[0] * P[0, 0] + f[1] * P[1, 0], f[0] * P[0, 1] + f[1] * P[1, 1]
+        f[0], f[1, 0], f[1, 1:] = to0, 0.0, to1[:-1]
+    return f.sum(axis=0)
+
+
+class TestSamplerLaw:
+    """The sampled lambda_max against its exact law.  On the block model with
+    d = 1, P = [[.95, .05], [.1, .9]] and values (1, 0), pi = (2/3, 1/3), the
+    centered values are 1/3 and -2/3 and E(C^2) = 2/9, so lambda_max is
+    exactly (N_1 - n/3)/3, with N_1 the visits to state 1."""
+
+    N, TRIALS = 256, 10_000
+    # the DKW band with Massart's constant (Ann. Probab. 18, 1990): the
+    # Kolmogorov distance of TRIALS draws passes it with probability <= 1e-6
+    BAND = math.sqrt(math.log(2 / 1e-6) / (2 * TRIALS))
+
+    def distance(self):
+        spec = block_spec(MarkovChain([[0.95, 0.05], [0.1, 0.9]]), 1, [1.0, 0.0])
+        lam = np.array(run_tail_experiment(spec, self.N, self.TRIALS, [0.0], seed=1)
+                       .lambda_max_samples)
+        visits = np.rint(3 * lam + self.N / 3).astype(np.intp)
+        assert np.allclose(lam, (visits - self.N / 3) / 3, rtol=0, atol=1e-9)
+        # both CDFs step only at the atoms 0..N, so their values there give the
+        # distance on both sides of every atom
+        ecdf = np.cumsum(np.bincount(visits, minlength=self.N + 1)) / self.TRIALS
+        return float(np.abs(ecdf - np.cumsum(visit_law(spec.chain, self.N))).max())
+
+    def test_sampled_lambda_max_has_its_exact_law(self):
+        assert self.distance() < self.BAND  # 0.0068 against a band of 0.027
+
+    def test_a_chain_blind_sampler_fails(self, monkeypatch):
+        # each state drawn from pi alone: the right marginal without the
+        # chain's dependence moves the distance to 0.284
+        def from_pi(chain, u, shape):
+            cuts = np.cumsum(chain.pi)[:-1]
+            return np.concatenate([(rows[..., None] >= cuts).sum(axis=-1, dtype=np.uint8)
+                                   for rows in u])
+
+        monkeypatch.setattr(MarkovChain, "sample_paths", from_pi)
+        assert self.distance() > self.BAND
 
 
 class TestDominanceCase:

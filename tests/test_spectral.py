@@ -418,6 +418,10 @@ class TestTraceExp:
         got = trace_exp(1.0, diag(1.0, -1.0))
         assert got == pytest.approx(math.e + 1.0 / math.e, rel=1e-12)
 
+    def test_rejects_infinite_t(self):
+        with pytest.raises(SpectralError, match="t must be finite"):
+            trace_exp(math.inf, diag(1.0, -1.0))
+
 
 class TestSchatten:
     def test_identity_p2(self):
