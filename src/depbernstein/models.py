@@ -271,9 +271,10 @@ def v2_ceiling(spec: ModelSpec) -> float:
     E(sum_K X_i)^2 = |K| E(X_0^2) for every index set K and the ceiling is
     lambda_max(E X_0^2), exactly.  Otherwise, by stationarity,
     lambda_max(E(sum_K X_i)^2) / |K| <= ||E X_0^2|| + 2 sum_{k>=1} ||E X_0 X_k||
-    (operator norms).  Lags k <= L are exact (lag_moments), with
-    L = _CEILING_LAGS, raised so that the lag (L-1)w+1 reaches Wielandt's exponent
-    (s-1)^2 + 1, where d̄ < 1.  Beyond L, with j_k = (k-1)w+1 and E X_0 = 0,
+    (operator norms).  Lags k <= L are exact (lag_moments), with j_k = (k-1)w+1
+    and L = _CEILING_LAGS, or the first lag k with d̄(j_k) < 1 if that is later;
+    the walk is capped at the first k with j_k >= (s-1)^2 + 1, Wielandt's
+    exponent, from which on a primitive chain has d̄ < 1.  Beyond L, with E X_0 = 0,
     E X_0 X_k = sum_{x,y} A(x) (P^{j_k}(x, y) - pi(y)) m(y), so
     ||E X_0 X_k|| <= 2 a b d̄(j_k) with a = sum_x ||A(x)||, b = max_y ||m(y)||.
     Submultiplicativity of d̄ gives, for any k0 <= L with d̄(j_k0) < 1,
@@ -283,14 +284,19 @@ def v2_ceiling(spec: ModelSpec) -> float:
     square, A, m, w = _transfer(spec)
     if not A.any():
         return float(np.max(np.linalg.eigvalsh(square)))
-    s = spec.chain.states
-    L = max(_CEILING_LAGS, math.ceil((s - 1) ** 2 / w) + 1)
-    # only the moment norms and d̄(j_k), k = 1..L+1, of each block are kept
-    norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], []
+    L = max(_CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
+    # only the moment norms and d̄(j_k) of each block are kept, up to k = L+1,
+    # with L lowered to the window once a lag contracts
+    norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], np.empty(0)
     for R, moments in _moment_blocks(spec.chain.P, A, m, w, L + 1):
         norms.append(np.linalg.norm(moments, 2, axis=(-2, -1)))
-        dbars.append(dbar(R))
-    norms, dbars = np.concatenate(norms)[:L + 1], np.concatenate(dbars)
+        dbars = np.append(dbars, dbar(R))
+        contracting = np.flatnonzero(dbars[:L] < 1.0)
+        if contracting.size:
+            L = max(_CEILING_LAGS, contracting[0] + 1)
+        if dbars.size > L:
+            break
+    norms = np.concatenate(norms)[:L + 1]
     k0 = np.flatnonzero(dbars[:L] < 1.0)
     if k0.size == 0:
         raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * w + 1}: "

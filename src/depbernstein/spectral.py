@@ -7,9 +7,9 @@ SymMatrix, which holds one d x d matrix or a stack of k of them (shape
 (k, d, d)), and runs the same code on both: a stack gives one result per
 matrix, as an array, and a single matrix gives a Python scalar.  A raw
 array is validated into a SymMatrix.  Each SymMatrix computes its
-eigenvalues at most once (by `eigvalsh` where no basis is read) and its
-basis once `eig_sym` asks for it, and keeps both; its entries and the kept
-arrays are read-only, so they cannot go stale.  The inequalities
+eigenvalues at most once (by `eigvalsh` where no basis is read) and keeps
+them; a basis is not kept.  Its entries and the kept eigenvalues are
+read-only, so they cannot go stale.  The inequalities
 these kernels are checked against, with their slacks, live in `checks`.
 """
 
@@ -65,8 +65,6 @@ class SymMatrix:
     entries: np.ndarray
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    _spectrum: Spectrum | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _symmetrized(self.entries))
@@ -83,10 +81,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     basis: np.ndarray = field(repr=False)
-
-    @property
-    def lambda_max(self):
-        return _out(self.eigenvalues[..., 0])
 
 
 def _sym(a) -> SymMatrix:
@@ -114,19 +108,14 @@ def _descending(x: np.ndarray) -> np.ndarray:
 
 def eig_sym(a) -> Spectrum:
     """Full spectrum, eigenvalues sorted descending, one `eigh` call for a
-    whole stack; eigenvalues that `a` already holds are kept, so they are
-    computed once.
-
-    Computed on the first call and kept on `a`; every later call returns
-    the same read-only Spectrum.
+    whole stack.  Eigenvalues that `a` already holds are reused, and those
+    found here are kept on `a`; the basis is not kept.
     """
     a = _sym(a)
-    if a._spectrum is None:
-        w, v = np.linalg.eigh(a.entries)
-        if a._eigenvalues is None:
-            object.__setattr__(a, "_eigenvalues", _descending(w))
-        object.__setattr__(a, "_spectrum", Spectrum(a._eigenvalues, _descending(v)))
-    return a._spectrum
+    w, v = np.linalg.eigh(a.entries)
+    if a._eigenvalues is None:
+        object.__setattr__(a, "_eigenvalues", _descending(w))
+    return Spectrum(a._eigenvalues, _descending(v))
 
 
 def _eigenvalues(a) -> np.ndarray:

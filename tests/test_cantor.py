@@ -286,10 +286,14 @@ class TestStacks:
         assert tiles.shape == (len(sizes),)
         assert np.flatnonzero(~tiles).tolist() == [3, 10, 17]
         assert tiles_exactly(stack).all()
-        # the verify case reports those rows by their A, and nothing else
+        # the verify case reports those rows by their A, and nothing else: each
+        # perturbation also moves a leaf's stop, so the count from the runs
+        # differs from 2^ell n_ell
         checked, failures = checks.run(lambda: [checks._cantor_case(bad)])
-        assert failures == [{"invariant": "disjoint_cover", "case": 0, "A": sizes[i]}
-                            for i in (3, 10, 17)]
+        assert failures == [
+            *({"invariant": "kept_card_formula", "case": 0, "A": sizes[i],
+               "card": int(stack.card[i])} for i in (3, 10, 17)),
+            *({"invariant": "disjoint_cover", "case": 0, "A": sizes[i]} for i in (3, 10, 17))]
         assert checked["disjoint_cover"] == len(sizes)
         assert checked["gap_floor"] == 4 * len(sizes)
 
@@ -340,6 +344,19 @@ class TestStacks:
         for bad in (permuted, empty):
             assert _chains_by_sort(*bad.runs(), bad.A).tolist() == [True]
             assert tiles_exactly(bad).tolist() == [False]
+
+    def test_moved_leaf_fails_the_count_from_the_runs(self):
+        # the second leaf starts one later while n_seq stays as it was: the
+        # first leaf, which stops where the gap after it starts, keeps its
+        # length, and the second leaf is one shorter
+        (stack,) = cantor_stacks([1000, 1001])
+        bad = dataclasses.replace(stack, starts=stack.starts.copy())
+        bad.leaf_starts[0, 1] += 1
+        _, failures = checks.run(lambda: [checks._cantor_case(bad)])
+        assert {"invariant": "kept_card_formula", "case": 0, "A": 1000,
+                "card": int(stack.card[0])} in failures
+        assert [f["A"] for f in failures if f["invariant"] == "kept_card_formula"] == [1000]
+        assert checks.run(lambda: [checks._cantor_case(stack)])[1] == []
 
     def test_short_gap_fails_its_floor_alone(self):
         (stack,) = cantor_stacks([1000, 1001])

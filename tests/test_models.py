@@ -9,7 +9,7 @@ import pytest
 
 from conftest import iid_chain, sample_whole
 from depbernstein.bounds import BoundDomainError
-from depbernstein import bounds, checks, models
+from depbernstein import bounds, checks, mixing, models
 from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
 from depbernstein.models import (
     ModelError,
@@ -676,15 +676,19 @@ def lag_moments_stacked(spec, lags):
 
 
 def v2_ceiling_stacked(spec):
-    """v2_ceiling over the whole stack of lag powers, with dbar over the
-    whole stack: an (L + 1, s, s, s) temporary."""
+    """v2_ceiling over the whole stack of lag powers up to Wielandt's cap,
+    with dbar over the whole stack: a (cap + 1, s, s, s) temporary.  The
+    window L is _CEILING_LAGS lags, or up to the first contracting lag."""
     square, A, m, w = models._transfer(spec)
     if not A.any():
         return float(np.max(np.linalg.eigvalsh(square)))
-    L = max(models._CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
-    R = lag_powers_stacked(spec.chain.P, w, L + 1)
+    cap = max(models._CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
+    R = lag_powers_stacked(spec.chain.P, w, cap + 1)
+    dbars = dbar(R)
+    contracting = np.flatnonzero(dbars[:cap] < 1.0)
+    L = max(models._CEILING_LAGS, contracting[0] + 1) if contracting.size else cap
     moments = np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R[:L], m)])
-    norms, dbars = np.linalg.norm(moments, 2, axis=(-2, -1)), dbar(R)
+    norms = np.linalg.norm(moments, 2, axis=(-2, -1))
     k0 = np.flatnonzero(dbars[:L] < 1.0)
     a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
     b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
@@ -724,6 +728,17 @@ class TestLagWalker:
     def test_short_windows_give_the_stacked_bits(self, chain, lags, monkeypatch):
         monkeypatch.setattr(models, "_CEILING_LAGS", lags)
         self.assert_same_bits(block_spec(chain, 2, [0.3, -1.0, 0.5][:chain.states]))
+
+    def test_window_stops_once_a_lag_contracts(self, monkeypatch):
+        # Wielandt's cap at s = 40, w = 2 is 762 lags, but d̄ contracts well
+        # within _CEILING_LAGS lags, so the walk reads d̄ up to lag 65 and the
+        # rest of the block that holds it, no further
+        spec = dirichlet_block_spec(40, 1.0, 2)
+        seen = []
+        monkeypatch.setattr(models, "dbar", lambda Pk: seen.append(len(Pk)) or dbar(Pk))
+        v2_ceiling(spec)
+        block = max(1, mixing._BLOCK_WORDS // 40 ** 2)
+        assert models._CEILING_LAGS < sum(seen) <= models._CEILING_LAGS + block
 
     def test_ceiling_keeps_no_stack_of_lags(self):
         # a stack of every lag, reduced by one dbar call, peaked at about

@@ -84,7 +84,6 @@ class TestSymMatrix:
         values = spectrum.eigenvalues.copy()
         raw[0, 0] = 100.0
         np.testing.assert_array_equal(a.entries, [[1.0, 2.0], [2.0, -3.0]])
-        assert eig_sym(a) is spectrum
         np.testing.assert_array_equal(spectrum.eigenvalues, values)
 
 
@@ -95,7 +94,7 @@ class TestEig:
 
     def test_diagonal(self):
         s = eig_sym(diag(3.0, -1.0))
-        assert s.lambda_max == 3.0 and s.eigenvalues[-1] == -1.0
+        assert s.eigenvalues[0] == 3.0 and s.eigenvalues[-1] == -1.0
 
     def test_offdiagonal(self):
         # characteristic polynomial lambda^2 - 1
@@ -113,10 +112,6 @@ class TestEig:
 
 
 class TestSpectrumCache:
-    def test_same_spectrum_object(self):
-        a = rand_sym(np.random.default_rng(3), 4)
-        assert eig_sym(a) is eig_sym(a)
-
     def test_cached_values_match_a_fresh_decomposition(self):
         a = rand_sym(np.random.default_rng(4), 5)
         w, v = np.linalg.eigh(a.entries)
