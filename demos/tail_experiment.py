@@ -3,8 +3,8 @@ certified bound.
 
 The model: X_i = tau(S_i) * eps_i * D with S a 2-state mixing chain, fair
 signs eps, and a fixed symmetric template D.  The variance proxy v^2 is
-available in closed form and the mixing rate c is fitted from the exact
-beta profile, so every ingredient of the bound is reproducible.
+available in closed form and the mixing rate c is certified at every lag
+from the chain's d̄, so every ingredient of the bound is reproducible.
 """
 
 import numpy as np

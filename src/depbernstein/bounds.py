@@ -49,8 +49,11 @@ class BernsteinInputs:
 
     n: number of summands; d: matrix dimension; M: a.s. bound on
     lambda_max of each summand; v: variance proxy; c: geometric mixing
-    rate in beta_k <= e^{-c(k-1)}.  Each field is a scalar or a numpy
-    array; the fields broadcast together, one row per bound.
+    rate in the envelope beta_k <= e^{-c(k-1)} for k >= 2.  A model's c
+    (mixing.certified_geometric_rate) also meets the form
+    beta_k <= e^{1-ck} for k >= 1; the two agree for c <= 1.  Each field
+    is a scalar or a numpy array; the fields broadcast together, one row
+    per bound.
     """
 
     n: int

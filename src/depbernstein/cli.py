@@ -186,7 +186,14 @@ def cmd_mixing(args) -> int:
         raise ValueError(f"--beta-k must be lo..hi with 1 <= lo <= hi,"
                          f" got {args.beta_k!r}") from None
     lags = np.arange(k_lo, k_hi + 1)
-    c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS) if args.fit_c else None
+    c = certified = None
+    if args.fit_c:  # the window estimate, null if every beta_k is 0, and the bound's certified c
+        c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS)
+        c = c if math.isfinite(c) else None
+        try:
+            certified = mixing.certified_geometric_rate(chain)
+        except mixing.MixingError:  # d̄ is 1 at lags 1 and 2: no certified rate, null
+            pass
     header = ("k", "beta_k", "envelope")  # JSON writes a missing envelope as null, CSV as ""
     rows = [(k, bk, None if c is None else math.exp(-c * (k - 1)))
             for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist())]
@@ -194,7 +201,8 @@ def cmd_mixing(args) -> int:
         payload = {"schema": SCHEMA,
                    "config": {"command": "mixing", "chain": args.chain,
                               "beta_k": args.beta_k, "fit_c": args.fit_c},
-                   "c": c, "beta": [dict(zip(header, row)) for row in rows]}
+                   "c": c, "c_certified": certified,
+                   "beta": [dict(zip(header, row)) for row in rows]}
         _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         _emit(_csv_lines(header, ([str(k), repr(bk), "" if env is None else repr(env)]

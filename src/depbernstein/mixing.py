@@ -4,8 +4,11 @@ For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
 from the powers of P - 1 pi.  power_blocks is the one walker of lag powers:
-it steps them a bounded block at a time for beta_k_exact and for the models'
-lag_moments and v2_ceiling (the lag moments and d̄).  The generic
+it steps them a bounded block at a time for beta_k_exact, for
+certified_geometric_rate and for the models' lag_moments and v2_ceiling.
+The last two certificates read d̄, rounded up (dbar_upper), through one
+geometric tail (geometric_tail): the rate c of the bound and the v^2
+ceiling's sum past its window.  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
 A chain is its transition matrix: MarkovChain(P) derives pi from P, and
@@ -24,11 +27,10 @@ import numpy as np
 
 from .spectral import _out
 
-RATE_CEILING = 1e6  # returned when the chain mixes "infinitely fast" (beta_k = 0)
-RATE_LAGS = 50  # the rate c of the bound fits the beta profile on lags 2..RATE_LAGS
+RATE_LAGS = 50  # the certified rate c walks d̄ on lags 1..RATE_LAGS, the window fit 2..RATE_LAGS
 _TABLE_WORDS = 1 << 10  # entries of sample_paths' k-step table: s W^k at most this
-# entries of a block of power_blocks, the one walker of lag powers (for beta_k_exact and
-# models.lag_moments and v2_ceiling): s^2 per lag, one lag at least
+# entries of a block of power_blocks, the one walker of lag powers (for beta_k_exact,
+# certified_geometric_rate, models.lag_moments and v2_ceiling): s^2 per lag, one lag at least
 _BLOCK_WORDS = 1 << 12
 
 
@@ -284,18 +286,102 @@ def dbar(Pk: np.ndarray):
     return _out(0.5 * np.abs(gap, out=gap).sum(axis=-1).max(axis=(-2, -1)))
 
 
+def row_slack(P: np.ndarray) -> float:
+    """An upper bound on max_x |sum_y P(x, y) - 1|: math.fsum rounds each row's
+    sum once, so within 2^-52 of it for a sum below 2, and fsum - 1 is exact."""
+    return max(abs(math.fsum(row) - 1.0) for row in P.tolist()) + 2.0 ** -52
+
+
+def dbar_upper(Pk: np.ndarray, k, slack: float):
+    """d̄(k) of each computed power P^k of a stack (lags, s, s), rounded up to
+    bound the d̄(k) of the chain, and capped at 1; slack is row_slack(P).  The
+    chain is P with each row scaled to sum to 1: _transition_matrix lets a row
+    sum stray from 1 by up to 1e-12, and d̄'s submultiplicativity and
+    beta_k <= d̄(k) hold only for a stochastic matrix.
+
+    In any order, P^k takes k - 1 products of nonnegative matrices, each within
+    γ_s |A||B| entrywise (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.5), so the computed P^k is within
+    ((1 + γ_s)^(k-1) - 1) P^k <= 2 (k-1) γ_s P^k of the exact one while
+    k γ_s <= 1/2.  P^k's rows sum to at most 2 for k up to 5e11: each row errs
+    by at most 4 (k-1) γ_s in l1, and dbar's own rounding adds at most 2 γ_s
+    times its value, at most 4.  4 (k+1) γ_{s+1} bounds both and the sum that
+    adds it.  Rows of P within ε = slack of summing to 1 put each row of P^k
+    within (1 + ε)^k - 1 <= 2kε in l1 of the chain's while kε <= 1, which
+    moves d̄ by at most 2kε.
+    """
+    su = (Pk.shape[-1] + 1) * 2.0 ** -53  # (s + 1) times float64's unit roundoff
+    gamma = su / (1.0 - su)  # γ_{s+1}
+    k = np.asarray(k, dtype=float)
+    return np.minimum(dbar(Pk) + 4.0 * (k + 1.0) * gamma + 2.0 * k * slack, 1.0)
+
+
+def geometric_tail(e):
+    """What submultiplicativity, e_(j+k) <= e_j e_k, certifies past K of a
+    sequence in [0, 1] from upper bounds e = e_1..e_K in (0, 1] on its first K
+    terms.  Returns (rates, tail): rates[a], for a = 0 and 1, is the largest r
+    it shows with e_k <= e^{a - r(k-1+a)} at every lag k > K (0 if every e_k
+    is 1), and tail bounds sum_{k>K} e_k (inf if every e_k is 1).  Its cost
+    is O(K).
+
+    Each k0 gives e_k <= q^floor(k/k0) with q = e_k0 and r = -log q.  Past K
+    the exponent of k0 is j0 = floor((K+1)/k0) up to the lag end = (j0+1) k0 - 1,
+    and each later exponent holds k0 lags.  So the sum is at most
+    (end - K) q^j0 + k0 q^(j0+1) / (1 - q), and, as e_(K+m) <= e_K e_m, at most
+    e_K sum_{k<=K} e_k / (1 - e_K) too.  The ratio (a + j r) / (k - 1 + a) is
+    least at the end of each exponent j, where it is monotone in j, so past K
+    it is least at min((a + j0 r) / (end - 1 + a), r / k0).  Each takes its
+    best k0.
+    """
+    K = len(e)
+    k = np.arange(1.0, K + 1)  # as k0; exact floats, and a float floor is exact here
+    r = -np.log(e)
+    j0 = np.floor((K + 1) / k)
+    end = (j0 + 1) * k - 1
+    a = np.array([[0.0], [1.0]])
+    rates = np.max(np.minimum(r / k, (a + j0 * r) / (end - 1 + a)), axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        tail = min(np.min((end - K) * e ** j0 + k * e ** (j0 + 1) / (1.0 - e)),
+                   e[-1] * e.sum() / (1.0 - e[-1]))
+    return rates, float(tail)
+
+
+def certified_geometric_rate(chain: MarkovChain) -> float:
+    """The rate c of the bound, certified at every lag: beta_k <= e^{-c(k-1)}
+    for every k >= 2, and beta_k <= e^{1-ck} for every k >= 1.
+
+    beta_k <= d̄(k), and d̄ is submultiplicative (dbar), so one power_blocks
+    walk of P^k for k = 1..RATE_LAGS gives upper bounds e_k = d̄+(k)
+    (dbar_upper).  On the window d̄(k) <= u_k = min over k0 <= k of
+    e_k0^floor(k/k0); past it geometric_tail certifies both envelopes' rates,
+    and c is the least rate of the two envelopes on and past the window.
+    Raises MixingError if that is not positive: d̄+(1) = d̄+(2) = 1.
+    """
+    e, slack = np.empty(0), row_slack(chain.P)
+    for Pk in power_blocks(chain.P, range(1, RATE_LAGS + 1)):
+        e = np.append(e, dbar_upper(Pk, np.arange(e.size, e.size + len(Pk)) + 1, slack))
+    k = np.arange(1.0, RATE_LAGS + 1)  # as k0 too
+    log_u = -np.max(np.floor(k[:, None] / k) * -np.log(e), axis=1)  # row k, column k0
+    past = geometric_tail(e)[0]
+    c = min(np.min(-log_u[1:] / k[:-1]), past[0], np.min((1.0 - log_u) / k), past[1])
+    if not c > 0:
+        raise MixingError("d̄ is 1 at lags 1 and 2: the chain has no certified geometric rate")
+    return float(c)
+
+
 def fit_geometric_rate(chain: MarkovChain, k_max: int) -> float:
     """Largest c with beta_k <= e^{-c(k-1)} on k = 2..k_max: the least
-    -log(beta_k) / (k-1) of one beta profile.  Lags with beta_k below 1e-300
-    are infinitely fast and skipped; an all-zero profile (iid) gives 1e6."""
+    -log(beta_k) / (k-1) of one beta profile, inf if every beta_k is 0.  A
+    window estimate, not a certificate: nothing bounds the lags past k_max
+    (certified_geometric_rate does), and a beta_k of roundoff gives its rate."""
     if k_max < 2:
         raise MixingError(f"k_max must be >= 2, got {k_max}")
     lags = np.arange(2, k_max + 1)
     beta = beta_k_exact(chain, lags)
     if np.any(beta >= 1.0):
         raise MixingError(f"beta_{lags[beta >= 1.0][0]} >= 1: no valid geometric rate")
-    fast = beta > 1e-300
-    return float(np.min(-np.log(beta[fast]) / (lags[fast] - 1), initial=RATE_CEILING))
+    with np.errstate(divide="ignore"):
+        return float(np.min(-np.log(beta) / (lags - 1)))
 
 
 class BerbeeCoupler:

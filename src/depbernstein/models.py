@@ -16,6 +16,9 @@ mixing.power_blocks, beta_k_exact's walker too.  It is exact when the
 summands have no cross moments, as under a fair sign, and a certified
 ceiling otherwise.  The same exact moments make v2_bruteforce an oracle for
 every kind; log_laplace is the exact Laplace transform of the sign models.
+The rate c of the bound is certified at every lag from the chain's d̄
+(mixing.certified_geometric_rate), and v2_ceiling's tail reads the same
+geometric tail of d̄ (mixing.geometric_tail).
 
 spec_from_config reads a model config through two tables, the --model
 names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
@@ -59,7 +62,8 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import RATE_LAGS, MarkovChain, dbar, fit_geometric_rate, log_row_power, power_blocks
+from .mixing import (MarkovChain, certified_geometric_rate, dbar_upper, geometric_tail,
+                     log_row_power, power_blocks, row_slack)
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -277,34 +281,36 @@ def v2_ceiling(spec: ModelSpec) -> float:
     exponent, from which on a primitive chain has d̄ < 1.  Beyond L, with E X_0 = 0,
     E X_0 X_k = sum_{x,y} A(x) (P^{j_k}(x, y) - pi(y)) m(y), so
     ||E X_0 X_k|| <= 2 a b d̄(j_k) with a = sum_x ||A(x)||, b = max_y ||m(y)||.
-    Submultiplicativity of d̄ gives, for any k0 <= L with d̄(j_k0) < 1,
-    sum_{k>L} d̄(j_k) <= d̄(j_{L+1}) k0 / (1 - d̄(j_k0)); the best such k0 is
-    used.  Raises ModelError if no k0 qualifies.
+    e_k = d̄(j_k) is submultiplicative in k, as d̄ is and does not rise, so
+    the rounded-up e_1..e_L (mixing.dbar_upper) bound sum_{k>L} e_k
+    (mixing.geometric_tail).
+    Raises ModelError if no e_k is below 1.
     """
     square, A, m, w = _transfer(spec)
     if not A.any():
         return float(np.max(np.linalg.eigvalsh(square)))
     L = max(_CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
-    # only the moment norms and d̄(j_k) of each block are kept, up to k = L+1,
+    # only the moment norms and rounded-up d̄(j_k) of each block are kept, up to k = L,
     # with L lowered to the window once a lag contracts
     norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], np.empty(0)
-    for R, moments in _moment_blocks(spec.chain.P, A, m, w, L + 1):
+    slack = row_slack(spec.chain.P)
+    for R, moments in _moment_blocks(spec.chain.P, A, m, w, L):
         norms.append(np.linalg.norm(moments, 2, axis=(-2, -1)))
-        dbars = np.append(dbars, dbar(R))
+        lags = w * np.arange(dbars.size, dbars.size + len(R)) + 1
+        dbars = np.append(dbars, dbar_upper(R, lags, slack))
         contracting = np.flatnonzero(dbars[:L] < 1.0)
         if contracting.size:
             L = max(_CEILING_LAGS, contracting[0] + 1)
-        if dbars.size > L:
+        if dbars.size >= L:
             break
     norms = np.concatenate(norms)[:L + 1]
-    k0 = np.flatnonzero(dbars[:L] < 1.0)
-    if k0.size == 0:
+    total = geometric_tail(dbars[:L])[1]
+    if total == math.inf:
         raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * w + 1}: "
                          "the tail of the v^2 ceiling cannot be certified")
     a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
     b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
-    tail = 2.0 * a * b * dbars[L] * np.min((k0 + 1) / (1.0 - dbars[k0]))
-    return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
+    return float(norms[0] + 2.0 * (norms[1:].sum() + 2.0 * a * b * total))
 
 
 def _word_counts(spec: ModelSpec, n: int):
@@ -509,14 +515,13 @@ def clopper_pearson(k, n: int, conf: float = _CONF):
 
 
 def bernstein_inputs_for(spec: ModelSpec, n: int) -> _bounds.BernsteinInputs:
-    """Assemble (n, d, M, v, c) for a model.  v needs no Monte Carlo: it is
-    the certified ceiling v2_ceiling, valid for every n and exact when the
-    summands have no cross moments.  c is fitted to the chain's exact beta
-    profile on lags 2..RATE_LAGS = 50 only (fit_geometric_rate): a window
-    estimate, not a certificate, as beta_51 > e^{-50c} on the flip-1/4 chain
-    shows.  A certified c is open work (ROADMAP, "Certified c")."""
+    """Assemble (n, d, M, v, c) for a model, with no Monte Carlo.  v is the
+    ceiling v2_ceiling, valid for every n and exact when the summands have no
+    cross moments.  c is the chain's certified rate on the
+    d̄ walk of lags 1..mixing.RATE_LAGS and its geometric tail beyond them
+    (certified_geometric_rate): it meets both envelopes at every lag."""
     v = math.sqrt(v2_ceiling(spec))
-    c = fit_geometric_rate(spec.chain, RATE_LAGS)
+    c = certified_geometric_rate(spec.chain)
     return _bounds.BernsteinInputs(n=n, d=spec.d, M=spec.M, v=v, c=c)
 
 

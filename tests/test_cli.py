@@ -15,7 +15,7 @@ import pytest
 from conftest import iid_chain
 from depbernstein import bounds, checks, cli, models
 from depbernstein.cli import main
-from depbernstein.mixing import RATE_LAGS, MarkovChain, fit_geometric_rate
+from depbernstein.mixing import RATE_LAGS, MarkovChain, certified_geometric_rate, fit_geometric_rate
 from depbernstein.models import ModelSpec, bernstein_inputs_for
 
 
@@ -550,7 +550,7 @@ class TestMixingCommand:
                             "--beta-k", "1..50", "--fit-c", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8a5b0f9b98f63f95ecec86279864a55568ba56f2829e9b7e41606c5a8be302ea")
+            "6560138a64dcd28b4e03408e8d4bfdf156829b90a077bbbf6194c5a9775415d1")
 
     @pytest.mark.parametrize("fit_c, digest", [
         # no --fit-c: the envelope column is empty
@@ -562,14 +562,44 @@ class TestMixingCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_fit_c_is_the_rate_of_the_bound(self, capsys, chain_file):
-        # the profile shows lags 1..20, but c is fitted on the bound's window
+    def test_certified_c_is_the_rate_of_the_bound(self, capsys, chain_file):
+        # the profile shows lags 1..20, but c_certified walks the bound's lags
+        # 1..50, and the window estimate c is not the bound's rate
         code, out = run_cli(capsys, "mixing", "--chain", chain_file,
                             "--beta-k", "1..20", "--fit-c", "--format", "json")
         spec = ModelSpec(kind="iid_baseline", d=1, D=np.eye(1),
                          chain=MarkovChain([[0.75, 0.25], [0.25, 0.75]]))
+        payload = json.loads(out)
         assert code == 0
-        assert json.loads(out)["c"] == bernstein_inputs_for(spec, 64).c
+        assert payload["c_certified"] == bernstein_inputs_for(spec, 64).c
+        assert payload["c_certified"] == certified_geometric_rate(spec.chain)
+        assert payload["c_certified"] < payload["c"]
+
+    def test_iid_window_is_null_and_certified_c_finite(self, capsys, tmp_path):
+        # every beta_k of this chain is exactly 0, so the window has no least
+        # rate; d̄ is 0 too, and only its rounding margin bounds c
+        path = tmp_path / "iid.json"
+        path.write_text(json.dumps({"P": [[0.5, 0.5], [0.5, 0.5]]}))
+        code, out = run_cli(capsys, "mixing", "--chain", str(path), "--fit-c", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["c"] is None
+        assert 30.0 < payload["c_certified"] < 40.0
+        assert all(entry["envelope"] is None for entry in payload["beta"])
+
+    def test_chain_without_certified_rate_prints_null(self, capsys, tmp_path):
+        # d̄(1) = d̄(2) = 1, so d̄ certifies no rate, yet every beta_k < 1: the
+        # window estimate and the beta profile are still printed
+        path = tmp_path / "primitive.json"
+        path.write_text(json.dumps({"P": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]}))
+        code, out = run_cli(capsys, "mixing", "--chain", str(path), "--fit-c", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["c_certified"] is None and payload["c"] > 0.0
+        assert all(entry["envelope"] is not None for entry in payload["beta"])
+
+    def test_no_fit_c_prints_no_rate(self, capsys, chain_file):
+        code, out = run_cli(capsys, "mixing", "--chain", chain_file, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["c"] is None and payload["c_certified"] is None
 
     def test_iid_chain_has_one_pi_and_one_c(self, capsys, tmp_path):
         # in code, from a config and through the CLI, one P gives one pi and one c
@@ -688,7 +718,7 @@ class TestSimulateCommand:
                             "--format", "csv")
         assert code == 0 and out.splitlines()[1].endswith(",2.0,0.6931471805599453")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8e35531af2be9f3195c61c225a2e8ab443f76522426ccb08db1cc414040ef859")
+            "7b432c765974044fe32199f8548806fe2acbf1ad422d5bacca8e570d1af005d7")
 
     @pytest.mark.parametrize("grid", ["1:2", "1:2:0", "1:2:-1", "a:2:3", "1:2:3.5", "1:2:3:4"])
     def test_malformed_x_grid_names_the_flag(self, capsys, model_file, grid):

@@ -12,7 +12,6 @@ import pytest
 from conftest import iid_chain, sample_whole
 from depbernstein import checks, mixing
 from depbernstein.mixing import (
-    RATE_CEILING,
     RATE_LAGS,
     BerbeeCoupler,
     JointLaw,
@@ -20,11 +19,15 @@ from depbernstein.mixing import (
     MixingError,
     beta_from_joint,
     beta_k_exact,
+    certified_geometric_rate,
     coupling_law,
     dbar,
+    dbar_upper,
     fit_geometric_rate,
+    geometric_tail,
     log_row_power,
     power_blocks,
+    row_slack,
 )
 
 
@@ -599,6 +602,152 @@ class TestDbar:
                 assert beta_k_exact(chain, j) <= dbar(Pj) + 1e-15
 
 
+def dbar_exact(P, k: int) -> Fraction:
+    """d̄(k) of the chain of a float P: the exact rationals of its entries,
+    each row scaled to sum to 1 exactly."""
+    P = [[Fraction(x) / sum(map(Fraction, row)) for x in row] for row in np.asarray(P).tolist()]
+    Pk = P
+    for _ in range(k - 1):
+        Pk = [[sum(a * b for a, b in zip(row, col)) for col in zip(*P)] for row in Pk]
+    return max(sum(abs(a - b) for a, b in zip(x, y)) / 2 for x in Pk for y in Pk)
+
+
+def log_beta(chain, k) -> float:
+    return math.log(beta_k_exact(chain, k))
+
+
+# [[.5, .5], [.25, .75]]: the CI chain, beta_k falls like 4^-k
+CI_CHAIN = MarkovChain([[0.5, 0.5], [0.25, 0.75]])
+SYMMETRIC_3 = MarkovChain([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+
+
+class TestCertifiedRate:
+    @pytest.mark.parametrize("k", [51, 1000, 10 ** 6])
+    def test_near_reducible_envelope_holds(self, k):
+        # the fit reads 0.0141 here, and beta_51 = 0.5 already breaks it
+        chain = MarkovChain.two_state(1e-12, 1e-12)
+        c = certified_geometric_rate(chain)
+        assert 1.99e-12 < c < 2e-12
+        assert log_beta(chain, k) <= -c * (k - 1)
+        assert log_beta(chain, k) <= 1.0 - c * k
+
+    @pytest.mark.parametrize("chain", [SYMMETRIC_3, CI_CHAIN], ids=["symmetric-3", "ci"])
+    def test_envelope_holds_where_the_fit_breaks(self, chain):
+        c, fit = certified_geometric_rate(chain), fit_geometric_rate(chain, RATE_LAGS)
+        for k in (51, 200):
+            assert log_beta(chain, k) > -fit * (k - 1)
+            assert log_beta(chain, k) <= -c * (k - 1)
+            assert log_beta(chain, k) <= 1.0 - c * k
+        assert c == pytest.approx(math.log(4.0), rel=1e-12) and c <= math.log(4.0)
+
+    def test_flip_chain_is_log_2(self):
+        c = certified_geometric_rate(MarkovChain.two_state(0.25, 0.25))
+        assert c <= math.log(2.0)
+        assert c == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_both_envelopes_at_every_window_lag(self):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            chain = random_chain(rng, 4)
+            c = certified_geometric_rate(chain)
+            k = np.arange(1, 4 * RATE_LAGS + 1)
+            beta = beta_k_exact(chain, k)
+            assert np.all(beta[1:] <= np.exp(-c * (k[1:] - 1)))
+            assert np.all(beta <= np.exp(1.0 - c * k))
+
+    def test_one_step_envelope_caps_c(self):
+        # P^2 = 1 pi exactly, so beta_k = 0 from k = 2 on and the fit reads
+        # 38.24 off roundoff; beta_1 = 2/9 <= e^{1-c} caps c at 1 - log(2/9)
+        chain = MarkovChain([[1 / 2, 1 / 2, 0.0], [1 / 6, 1 / 6, 2 / 3], [1 / 3, 1 / 3, 1 / 3]])
+        assert fit_geometric_rate(chain, RATE_LAGS) > 38.0
+        c = certified_geometric_rate(chain)
+        assert c <= 1.0 - math.log(beta_k_exact(chain, 1)) <= 2.505
+        assert c == pytest.approx(1.0 - math.log(2.0 / 3.0), rel=1e-12)  # d̄(1) = 2/3
+
+    @pytest.mark.parametrize("P", [
+        [[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.25, 0.75]],
+        [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]],
+        ids=["flip-1/4", "ci", "blockcov-3"])
+    def test_rounded_up_dbar_bounds_the_exact_one(self, P):
+        # the exact rationals of P's floats, rows scaled to sum to 1; the
+        # 3-state rows do not sum to 1 exactly as floats, and its float
+        # products round
+        chain = MarkovChain(P)
+        ks = list(range(1, RATE_LAGS + 1))
+        slack = row_slack(chain.P)
+        upper = np.concatenate([dbar_upper(Pk, np.arange(1, RATE_LAGS + 1)[:len(Pk)], slack)
+                                for Pk in power_blocks(chain.P, ks)])
+        exact = [dbar_exact(chain.P, k) for k in ks]
+        assert all(Fraction(float(u)) >= d for u, d in zip(upper, exact))
+
+    def test_iid_chain_has_a_finite_rate(self):
+        # d̄ = 0 at every lag, so only the rounding margin bounds c
+        c = certified_geometric_rate(MarkovChain(np.tile([0.1] * 10, (10, 1))))
+        assert math.isfinite(c) and c > 1.0
+
+    def test_no_contraction_at_lags_1_and_2_raises(self):
+        # d̄(1) = d̄(2) = 1 and d̄(3) = 1/2: no envelope holds at k = 2
+        chain = MarkovChain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        with pytest.raises(MixingError, match="lags 1 and 2"):
+            certified_geometric_rate(chain)
+
+
+class TestGeometricTail:
+    def test_geometric_sequence(self):
+        # e_k = 2^-k: rate log 2 in both envelopes, and the tail sum 2^-K exactly
+        K = 10
+        (rate0, rate1), tail = geometric_tail(0.5 ** np.arange(1, K + 1))
+        assert rate0 == pytest.approx(math.log(2.0), rel=1e-15)
+        assert rate1 == pytest.approx(math.log(2.0), rel=1e-15)
+        assert tail == 0.5 ** K
+
+    def test_tail_bounds_a_submultiplicative_sum(self):
+        # min(1, 1.2 (0.9)^k) is submultiplicative with a transient, d̄'s shape
+        # on a slow chain.  Its first 20 terms certify the next 2000, and the
+        # sum past them, 12 (0.9)^21, to within a factor 3
+        k = np.arange(1, 2021)
+        e = np.minimum(1.0, 1.2 * 0.9 ** k)
+        (rate0, rate1), tail = geometric_tail(e[:20])
+        assert 12.0 * 0.9 ** 21 <= tail <= 3.0 * 12.0 * 0.9 ** 21
+        assert np.all(e[20:] <= np.exp(-rate0 * (k[20:] - 1)))
+        assert np.all(e[20:] <= np.exp(1.0 - rate1 * k[20:]))
+        assert 0.0 < rate0 <= -math.log(0.9)
+
+    def test_costs_no_square_table(self):
+        # a window of Wielandt's length on a large chain: about 8 bytes a lag
+        # per temporary, where a lag-by-k0 table would take 8 K^2 = 800 MB
+        e = np.minimum(1.0, 1.2 * (1.0 - 1e-4) ** np.arange(1.0, 10 ** 4 + 1))
+        tracemalloc.start()
+        try:
+            geometric_tail(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_no_contraction(self):
+        (rate0, rate1), tail = geometric_tail(np.ones(5))
+        assert rate0 == rate1 == 0.0 and tail == math.inf
+
+
+class TestDbarUpper:
+    def test_adds_the_margin_and_caps_at_1(self):
+        P = MarkovChain.two_state(0.25, 0.25).P
+        stack = np.stack([P, np.eye(2)[::-1]])  # d̄ = 1/2 and 1
+        upper = dbar_upper(stack, np.array([1, 1]), row_slack(P))
+        assert 0.5 < upper[0] < 0.5 + 1e-14 and upper[1] == 1.0
+        assert dbar_upper(stack[:1], np.array([40]), row_slack(P))[0] > upper[0]
+
+    def test_rows_off_1_widen_the_margin(self):
+        # a row that sums to 1 + 5e-13: 2k times that slack is added, as the
+        # row-scaled chain's d̄ may lie that far below the stored P's
+        P = np.array([[0.75 + 5e-13, 0.25], [0.25, 0.75]])
+        slack = row_slack(MarkovChain(P).P)
+        assert 5e-13 <= slack <= 5e-13 + 1e-15
+        assert row_slack(np.array([[0.75, 0.25], [0.25, 0.75]])) == 2.0 ** -52
+        assert dbar_upper(P[None], np.array([10]), slack)[0] > dbar(P) + 20 * 5e-13
+
+
 class TestFitGeometricRate:
     def test_two_state_value(self):
         # beta_k = 0.5^{k+1} so -log(beta_k)/(k-1) = (k+1) log 2 / (k-1),
@@ -625,8 +774,10 @@ class TestFitGeometricRate:
             for k in range(2, 13):
                 assert beta_k_exact(chain, k) <= math.exp(-c * (k - 1)) * (1 + 1e-12)
 
-    def test_iid_hits_ceiling(self):
-        assert fit_geometric_rate(iid_chain([0.4, 0.6]), 10) == RATE_CEILING
+    def test_iid_window_is_infinite(self):
+        # every beta_k is exactly 0: no finite rate is the window's least, and the
+        # CLI writes it as null
+        assert fit_geometric_rate(iid_chain([0.4, 0.6]), 10) == math.inf
 
     def test_monotone_in_k_max(self):
         chain = MarkovChain.two_state(0.25, 0.25)

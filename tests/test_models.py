@@ -10,7 +10,9 @@ import pytest
 from conftest import iid_chain, sample_whole
 from depbernstein.bounds import BoundDomainError
 from depbernstein import bounds, checks, mixing, models
-from depbernstein.mixing import RATE_LAGS, MarkovChain, beta_k_exact, dbar, fit_geometric_rate
+from depbernstein.mixing import (RATE_LAGS, MarkovChain, MixingError, beta_k_exact,
+                                 certified_geometric_rate, dbar, dbar_upper,
+                                 fit_geometric_rate, geometric_tail)
 from depbernstein.models import (
     ModelError,
     ModelSpec,
@@ -644,7 +646,7 @@ class TestBlockCeiling:
     def test_no_contracting_step_raises(self, monkeypatch):
         # with A = 0 the ceiling would return before it looks at d̄
         assert models._transfer(CORRELATED_BLOCK)[1].any()
-        monkeypatch.setattr(models, "dbar", lambda Pk: np.ones(len(Pk)))
+        monkeypatch.setattr(models, "dbar_upper", lambda Pk, k, slack: np.ones(len(Pk)))
         with pytest.raises(ModelError):
             v2_ceiling(CORRELATED_BLOCK)
 
@@ -677,22 +679,21 @@ def lag_moments_stacked(spec, lags):
 
 def v2_ceiling_stacked(spec):
     """v2_ceiling over the whole stack of lag powers up to Wielandt's cap,
-    with dbar over the whole stack: a (cap + 1, s, s, s) temporary.  The
-    window L is _CEILING_LAGS lags, or up to the first contracting lag."""
+    with d̄ over the whole stack: a (cap, s, s, s) temporary.  The window L
+    is _CEILING_LAGS lags, or up to the first contracting lag."""
     square, A, m, w = models._transfer(spec)
     if not A.any():
         return float(np.max(np.linalg.eigvalsh(square)))
     cap = max(models._CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
-    R = lag_powers_stacked(spec.chain.P, w, cap + 1)
-    dbars = dbar(R)
-    contracting = np.flatnonzero(dbars[:cap] < 1.0)
+    R = lag_powers_stacked(spec.chain.P, w, cap)
+    dbars = dbar_upper(R, w * np.arange(cap) + 1, mixing.row_slack(spec.chain.P))
+    contracting = np.flatnonzero(dbars < 1.0)
     L = max(models._CEILING_LAGS, contracting[0] + 1) if contracting.size else cap
     moments = np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R[:L], m)])
     norms = np.linalg.norm(moments, 2, axis=(-2, -1))
-    k0 = np.flatnonzero(dbars[:L] < 1.0)
     a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
     b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()
-    tail = 2.0 * a * b * dbars[L] * np.min((k0 + 1) / (1.0 - dbars[k0]))
+    tail = 2.0 * a * b * geometric_tail(dbars[:L])[1]
     return float(norms[0] + 2.0 * (norms[1:].sum() + tail))
 
 
@@ -708,9 +709,15 @@ class TestLagWalker:
         assert ceiling.hex() == want.hex()
         moments, want_moments = lag_moments(spec, 40), lag_moments_stacked(spec, 40)
         assert np.array_equal(moments.view(np.uint64), want_moments.view(np.uint64))
+        try:
+            c = certified_geometric_rate(spec.chain)
+        except MixingError:  # d̄ is 1 at lags 1 and 2 (PRIMITIVE): no input is certified
+            with pytest.raises(MixingError):
+                bernstein_inputs_for(spec, 64)
+            return
         inputs = bernstein_inputs_for(spec, 64)
         assert inputs.v.hex() == math.sqrt(want).hex()
-        assert inputs.c.hex() == fit_geometric_rate(spec.chain, RATE_LAGS).hex()
+        assert inputs.c.hex() == c.hex()
 
     # from s = 8 on v2_ceiling's lags span several blocks of _BLOCK_WORDS
     @pytest.mark.parametrize("alpha", [0.1, 1.0])
@@ -731,14 +738,15 @@ class TestLagWalker:
 
     def test_window_stops_once_a_lag_contracts(self, monkeypatch):
         # Wielandt's cap at s = 40, w = 2 is 762 lags, but d̄ contracts well
-        # within _CEILING_LAGS lags, so the walk reads d̄ up to lag 65 and the
+        # within _CEILING_LAGS lags, so the walk reads d̄ up to lag 64 and the
         # rest of the block that holds it, no further
         spec = dirichlet_block_spec(40, 1.0, 2)
         seen = []
-        monkeypatch.setattr(models, "dbar", lambda Pk: seen.append(len(Pk)) or dbar(Pk))
+        monkeypatch.setattr(models, "dbar_upper",
+                            lambda Pk, k, slack: seen.append(len(Pk)) or dbar_upper(Pk, k, slack))
         v2_ceiling(spec)
         block = max(1, mixing._BLOCK_WORDS // 40 ** 2)
-        assert models._CEILING_LAGS < sum(seen) <= models._CEILING_LAGS + block
+        assert models._CEILING_LAGS <= sum(seen) < models._CEILING_LAGS + block
 
     def test_ceiling_keeps_no_stack_of_lags(self):
         # a stack of every lag, reduced by one dbar call, peaked at about
@@ -751,6 +759,24 @@ class TestLagWalker:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+    def test_late_contracting_chain_keeps_an_o_l_tail(self):
+        # Wielandt's chain on 64 states (a cycle whose last state also steps
+        # to state 1): d̄ first drops below 1 at step 1,985, lag 993 of w = 2
+        # steps, so the window is L = 993 lags, and a lag-by-k0 table of its
+        # tail would take 8 L^2 bytes, 7.5 MiB, a temporary
+        s = 64
+        P = np.zeros((s, s))
+        P[np.arange(s - 1), np.arange(1, s)] = 1.0
+        P[s - 1, :2] = 0.5
+        spec = block_spec(MarkovChain(P), 2, np.linspace(-1.0, 1.0, s))
+        tracemalloc.start()
+        try:
+            assert math.isfinite(v2_ceiling(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestClopperPearson:
@@ -835,7 +861,9 @@ class TestInputsAssembly:
         assert inp.n == 64 and inp.d == 2
         assert inp.M == pytest.approx(spec.M)
         assert inp.v == pytest.approx(math.sqrt(v2_ceiling(spec)))
-        assert inp.c == pytest.approx(51.0 / 49.0 * math.log(2.0), rel=1e-12)
+        # the certified rate of the flip-1/4 chain: log 2, rounded down
+        assert inp.c <= math.log(2.0)
+        assert inp.c == pytest.approx(math.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("chain", [CHAIN, MarkovChain.two_state(1e-12, 1e-12)],
                              ids=["flip-1/4", "near-reducible"])
@@ -1002,7 +1030,8 @@ class TestTailExperiment:
         (x, log_bound), = report.log_bound_curve
         want, _ = bounds.log_tail_bound_certified(3.5e6, bernstein_inputs_for(self.SPEC, 8))
         assert x == 3.5e6 and log_bound == pytest.approx(want, rel=1e-12)
-        assert log_bound == pytest.approx(-7928.07, abs=0.01)
+        # with the certified c = log 2 (the fitted c = 0.7214 gave -7928.07)
+        assert log_bound == pytest.approx(-7617.42, abs=0.01)
 
     def test_log_bound_curve_matches_bound_curve(self):
         report = run_tail_experiment(self.SPEC, 8, trials=100,
