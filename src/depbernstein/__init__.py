@@ -7,6 +7,7 @@ Subpackages:
   mixing    exact beta-mixing machinery for finite Markov chains
   models    simulators and the Monte-Carlo experiment harness
   checks    every invariant of `verify` and the acceptance tests, with its slack
+  exact     exact laws and transforms, the tests' references; not imported here
   cli       command-line interface
 """
 

@@ -123,7 +123,7 @@ def _batch_column(path, header, rows, key: str, cast):
 def cmd_bound(args) -> int:
     given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
-        with open(args.batch) as fh:
+        with open(args.batch, encoding="utf-8-sig") as fh:
             text = fh.read()  # CR and CRLF line ends read as LF
         lines = text.split("\n")
         # csv.reader splits a line with no quote or NUL at its commas; csv.writer quotes no cell
@@ -176,7 +176,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    with open(args.chain) as fh:
+    with open(args.chain, encoding="utf-8-sig") as fh:
         chain = mixing.MarkovChain.from_config(json.load(fh))
     try:
         k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
@@ -226,7 +226,7 @@ def _parse_grid(text: str):
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         config = json.load(fh)
     spec = models.spec_from_config(args.model, config)
     report = models.run_tail_experiment(

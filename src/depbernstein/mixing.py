@@ -12,9 +12,7 @@ ceiling's sum past its window.  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
 A chain is its transition matrix: MarkovChain(P) derives pi from P, and
-chain and model files give P alike (from_config).  log_row_power gives
-w K^m in log space by binary powers, for the tilted transfer matrices of
-the models' Laplace transforms.
+chain and model files give P alike (from_config).
 """
 
 from __future__ import annotations
@@ -229,31 +227,6 @@ def power_blocks(M: np.ndarray, ks):
     size = max(1, _BLOCK_WORDS // len(M) ** 2)
     for lo in range(0, len(ks), size):
         yield np.fromiter(islice(powers, size), np.dtype((float, M.shape)))
-
-
-def log_row_power(w, K, m: int):
-    """w K^m for a stack of row vectors w (..., s) and of nonnegative s x s
-    matrices K (..., s, s), as (log_mass, u) with w K^m = e^log_mass u and u
-    summing to 1.  By binary powers of K: the row is renormalized after each
-    product, and each power is scaled by a power of 2 (exactly) so that its
-    largest entry is in [1/2, 1); the logs of both are carried."""
-    def scaled(A):
-        e = np.frexp(A.max(axis=(-2, -1)))[1]
-        return np.ldexp(A, -e[..., None, None]), e * math.log(2.0)
-
-    mass = w.sum(axis=-1)
-    u, log_mass = w / mass[..., None], np.log(mass)
-    K, log_k = scaled(np.asarray(K, dtype=float))
-    while m:
-        if m & 1:
-            u = (u[..., None, :] @ K)[..., 0, :]
-            mass = u.sum(axis=-1)
-            u, log_mass = u / mass[..., None], log_mass + log_k + np.log(mass)
-        m >>= 1
-        if m:
-            K, log_sq = scaled(K @ K)
-            log_k = 2.0 * log_k + log_sq
-    return log_mass, u
 
 
 def beta_k_exact(chain: MarkovChain, k):

@@ -14,11 +14,9 @@ Carlo, v2_ceiling, from the exact lag moments E(X_0 X_k) that lag_moments
 derives from (pi, P) for every kind, a block of lag powers at a time from
 mixing.power_blocks, beta_k_exact's walker too.  It is exact when the
 summands have no cross moments, as under a fair sign, and a certified
-ceiling otherwise.  The same exact moments make v2_bruteforce an oracle for
-every kind; log_laplace is the exact Laplace transform of the sign models.
-The rate c of the bound is certified at every lag from the chain's d̄
-(mixing.certified_geometric_rate), and v2_ceiling's tail reads the same
-geometric tail of d̄ (mixing.geometric_tail).
+ceiling otherwise.  The rate c of the bound is certified at every lag from
+the chain's d̄ (mixing.certified_geometric_rate), and v2_ceiling's tail
+reads the same geometric tail of d̄ (mixing.geometric_tail).
 
 spec_from_config reads a model config through two tables, the --model
 names of the kinds (MODELS) and the fields each kind reads (_KIND_FIELDS).
@@ -63,7 +61,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .mixing import (MarkovChain, certified_geometric_rate, dbar_upper, geometric_tail,
-                     log_row_power, power_blocks, row_slack)
+                     power_blocks, row_slack)
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -253,21 +251,6 @@ def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
     return np.concatenate([square[None], *(moments for _, moments in blocks)])
 
 
-def log_laplace(spec: ModelSpec, n: int, t):
-    """log E Tr exp(t S_n) of the contraction or iid model (tau = 1), exactly, at
-    a scalar t or each entry of an array t with |t| M <= 710, where cosh is finite.
-    Given the path the signs are independent, so with h_j(x) = cosh(t lam_j tau(x))
-    for each eigenvalue lam_j of D it is sum_j pi diag(h_j) (P diag(h_j))^(n-1) 1
-    (Dembo & Zeitouni, section 3.1), by binary powers of P diag(h_j) (log_row_power)."""
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "block_covariance" or n < 1 or not np.all(np.abs(t) * spec.M <= 710.0):
-        raise ModelError("log_laplace needs a contraction or iid model, n >= 1 and |t| M <= 710")
-    h = np.cosh(np.multiply.outer(t, np.outer(np.linalg.eigvalsh(spec.D), spec.tau_map)))
-    log_mass, _ = log_row_power(spec.chain.pi * h, spec.chain.P * h[..., None, :], n - 1)
-    out = np.logaddexp.reduce(log_mass, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def v2_ceiling(spec: ModelSpec) -> float:
     """Certified ceiling on the variance proxy, valid for every n.
 
@@ -385,31 +368,6 @@ def _draws(spec: ModelSpec, n: int, seed: int, lo: int, hi: int):
         values = np.stack([spec.tau_map, -spec.tau_map], axis=1).ravel()
     for b in blocks:
         yield values.take(index[b])
-
-
-def _pairwise_moments_exact(spec: ModelSpec, n: int) -> np.ndarray:
-    """G[i, j] = E(X_i X_j), exactly: E(X_0 X_{j-i}) from lag_moments for
-    i <= j, its transpose for i > j."""
-    i, j = np.indices((n, n))
-    G = lag_moments(spec, n - 1)[np.abs(j - i)]
-    G[i > j] = np.swapaxes(G[i > j], -1, -2)
-    return G
-
-
-def v2_bruteforce(spec: ModelSpec, n: int) -> float:
-    """The variance proxy by exhaustive enumeration of all 2^n - 1 subsets,
-    from the exact pairwise second moments (_pairwise_moments_exact)."""
-    if n > 20:
-        raise ModelError(f"subset enumeration is capped at n = 20, got {n}")
-    if n < 1:
-        raise ModelError(f"need n >= 1, got {n}")
-    G = _pairwise_moments_exact(spec, n)
-    best = -math.inf
-    for mask in range(1, 1 << n):
-        K = [i for i in range(n) if mask >> i & 1]
-        S = G[np.ix_(K, K)].sum(axis=(0, 1))
-        best = max(best, float(np.max(np.linalg.eigvalsh((S + S.T) / 2.0))) / len(K))
-    return best
 
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m/e)^m) for m = 1..15, correctly

@@ -13,6 +13,7 @@ import numpy as np
 from conftest import ACCEPTANCE_LINES, rand_sym
 from depbernstein import bounds, cantor, checks, mixing, models
 from depbernstein.cli import main as cli_main
+from depbernstein.exact import log_laplace, v2_bruteforce
 
 
 def record(num, name, failures, elapsed=None, budget=None):
@@ -154,7 +155,7 @@ def _contraction_spec(d):
 
 
 def test_criterion_09_laplace_dominance():
-    # the exact log E Tr exp(t S_n) of the contraction model (models.log_laplace)
+    # the exact log E Tr exp(t S_n) of the contraction model (exact.log_laplace)
     # against the master bound at ten points, n = 8 and 32 and t up to 0.9 of
     # the bound's domain, with no Monte-Carlo slack: the bound's least margin
     # is 6.9e-5 nats
@@ -165,7 +166,7 @@ def test_criterion_09_laplace_dominance():
         inputs = models.bernstein_inputs_for(spec, n)
         t_max = 1.0 / (inputs.M * bounds.gamma_cn(inputs.c, n))
         t_grid = np.linspace(0.1, 0.9, 5) * t_max
-        exact = models.log_laplace(spec, n, t_grid)
+        exact = log_laplace(spec, n, t_grid)
         bound = bounds.master_log_laplace(t_grid, inputs)
         failures += [(n, t, e, b) for t, e, b in zip(t_grid, exact, bound) if e > b]
     record(9, "laplace-dominance", failures, time.monotonic() - t0, budget=300.0)
@@ -193,7 +194,7 @@ def test_criterion_11_v2_oracles():
     homogeneous = models.ModelSpec(
         kind="contraction", d=2, chain=mixing.MarkovChain.two_state(0.25, 0.25),
         D=np.array([[1.0, 0.25], [0.25, 0.5]]), tau_map=np.array([0.8, 0.8]))
-    brute = models.v2_bruteforce(homogeneous, 8)
+    brute = v2_bruteforce(homogeneous, 8)
     exact = models.v2_ceiling(homogeneous)
     if abs(brute - exact) > 1e-10:
         failures.append(("bruteforce_vs_exact", brute, exact))
@@ -209,7 +210,7 @@ def test_criterion_11_v2_oracles():
         spec = models.ModelSpec(kind="contraction", d=d, chain=chain,
                                 D=D, tau_map=tau)
         n = int(rng.integers(2, 9))
-        brute = models.v2_bruteforce(spec, n)
+        brute = v2_bruteforce(spec, n)
         exact = models.v2_ceiling(spec)
         if abs(brute - exact) > 1e-10:
             failures.append(("bruteforce_vs_exact", case, brute, exact))
@@ -222,7 +223,7 @@ def test_criterion_11_v2_oracles():
                                 chain=mixing.MarkovChain(P),
                                 value_map=rng.uniform(-1.0, 1.0, s))
         n = int(rng.integers(2, 9))
-        brute = models.v2_bruteforce(spec, n)
+        brute = v2_bruteforce(spec, n)
         ceiling = models.v2_ceiling(spec)
         if ceiling < brute - 1e-12:
             failures.append(("ceiling_vs_bruteforce", case, ceiling, brute))

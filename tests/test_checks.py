@@ -2,6 +2,8 @@
 monkeypatched into a known-wrong form, and the suite run as `verify` runs it.
 An invariant that passes its mutant could not have caught that fault."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,122 @@ def test_split_identity_catches_a_split_weight_off_by_a_ratio(monkeypatch, shift
     monkeypatch.setattr(bounds, "split_weight",
                         lambda p0, p1, t: split_weight(p0, p1, t) * (1.0 + shift))
     assert failed(lambda: checks.split_identity(7), "split_identity") > 0
+
+
+def test_trace_holder_catches_a_right_side_too_small(monkeypatch):
+    # every Schatten norm scaled by 1 - 1e-1: 108 of the 4000 comparisons
+    # fail, and at 1 - 1e-2 five still do
+    schatten_norm = spectral.schatten_norm
+    monkeypatch.setattr(spectral, "schatten_norm",
+                        lambda a, p: schatten_norm(a, p) * (1.0 - 1e-1))
+    assert failed(checks.inequalities, "trace_holder") > 0
+
+
+def test_weyl_catches_a_sum_too_large(monkeypatch):
+    # A + B scaled by 1 + 1e-2: 14 of the 1000 pairs fail, and at 1 + 1e-3 three still do
+    add = spectral.SymMatrix.__add__
+    monkeypatch.setattr(spectral.SymMatrix, "__add__",
+                        lambda a, b: spectral.SymMatrix(add(a, b).entries * (1.0 + 1e-2)))
+    assert failed(checks.inequalities, "weyl") > 0
+
+
+def test_gerschgorin_catches_a_bound_too_small(monkeypatch):
+    # the row-sum bound scaled by 1 - 1e-1: 70 of the 1000 pairs fail, and at 1 - 1e-2 four do
+    gerschgorin_bound = spectral.gerschgorin_bound
+    monkeypatch.setattr(spectral, "gerschgorin_bound",
+                        lambda a: gerschgorin_bound(a) * (1.0 - 1e-1))
+    assert failed(checks.inequalities, "gerschgorin") > 0
+
+
+def test_trace_exp_convexity_catches_a_concave_term(monkeypatch):
+    # Tr exp(tA) - t^2: 71 of the 1000 second differences fall below 0; with
+    # 0.1 t^2 none does, as every Tr(A^2 e^{tA}) of the draws exceeds 0.2
+    trace_exp = spectral.trace_exp
+    monkeypatch.setattr(spectral, "trace_exp", lambda t, a: trace_exp(t, a) - np.square(t))
+    assert failed(checks.inequalities, "trace_exp_convexity") > 0
+
+
+def test_kept_cardinality_catches_a_leaf_one_longer(monkeypatch):
+    # each leaf one index longer: |K_A| = A + 1 for the 42 A <= 43 that keep
+    # all of {1..A}; ten longer fails 704 A, and ten shorter 21
+    array_params = cantor._array_params
+
+    def longer(sizes):
+        A, delta, ell, n, d = array_params(sizes)
+        n = n.copy()
+        n[np.arange(A.size), ell] += 1
+        return A, delta, ell, n, d
+
+    monkeypatch.setattr(cantor, "_array_params", longer)
+    assert failed(checks.cantor, "kept_cardinality") == 42
+
+
+def test_kept_card_formula_catches_a_second_leaf_one_later(monkeypatch):
+    # the second leaf starts one index late: every A with two leaves or more
+    # (A >= 44) counts one index fewer from its runs than 2^ell n_ell
+    run_starts = cantor._run_starts
+
+    def late(n):
+        starts = run_starts(n)
+        if len(starts) > 2:
+            starts[2] += 1
+        return starts
+
+    monkeypatch.setattr(cantor, "_run_starts", late)
+    assert failed(checks.cantor, "kept_card_formula") == 4957
+
+
+def test_level_ceiling_catches_two_levels_too_many(monkeypatch):
+    # ell two too large, the extra levels empty: A = 2 and 3 then have
+    # 2^ell = 4 > A.  One level too many passes every A (ell <= log2 A - 2
+    # leaves that room), and ten fail all 4999
+    array_params = cantor._array_params
+
+    def deeper(sizes):
+        A, delta, ell, n, d = array_params(sizes)
+        return A, delta, ell + 2, np.pad(n, ((0, 0), (0, 2))), np.pad(d, ((0, 0), (0, 2)))
+
+    monkeypatch.setattr(cantor, "_array_params", deeper)
+    assert failed(checks.cantor, "level_ceiling") == 2
+
+
+def test_coupling_xy_law_catches_a_coupling_with_y_ystar(monkeypatch):
+    # 1e-6 of the mass moved to Y = Ystar, which keeps the (X, Ystar) law;
+    # even 1e-13 of it fails one law
+    coupling_law = mixing.coupling_law
+
+    def leaky(joint):
+        law = coupling_law(joint)
+        same = law.sum(axis=-2)[..., None, :] * np.eye(law.shape[-1])
+        return (1.0 - 1e-6) * law + 1e-6 * same
+
+    monkeypatch.setattr(mixing, "coupling_law", leaky)
+    assert failed(checks.coupling, "coupling_xy_law") > 0
+
+
+def test_coupling_mismatch_beta_catches_a_beta_too_large(monkeypatch):
+    # beta scaled by 1 + 1e-6: 375 of the 400 laws fail, and at 1 + 1e-13 348 do
+    beta_from_joint = mixing.beta_from_joint
+    monkeypatch.setattr(mixing, "beta_from_joint",
+                        lambda joint: beta_from_joint(joint) * (1.0 + 1e-6))
+    assert failed(checks.coupling, "coupling_mismatch_beta") > 0
+
+
+def test_schedule_ceiling_catches_a_schedule_two_levels_deeper(monkeypatch):
+    # two levels past the decomposition's depth: at n = 4 the last level has
+    # n / 2^i = 1, outside h's domain, so its 27 points fail; one level deeper
+    # passes every n
+    depth = bounds.decomposition_depth
+    monkeypatch.setattr(bounds, "decomposition_depth", lambda n: depth(n) + 2)
+    assert failed(checks.bounds, "schedule_ceiling") == 27
+
+
+@pytest.mark.parametrize("field, count", [("sigma", 32), ("kappa", 27)])
+def test_ceilings_catch_a_schedule_doubled(monkeypatch, field, count):
+    # each sigma_i, or each kappa_i, doubled: 32 and 27 of the 108 points
+    # exceed the ceiling.  Scaled by 1.1 none does: the sums are 0.29 to 0.81
+    # (sigma) and 0.23 to 0.58 (kappa) of their ceilings
+    schedule = bounds.sigma_kappa_schedule
+    monkeypatch.setattr(bounds, "sigma_kappa_schedule", lambda inputs: [
+        dataclasses.replace(p, **{field: 2.0 * getattr(p, field)}) for p in schedule(inputs)])
+    assert failed(checks.bounds, f"{field}_ceiling") == count

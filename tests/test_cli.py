@@ -476,6 +476,26 @@ def _rows_csv(names, rows) -> str:
     return "\n".join([",".join(names)] + [",".join(map(repr, r)) for r in rows]) + "\n"
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["bound", "--kind", "tail"], "--batch", 'n,d,M,v,c,x\n4,1,1,1,100,40\n8,2,1,1,100,40\n'),
+    (["bound", "--kind", "tail"], "--batch", 'n,d,M,v,c,x,note\n4,1,1,1,100,40,"a, b"\n'),
+    (["simulate", "--model", "contraction", "--n", "8", "--trials", "120", "--seed", "9",
+      "--x-grid", "0.5:8:4"], "--config",
+     '{"P": [[0.75, 0.25], [0.25, 0.75]], "D": [[1.0, 0.0], [0.0, -0.5]], "tau_map": [1.0, -1.0]}'),
+    (["mixing", "--fit-c"], "--chain", '{"P": [[0.75, 0.25], [0.25, 0.75]]}'),
+], ids=["batch", "quoted-batch", "config", "chain"])
+def test_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, argv, flag, text):
+    # a UTF-8 byte-order mark once read into the first column's name ("missing
+    # the columns n") and into the JSON text, which json.load rejects
+    path, outs = tmp_path / "input", []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        code, out = run_cli(capsys, *argv, flag, str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 class TestUsageErrors:
     """A usage error argparse rejects is an invalid input (3); 2 stays a
     failed verify check."""
@@ -1025,6 +1045,14 @@ class TestVerifyCommand:
                              text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == {"import": False, **{name: False for name in steps}}
+
+    def test_exact_laws_not_imported(self):
+        # the exact side is the tests' reference: no command compiles or runs it
+        code = "import sys, depbernstein.cli; print('depbernstein.exact' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_inequality_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inequalities", "--budget", "30")

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import iid_chain, sample_whole
 from depbernstein import checks, mixing
+from depbernstein.exact import log_row_power
 from depbernstein.mixing import (
     RATE_LAGS,
     BerbeeCoupler,
@@ -25,7 +26,6 @@ from depbernstein.mixing import (
     dbar_upper,
     fit_geometric_rate,
     geometric_tail,
-    log_row_power,
     power_blocks,
     row_slack,
 )

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import iid_chain, sample_whole
 from depbernstein.bounds import BoundDomainError
-from depbernstein import bounds, checks, mixing, models
+from depbernstein import bounds, checks, exact, mixing, models
+from depbernstein.exact import lattice_law, log_laplace, v2_bruteforce
 from depbernstein.mixing import (RATE_LAGS, MarkovChain, MixingError, beta_k_exact,
                                  certified_geometric_rate, dbar, dbar_upper,
                                  fit_geometric_rate, geometric_tail)
@@ -20,10 +21,8 @@ from depbernstein.models import (
     block_covariance_mean,
     clopper_pearson,
     lag_moments,
-    log_laplace,
     run_tail_experiment,
     spec_from_config,
-    v2_bruteforce,
     v2_ceiling,
 )
 
@@ -567,7 +566,7 @@ class TestBlockCeiling:
         spec = block_spec(MarkovChain(
             [[0.9, 0.08, 0.02], [0.05, 0.9, 0.05], [0.02, 0.08, 0.9]]), 2, [1.0, -0.5, 0.2])
         n = 4
-        G = models._pairwise_moments_exact(spec, n)
+        G = exact._pairwise_moments_exact(spec, n)
         # X_i X_j symmetrized, from 4000 sampled paths
         mats = simulate_summands(spec, n, 0, 4000)
         prod = np.einsum("tiab,tjbc->tijac", mats, mats)
@@ -1384,17 +1383,6 @@ class TestSamplerMemory:
         assert peak < 16 * models._CHUNK_WORDS
 
 
-def visit_law(chain, n):
-    """P(N_1 = k), k = 0..n, where N_1 counts the visits to state 1 of n steps
-    of a stationary two-state chain: a forward recursion over (state, N_1)."""
-    P, f = chain.P, np.zeros((2, n + 1))
-    f[0, 0], f[1, 1] = chain.pi
-    for _ in range(n - 1):
-        to0, to1 = f[0] * P[0, 0] + f[1] * P[1, 0], f[0] * P[0, 1] + f[1] * P[1, 1]
-        f[0], f[1, 0], f[1, 1:] = to0, 0.0, to1[:-1]
-    return f.sum(axis=0)
-
-
 class TestSamplerLaw:
     """The sampled lambda_max against its exact law.  On the block model with
     d = 1, P = [[.95, .05], [.1, .9]] and values (1, 0), pi = (2/3, 1/3), the
@@ -1415,7 +1403,7 @@ class TestSamplerLaw:
         # both CDFs step only at the atoms 0..N, so their values there give the
         # distance on both sides of every atom
         ecdf = np.cumsum(np.bincount(visits, minlength=self.N + 1)) / self.TRIALS
-        return float(np.abs(ecdf - np.cumsum(visit_law(spec.chain, self.N))).max())
+        return float(np.abs(ecdf - np.cumsum(lattice_law(spec.chain, [0, 1], self.N))).max())
 
     def test_sampled_lambda_max_has_its_exact_law(self):
         assert self.distance() < self.BAND  # 0.0068 against a band of 0.027
@@ -1430,6 +1418,52 @@ class TestSamplerLaw:
 
         monkeypatch.setattr(MarkovChain, "sample_paths", from_pi)
         assert self.distance() > self.BAND
+
+
+def sign_chain(P):
+    """The chain of a sign model's states and fair signs, P (x) 1/2 11^T on the
+    states 2x (sign +1) and 2x + 1 (sign -1)."""
+    return MarkovChain(np.kron(P, np.full((2, 2), 0.5)))
+
+
+class TestLatticeLaw:
+    THREE = MarkovChain([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_every_path(self, n):
+        g = np.array([2, -1, 0])
+        P, pi = self.THREE.P, self.THREE.pi
+        want = np.zeros(3 * n + 1)
+        for path in itertools.product(range(3), repeat=n):
+            weight = pi[path[0]] * math.prod(P[x, y] for x, y in zip(path, path[1:]))
+            want[g[list(path)].sum() + n] += weight
+        np.testing.assert_allclose(lattice_law(self.THREE, g, n), want, rtol=1e-13, atol=1e-17)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_unit_signs_are_binomial(self, n):
+        # g = +-1 leaves the chain out: U = 2 Bin(n, 1/2) - n
+        pmf = lattice_law(sign_chain(np.array([[0.9, 0.1], [0.3, 0.7]])), [1, -1, 1, -1], n)
+        want = np.zeros(2 * n + 1)
+        want[::2] = [math.comb(n, j) / 2 ** n for j in range(n + 1)]
+        np.testing.assert_allclose(pmf, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
+    def test_sign_chain_gives_the_exact_laplace_transform(self, n):
+        # tau = (1, 1/2) doubled to the integers g = +-(2, 1): log E e^{tU/2}
+        # from the law is log_laplace of the d = 1 contraction model
+        P, tau = np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([1.0, 0.5])
+        spec = ModelSpec(kind="contraction", d=1, chain=MarkovChain(P), D=np.eye(1), tau_map=tau)
+        pmf = lattice_law(sign_chain(P), [2, -2, 1, -1], n)
+        t = np.linspace(-3.0, 3.0, 13)
+        with np.errstate(divide="ignore"):
+            got = np.logaddexp.reduce(np.log(pmf) + np.outer(t, np.arange(-2 * n, 2 * n + 1) / 2),
+                                      axis=1)
+        np.testing.assert_allclose(got, log_laplace(spec, n, t), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g, n", [([0.5, 1.0], 4), ([0, 1, 2], 4), ([0, 1], 0)])
+    def test_rejects_non_integer_g_one_per_state_and_n_below_one(self, g, n):
+        with pytest.raises(MixingError, match="one integer g per state"):
+            lattice_law(CHAIN, g, n)
 
 
 class TestDominanceCase:
