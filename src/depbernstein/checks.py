@@ -118,19 +118,19 @@ def cantor():
 def _cantor_case(stack):
     """Per row A of the stack: |K_A| = 2^ell n_ell is in [A/2, A] and equal to
     the count read from the runs (each leaf stops where the next run starts,
-    the last at A + 1), the leaves and gaps tile {1..A}, ell <= log2 A, and
-    every gap d_j is at least A delta (1 - delta)^j / 2^(j+1); a failure
-    carries its `A`."""
+    the last at A + 1), the leaves and gaps tile {1..A}, every gap d_j is at least
+    f_j = A delta (1 - delta)^j / 2^(j+1), and ell keeps cantor_params' level
+    rule, f_(ell-1) >= 2 > f_ell; a failure carries its `A`."""
     A, card, ell, starts = stack.A, stack.card, stack.ell, stack.starts
     counted = (starts[1::2] - starts[:-1:2]).sum(axis=0) + A + 1 - starts[-1]
     yield _rows("kept_cardinality", (card <= A) & (2 * card >= A), A=A, card=card)
     yield _rows("kept_card_formula", card == counted, A=A, card=card)
     yield _rows("disjoint_cover", _cantor.tiles_exactly(stack), A=A)
-    yield _rows("level_ceiling", A >= 2 ** ell, A=A, ell=ell)  # ell <= log2 A
-    delta, j = stack.delta[:, None], np.arange(ell)
+    delta, j = stack.delta[:, None], np.arange(ell + 1)
     floor = A[:, None] * delta * (1.0 - delta) ** j / 2.0 ** (j + 1)
-    yield _rows("gap_floor", stack.d_seq >= floor, A=A[:, None], j=j, d=stack.d_seq,
-                floor=floor)
+    yield _rows("level_ceiling", (floor[:, :ell] >= 2).all(1) & (floor[:, ell] < 2), A=A, ell=ell)
+    yield _rows("gap_floor", stack.d_seq >= floor[:, :ell], A=A[:, None], j=j[:ell],
+                d=stack.d_seq, floor=floor[:, :ell])
 
 
 def bounds(seed: int = 7):

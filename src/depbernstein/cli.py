@@ -36,6 +36,17 @@ def _emit(text: str, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _read_input(flag: str, path, load=io.TextIOWrapper.read):
+    """load(file) of the UTF-8 input file of flag, a leading byte-order mark
+    dropped; a file not UTF-8, or not JSON to json.load, names flag and path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        kind = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
+        raise ValueError(f"{flag} {path} is not {kind}: {exc}") from None
+
+
 def _csv_lines(header, rows) -> str:
     """The CSV table of bound, mixing and simulate, as csv.writer writes it,
     from rows of str cells."""
@@ -123,8 +134,7 @@ def _batch_column(path, header, rows, key: str, cast):
 def cmd_bound(args) -> int:
     given = {k: getattr(args, k) for k in _BOUND_TYPES}
     if args.batch:
-        with open(args.batch, encoding="utf-8-sig") as fh:
-            text = fh.read()  # CR and CRLF line ends read as LF
+        text = _read_input("--batch", args.batch)  # CR and CRLF line ends read as LF
         lines = text.split("\n")
         # csv.reader splits a line with no quote or NUL at its commas; csv.writer quotes no cell
         plain = not ('"' in text or "\0" in text) and max(map(len, lines)) <= csv.field_size_limit()
@@ -176,8 +186,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    with open(args.chain, encoding="utf-8-sig") as fh:
-        chain = mixing.MarkovChain.from_config(json.load(fh))
+    chain = mixing.MarkovChain.from_config(_read_input("--chain", args.chain, json.load))
     try:
         k_lo, k_hi = (int(s) for s in args.beta_k.split(".."))
         if not 1 <= k_lo <= k_hi:
@@ -190,10 +199,8 @@ def cmd_mixing(args) -> int:
     if args.fit_c:  # the window estimate, null if every beta_k is 0, and the bound's certified c
         c = mixing.fit_geometric_rate(chain, mixing.RATE_LAGS)
         c = c if math.isfinite(c) else None
-        try:
+        with contextlib.suppress(mixing.MixingError):  # d̄ is 1 at lags 1 and 2: null
             certified = mixing.certified_geometric_rate(chain)
-        except mixing.MixingError:  # d̄ is 1 at lags 1 and 2: no certified rate, null
-            pass
     header = ("k", "beta_k", "envelope")  # JSON writes a missing envelope as null, CSV as ""
     rows = [(k, bk, None if c is None else math.exp(-c * (k - 1)))
             for k, bk in zip(lags.tolist(), mixing.beta_k_exact(chain, lags).tolist())]
@@ -226,9 +233,7 @@ def _parse_grid(text: str):
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config, encoding="utf-8-sig") as fh:
-        config = json.load(fh)
-    spec = models.spec_from_config(args.model, config)
+    spec = models.spec_from_config(args.model, _read_input("--config", args.config, json.load))
     report = models.run_tail_experiment(
         spec, n=args.n, trials=args.trials, x_grid=_parse_grid(args.x_grid),
         seed=args.seed, workers=args.workers,

@@ -11,8 +11,8 @@ geometric tail (geometric_tail): the rate c of the bound and the v^2
 ceiling's sum past its window.  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
-A chain is its transition matrix: MarkovChain(P) derives pi from P, and
-chain and model files give P alike (from_config).
+A chain is its transition matrix: MarkovChain(P) derives pi, and the row slack
+that dbar_upper reads, from P; chain and model files give P alike (from_config).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class MixingError(ValueError):
 @dataclass(frozen=True)
 class MarkovChain:
     """Finite-state chain given by its row-stochastic P alone; its stationary
-    law pi is derived from P, never given.
+    law pi and its row slack (_transition_matrix) come from P, never given.
 
     The chain must be irreducible and aperiodic so that beta_k -> 0.
     pi comes from Grassmann-Taksar-Heyman elimination (Operations Research
@@ -53,9 +53,10 @@ class MarkovChain:
 
     P: np.ndarray
     pi: np.ndarray = field(init=False)
+    slack: float = field(init=False)
 
     def __post_init__(self):
-        P = _transition_matrix(self.P)  # a copy: the caller's array stays writeable
+        P, slack = _transition_matrix(self.P)  # a copy: the caller's array stays writeable
         W, s = P.copy(), P.shape[0]
         for k in range(s - 1, 0, -1):
             W[:k, :k] += np.outer(W[:k, k], W[k, :k] / W[k, :k].sum())
@@ -69,6 +70,7 @@ class MarkovChain:
         pi.flags.writeable = False
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "slack", slack)
 
     @property
     def states(self) -> int:
@@ -259,18 +261,11 @@ def dbar(Pk: np.ndarray):
     return _out(0.5 * np.abs(gap, out=gap).sum(axis=-1).max(axis=(-2, -1)))
 
 
-def row_slack(P: np.ndarray) -> float:
-    """An upper bound on max_x |sum_y P(x, y) - 1|: math.fsum rounds each row's
-    sum once, so within 2^-52 of it for a sum below 2, and fsum - 1 is exact."""
-    return max(abs(math.fsum(row) - 1.0) for row in P.tolist()) + 2.0 ** -52
-
-
-def dbar_upper(Pk: np.ndarray, k, slack: float):
-    """d̄(k) of each computed power P^k of a stack (lags, s, s), rounded up to
-    bound the d̄(k) of the chain, and capped at 1; slack is row_slack(P).  The
-    chain is P with each row scaled to sum to 1: _transition_matrix lets a row
-    sum stray from 1 by up to 1e-12, and d̄'s submultiplicativity and
-    beta_k <= d̄(k) hold only for a stochastic matrix.
+def dbar_upper(chain: MarkovChain, Pk: np.ndarray, k):
+    """d̄(k) of each computed power P^k of chain.P in a stack (lags, s, s),
+    rounded up to bound the d̄(k) of the chain, P with each row scaled to sum
+    to 1 (d̄'s submultiplicativity and beta_k <= d̄(k) hold only for a
+    stochastic matrix), and capped at 1.
 
     In any order, P^k takes k - 1 products of nonnegative matrices, each within
     γ_s |A||B| entrywise (Higham, Accuracy and Stability of Numerical
@@ -279,14 +274,14 @@ def dbar_upper(Pk: np.ndarray, k, slack: float):
     k γ_s <= 1/2.  P^k's rows sum to at most 2 for k up to 5e11: each row errs
     by at most 4 (k-1) γ_s in l1, and dbar's own rounding adds at most 2 γ_s
     times its value, at most 4.  4 (k+1) γ_{s+1} bounds both and the sum that
-    adds it.  Rows of P within ε = slack of summing to 1 put each row of P^k
+    adds it.  Rows of P within ε = chain.slack of summing to 1 put each row of P^k
     within (1 + ε)^k - 1 <= 2kε in l1 of the chain's while kε <= 1, which
     moves d̄ by at most 2kε.
     """
     su = (Pk.shape[-1] + 1) * 2.0 ** -53  # (s + 1) times float64's unit roundoff
     gamma = su / (1.0 - su)  # γ_{s+1}
     k = np.asarray(k, dtype=float)
-    return np.minimum(dbar(Pk) + 4.0 * (k + 1.0) * gamma + 2.0 * k * slack, 1.0)
+    return np.minimum(dbar(Pk) + 4.0 * (k + 1.0) * gamma + 2.0 * k * chain.slack, 1.0)
 
 
 def geometric_tail(e):
@@ -330,9 +325,9 @@ def certified_geometric_rate(chain: MarkovChain) -> float:
     and c is the least rate of the two envelopes on and past the window.
     Raises MixingError if that is not positive: d̄+(1) = d̄+(2) = 1.
     """
-    e, slack = np.empty(0), row_slack(chain.P)
+    e = np.empty(0)
     for Pk in power_blocks(chain.P, range(1, RATE_LAGS + 1)):
-        e = np.append(e, dbar_upper(Pk, np.arange(e.size, e.size + len(Pk)) + 1, slack))
+        e = np.append(e, dbar_upper(chain, Pk, np.arange(e.size, e.size + len(Pk)) + 1))
     k = np.arange(1.0, RATE_LAGS + 1)  # as k0 too
     log_u = -np.max(np.floor(k[:, None] / k) * -np.log(e), axis=1)  # row k, column k0
     past = geometric_tail(e)[0]
@@ -377,15 +372,16 @@ class BerbeeCoupler:
         return np.unravel_index(cell, self._shape)
 
 
-def _transition_matrix(P) -> np.ndarray:
-    """A float copy of P, checked to be square, row-stochastic and primitive."""
+def _transition_matrix(P):
+    """A float copy of P, checked square, row-stochastic and primitive, and its row slack,
+    which bounds every |row sum - 1|: max |math.fsum(row) - 1| (<= 1e-12) plus 2^-52."""
     P = np.array(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
         raise MixingError(f"P must be square with >= 2 states, got {P.shape}")
     if (not np.all(np.isfinite(P)) or np.any(P < 0)
-            or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12):
+            or (err := max(abs(math.fsum(row) - 1.0) for row in P.tolist())) > 1e-12):
         raise MixingError("P rows must be finite, nonnegative and sum to 1")
     # primitive iff P^k > 0 at Wielandt's exponent k = (s-1)^2 + 1
     if not np.all(np.linalg.matrix_power(P > 0, (P.shape[0] - 1) ** 2 + 1)):
         raise MixingError("chain must be irreducible and aperiodic")
-    return P
+    return P, err + 2.0 ** -52  # fsum rounds a sum below 2 within 2^-52; fsum - 1 is exact

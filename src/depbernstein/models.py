@@ -60,8 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .mixing import (MarkovChain, certified_geometric_rate, dbar_upper, geometric_tail,
-                     power_blocks, row_slack)
+from .mixing import MarkovChain, certified_geometric_rate, dbar_upper, geometric_tail, power_blocks
 from .spectral import SymMatrix
 
 SCHEMA = "depbernstein/1"
@@ -276,11 +275,10 @@ def v2_ceiling(spec: ModelSpec) -> float:
     # only the moment norms and rounded-up d̄(j_k) of each block are kept, up to k = L,
     # with L lowered to the window once a lag contracts
     norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], np.empty(0)
-    slack = row_slack(spec.chain.P)
     for R, moments in _moment_blocks(spec.chain.P, A, m, w, L):
         norms.append(np.linalg.norm(moments, 2, axis=(-2, -1)))
         lags = w * np.arange(dbars.size, dbars.size + len(R)) + 1
-        dbars = np.append(dbars, dbar_upper(R, lags, slack))
+        dbars = np.append(dbars, dbar_upper(spec.chain, R, lags))
         contracting = np.flatnonzero(dbars[:L] < 1.0)
         if contracting.size:
             L = max(_CEILING_LAGS, contracting[0] + 1)

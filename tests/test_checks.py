@@ -137,9 +137,8 @@ def test_kept_card_formula_catches_a_second_leaf_one_later(monkeypatch):
 
 
 def test_level_ceiling_catches_two_levels_too_many(monkeypatch):
-    # ell two too large, the extra levels empty: A = 2 and 3 then have
-    # 2^ell = 4 > A.  One level too many passes every A (ell <= log2 A - 2
-    # leaves that room), and ten fail all 4999
+    # ell two too large, the extra levels empty: level ell - 1 has a floor
+    # f_(ell-2) below 2, so it does not exist, for every A
     array_params = cantor._array_params
 
     def deeper(sizes):
@@ -147,7 +146,24 @@ def test_level_ceiling_catches_two_levels_too_many(monkeypatch):
         return A, delta, ell + 2, np.pad(n, ((0, 0), (0, 2))), np.pad(d, ((0, 0), (0, 2)))
 
     monkeypatch.setattr(cantor, "_array_params", deeper)
-    assert failed(checks.cantor, "level_ceiling") == 2
+    assert failed(checks.cantor, "level_ceiling") == 4999
+
+
+@pytest.mark.parametrize("shift, count", [(1, 4999), (-1, 4957)])
+def test_level_ceiling_catches_one_level_off(monkeypatch, shift, count):
+    # ell one too large, the extra level empty: its floor f_(ell-1) is below 2
+    # for every A, where a ceiling A >= 2^ell passed them all.  One too small
+    # where ell >= 1: level ell + 1 would still exist (f_ell >= 2) for each of
+    # the 4,957 A >= 44
+    array_params = cantor._array_params
+
+    def shifted(sizes):
+        A, delta, ell, n, d = array_params(sizes)
+        pad = ((0, 0), (0, 1))
+        return A, delta, np.maximum(ell + shift, 0), np.pad(n, pad), np.pad(d, pad)
+
+    monkeypatch.setattr(cantor, "_array_params", shifted)
+    assert failed(checks.cantor, "level_ceiling") == count
 
 
 def test_coupling_xy_law_catches_a_coupling_with_y_ystar(monkeypatch):
@@ -179,6 +195,34 @@ def test_schedule_ceiling_catches_a_schedule_two_levels_deeper(monkeypatch):
     depth = bounds.decomposition_depth
     monkeypatch.setattr(bounds, "decomposition_depth", lambda n: depth(n) + 2)
     assert failed(checks.bounds, "schedule_ceiling") == 27
+
+
+def test_tail_dominance_catches_a_bound_two_nats_too_small(monkeypatch):
+    # log_tail_bound_certified lowered by 2 nats: 24 grid points fall below 1
+    # and are compared, and the iid model's at x = 3.2 and the block model's
+    # at x = 6.4 lie under p_hat.  Lowered by 1 nat, 16 are compared and none fails
+    log_tail_bound = bounds.log_tail_bound_certified
+
+    def lowered(x, inputs):
+        log_bound, t_star = log_tail_bound(x, inputs)
+        return log_bound - 2.0, t_star
+
+    monkeypatch.setattr(bounds, "log_tail_bound_certified", lowered)
+    checked, failures = checks.run(checks.dominance)
+    assert sum(v for k, v in checked.items() if k.startswith("tail_dominance.")) == 24
+    assert [(f["invariant"], f["x"]) for f in failures] == [
+        ("tail_dominance.iid", 3.2), ("tail_dominance.blockcov", 6.4)]
+
+
+def test_expectation_dominance_catches_a_bound_cut_1000_times(monkeypatch):
+    # the expectation ceiling scaled by 0.001: every model's mean exceeds it by
+    # more than 3 stderr.  Scaled by 0.01 none does
+    expectation_bound = bounds.expectation_bound
+    monkeypatch.setattr(bounds, "expectation_bound",
+                        lambda inputs: expectation_bound(inputs) * 0.001)
+    _, failures = checks.run(checks.dominance)
+    assert sorted(f["invariant"] for f in failures) == [
+        f"expectation_dominance.{name}" for name in ("blockcov", "contraction", "iid")]
 
 
 @pytest.mark.parametrize("field, count", [("sigma", 32), ("kappa", 27)])

@@ -496,6 +496,26 @@ def test_input_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, argv, f
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv, flag, data, kind", [
+    (["bound", "--kind", "tail"], "--batch",
+     "n,d,M,v,c,x,note\n4,1,1,1,100,40,caf\xe9\n".encode("latin-1"), "UTF-8"),
+    (["mixing"], "--chain", '{"P": [[0.75, 0.25], [0.25, 0.75]], "note": "caf\xe9"}'
+     .encode("latin-1"), "UTF-8"),
+    (["simulate", "--model", "contraction", "--n", "8", "--trials", "120", "--seed", "9",
+      "--x-grid", "0.5:8:4"], "--config", b'{"P": [[0.75, 0.25], [0.25, 0.75]], "D": [[1.0',
+     "JSON"),
+    (["mixing"], "--chain", b'{"P": [[0.75, 0.25], [0.25, 0.7', "JSON"),
+], ids=["latin-1-batch", "latin-1-chain", "truncated-config", "truncated-chain"])
+def test_unreadable_input_names_its_flag_and_path(capsys, tmp_path, argv, flag, data, kind):
+    # the decoder's or json's message alone named neither the file nor its flag
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([*argv, flag, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag} {path} is not {kind}: ")
+
+
 class TestUsageErrors:
     """A usage error argparse rejects is an invalid input (3); 2 stays a
     failed verify check."""

@@ -27,7 +27,6 @@ from depbernstein.mixing import (
     fit_geometric_rate,
     geometric_tail,
     power_blocks,
-    row_slack,
 )
 
 
@@ -36,6 +35,23 @@ def random_chain(rng, s):
     P = rng.uniform(0.1, 1.0, (s, s))
     P /= P.sum(axis=1, keepdims=True)
     return MarkovChain(P)
+
+
+def admitted(P) -> bool:
+    """Whether MarkovChain admits P's rows; any other rejection raises."""
+    try:
+        MarkovChain(P)
+    except MixingError as exc:
+        if "sum to 1" not in str(exc):
+            raise
+        return False
+    return True
+
+
+def numpy_row_rule(P) -> bool:
+    """The row test of a chain before it kept its slack: numpy's row sums
+    within 1e-12 of 1, on finite nonnegative entries."""
+    return bool(np.all(P >= 0) and np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12)
 
 
 def two_state_beta(a, b, k):
@@ -287,6 +303,40 @@ class TestMarkovChain:
             warnings.simplefilter("error")
             with pytest.raises(MixingError, match="irreducible and aperiodic"):
                 MarkovChain(P)
+
+    def test_slack_bounds_the_exact_row_error(self):
+        # math.fsum's row error plus 2^-52 lies above the error of P's floats in
+        # the exact rationals, by less than 2^-51: 2^-52, fsum's half an ulp and
+        # the rounding of the sum
+        rng = np.random.default_rng(53)
+        for s in np.repeat(np.arange(2, 10), 20).tolist():
+            chain = MarkovChain(rng.dirichlet(np.ones(s), s))
+            exact = max(abs(sum(map(Fraction, row)) - 1) for row in chain.P.tolist())
+            assert exact < Fraction(chain.slack) <= exact + Fraction(2.0 ** -51)
+
+    @pytest.mark.parametrize("off", [1e-12 - 1e-15, 1e-12 + 1e-15, -1e-12 + 1e-15, -1e-12 - 1e-15])
+    @pytest.mark.parametrize("row", [[0.6, 0.3, 0.1], [0.75, 0.25], [0.2] * 5])
+    def test_rows_off_by_1e_12_keep_their_verdict(self, row, off):
+        # the rows are off by 1e-12 +- 1e-15, far past the s 2^-53 by which
+        # fsum's and numpy's row sums can differ
+        P = np.array([np.roll(row, i) for i in range(len(row))])
+        P[0, 0] += off
+        assert admitted(P) == numpy_row_rule(P) == (abs(off) < 1e-12)
+
+    def test_perturbed_chains_keep_their_verdict(self):
+        # Dirichlet chains with each row's largest entry moved by up to
+        # 1.2e-12: the verdicts differ only where a row's error lies within
+        # s 2^-53 of 1e-12, and neither verdict is rare
+        rng = np.random.default_rng(53)
+        verdicts = []
+        for s in rng.integers(2, 9, 1200).tolist():
+            P = rng.dirichlet(np.ones(s), s)
+            P[np.arange(s), P.argmax(axis=1)] += rng.uniform(-1.2e-12, 1.2e-12, s)
+            err = np.array([abs(math.fsum(row) - 1.0) for row in P.tolist()])
+            near = np.any(np.abs(err - 1e-12) <= s * 2.0 ** -53)
+            verdicts.append(admitted(P))
+            assert verdicts[-1] == numpy_row_rule(P) or near
+        assert 300 < sum(verdicts) < 900
 
     def test_sample_path_deterministic(self):
         chain = MarkovChain.two_state(0.25, 0.25)
@@ -674,8 +724,7 @@ class TestCertifiedRate:
         # products round
         chain = MarkovChain(P)
         ks = list(range(1, RATE_LAGS + 1))
-        slack = row_slack(chain.P)
-        upper = np.concatenate([dbar_upper(Pk, np.arange(1, RATE_LAGS + 1)[:len(Pk)], slack)
+        upper = np.concatenate([dbar_upper(chain, Pk, np.arange(1, RATE_LAGS + 1)[:len(Pk)])
                                 for Pk in power_blocks(chain.P, ks)])
         exact = [dbar_exact(chain.P, k) for k in ks]
         assert all(Fraction(float(u)) >= d for u, d in zip(upper, exact))
@@ -732,20 +781,20 @@ class TestGeometricTail:
 
 class TestDbarUpper:
     def test_adds_the_margin_and_caps_at_1(self):
-        P = MarkovChain.two_state(0.25, 0.25).P
-        stack = np.stack([P, np.eye(2)[::-1]])  # d̄ = 1/2 and 1
-        upper = dbar_upper(stack, np.array([1, 1]), row_slack(P))
+        chain = MarkovChain.two_state(0.25, 0.25)
+        stack = np.stack([chain.P, np.eye(2)[::-1]])  # d̄ = 1/2 and 1
+        upper = dbar_upper(chain, stack, np.array([1, 1]))
         assert 0.5 < upper[0] < 0.5 + 1e-14 and upper[1] == 1.0
-        assert dbar_upper(stack[:1], np.array([40]), row_slack(P))[0] > upper[0]
+        assert dbar_upper(chain, stack[:1], np.array([40]))[0] > upper[0]
 
     def test_rows_off_1_widen_the_margin(self):
         # a row that sums to 1 + 5e-13: 2k times that slack is added, as the
         # row-scaled chain's d̄ may lie that far below the stored P's
         P = np.array([[0.75 + 5e-13, 0.25], [0.25, 0.75]])
-        slack = row_slack(MarkovChain(P).P)
-        assert 5e-13 <= slack <= 5e-13 + 1e-15
-        assert row_slack(np.array([[0.75, 0.25], [0.25, 0.75]])) == 2.0 ** -52
-        assert dbar_upper(P[None], np.array([10]), slack)[0] > dbar(P) + 20 * 5e-13
+        chain = MarkovChain(P)
+        assert 5e-13 <= chain.slack <= 5e-13 + 1e-15
+        assert MarkovChain([[0.75, 0.25], [0.25, 0.75]]).slack == 2.0 ** -52
+        assert dbar_upper(chain, P[None], np.array([10]))[0] > dbar(P) + 20 * 5e-13
 
 
 class TestFitGeometricRate:

@@ -645,7 +645,7 @@ class TestBlockCeiling:
     def test_no_contracting_step_raises(self, monkeypatch):
         # with A = 0 the ceiling would return before it looks at d̄
         assert models._transfer(CORRELATED_BLOCK)[1].any()
-        monkeypatch.setattr(models, "dbar_upper", lambda Pk, k, slack: np.ones(len(Pk)))
+        monkeypatch.setattr(models, "dbar_upper", lambda chain, Pk, k: np.ones(len(Pk)))
         with pytest.raises(ModelError):
             v2_ceiling(CORRELATED_BLOCK)
 
@@ -685,7 +685,7 @@ def v2_ceiling_stacked(spec):
         return float(np.max(np.linalg.eigvalsh(square)))
     cap = max(models._CEILING_LAGS, math.ceil((spec.chain.states - 1) ** 2 / w) + 1)
     R = lag_powers_stacked(spec.chain.P, w, cap)
-    dbars = dbar_upper(R, w * np.arange(cap) + 1, mixing.row_slack(spec.chain.P))
+    dbars = dbar_upper(spec.chain, R, w * np.arange(cap) + 1)
     contracting = np.flatnonzero(dbars < 1.0)
     L = max(models._CEILING_LAGS, contracting[0] + 1) if contracting.size else cap
     moments = np.concatenate([square[None], np.einsum("abx,kxy,bcy->kac", A, R[:L], m)])
@@ -742,7 +742,7 @@ class TestLagWalker:
         spec = dirichlet_block_spec(40, 1.0, 2)
         seen = []
         monkeypatch.setattr(models, "dbar_upper",
-                            lambda Pk, k, slack: seen.append(len(Pk)) or dbar_upper(Pk, k, slack))
+                            lambda chain, Pk, k: seen.append(len(Pk)) or dbar_upper(chain, Pk, k))
         v2_ceiling(spec)
         block = max(1, mixing._BLOCK_WORDS // 40 ** 2)
         assert models._CEILING_LAGS <= sum(seen) < models._CEILING_LAGS + block
