@@ -38,11 +38,11 @@ def _emit(text: str, out_path):
 
 def _read_input(flag: str, path, load=io.TextIOWrapper.read):
     """load(file) of the UTF-8 input file of flag, a leading byte-order mark
-    dropped; a file not UTF-8, or not JSON to json.load, names flag and path."""
+    dropped; a file not UTF-8, or not JSON to json.load (too deep, say), names flag and path."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         kind = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
         raise ValueError(f"{flag} {path} is not {kind}: {exc}") from None
 

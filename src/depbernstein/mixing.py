@@ -4,11 +4,11 @@ For a stationary Markov chain the absolute-regularity coefficient between
 the full past and the full future at lag k reduces to
 E || P^k(S_0, .) - pi ||_TV, which beta_k_exact computes for a lag profile
 from the powers of P - 1 pi.  power_blocks is the one walker of lag powers:
-it steps them a bounded block at a time for beta_k_exact, for
-certified_geometric_rate and for the models' lag_moments and v2_ceiling.
-The last two certificates read d̄, rounded up (dbar_upper), through one
-geometric tail (geometric_tail): the rate c of the bound and the v^2
-ceiling's sum past its window.  The generic
+it steps them a bounded block at a time, each block yielded with its lags,
+for beta_k_exact, certified_geometric_rate and the models' lag_moments and
+v2_ceiling.  The two certificates round d̄ up at those lags (dbar_upper) and
+read it through one geometric tail (geometric_tail): the rate c of the bound
+and the v^2 ceiling's sum past its window.  The generic
 beta_from_joint works on any finite joint law and is the independent check,
 via the law of (S_0, S_k), and coupling_law builds Berbee's coupling of it.
 A chain is its transition matrix: MarkovChain(P) derives pi, and the row slack
@@ -220,15 +220,16 @@ def coupling_law(joint: JointLaw) -> np.ndarray:
 
 
 def power_blocks(M: np.ndarray, ks):
-    """Yield M^k for the increasing positive integers ks, in (lags, s, s) blocks
-    of at most _BLOCK_WORDS entries (one lag at least), and keep one block: a
-    product a lag, by M^gap across each gap (from 0), each distinct M^gap once."""
+    """Yield (lags, powers) over the sequence ks of increasing positive integers,
+    in blocks of at most _BLOCK_WORDS entries (one lag at least): lags, the
+    block's slice of ks, and powers, its M^k stacked (lags, s, s).  One block is
+    kept: a product a lag, by M^gap across each gap (from 0), each distinct M^gap once."""
     gaps = np.diff(ks, prepend=0).tolist()
     steps = {gap: np.linalg.matrix_power(M, gap) for gap in dict.fromkeys(gaps)}
     powers = islice(accumulate(map(steps.get, gaps), np.matmul, initial=np.eye(len(M))), 1, None)
     size = max(1, _BLOCK_WORDS // len(M) ** 2)
     for lo in range(0, len(ks), size):
-        yield np.fromiter(islice(powers, size), np.dtype((float, M.shape)))
+        yield ks[lo:lo + size], np.fromiter(islice(powers, size), np.dtype((float, M.shape)))
 
 
 def beta_k_exact(chain: MarkovChain, k):
@@ -243,7 +244,7 @@ def beta_k_exact(chain: MarkovChain, k):
     if np.any(ks < 1):
         raise MixingError(f"lag k must be >= 1, got {ks[0]}")
     beta = [np.matmul(0.5 * np.abs(Q, out=Q).sum(axis=2)[:, None, :], chain.pi)[:, 0]
-            for Q in power_blocks(chain.P - chain.pi, ks.tolist())]
+            for _, Q in power_blocks(chain.P - chain.pi, ks.tolist())]
     return _out(np.concatenate([np.empty(0), *beta])[at].reshape(np.shape(k)))
 
 
@@ -325,9 +326,8 @@ def certified_geometric_rate(chain: MarkovChain) -> float:
     and c is the least rate of the two envelopes on and past the window.
     Raises MixingError if that is not positive: d̄+(1) = d̄+(2) = 1.
     """
-    e = np.empty(0)
-    for Pk in power_blocks(chain.P, range(1, RATE_LAGS + 1)):
-        e = np.append(e, dbar_upper(chain, Pk, np.arange(e.size, e.size + len(Pk)) + 1))
+    e = np.concatenate([dbar_upper(chain, Pk, lags)
+                        for lags, Pk in power_blocks(chain.P, range(1, RATE_LAGS + 1))])
     k = np.arange(1.0, RATE_LAGS + 1)  # as k0 too
     log_u = -np.max(np.floor(k[:, None] / k) * -np.log(e), axis=1)  # row k, column k0
     past = geometric_tail(e)[0]

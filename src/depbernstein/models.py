@@ -234,11 +234,11 @@ def _transfer(spec: ModelSpec):
 
 
 def _moment_blocks(P: np.ndarray, A, m, w: int, count: int):
-    """Blocks (power_blocks) of the steps R_k = P^((k-1)w+1) from summand 0's last
-    state to summand k's first, k = 1..count, each with its E(X_0 X_k) =
-    sum_{x,y} A(x) R_k(x, y) m(y): given X_0, X_k's mean depends on S_{w-1} only."""
-    for R in power_blocks(P, range(1, count * w + 1, w)):
-        yield R, np.einsum("abx,kxy,bcy->kac", A, R, m)
+    """Blocks (power_blocks) of R_k = P^j_k, j_k = (k-1)w+1 steps from summand 0's last state
+    to summand k's first, k = 1..count: each block's j_k, R_k and E(X_0 X_k) =
+    sum_{x,y} A(x) R_k(x, y) m(y), as given X_0, X_k's mean depends on S_{w-1} only."""
+    for steps, R in power_blocks(P, range(1, count * w + 1, w)):
+        yield steps, R, np.einsum("abx,kxy,bcy->kac", A, R, m)
 
 
 def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
@@ -247,7 +247,7 @@ def lag_moments(spec: ModelSpec, lags: int) -> np.ndarray:
     the matrices are not symmetric for k >= 1."""
     square, A, m, w = _transfer(spec)
     blocks = _moment_blocks(spec.chain.P, A, m, w, lags)
-    return np.concatenate([square[None], *(moments for _, moments in blocks)])
+    return np.concatenate([square[None], *(moments for _, _, moments in blocks)])
 
 
 def v2_ceiling(spec: ModelSpec) -> float:
@@ -275,10 +275,9 @@ def v2_ceiling(spec: ModelSpec) -> float:
     # only the moment norms and rounded-up d̄(j_k) of each block are kept, up to k = L,
     # with L lowered to the window once a lag contracts
     norms, dbars = [np.linalg.norm(square[None], 2, axis=(-2, -1))], np.empty(0)
-    for R, moments in _moment_blocks(spec.chain.P, A, m, w, L):
+    for steps, R, moments in _moment_blocks(spec.chain.P, A, m, w, L):
         norms.append(np.linalg.norm(moments, 2, axis=(-2, -1)))
-        lags = w * np.arange(dbars.size, dbars.size + len(R)) + 1
-        dbars = np.append(dbars, dbar_upper(spec.chain, R, lags))
+        dbars = np.append(dbars, dbar_upper(spec.chain, R, steps))
         contracting = np.flatnonzero(dbars[:L] < 1.0)
         if contracting.size:
             L = max(_CEILING_LAGS, contracting[0] + 1)
@@ -287,7 +286,7 @@ def v2_ceiling(spec: ModelSpec) -> float:
     norms = np.concatenate(norms)[:L + 1]
     total = geometric_tail(dbars[:L])[1]
     if total == math.inf:
-        raise ModelError(f"d̄ is 1 at every lag up to {(L - 1) * w + 1}: "
+        raise ModelError(f"d̄ is 1 at every lag up to {steps[-1]}: "
                          "the tail of the v^2 ceiling cannot be certified")
     a = np.linalg.norm(A.transpose(2, 0, 1), 2, axis=(-2, -1)).sum()
     b = np.linalg.norm(m.transpose(2, 0, 1), 2, axis=(-2, -1)).max()

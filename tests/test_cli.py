@@ -516,6 +516,21 @@ def test_unreadable_input_names_its_flag_and_path(capsys, tmp_path, argv, flag, 
     assert err.startswith(f"error: {flag} {path} is not {kind}: ")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["mixing"], "--chain"),
+    (["simulate", "--model", "contraction", "--n", "8", "--trials", "120", "--seed", "9",
+      "--x-grid", "0.5:8:4"], "--config"),
+], ids=["chain", "config"])
+def test_deeply_nested_input_names_its_flag_and_path(capsys, tmp_path, argv, flag):
+    # json.load's RecursionError once escaped as a traceback and exit 1
+    path = tmp_path / "input"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*argv, flag, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag} {path} is not JSON: ")
+
+
 class TestUsageErrors:
     """A usage error argparse rejects is an invalid input (3); 2 stays a
     failed verify check."""

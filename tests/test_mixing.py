@@ -514,7 +514,7 @@ class TestBetaKExact:
 
 def matrix_powers(M, ks):
     """M^k for each k of ks, one at a time, read from power_blocks' blocks."""
-    return [Mk for block in power_blocks(M, ks) for Mk in block]
+    return [Mk for _, block in power_blocks(M, ks) for Mk in block]
 
 
 def beta_per_lag(chain, k):
@@ -578,6 +578,21 @@ class TestMatrixPowers:
         ks = [1, 2, 3, 5, 8, 13, 21, 34, 55]
         for k, Pk in zip(ks, matrix_powers(chain.P, ks)):
             assert Pk == pytest.approx(np.linalg.matrix_power(chain.P, k), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("s", [2, 10, 50])
+    def test_blocks_carry_their_lags(self, s):
+        # 1024, 40 and 1 lags a block: the lags joined are ks, each block but
+        # the last is full, and each power is M^k at its block's lag
+        chain = random_chain(np.random.default_rng(s), s)
+        ks = [*range(1, 45), 47, 50, 64, 81, 82, 100]
+        blocks = list(power_blocks(chain.P, ks))
+        assert [k for lags, _ in blocks for k in lags] == ks
+        per_block = max(1, mixing._BLOCK_WORDS // s ** 2)
+        assert all(len(lags) == per_block for lags, _ in blocks[:-1])
+        for lags, powers in blocks:
+            assert len(powers) == len(lags)
+            for k, Pk in zip(lags, powers):
+                assert Pk == pytest.approx(np.linalg.matrix_power(chain.P, k), rel=1e-12, abs=1e-15)
 
     def test_each_gap_power_is_made_once(self, monkeypatch):
         made = []
@@ -652,14 +667,17 @@ class TestDbar:
                 assert beta_k_exact(chain, j) <= dbar(Pj) + 1e-15
 
 
-def dbar_exact(P, k: int) -> Fraction:
-    """d̄(k) of the chain of a float P: the exact rationals of its entries,
-    each row scaled to sum to 1 exactly."""
+def dbar_exact(P, ks) -> list:
+    """d̄(k) at each of the increasing lags ks of the chain of a float P: the
+    exact rationals of its entries, each row scaled to sum to 1 exactly, and
+    one exact product a lag."""
     P = [[Fraction(x) / sum(map(Fraction, row)) for x in row] for row in np.asarray(P).tolist()]
-    Pk = P
-    for _ in range(k - 1):
-        Pk = [[sum(a * b for a, b in zip(row, col)) for col in zip(*P)] for row in Pk]
-    return max(sum(abs(a - b) for a, b in zip(x, y)) / 2 for x in Pk for y in Pk)
+    Pk, k, dbars = P, 1, []
+    for lag in ks:
+        for k in range(k + 1, lag + 1):
+            Pk = [[sum(a * b for a, b in zip(row, col)) for col in zip(*P)] for row in Pk]
+        dbars.append(max(sum(abs(a - b) for a, b in zip(x, y)) / 2 for x in Pk for y in Pk))
+    return dbars
 
 
 def log_beta(chain, k) -> float:
@@ -716,18 +734,31 @@ class TestCertifiedRate:
 
     @pytest.mark.parametrize("P", [
         [[0.75, 0.25], [0.25, 0.75]], [[0.5, 0.5], [0.25, 0.75]],
-        [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]],
-        ids=["flip-1/4", "ci", "blockcov-3"])
+        [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        0.5 * np.eye(10) + 0.25 * (np.eye(10, k=1) + np.eye(10, k=-1)
+                                   + np.eye(10, k=9) + np.eye(10, k=-9))],
+        ids=["flip-1/4", "ci", "blockcov-3", "lazy-cycle-10"])
     def test_rounded_up_dbar_bounds_the_exact_one(self, P):
         # the exact rationals of P's floats, rows scaled to sum to 1; the
         # 3-state rows do not sum to 1 exactly as floats, and its float
-        # products round
+        # products round.  The lazy walk on a 10-cycle has dyadic rows, so its
+        # exact powers stay cheap, and its 50 lags span two blocks (1..40, 41..50)
         chain = MarkovChain(P)
-        ks = list(range(1, RATE_LAGS + 1))
-        upper = np.concatenate([dbar_upper(chain, Pk, np.arange(1, RATE_LAGS + 1)[:len(Pk)])
-                                for Pk in power_blocks(chain.P, ks)])
-        exact = [dbar_exact(chain.P, k) for k in ks]
-        assert all(Fraction(float(u)) >= d for u, d in zip(upper, exact))
+        lags, upper = [], []
+        for ks, Pk in power_blocks(chain.P, range(1, RATE_LAGS + 1)):
+            lags += ks
+            upper += dbar_upper(chain, Pk, ks).tolist()
+        assert lags == list(range(1, RATE_LAGS + 1))
+        assert all(Fraction(u) >= d for u, d in zip(upper, dbar_exact(chain.P, lags)))
+
+    def test_each_block_is_rounded_up_at_its_own_lags(self, monkeypatch):
+        # 40 lags a block at s = 10.  On the chains tested c keeps its bits when
+        # the second block is rounded up at lags 1..10, so the lags are checked here
+        seen = []
+        monkeypatch.setattr(mixing, "dbar_upper",
+                            lambda chain, Pk, k: seen.extend(k) or dbar_upper(chain, Pk, k))
+        certified_geometric_rate(random_chain(np.random.default_rng(10), 10))
+        assert seen == list(range(1, RATE_LAGS + 1))
 
     def test_iid_chain_has_a_finite_rate(self):
         # d̄ = 0 at every lag, so only the rounding margin bounds c

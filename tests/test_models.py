@@ -646,7 +646,8 @@ class TestBlockCeiling:
         # with A = 0 the ceiling would return before it looks at d̄
         assert models._transfer(CORRELATED_BLOCK)[1].any()
         monkeypatch.setattr(models, "dbar_upper", lambda chain, Pk, k: np.ones(len(Pk)))
-        with pytest.raises(ModelError):
+        # the error names the last step walked: lag 64 of w = 2 steps
+        with pytest.raises(ModelError, match="every lag up to 127: "):
             v2_ceiling(CORRELATED_BLOCK)
 
     def test_inputs_draw_nothing(self, monkeypatch):
@@ -734,6 +735,18 @@ class TestLagWalker:
     def test_short_windows_give_the_stacked_bits(self, chain, lags, monkeypatch):
         monkeypatch.setattr(models, "_CEILING_LAGS", lags)
         self.assert_same_bits(block_spec(chain, 2, [0.3, -1.0, 0.5][:chain.states]))
+
+    @pytest.mark.parametrize("s, c, v2", [
+        (10, "0x1.01a5d1439775cp+0", "0x1.8898270123848p-3"),
+        (20, "0x1.314168c69055cp+0", "0x1.a5a4f7663ca8bp-3"),
+        (50, "0x1.657c09ad3d261p+0", "0x1.cce7c520aa417p-3")])
+    def test_certificates_across_blocks_are_pinned(self, s, c, v2):
+        # 40, 10 and 1 lags a block: both d̄ certificates walk past the first block
+        rng = np.random.default_rng(54)
+        P = rng.dirichlet(np.ones(s), s)
+        spec = block_spec(MarkovChain(P), 2, rng.uniform(-1, 1, s))
+        assert certified_geometric_rate(spec.chain).hex() == c
+        assert v2_ceiling(spec).hex() == v2
 
     def test_window_stops_once_a_lag_contracts(self, monkeypatch):
         # Wielandt's cap at s = 40, w = 2 is 762 lags, but d̄ contracts well
